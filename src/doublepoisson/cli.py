@@ -179,6 +179,10 @@ def cmd_inner(args) -> int:
 
 def cmd_induce(args) -> int:
     started = time.time()
+    if args.n <= 0:
+        raise UsageError(f"--n must be a positive integer, got {args.n}")
+    if args.samples <= 0:
+        raise UsageError(f"--samples must be a positive integer, got {args.samples}")
     algebra = _load_algebra(args.algebra)
     try:
         data = json.loads(Path(args.bracket).read_text())

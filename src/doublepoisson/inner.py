@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .brackets import DoubleBracket, _zero_grid4
-from .poly import MultiPoly, PolyRing, Scalar, scalar_is_zero
+from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
 from .tensors import Tensor2, Tensor3, _zero_grid2, _zero_grid3
 
 
@@ -274,19 +274,6 @@ class AybeSystem:
         return all(v == 0 for v in self.substitute_point(values))
 
 
-def _dedup_scalar_multiples(polys) -> list[MultiPoly]:
-    """Drop zero polynomials and scalar multiples of earlier ones; normalize sign."""
-    kept: list[MultiPoly] = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        lead = p.leading_monomial()
-        q = p * (Fraction(1) / p.coefficient(lead))
-        if all(q != other for other in kept):
-            kept.append(q)
-    return kept
-
-
 def aybe_solve(
     algebra: FDAlgebra,
     generators: list[WedgeElement] | None = None,
@@ -330,12 +317,12 @@ def aybe_solve(
         coeffs = _reexpress_tensor3_legs(j, leg_basis).values()
     else:
         coeffs = (v for _, _, _, v in j.entries())
-    equations = _dedup_scalar_multiples(coeffs)
+    equations = distinct_up_to_scalar(coeffs)
     weak = None
     if include_weak:
         _, residuals = weak_jacobi_condition(r)
         weak_polys = [v for _, t3 in residuals for _, _, _, v in t3.entries()]
-        weak = tuple(_dedup_scalar_multiples(weak_polys))
+        weak = tuple(distinct_up_to_scalar(weak_polys))
     return AybeSystem(algebra, names, tuple(generators), tuple(equations), weak)
 
 

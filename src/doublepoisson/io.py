@@ -10,6 +10,9 @@ bracket:  {"algebra": preset-or-path, "params": [names],
 wedge:    {"algebra": preset-or-path, "terms": [[a, b, "p/q"], ...]}
           meaning sum coeff * (e_a(x)e_b - e_b(x)e_a)
 
+Every index in a file must be an integer in 0 <= idx < dim; any other value
+raises ValueError (a usage error, exit 2, on the command line).
+
 Preset names resolve before file paths, so "a2" never reads a local file a2.
 """
 
@@ -39,12 +42,21 @@ def load_algebra(spec: str) -> FDAlgebra:
     return algebra_from_json(json.loads(path.read_text()))
 
 
+def _check_indices(entry, count: int, dim: int, what: str) -> None:
+    """Require the first ``count`` items of a JSON entry to be integers in 0 <= idx < dim."""
+    for idx in entry[:count]:
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < dim:
+            raise ValueError(f"{what} entry {entry!r}: index {idx!r} not in 0..{dim - 1}")
+
+
 def algebra_from_json(data: dict) -> FDAlgebra:
     basis = tuple(data["basis"])
     n = len(basis)
     unit = tuple(parse_rational(x) for x in data["unit"])
     mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, coeff in data["mul"]:
+    for entry in data["mul"]:
+        i, j, k, coeff = entry
+        _check_indices(entry, 3, n, "mul")
         mul[i][j][k] = mul[i][j][k] + parse_rational(coeff)
     return FDAlgebra(
         str(data.get("name", "algebra")),
@@ -77,7 +89,9 @@ def bracket_from_json(data: dict, algebra: FDAlgebra | None = None) -> Coefficie
     ring = PolyRing(params) if params else None
     n = algebra.dim
     grid = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, a, b, coeff in data.get("coeffs", ()):
+    for entry in data.get("coeffs", ()):
+        i, j, a, b, coeff = entry
+        _check_indices(entry, 4, n, "bracket")
         if ring is not None:
             value = ring.parse(coeff)
         else:
@@ -118,7 +132,11 @@ def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None
 def wedge_from_json(data: dict, algebra: FDAlgebra | None = None) -> WedgeElement:
     if algebra is None:
         algebra = load_algebra(data["algebra"])
-    terms = [(a, b, parse_rational(c)) for a, b, c in data.get("terms", ())]
+    terms = []
+    for entry in data.get("terms", ()):
+        a, b, c = entry
+        _check_indices(entry, 2, algebra.dim, "wedge")
+        terms.append((a, b, parse_rational(c)))
     return WedgeElement.from_terms(algebra, terms)
 
 

@@ -26,10 +26,15 @@ def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
     for v in entries.values():
         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
     ints = {c: int(v * denom_lcm) for c, v in entries.items()}
-    return _primitive(ints)
+    return primitive_row(ints)
 
 
-def _primitive(row: SparseRow) -> SparseRow:
+def primitive_row(row: SparseRow) -> SparseRow:
+    """Content divided out, entry at the smallest key positive.
+
+    Two integer rows are rational multiples of each other iff their primitive
+    rows are equal.
+    """
     g = 0
     for v in row.values():
         g = gcd(g, abs(v))
@@ -56,7 +61,7 @@ class SparseEliminator:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
             if pivot is None:
-                self.pivot_rows[lead] = _primitive(work)
+                self.pivot_rows[lead] = primitive_row(work)
                 return
             a, b = pivot[lead], work[lead]
             combined: SparseRow = {}
@@ -68,7 +73,7 @@ class SparseEliminator:
                     combined.pop(c, None)
                 else:
                     combined[c] = s
-            work = _primitive(combined)
+            work = primitive_row(combined)
 
     @property
     def rank(self) -> int:

@@ -300,6 +300,26 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
+    """The nonzero ``polys`` scaled to leading coefficient 1, scalar multiples dropped.
+
+    The first occurrence of each class is kept, in input order; membership is a
+    hash lookup on the normalized term map, so the cost is linear in the input.
+    """
+    seen: set = set()
+    kept: list[MultiPoly] = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        lead = p.terms[p.leading_monomial()]
+        terms = {e: c / lead for e, c in p.terms.items()}
+        key = (p.ring, frozenset(terms.items()))
+        if key not in seen:
+            seen.add(key)
+            kept.append(MultiPoly(p.ring, terms))
+    return kept
+
+
 @dataclass(frozen=True)
 class RelationSet:
     """A confluent-by-construction rewrite system for polynomial normal forms.

@@ -5,6 +5,13 @@ H0-skew in the modified case) as a sparse system over the unknown coefficient
 tensor C[i][j][a][b], computes an exact nullspace, and extracts the residual
 quadratic Jacobi constraints in the nullspace parameters t0, t1, ...
 
+The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
+in t, so the constraints are computed by polarization: integer bilinear
+arithmetic on the basis brackets B_k, with MultiPoly values built only for the
+finished, distinct constraints.  They come out in the order of a scan of the
+residual entries over basis triples, each scaled to leading coefficient 1,
+with scalar multiples of earlier ones dropped.
+
 The parameter order is the elimination order of the nullspace engine (free
 columns ascending), which is deterministic but not canonical; golden tests
 reparametrize to the classical parameters via documented coefficient slots.
@@ -14,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import FDAlgebra, commutator_subspace
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import inner_bracket, wedge_basis
-from .linalg import nullspace_of_rows, rank_of_vectors, subspaces_equal
+from .linalg import nullspace_of_rows, primitive_row, rank_of_vectors, subspaces_equal
 from .modified import ModifiedBracket
-from .poly import MultiPoly, PolyRing
+from .poly import MultiPoly, PolyRing, distinct_up_to_scalar
 from .tensors import Tensor2
 
 
@@ -221,71 +229,209 @@ def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
     return _vectors_to_variety(algebra, vectors, modified=True)
 
 
-def _dedup_scalar_multiples(polys):
-    kept: list[MultiPoly] = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        lead = p.leading_monomial()
-        q = p * (Fraction(1) / p.coefficient(lead))
-        if all(q != other for other in kept):
-            kept.append(q)
-    return kept
+# -- quadratic constraints by polarization -------------------------------------
+#
+# The general element sum_k t_k B_k has a linear form in t in every coefficient
+# slot, so each Jacobi residual entry is a quadratic form in t, computed from
+# the basis brackets by bilinear arithmetic.  A linear form is a tuple of
+# (k, c) pairs with integer c: every basis bracket is scaled by one common
+# denominator, a uniform factor that the leading-coefficient normalization of
+# the constraints cancels.  A quadratic form is a map from monomial key to
+# integer, where t_k t_l (k <= l) has key k * p + l; the smallest key of a form
+# is its graded-lex leading monomial.
+
+
+def _common_denominator(values) -> int:
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return den
+
+
+def _slot_forms(variety: LinearVariety):
+    """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of the general element."""
+    n = variety.algebra.dim
+    flats = [basis.flat_coeffs() for basis in variety.nullspace_basis]
+    den = _common_denominator(v for flat in flats for v in flat)
+    forms: dict[int, list] = {}
+    for k, flat in enumerate(flats):
+        for idx, v in enumerate(flat):
+            if v:
+                forms.setdefault(idx, []).append((k, int(v * den)))
+    slots = [[[] for _ in range(n)] for _ in range(n)]
+    for idx in sorted(forms):
+        ij, ab = divmod(idx, n * n)
+        slots[ij // n][ij % n].append((ab // n, ab % n, tuple(forms[idx])))
+    return slots
+
+
+def _monomial_keys(p: int) -> list[list[int]]:
+    """keys[k][l]: the key of the monomial t_k t_l."""
+    return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
+
+
+def _quadratic_sum(products, keys) -> dict[int, dict[int, int]]:
+    """position -> quadratic form, summing f * g over the (position, f, g) products."""
+    out: dict[int, dict[int, int]] = {}
+    for pos, f, g in products:
+        acc = out.get(pos)
+        if acc is None:
+            acc = out[pos] = {}
+        for k, u in f:
+            row = keys[k]
+            for l, v in g:
+                key = row[l]
+                acc[key] = acc.get(key, 0) + u * v
+    return out
+
+
+def _combine(terms):
+    """The nonzero entries of sum(sign * perm(entries)) over the terms, in position order.
+
+    Each term is (sign, perm, entries) with ``entries`` a position -> form map
+    and ``perm`` a list sending each position to its place in the sum.
+    """
+    total: dict[int, dict[int, int]] = {}
+    for sign, perm, entries in terms:
+        for pos, form in entries.items():
+            pos = perm[pos]
+            acc = total.get(pos)
+            if acc is None:
+                acc = total[pos] = {}
+            for key, v in form.items():
+                acc[key] = acc.get(key, 0) + sign * v
+    for pos in sorted(total):
+        form = {key: v for key, v in total[pos].items() if v}
+        if form:
+            yield form
+
+
+def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
+    """The variety with the distinct quadratic forms (up to scalars) as its constraints."""
+    ring = variety.ring()
+    p = variety.dim
+
+    def monomial(key: int) -> tuple[int, ...]:
+        exps = [0] * p
+        for k in divmod(key, p):
+            exps[k] += 1
+        return tuple(exps)
+
+    # one representative per primitive integer form reaches MultiPoly arithmetic
+    classes = dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms)
+    polys = (
+        MultiPoly(ring, {monomial(key): Fraction(v) for key, v in form}) for form in classes
+    )
+    return LinearVariety(
+        variety.algebra,
+        variety.parameter_names,
+        variety.nullspace_basis,
+        tuple(distinct_up_to_scalar(polys)),
+        variety.modified,
+    )
 
 
 def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
     """Quadratic constraints from the double Jacobi identity on the general element.
 
-    The symbolic general element is pushed through the jacobiator on every
-    basis triple; the distinct nonzero coefficient polynomials (deduplicated up
-    to scalar multiples) generate the constraint set.
+    The jacobiator J(i, j, k) of the general element on each basis triple is
+    F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j) with first-leg products
+    F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L, each computed once by polarization.
+    The distinct nonzero entries of the J(i, j, k), scanned in (i, j, k) and
+    then entry order and taken up to scalar multiples, are the constraints.
     """
     if variety.dim == 0:
         return variety
-    general = variety.general_element()
     n = variety.algebra.dim
-    polys = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = general.double_jacobiator(i, j, k)
-                polys.extend(v for _, _, _, v in t.entries())
-    constraints = tuple(_dedup_scalar_multiples(polys))
-    return LinearVariety(
-        variety.algebra,
-        variety.parameter_names,
-        variety.nullspace_basis,
-        constraints,
-        variety.modified,
-    )
+    slots = _slot_forms(variety)
+    keys = _monomial_keys(variety.dim)
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    # entry (c, d, b) of F sits at position (c * n + d) * n + b
+    first_leg = {
+        (i, j, k): _quadratic_sum(
+            (
+                ((c * n + d) * n + b, f, g)
+                for a, b, f in slots[j][k]
+                for c, d, g in slots[i][a]
+            ),
+            keys,
+        )
+        for i, j, k in triples
+    }
+    # tau123 moves entry (x, y, z) to (z, x, y); tau132 moves it to (y, z, x)
+    same = list(range(n**3))
+    tau123 = [(z * n + x) * n + y for x in range(n) for y in range(n) for z in range(n)]
+    tau132 = [(y * n + z) * n + x for x in range(n) for y in range(n) for z in range(n)]
+
+    def residual_entries():
+        for i, j, k in triples:
+            yield from _combine(
+                (
+                    (1, same, first_leg[i, j, k]),
+                    (1, tau123, first_leg[j, k, i]),
+                    (1, tau132, first_leg[k, i, j]),
+                )
+            )
+
+    return _with_constraints(variety, residual_entries())
 
 
 def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
-    """Quadratic constraints from the modified Jacobi identity (H0 bracket)."""
+    """Quadratic constraints from the modified Jacobi identity (H0 bracket).
+
+    With M(a, b) = m({{e_a, e_b}}) as linear forms, the residual
+    {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k} is
+    F(i,j,k) - F(j,i,k) - H(i,j,k) for F(i,j,k) = sum_b M(j,k)_b M(i,b) and
+    H(i,j,k) = sum_a M(i,j)_a M(a,k); each F is computed once.  The distinct
+    nonzero coordinates, in (i, j, k) and coordinate order and up to scalar
+    multiples, are the constraints.
+    """
     if variety.dim == 0:
         return variety
-    general = variety.general_element()
     alg = variety.algebra
     n = alg.dim
-    basis = [alg.basis_element(i) for i in range(n)]
-    polys = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = (
-                    general.multiplied(basis[i], general.multiplied(basis[j], basis[k]))
-                    - general.multiplied(basis[j], general.multiplied(basis[i], basis[k]))
-                    - general.multiplied(general.multiplied(basis[i], basis[j]), basis[k])
+    slots = _slot_forms(variety)
+    keys = _monomial_keys(variety.dim)
+    # the structure constants scaled to integers: again a uniform factor
+    den = _common_denominator(v for row in alg.mul for vec in row for v in vec)
+    mul = [[[(c, int(v * den)) for c, v in enumerate(vec) if v] for vec in row] for row in alg.mul]
+    # multiplied[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
+    multiplied = [[[] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            coords: dict[int, dict[int, int]] = {}
+            for x, y, f in slots[a][b]:
+                for c, m in mul[x][y]:
+                    acc = coords.setdefault(c, {})
+                    for k, u in f:
+                        acc[k] = acc.get(k, 0) + m * u
+            for c in sorted(coords):
+                form = tuple((k, u) for k, u in coords[c].items() if u)
+                if form:
+                    multiplied[a][b].append((c, form))
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    nested = {
+        (i, j, k): _quadratic_sum(
+            ((c, f, g) for b, f in multiplied[j][k] for c, g in multiplied[i][b]), keys
+        )
+        for i, j, k in triples
+    }
+    same = list(range(n))
+
+    def residual_entries():
+        for i, j, k in triples:
+            left_nested = _quadratic_sum(
+                ((c, f, g) for a, f in multiplied[i][j] for c, g in multiplied[a][k]), keys
+            )
+            yield from _combine(
+                (
+                    (1, same, nested[i, j, k]),
+                    (-1, same, nested[j, i, k]),
+                    (-1, same, left_nested),
                 )
-                polys.extend(c for c in r.coords if isinstance(c, MultiPoly))
-    constraints = tuple(_dedup_scalar_multiples(polys))
-    return LinearVariety(
-        alg,
-        variety.parameter_names,
-        variety.nullspace_basis,
-        constraints,
-        variety.modified,
-    )
+            )
+
+    return _with_constraints(variety, residual_entries())
 
 
 def solve_modified(algebra: FDAlgebra) -> LinearVariety:

@@ -210,3 +210,32 @@ def test_modified_check_via_cli(tmp_path):
     assert main(["check", "--algebra", "a2", "--bracket", str(path), "--modified"]) == 0
     # without the flag the file's own marker still routes to the modified checks
     assert main(["check", "--algebra", "a2", "--bracket", str(path)]) == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_induce_rejects_nonpositive_n(alpha_file, capsys, n):
+    assert main(["induce", "--algebra", "a2", "--bracket", alpha_file, "--n", n]) == 2
+    assert "--n must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_induce_rejects_nonpositive_samples(alpha_file, capsys, samples):
+    argv = ["induce", "--algebra", "a2", "--bracket", alpha_file, "--n", "3",
+            "--chart", "rep3-a2", "--numeric", "--samples", samples]
+    assert main(argv) == 2
+    assert "--samples must be a positive integer" in capsys.readouterr().err
+
+
+def test_check_rejects_out_of_range_bracket_index(tmp_path, capsys):
+    # a negative index used to wrap around to the last slot silently
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"algebra": "a2", "params": [], "coeffs": [[-1, 0, 0, 0, "1"]]}))
+    assert main(["check", "--algebra", "a2", "--bracket", str(bad)]) == 2
+    assert "index -1 not in 0..2" in capsys.readouterr().err
+
+
+def test_inner_rejects_out_of_range_wedge_index(tmp_path, capsys):
+    bad = tmp_path / "wedge.json"
+    bad.write_text(json.dumps({"algebra": "a2", "terms": [[0, 3, "1"]]}))
+    assert main(["inner", "--algebra", "a2", "--wedge", str(bad)]) == 2
+    assert "index 3 not in 0..2" in capsys.readouterr().err

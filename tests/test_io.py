@@ -72,3 +72,28 @@ def test_rational_strings_in_files():
 def test_dump_json_deterministic():
     d = {"b": 1, "a": [2, 3]}
     assert dpio.dump_json(d) == dpio.dump_json({"a": [2, 3], "b": 1})
+
+
+@pytest.mark.parametrize("index", [-1, 3, 1.0, True, "0"])
+def test_bracket_json_rejects_bad_index(index):
+    data = {"algebra": "a2", "params": [], "coeffs": [[0, 1, index, 0, "1"]]}
+    with pytest.raises(ValueError, match="bracket entry"):
+        dpio.bracket_from_json(data)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_wedge_json_rejects_bad_index(index):
+    with pytest.raises(ValueError, match="wedge entry"):
+        dpio.wedge_from_json({"algebra": "a2", "terms": [[index, 1, "1"]]})
+
+
+def test_algebra_json_rejects_bad_index():
+    data = dpio.algebra_to_json(make_a2())
+    data["mul"].append([0, 0, -1, "1"])
+    with pytest.raises(ValueError, match="mul entry"):
+        dpio.algebra_from_json(data)
+
+
+def test_bracket_json_last_slot_still_accepted():
+    data = {"algebra": "a2", "params": [], "coeffs": [[2, 2, 2, 2, "1"]]}
+    assert dpio.bracket_from_json(data).coeffs[2][2][2][2] == 1

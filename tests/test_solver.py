@@ -1,21 +1,32 @@
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from doublepoisson import io as dpio
 from doublepoisson.algebra import make_a2, make_matrix_algebra, resolve_preset
+from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
     a2_double_family,
 )
 from doublepoisson.linalg import in_span, invert_matrix, rank_of_vectors, subspaces_equal
+from doublepoisson.modified import ModifiedBracket
+from doublepoisson.poly import MultiPoly
 from doublepoisson.solver import (
+    LinearVariety,
     double_derivation_space,
+    h0_jacobi_constraints,
     inner_bracket_span,
     inner_bracket_span_equality,
     jacobi_constraints,
     outer_double_derivation_dim,
     solve,
     solve_linear,
+    solve_modified_linear,
 )
 
 
@@ -160,3 +171,131 @@ def test_solve_wrapper_matches_pieces():
     v2 = jacobi_constraints(solve_linear(a2))
     assert v1.dim == v2.dim
     assert [str(q) for q in v1.quadratic_constraints] == [str(q) for q in v2.quadratic_constraints]
+
+
+# -- oracle: the symbolic general-element path ----------------------------------
+#
+# The constraints used to be computed by pushing the MultiPoly general element
+# through the axioms; that path, rebuilt here from the public API, is the
+# oracle of the polarization kernel.  Output must agree term for term and in
+# order, including the rendered strings that `solve` prints.
+
+
+def _distinct_pairwise(polys):
+    kept = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        q = p * (Fraction(1) / p.coefficient(p.leading_monomial()))
+        if all(q != other for other in kept):
+            kept.append(q)
+    return tuple(kept)
+
+
+def _oracle_jacobi(variety):
+    if variety.dim == 0:
+        return ()
+    general = variety.general_element()
+    n = variety.algebra.dim
+    polys = [
+        v
+        for i, j, k in product(range(n), repeat=3)
+        for _, _, _, v in general.double_jacobiator(i, j, k).entries()
+    ]
+    return _distinct_pairwise(polys)
+
+
+def _oracle_h0_jacobi(variety):
+    if variety.dim == 0:
+        return ()
+    general = variety.general_element()
+    alg = variety.algebra
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    m = general.multiplied
+    polys = []
+    for i, j, k in product(range(alg.dim), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        r = m(x, m(y, z)) - m(y, m(x, z)) - m(m(x, y), z)
+        polys.extend(c for c in r.coords if isinstance(c, MultiPoly))
+    return _distinct_pairwise(polys)
+
+
+def _assert_same_constraints(got, expected):
+    assert got == expected
+    assert [str(q) for q in got] == [str(q) for q in expected]
+
+
+def _t3_json(path):
+    cells = [(i, j) for i in range(3) for j in range(i, 3)]
+    mul = [
+        [x, y, cells.index((i, l)), "1"]
+        for x, (i, j) in enumerate(cells)
+        for y, (k, l) in enumerate(cells)
+        if j == k
+    ]
+    unit = ["1" if i == j else "0" for i, j in cells]
+    data = {"name": "T3", "basis": [f"E{i + 1}{j + 1}" for i, j in cells], "unit": unit, "mul": mul}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+ORACLE_ALGEBRAS = ("a2", "mat1+mat1", "mat2", "a2+mat1", "a2+a2", "T3")
+
+
+def _oracle_algebra(spec, tmp_path):
+    return dpio.load_algebra(_t3_json(tmp_path / "T3.json") if spec == "T3" else spec)
+
+
+@pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
+def test_jacobi_constraints_match_symbolic_oracle(spec, tmp_path):
+    linear = solve_linear(_oracle_algebra(spec, tmp_path))
+    got = jacobi_constraints(linear).quadratic_constraints
+    _assert_same_constraints(got, _oracle_jacobi(linear))
+    if spec == "a2":
+        assert len(got) == 1
+
+
+@pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
+def test_h0_jacobi_constraints_match_symbolic_oracle(spec, tmp_path):
+    linear = solve_modified_linear(_oracle_algebra(spec, tmp_path))
+    got = h0_jacobi_constraints(linear).quadratic_constraints
+    _assert_same_constraints(got, _oracle_h0_jacobi(linear))
+
+
+_small_rational = st.builds(
+    Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3))
+)
+
+
+@st.composite
+def _random_varieties(draw):
+    """Varieties over random small basis brackets.
+
+    The brackets satisfy no axiom, but polarization is an identity of bilinear
+    algebra that holds regardless, and these inputs reach nonzero H0-Jacobi
+    constraints and non-integer coefficients, which the presets do not.
+    """
+    algebra = resolve_preset(draw(st.sampled_from(("a2", "mat1+mat1", "mat2"))))
+    modified = draw(st.booleans())
+    cls = ModifiedBracket if modified else DoubleBracket
+    n = algebra.dim
+    slot = st.tuples(*[st.integers(0, n - 1)] * 4)
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = draw(st.lists(st.tuples(slot, _small_rational), max_size=6))
+        basis.append(cls.from_entries(algebra, [(*s, c) for s, c in entries]))
+    names = tuple(f"t{k}" for k in range(len(basis)))
+    return LinearVariety(algebra, names, tuple(basis), (), modified)
+
+
+@seed(20261017)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_random_varieties())
+def test_polarization_matches_oracle_on_random_brackets(variety):
+    if variety.modified:
+        got = h0_jacobi_constraints(variety).quadratic_constraints
+        expected = _oracle_h0_jacobi(variety)
+    else:
+        got = jacobi_constraints(variety).quadratic_constraints
+        expected = _oracle_jacobi(variety)
+    _assert_same_constraints(got, expected)
