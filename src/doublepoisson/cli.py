@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import io as dpio
-from .algebra import AlgebraError, resolve_preset
+from .algebra import AlgebraError, is_preset
 from .inner import (
     WedgeElement,
     aybe_obstruction,
@@ -49,7 +49,7 @@ def _digest(path: str) -> str:
 
 
 def _input_digest(spec: str) -> str:
-    if resolve_preset(spec) is not None:
+    if is_preset(spec):
         return f"preset:{spec}"
     return f"sha256:{_digest(spec)}"
 

@@ -19,13 +19,13 @@ SparseRow = dict[int, int]
 
 def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
     """Clear denominators and divide out the content; sign-normalize later."""
-    entries = {c: Fraction(v) for c, v in row.items() if v != 0}
+    entries = {c: v for c, v in row.items() if v != 0}
     if not entries:
         return {}
     denom_lcm = 1
     for v in entries.values():
         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = {c: int(v * denom_lcm) for c, v in entries.items()}
+    ints = {c: v.numerator * (denom_lcm // v.denominator) for c, v in entries.items()}
     return primitive_row(ints)
 
 
@@ -80,13 +80,23 @@ class SparseEliminator:
         return len(self.pivot_rows)
 
     def reduced_pivot_rows(self) -> dict[int, dict[int, Fraction]]:
-        """Gauss-Jordan pass: each pivot column appears in its own row only."""
+        """Gauss-Jordan pass: each pivot column appears in its own row only.
+
+        Pivots are cleared in descending order.  When a pivot row is used, it
+        holds its lead and non-pivot columns only, so clearing never adds or
+        removes a pivot column elsewhere, and the rows holding each pivot
+        column are indexed once, before the pass.
+        """
         rows = {c: {k: Fraction(v) for k, v in r.items()} for c, r in self.pivot_rows.items()}
+        holders: dict[int, list[int]] = {}
+        for lead, row in rows.items():
+            for c in row:
+                if c != lead and c in rows:
+                    holders.setdefault(c, []).append(lead)
         for lead in sorted(rows, reverse=True):
             row = rows[lead]
-            for other_lead, other in rows.items():
-                if other_lead >= lead or lead not in other:
-                    continue
+            for other_lead in holders.get(lead, ()):
+                other = rows[other_lead]
                 factor = other[lead] / row[lead]
                 for c, v in row.items():
                     s = other.get(c, Fraction(0)) - factor * v
@@ -99,19 +109,18 @@ class SparseEliminator:
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in column order."""
         rows = self.reduced_pivot_rows()
-        pivot_cols = set(rows)
-        basis: list[list[Fraction]] = []
+        basis: dict[int, list[Fraction]] = {}
         for free in range(self.ncols):
-            if free in pivot_cols:
-                continue
-            vec = [Fraction(0)] * self.ncols
-            vec[free] = Fraction(1)
-            for lead, row in rows.items():
-                coeff = row.get(free)
-                if coeff:
-                    vec[lead] = -coeff / row[lead]
-            basis.append(vec)
-        return basis
+            if free not in rows:
+                basis[free] = [Fraction(0)] * self.ncols
+                basis[free][free] = Fraction(1)
+        # after the Gauss-Jordan pass a row holds its lead and free columns only
+        for lead, row in rows.items():
+            pivot = row[lead]
+            for c, v in row.items():
+                if c != lead:
+                    basis[c][lead] = -v / pivot
+        return list(basis.values())
 
 
 def nullspace_of_rows(
@@ -124,14 +133,18 @@ def nullspace_of_rows(
     return elim.nullspace()
 
 
+def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
+    """Rank of the linear system given by sparse rows."""
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row(row)
+    return elim.rank
+
+
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
     if not vectors:
         return 0
-    ncols = len(vectors[0])
-    elim = SparseEliminator(ncols)
-    for v in vectors:
-        elim.add_row({i: x for i, x in enumerate(v) if x != 0})
-    return elim.rank
+    return rank_of_rows(({i: x for i, x in enumerate(v) if x != 0} for v in vectors), len(vectors[0]))
 
 
 def subspaces_equal(

@@ -514,13 +514,6 @@ def scalar_is_zero(x: Scalar) -> bool:
     return x == 0
 
 
-def scalar_eq(x: Scalar, y: Scalar) -> bool:
-    if isinstance(x, MultiPoly) or isinstance(y, MultiPoly):
-        diff = x - y if isinstance(x, MultiPoly) else y - x
-        return diff.is_zero()
-    return x == y
-
-
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, MultiPoly):
         return str(x)

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import FDAlgebra, make_a2
 from .brackets import CoefficientBracket
 from .poly import MultiPoly, PolyRing, RelationSet, scalar_is_zero
@@ -290,6 +288,8 @@ class ParamChart:
 
 
 def _poly_arrays(p: MultiPoly, var_order: list[str]):
+    import numpy as np
+
     idx = [p.ring.index(v) for v in var_order]
     exps = np.array([[e[i] for i in idx] for e in p.terms] or np.zeros((0, len(idx))), dtype=np.int64)
     coeffs = np.array([float(c) for c in p.terms.values()] or [], dtype=np.float64)
@@ -298,6 +298,8 @@ def _poly_arrays(p: MultiPoly, var_order: list[str]):
 
 def _eval_poly_at(p: MultiPoly, samples: np.ndarray, var_order: list[str]) -> np.ndarray:
     """Evaluate p at every row of ``samples`` (columns ordered by var_order)."""
+    import numpy as np
+
     exps, coeffs = _poly_arrays(p, var_order)
     if coeffs.size == 0:
         return np.zeros(samples.shape[0])
@@ -366,6 +368,8 @@ def chart_consistency(
     if mode != "numeric":
         raise ChartError(f"unknown mode {mode!r}")
 
+    import numpy as np
+
     points = chart.sample_points(samples, seed, bindings)
     var_order = list(chart.ring.names)
     sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])
@@ -423,6 +427,8 @@ def chart_relations_check(
             if not image.is_zero():
                 bad.append(image)
         return (not bad, 0.0 if not bad else math.inf)
+    import numpy as np
+
     points = chart.sample_points(samples, seed)
     var_order = list(chart.ring.names)
     sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])
@@ -462,6 +468,8 @@ def jacobi_check_bivector(
                 components.append(comp)
     if mode == "exact":
         return all(chart.nf(comp).is_zero() for comp in components)
+    import numpy as np
+
     points = chart.sample_points(samples, seed, bindings)
     var_order = list(chart.ring.names)
     sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])

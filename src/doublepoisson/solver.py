@@ -26,10 +26,9 @@ from math import lcm
 from .algebra import FDAlgebra, commutator_subspace
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import inner_bracket, wedge_basis
-from .linalg import nullspace_of_rows, primitive_row, rank_of_vectors, subspaces_equal
+from .linalg import nullspace_of_rows, primitive_row, rank_of_rows, subspaces_equal
 from .modified import ModifiedBracket
 from .poly import MultiPoly, PolyRing, distinct_up_to_scalar
-from .tensors import Tensor2
 
 
 @dataclass(frozen=True)
@@ -93,66 +92,76 @@ def _skew_rows(algebra: FDAlgebra):
                         yield {left: 1, right: 1}
 
 
-def _second_leibniz_rows(algebra: FDAlgebra):
-    """{{e_i, e_k e_l}} = (e_k(x)1){{e_i,e_l}} + {{e_i,e_k}}(1(x)e_l), componentwise."""
+def _integer_products(algebra: FDAlgebra):
+    """The product table times the common denominator of its entries."""
+    den = _common_denominator(v for row in algebra.products for terms in row for _, v in terms)
+    return [[[(k, int(v * den)) for k, v in terms] for terms in row] for row in algebra.products]
+
+
+def _derivation_rows(algebra: FDAlgebra, shift: int = 0, strides: tuple[int, int, int] | None = None):
+    """delta(e_k e_l) = delta(e_k).e_l + e_k.delta(e_l) at each leg pair (c, d), outer actions.
+
+    The coefficient of e_a(x)e_b in delta(e_m) is the unknown at column
+    shift + m * sm + a * sa + b * sb for (sm, sa, sb) = strides, by default
+    (n^2, n, 1).  Rows come in (k, l, c, d) order, read from the product table
+    scaled to integers, which scales every row by the same factor.
+    """
     n = algebra.dim
-    mul = algebra.mul
+    sm, sa, sb = strides or (n * n, n, 1)
+    prods = _integer_products(algebra)
+    # left[k][c] = [(a, v)]: v e_c is a term of e_k e_a; right[l][d] = [(b, v)]: of e_b e_l
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    for x, row in enumerate(prods):
+        for y, terms in enumerate(row):
+            for z, v in terms:
+                left[x][z].append((y, v))
+                right[y][z].append((x, v))
+    for k in range(n):
+        for l in range(n):
+            kl = prods[k][l]
+            for c in range(n):
+                kc = left[k][c]
+                for d in range(n):
+                    ld = right[l][d]
+                    if not (kl or kc or ld):
+                        continue
+                    row: dict[int, int] = {}
+                    for m, v in kl:
+                        idx = shift + m * sm + c * sa + d * sb
+                        row[idx] = row.get(idx, 0) + v
+                    for a, v in kc:
+                        idx = shift + l * sm + a * sa + d * sb
+                        row[idx] = row.get(idx, 0) - v
+                    for b, v in ld:
+                        idx = shift + k * sm + c * sa + b * sb
+                        row[idx] = row.get(idx, 0) - v
+                    row = {idx: v for idx, v in row.items() if v}
+                    if row:
+                        yield row
+
+
+def _second_leibniz_rows(algebra: FDAlgebra):
+    """{{e_i, e_k e_l}} = (e_k(x)1){{e_i,e_l}} + {{e_i,e_k}}(1(x)e_l), componentwise.
+
+    Each slot {{e_i, -}} is a double derivation, so slot i gets the
+    derivation rows on its block of columns C[i][m][a][b].
+    """
+    n = algebra.dim
     for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        row: dict[int, Fraction] = {}
-
-                        def add(idx: int, v: Fraction):
-                            s = row.get(idx, Fraction(0)) + v
-                            if s == 0:
-                                row.pop(idx, None)
-                            else:
-                                row[idx] = s
-
-                        for m in range(n):
-                            if mul[k][l][m] != 0:
-                                add(_flat_index(n, i, m, c, d), mul[k][l][m])
-                        for a in range(n):
-                            if mul[k][a][c] != 0:
-                                add(_flat_index(n, i, l, a, d), -mul[k][a][c])
-                        for b in range(n):
-                            if mul[b][l][d] != 0:
-                                add(_flat_index(n, i, k, c, b), -mul[b][l][d])
-                        if row:
-                            yield row
+        yield from _derivation_rows(algebra, i * n**3)
 
 
 def _first_leibniz_rows(algebra: FDAlgebra):
-    """{{e_k e_l, e_i}} = (1(x)e_k){{e_l,e_i}} + {{e_k,e_i}}(e_l(x)1), componentwise."""
+    """{{e_k e_l, e_i}} = (1(x)e_k){{e_l,e_i}} + {{e_k,e_i}}(e_l(x)1), componentwise.
+
+    x -> {{x, e_i}} obeys the Leibniz rule for the inner actions; with its
+    tensor legs swapped it is a double derivation, so slot i gets the
+    derivation rows on the columns C[m][i][b][a].
+    """
     n = algebra.dim
-    mul = algebra.mul
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        row: dict[int, Fraction] = {}
-
-                        def add(idx: int, v: Fraction):
-                            s = row.get(idx, Fraction(0)) + v
-                            if s == 0:
-                                row.pop(idx, None)
-                            else:
-                                row[idx] = s
-
-                        for m in range(n):
-                            if mul[k][l][m] != 0:
-                                add(_flat_index(n, m, i, c, d), mul[k][l][m])
-                        for b in range(n):
-                            if mul[k][b][d] != 0:
-                                add(_flat_index(n, l, i, c, b), -mul[k][b][d])
-                        for a in range(n):
-                            if mul[a][l][c] != 0:
-                                add(_flat_index(n, k, i, a, d), -mul[a][l][c])
-                        if row:
-                            yield row
+    for i in range(n):
+        yield from _derivation_rows(algebra, i * n * n, (n**3, 1, n))
 
 
 def _h0_skew_rows(algebra: FDAlgebra):
@@ -393,8 +402,7 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
     slots = _slot_forms(variety)
     keys = _monomial_keys(variety.dim)
     # the structure constants scaled to integers: again a uniform factor
-    den = _common_denominator(v for row in alg.mul for vec in row for v in vec)
-    mul = [[[(c, int(v * den)) for c, v in enumerate(vec) if v] for vec in row] for row in alg.mul]
+    mul = _integer_products(alg)
     # multiplied[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
     multiplied = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -447,6 +455,27 @@ def solve(algebra: FDAlgebra) -> LinearVariety:
 # -- innerness probes ------------------------------------------------------------
 
 
+def _inner_derivation_rows(algebra: FDAlgebra):
+    """The inner generators a -> a.m - m.a, m = e_p(x)e_q, as sparse rows in (p, q) order.
+
+    Columns are the derivation coordinates (i * n + a) * n + b of
+    _derivation_rows: the image of e_i is e_i e_p (x) e_q - e_p (x) e_q e_i.
+    """
+    n = algebra.dim
+    prods = algebra.products
+    for p in range(n):
+        for q in range(n):
+            row: dict[int, Fraction] = {}
+            for i in range(n):
+                for x, v in prods[i][p]:
+                    idx = (i * n + x) * n + q
+                    row[idx] = row.get(idx, 0) + v
+                for y, v in prods[q][i]:
+                    idx = (i * n + p) * n + y
+                    row[idx] = row.get(idx, 0) - v
+            yield {idx: v for idx, v in row.items() if v}
+
+
 def double_derivation_space(algebra: FDAlgebra):
     """(basis of Der(A, A(x)A), inner generators a -> a.m - m.a over basis m).
 
@@ -457,56 +486,20 @@ def double_derivation_space(algebra: FDAlgebra):
     from .brackets import DoubleDerivation
 
     n = algebra.dim
-    mul = algebra.mul
+    zero = Fraction(0)
 
-    def flat(i: int, a: int, b: int) -> int:
-        return (i * n + a) * n + b
-
-    def rows():
-        for i in range(n):
-            for j in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        row: dict[int, Fraction] = {}
-
-                        def add(idx, v):
-                            s = row.get(idx, Fraction(0)) + v
-                            if s == 0:
-                                row.pop(idx, None)
-                            else:
-                                row[idx] = s
-
-                        for m in range(n):
-                            if mul[i][j][m] != 0:
-                                add(flat(m, c, d), mul[i][j][m])
-                        for b in range(n):
-                            if mul[b][j][d] != 0:
-                                add(flat(i, c, b), -mul[b][j][d])
-                        for a in range(n):
-                            if mul[i][a][c] != 0:
-                                add(flat(j, a, d), -mul[i][a][c])
-                        if row:
-                            yield row
-
-    der_basis = []
-    for vec in nullspace_of_rows(rows(), n**3):
+    def derivation(coords) -> DoubleDerivation:
         grids = [
-            [[vec[flat(i, a, b)] for b in range(n)] for a in range(n)]
+            [[coords.get((i * n + a) * n + b, zero) for b in range(n)] for a in range(n)]
             for i in range(n)
         ]
-        der_basis.append(DoubleDerivation.from_grids(algebra, grids))
+        return DoubleDerivation.from_grids(algebra, grids)
 
-    inner_gens = []
-    for p in range(n):
-        for q in range(n):
-            m = Tensor2.of(
-                algebra,
-                [
-                    [Fraction(1) if (a, b) == (p, q) else Fraction(0) for b in range(n)]
-                    for a in range(n)
-                ],
-            )
-            inner_gens.append(DoubleDerivation.inner(m))
+    der_basis = [
+        derivation(dict(enumerate(vec)))
+        for vec in nullspace_of_rows(_derivation_rows(algebra), n**3)
+    ]
+    inner_gens = [derivation(row) for row in _inner_derivation_rows(algebra)]
     return der_basis, inner_gens
 
 
@@ -515,9 +508,9 @@ def outer_double_derivation_dim(algebra: FDAlgebra) -> tuple[int, int, int]:
 
     The difference of the first two is the HH^1(A, A(x)A) dimension probe.
     """
-    der_basis, inner_gens = double_derivation_space(algebra)
-    dim_der = len(der_basis)
-    dim_inner = rank_of_vectors([d.flat_coeffs() for d in inner_gens])
+    n = algebra.dim
+    dim_der = len(nullspace_of_rows(_derivation_rows(algebra), n**3))
+    dim_inner = rank_of_rows(_inner_derivation_rows(algebra), n**3)
     return dim_der, dim_inner, dim_der - dim_inner
 
 

@@ -165,14 +165,6 @@ class Tensor2:
         except KeyError:
             raise AlgebraError(f"unknown action {structure}/{side}") from None
 
-    def multiply_first_leg(self, x: AlgElement) -> Tensor2:
-        """a(x)b -> ax(x)b (same as the inner right action; named for clarity)."""
-        return self.inner_right(x)
-
-    def multiply_second_leg_left(self, x: AlgElement) -> Tensor2:
-        """a(x)b -> a(x)xb (same as the inner left action)."""
-        return self.inner_left(x)
-
     def entries(self):
         for a, row in enumerate(self.grid):
             for b, v in enumerate(row):

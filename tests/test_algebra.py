@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from doublepoisson.algebra import (
     AlgebraError,
@@ -9,6 +11,7 @@ from doublepoisson.algebra import (
     commutator,
     commutator_subspace,
     direct_sum,
+    is_preset,
     make_a2,
     make_matrix_algebra,
     resolve_preset,
@@ -95,6 +98,18 @@ def test_preset_resolution():
     assert resolve_preset("mat1+mat1").dim == 2
     assert resolve_preset("a2+mat1").dim == 4
     assert resolve_preset("nope") is None
+    assert resolve_preset(" a2 + mat1 ").mul == resolve_preset("a2+mat1").mul
+    for name in ("a2", "mat3", "mat1+mat1", " a2 + mat2 "):
+        assert is_preset(name)
+    for name in ("nope", "mat0", "a2+", "a2+a2-rebased.json", "mat2+x", ""):
+        assert not is_preset(name) and resolve_preset(name) is None
+
+
+def test_preset_sum_is_nested_direct_sum():
+    m1 = make_matrix_algebra(1)
+    want = direct_sum(direct_sum(make_a2(), m1), m1)
+    got = resolve_preset("a2+mat1+mat1")
+    assert got == want and hash(got) == hash(want)
 
 
 def test_commutators(a2, mat2):
@@ -140,3 +155,74 @@ def test_dim_split_property():
             x = alg.element([Fraction(rng.randint(-3, 3)) for _ in range(alg.dim)])
             y = alg.element([Fraction(rng.randint(-3, 3)) for _ in range(alg.dim)])
             assert sub.contains(commutator(x, y).coords)
+
+
+# -- oracle: the dense load-time laws ---------------------------------------------
+
+
+def _dense_law_error(name, unit, mul):
+    """The message of the dense O(dim^5) associativity loop, then of the unit law, or None."""
+    n = len(unit)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    lhs = sum((mul[i][j][p] * mul[p][k][m] for p in range(n)), Fraction(0))
+                    rhs = sum((mul[j][k][q] * mul[i][q][m] for q in range(n)), Fraction(0))
+                    if lhs != rhs:
+                        return f"{name}: (e{i}e{j})e{k} != e{i}(e{j}e{k})"
+    for i in range(n):
+        basis = [Fraction(int(k == i)) for k in range(n)]
+        left = [sum((unit[a] * mul[a][i][k] for a in range(n)), Fraction(0)) for k in range(n)]
+        right = [sum((mul[i][b][k] * unit[b] for b in range(n)), Fraction(0)) for k in range(n)]
+        if left != basis or right != basis:
+            return f"{name}: unit fails on basis element {i}"
+    return None
+
+
+_entries = st.sampled_from((0,) * 8 + (1, 1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def _structure_tables(draw):
+    """(unit, mul): mostly non-associative random tables; some relabelled presets."""
+    kind = draw(st.sampled_from(("random", "random", "unital", "unital", "preset")))
+    if kind == "preset":
+        alg = resolve_preset(draw(st.sampled_from(("a2", "mat1+mat1", "mat2", "a2+mat1"))))
+        n = alg.dim
+        perm = draw(st.permutations(range(n)))
+        mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    mul[perm[i]][perm[j]][perm[k]] = alg.mul[i][j][k]
+        unit = [Fraction(0)] * n
+        for i in range(n):
+            unit[perm[i]] = alg.unit[i]
+        if draw(st.booleans()):
+            unit = [Fraction(draw(st.integers(0, 1))) for _ in range(n)]
+        return unit, mul
+    n = draw(st.integers(1, 3))
+    mul = [[[Fraction(draw(_entries)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    unit = [Fraction(int(k == 0)) for k in range(n)]
+    if kind == "unital":
+        # e0 is a two-sided unit, so a failure is an associativity failure
+        for j in range(n):
+            mul[0][j] = [Fraction(int(k == j)) for k in range(n)]
+            mul[j][0] = [Fraction(int(k == j)) for k in range(n)]
+    return unit, mul
+
+
+@seed(20261017)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_structure_tables())
+def test_sparse_laws_match_dense_oracle(table):
+    unit, mul = table
+    expected = _dense_law_error("t", unit, mul)
+    try:
+        FDAlgebra("t", tuple(f"x{i}" for i in range(len(unit))), tuple(unit),
+                  tuple(tuple(tuple(v) for v in row) for row in mul))
+        got = None
+    except AlgebraError as e:
+        got = str(e)
+    assert got == expected

@@ -1,14 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import doublepoisson
 from doublepoisson import io as dpio
 from doublepoisson.cli import main
 from doublepoisson.families import a2_alpha_bracket, a2_double_family, a2_modified_family_symbolic
 from doublepoisson.inner import WedgeElement
-from doublepoisson.algebra import make_a2
+from doublepoisson.algebra import FDAlgebra, make_a2, resolve_preset
 
 
 @pytest.fixture
@@ -239,3 +243,35 @@ def test_inner_rejects_out_of_range_wedge_index(tmp_path, capsys):
     bad.write_text(json.dumps({"algebra": "a2", "terms": [[0, 3, "1"]]}))
     assert main(["inner", "--algebra", "a2", "--wedge", str(bad)]) == 2
     assert "index 3 not in 0..2" in capsys.readouterr().err
+
+
+def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
+    # a relative file name whose first "+"-part is the preset name a2
+    monkeypatch.chdir(tmp_path)
+    Path("a2+a2-rebased.json").write_text(json.dumps(dpio.algebra_to_json(resolve_preset("a2+a2"))))
+    Path("zero.json").write_text(json.dumps({"algebra": "a2+a2", "params": [], "coeffs": []}))
+    builds = []
+    original = FDAlgebra.__post_init__
+
+    def counting(self):
+        builds.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(FDAlgebra, "__post_init__", counting)
+    for argv in (
+        ["hh1", "--algebra", "mat3", "--force-large"],
+        ["solve", "--algebra", "a2+a2"],
+        ["check", "--algebra", "a2+a2-rebased.json", "--bracket", "zero.json"],
+    ):
+        builds.clear()
+        assert main(["--format", "json", "--out", "out.json"] + argv) == 0
+        assert len(builds) == 1, (argv, builds)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the numeric chart mode uses numpy; no other command pays for its import
+    src = str(Path(doublepoisson.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, doublepoisson.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

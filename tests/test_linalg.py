@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from doublepoisson.linalg import (
     QMatrix,
+    SparseEliminator,
     in_span,
     invert_matrix,
     nullspace_of_rows,
@@ -79,3 +80,51 @@ def test_deterministic_nullspace_order():
     assert b1 == b2
     # free columns are taken in ascending order
     assert b1[0][1] == 1 and b1[1][2] == 1
+
+
+# -- oracle: the Gauss-Jordan pass that scans every row for every pivot ---------
+
+
+def _naive_reduced_pivot_rows(pivot_rows):
+    rows = {c: {k: Fraction(v) for k, v in r.items()} for c, r in pivot_rows.items()}
+    for lead in sorted(rows, reverse=True):
+        row = rows[lead]
+        for other_lead, other in rows.items():
+            if other_lead >= lead or lead not in other:
+                continue
+            factor = other[lead] / row[lead]
+            for c, v in row.items():
+                s = other.get(c, Fraction(0)) - factor * v
+                if s == 0:
+                    other.pop(c, None)
+                else:
+                    other[c] = s
+    return rows
+
+
+def _naive_nullspace(reduced, ncols):
+    basis = []
+    for free in range(ncols):
+        if free in reduced:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for lead, row in reduced.items():
+            coeff = row.get(free)
+            if coeff:
+                vec[lead] = -coeff / row[lead]
+        basis.append(vec)
+    return basis
+
+
+def test_column_indexed_back_substitution_matches_naive_pass():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        ncols = rng.randint(1, 14)
+        elim = SparseEliminator(ncols)
+        for _ in range(rng.randint(1, 16)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))
+            elim.add_row({c: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for c in cols})
+        reduced = elim.reduced_pivot_rows()
+        assert reduced == _naive_reduced_pivot_rows(elim.pivot_rows)
+        assert elim.nullspace() == _naive_nullspace(reduced, ncols)

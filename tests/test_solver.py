@@ -8,16 +8,25 @@ from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
 from doublepoisson.algebra import make_a2, make_matrix_algebra, resolve_preset
-from doublepoisson.brackets import DoubleBracket
+from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
     a2_double_family,
 )
-from doublepoisson.linalg import in_span, invert_matrix, rank_of_vectors, subspaces_equal
+from doublepoisson.linalg import (
+    in_span,
+    invert_matrix,
+    nullspace_of_rows,
+    rank_of_vectors,
+    subspaces_equal,
+)
 from doublepoisson.modified import ModifiedBracket
 from doublepoisson.poly import MultiPoly
+from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
+    _first_leibniz_rows,
+    _second_leibniz_rows,
     double_derivation_space,
     h0_jacobi_constraints,
     inner_bracket_span,
@@ -299,3 +308,138 @@ def test_polarization_matches_oracle_on_random_brackets(variety):
         got = jacobi_constraints(variety).quadratic_constraints
         expected = _oracle_jacobi(variety)
     _assert_same_constraints(got, expected)
+
+
+# -- oracle: the dense row loops over all index tuples ------------------------------
+#
+# The Leibniz rows and the derivation space used to be built by scanning the
+# dense structure constants mul[i][j][k] for every index tuple, and the inner
+# generators as dense DoubleDerivation values.  Those loops, kept here, are
+# the oracle of the rows read from the sparse product table.
+
+
+def _row_adder(row):
+    def add(idx, v):
+        s = row.get(idx, Fraction(0)) + v
+        if s == 0:
+            row.pop(idx, None)
+        else:
+            row[idx] = s
+
+    return add
+
+
+def _flat4(n, i, j, a, b):
+    return ((i * n + j) * n + a) * n + b
+
+
+def _dense_second_leibniz_rows(algebra):
+    n = algebra.dim
+    mul = algebra.mul
+    for i, k, l, c, d in product(range(n), repeat=5):
+        row = {}
+        add = _row_adder(row)
+        for m in range(n):
+            if mul[k][l][m] != 0:
+                add(_flat4(n, i, m, c, d), mul[k][l][m])
+        for a in range(n):
+            if mul[k][a][c] != 0:
+                add(_flat4(n, i, l, a, d), -mul[k][a][c])
+        for b in range(n):
+            if mul[b][l][d] != 0:
+                add(_flat4(n, i, k, c, b), -mul[b][l][d])
+        if row:
+            yield row
+
+
+def _dense_first_leibniz_rows(algebra):
+    n = algebra.dim
+    mul = algebra.mul
+    for k, l, i, c, d in product(range(n), repeat=5):
+        row = {}
+        add = _row_adder(row)
+        for m in range(n):
+            if mul[k][l][m] != 0:
+                add(_flat4(n, m, i, c, d), mul[k][l][m])
+        for b in range(n):
+            if mul[k][b][d] != 0:
+                add(_flat4(n, l, i, c, b), -mul[k][b][d])
+        for a in range(n):
+            if mul[a][l][c] != 0:
+                add(_flat4(n, k, i, a, d), -mul[a][l][c])
+        if row:
+            yield row
+
+
+def _dense_double_derivation_space(algebra):
+    n = algebra.dim
+    mul = algebra.mul
+
+    def flat(i, a, b):
+        return (i * n + a) * n + b
+
+    def rows():
+        for i, j, c, d in product(range(n), repeat=4):
+            row = {}
+            add = _row_adder(row)
+            for m in range(n):
+                if mul[i][j][m] != 0:
+                    add(flat(m, c, d), mul[i][j][m])
+            for b in range(n):
+                if mul[b][j][d] != 0:
+                    add(flat(i, c, b), -mul[b][j][d])
+            for a in range(n):
+                if mul[i][a][c] != 0:
+                    add(flat(j, a, d), -mul[i][a][c])
+            if row:
+                yield row
+
+    der_basis = [
+        DoubleDerivation.from_grids(
+            algebra, [[[vec[flat(i, a, b)] for b in range(n)] for a in range(n)] for i in range(n)]
+        )
+        for vec in nullspace_of_rows(rows(), n**3)
+    ]
+    inner_gens = []
+    for p, q in product(range(n), repeat=2):
+        grid = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]
+        inner_gens.append(DoubleDerivation.inner(Tensor2.of(algebra, grid)))
+    return der_basis, inner_gens
+
+
+@pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
+def test_leibniz_rows_match_dense_oracle(spec, tmp_path):
+    algebra = _oracle_algebra(spec, tmp_path)
+    assert list(_second_leibniz_rows(algebra)) == list(_dense_second_leibniz_rows(algebra))
+    # the same rows, now generated slot by slot
+    assert sorted(sorted(r.items()) for r in _first_leibniz_rows(algebra)) == sorted(
+        sorted(r.items()) for r in _dense_first_leibniz_rows(algebra)
+    )
+
+
+def _halved_json(spec, path):
+    """The algebra in the basis e_i / 2: structure constants halved, unit doubled."""
+    data = dpio.algebra_to_json(resolve_preset(spec))
+    data["mul"] = [[i, j, k, str(Fraction(c) / 2)] for i, j, k, c in data["mul"]]
+    data["unit"] = [str(2 * Fraction(u)) for u in data["unit"]]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ("a2", "mat1+mat1", "mat2", "a2+a2", "T3", "mat3", "a2+mat1/2"))
+def test_derivation_space_matches_dense_oracle(spec, tmp_path):
+    if spec.endswith("/2"):  # non-integer structure constants
+        algebra = dpio.load_algebra(_halved_json(spec[:-2], tmp_path / "halved.json"))
+    else:
+        algebra = _oracle_algebra(spec, tmp_path)
+    der_basis, inner_gens = double_derivation_space(algebra)
+    dense_der, dense_inner = _dense_double_derivation_space(algebra)
+    assert der_basis == dense_der
+    assert inner_gens == dense_inner
+    dense_inner_dim = rank_of_vectors([d.flat_coeffs() for d in dense_inner])
+    assert outer_double_derivation_dim(algebra) == (
+        len(dense_der),
+        dense_inner_dim,
+        len(dense_der) - dense_inner_dim,
+    )
+    assert subspaces_equal([d.flat_coeffs() for d in der_basis], [d.flat_coeffs() for d in dense_der])
