@@ -23,7 +23,6 @@ from .brackets import (
     DoubleBracket,
     DoubleDerivation,
     bracket_from_bivector,
-    double_derivation_check,
 )
 from .families import (
     a2_alpha_bracket,

@@ -5,17 +5,22 @@ e_a (x) e_b; coefficients may be exact rationals or polynomials in declared
 formal parameters.  For parametrized brackets an axiom "holds" when every
 residual coefficient is the identically-zero polynomial, unless a RelationSet
 of parameter constraints is supplied to quotient by.
+
+The checkers sum each residual over the nonzero coefficients only: the
+bracket's ``terms`` view and the algebra's product table ``products``.  A
+residual is a sparse tensor {position: coefficient}, and a Tensor2 or Tensor3
+is built only for a witness, a residual that is not zero.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
-from .tensors import Tensor2, Tensor3, _zero_grid2, _zero_grid3
+from .tensors import Tensor2, Tensor3, _zero_grid2, tensor3_from_terms, tensor_from_terms
 
 
 def _zero_grid4(n: int):
@@ -35,12 +40,20 @@ def _residual_zero(value, rels: RelationSet | None) -> bool:
     return scalar_is_zero(value)
 
 
-def _tensor_zero_mod(t: Tensor2 | Tensor3, rels: RelationSet | None) -> bool:
-    if rels is None:
-        return t.is_zero()
-    if isinstance(t, Tensor2):
-        return all(_residual_zero(v, rels) for _, _, v in t.entries())
-    return all(_residual_zero(v, rels) for _, _, _, v in t.entries())
+def _terms_zero_mod(terms: dict, rels: RelationSet | None) -> bool:
+    return all(_residual_zero(v, rels) for v in terms.values())
+
+
+def _witnesses(axiom: str, indices, residual, to_tensor, rels, collect: bool = True) -> list:
+    """[((axiom, *idx), tensor)] for each idx whose sparse residual is not zero."""
+    out = []
+    for idx in indices:
+        terms = residual(*idx)
+        if not _terms_zero_mod(terms, rels):
+            out.append(((axiom, *idx), to_tensor(terms)))
+            if not collect:
+                break
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,7 @@ class AxiomReport:
 class CoefficientBracket:
     """Shared storage/evaluation for double and modified brackets."""
 
-    __slots__ = ("algebra", "coeffs", "params")
+    __slots__ = ("algebra", "coeffs", "params", "_terms")
 
     def __init__(self, algebra: FDAlgebra, coeffs, params: tuple[str, ...] = ()):
         n = algebra.dim
@@ -69,6 +82,29 @@ class CoefficientBracket:
         self.algebra = algebra
         self.coeffs = _freeze4(coeffs)
         self.params = tuple(params)
+        self._terms = None
+
+    @property
+    def terms(self) -> tuple:
+        """terms[i][j]: the nonzero (a, b, C[i][j][a][b]) of {{e_i, e_j}}, in (a, b) order.
+
+        A read-only view built on first use, so brackets that are only stored
+        or combined (the solver's basis brackets) do not pay for it.
+        """
+        if self._terms is None:
+            self._terms = tuple(
+                tuple(
+                    tuple(
+                        (a, b, v)
+                        for a, row in enumerate(plane)
+                        for b, v in enumerate(row)
+                        if not scalar_is_zero(v)
+                    )
+                    for plane in block
+                )
+                for block in self.coeffs
+            )
+        return self._terms
 
     # -- evaluation -----------------------------------------------------------
 
@@ -78,8 +114,7 @@ class CoefficientBracket:
     def eval(self, x: AlgElement, y: AlgElement) -> Tensor2:
         if x.algebra != self.algebra or y.algebra != self.algebra:
             raise AlgebraError("elements from a different algebra")
-        n = self.algebra.dim
-        out = _zero_grid2(n)
+        out = _zero_grid2(self.algebra.dim)
         for i, xi in enumerate(x.coords):
             if scalar_is_zero(xi):
                 continue
@@ -87,12 +122,8 @@ class CoefficientBracket:
                 if scalar_is_zero(yj):
                     continue
                 c = xi * yj
-                block = self.coeffs[i][j]
-                for a in range(n):
-                    for b in range(n):
-                        v = block[a][b]
-                        if not scalar_is_zero(v):
-                            out[a][b] = out[a][b] + c * v
+                for a, b, v in self.terms[i][j]:
+                    out[a][b] = out[a][b] + c * v
         return Tensor2.of(self.algebra, out)
 
     # -- linear structure (used to form general elements) ----------------------
@@ -155,32 +186,62 @@ class CoefficientBracket:
             for v in row
         ]
 
-    # -- axiom machinery (shared) ----------------------------------------------
+    # -- Leibniz rules (shared) ------------------------------------------------
+    #
+    # Each rule is a sparse residual {(a, b): coefficient} per basis triple,
+    # read from terms and the product table; the public *_residual methods
+    # return the same residual as a Tensor2.
+
+    def _second_leibniz_terms(self, i: int, k: int, l: int) -> dict:
+        prods = self.algebra.products
+        row = self.terms[i]
+        out: dict = {}
+        for m, c in prods[k][l]:  # {{e_i, e_k e_l}}
+            for a, b, v in row[m]:
+                out[(a, b)] = out.get((a, b), 0) + c * v
+        for a, b, v in row[l]:  # (e_k (x) 1){{e_i, e_l}} = e_k a (x) b
+            for m, c in prods[k][a]:
+                out[(m, b)] = out.get((m, b), 0) - c * v
+        for a, b, v in row[k]:  # {{e_i, e_k}}(1 (x) e_l) = a (x) b e_l
+            for m, c in prods[b][l]:
+                out[(a, m)] = out.get((a, m), 0) - c * v
+        return out
+
+    def _first_leibniz_terms(self, k: int, l: int, i: int) -> dict:
+        prods = self.algebra.products
+        terms = self.terms
+        out: dict = {}
+        for m, c in prods[k][l]:  # {{e_k e_l, e_i}}
+            for a, b, v in terms[m][i]:
+                out[(a, b)] = out.get((a, b), 0) + c * v
+        for a, b, v in terms[l][i]:  # (1 (x) e_k){{e_l, e_i}} = a (x) e_k b
+            for m, c in prods[k][b]:
+                out[(a, m)] = out.get((a, m), 0) - c * v
+        for a, b, v in terms[k][i]:  # {{e_k, e_i}}(e_l (x) 1) = a e_l (x) b
+            for m, c in prods[a][l]:
+                out[(m, b)] = out.get((m, b), 0) - c * v
+        return out
+
+    def _tensor2(self, terms: dict) -> Tensor2:
+        return tensor_from_terms(self.algebra, terms)
 
     def second_leibniz_residual(self, i: int, k: int, l: int) -> Tensor2:
         """{{e_i, e_k e_l}} - (e_k(x)1){{e_i, e_l}} - {{e_i, e_k}}(1(x)e_l)."""
-        alg = self.algebra
-        ek = alg.basis_element(k)
-        el = alg.basis_element(l)
-        prod = alg.basis_product(k, l)
-        lhs = Tensor2.zero(alg)
-        for m, c in enumerate(prod):
-            if c != 0:
-                lhs = lhs + self.eval_basis(i, m).scale(c)
-        rhs = self.eval_basis(i, l).outer_left(ek) + self.eval_basis(i, k).outer_right(el)
-        return lhs - rhs
+        return self._tensor2(self._second_leibniz_terms(i, k, l))
+
+    def first_leibniz_residual(self, k: int, l: int, i: int) -> Tensor2:
+        """{{e_k e_l, e_i}} - (1(x)e_k){{e_l, e_i}} - {{e_k, e_i}}(e_l(x)1)."""
+        return self._tensor2(self._first_leibniz_terms(k, l, i))
 
     def check_second_leibniz(self, rels: RelationSet | None = None):
         """All-basis-triples check of the outer-structure Leibniz rule."""
-        n = self.algebra.dim
-        residuals = []
-        for i in range(n):
-            for k in range(n):
-                for l in range(n):
-                    r = self.second_leibniz_residual(i, k, l)
-                    if not _tensor_zero_mod(r, rels):
-                        residuals.append((("second", i, k, l), r))
-        return residuals
+        triples = product(range(self.algebra.dim), repeat=3)
+        return _witnesses("second", triples, self._second_leibniz_terms, self._tensor2, rels)
+
+    def check_first_leibniz(self, rels: RelationSet | None = None):
+        """All-basis-triples check of the first-argument rule, tagged ("first", k, l, i)."""
+        triples = product(range(self.algebra.dim), repeat=3)
+        return _witnesses("first", triples, self._first_leibniz_terms, self._tensor2, rels)
 
 
 class DoubleBracket(CoefficientBracket):
@@ -200,71 +261,63 @@ class DoubleBracket(CoefficientBracket):
 
     # -- skew symmetry ---------------------------------------------------------
 
+    def _skew_terms(self, i: int, j: int) -> dict:
+        out = {(a, b): v for a, b, v in self.terms[i][j]}
+        for a, b, v in self.terms[j][i]:
+            out[(b, a)] = out.get((b, a), 0) + v
+        return out
+
     def skew_residual(self, i: int, j: int) -> Tensor2:
         """{{e_i, e_j}} + {{e_j, e_i}}° (zero iff skew holds on the pair)."""
-        return self.eval_basis(i, j) + self.eval_basis(j, i).flip()
+        return self._tensor2(self._skew_terms(i, j))
 
     def check_skew(self, rels: RelationSet | None = None):
         n = self.algebra.dim
-        residuals = []
-        for i in range(n):
-            for j in range(i, n):
-                r = self.skew_residual(i, j)
-                if not _tensor_zero_mod(r, rels):
-                    residuals.append((("skew", i, j), r))
-        return residuals
+        pairs = ((i, j) for i in range(n) for j in range(i, n))
+        return _witnesses("skew", pairs, self._skew_terms, self._tensor2, rels)
 
     # -- Leibniz ----------------------------------------------------------------
 
-    def check_leibniz(self, rels: RelationSet | None = None, rng: random.Random | None = None):
-        """Second-argument rule on all triples; first-argument rule spot-checked.
+    def check_leibniz(self, rels: RelationSet | None = None):
+        """Both Leibniz rules on all basis triples, second-argument witnesses first.
 
         The first-argument rule follows from skew + the second-argument rule, so
-        it is not part of the constraint system; the spot check (random element
-        triples) guards against convention drift.
+        it is not part of the constraint system; checking it exactly guards
+        against convention drift.
         """
-        residuals = list(self.check_second_leibniz(rels))
-        rng = rng or random.Random(0)
-        alg = self.algebra
-        n = alg.dim
-        for _ in range(4):
-            a = alg.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
-            b = alg.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
-            c = alg.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
-            lhs = self.eval(a * b, c)
-            rhs = self.eval(b, c).inner_left(a) + self.eval(a, c).inner_right(b)
-            r = lhs - rhs
-            if not _tensor_zero_mod(r, rels):
-                residuals.append((("first-spot", a.coords, b.coords, c.coords), r))
-        return residuals
+        return self.check_second_leibniz(rels) + self.check_first_leibniz(rels)
 
     # -- double Jacobi ------------------------------------------------------------
 
-    def _bracket_into_first_leg(self, i: int, t: Tensor2) -> Tensor3:
-        """{{e_i, t}}_L = sum t[a][b] {{e_i, e_a}} (x) e_b."""
-        alg = self.algebra
-        n = alg.dim
-        out = _zero_grid3(n)
-        for a, b, v in t.entries():
-            block = self.coeffs[i][a]
-            for c in range(n):
-                for d in range(n):
-                    w = block[c][d]
-                    if not scalar_is_zero(w):
-                        out[c][d][b] = out[c][d][b] + v * w
-        return Tensor3.of(alg, out)
+    def _first_leg_terms(self, i: int, j: int, k: int) -> dict:
+        """{{e_i,{{e_j,e_k}}}}_L = sum C[j][k][a][b] {{e_i, e_a}} (x) e_b, sparse."""
+        row = self.terms[i]
+        out: dict = {}
+        for a, b, v in self.terms[j][k]:
+            for c, d, w in row[a]:
+                out[(c, d, b)] = out.get((c, d, b), 0) + v * w
+        return out
+
+    def _jacobiator_terms(self, i: int, j: int, k: int, first_leg=None) -> dict:
+        """F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j), F the first-leg product."""
+        first_leg = first_leg or self._first_leg_terms
+        out = dict(first_leg(i, j, k))
+        for (a, b, c), v in first_leg(j, k, i).items():  # tau123: c (x) a (x) b
+            out[(c, a, b)] = out.get((c, a, b), 0) + v
+        for (a, b, c), v in first_leg(k, i, j).items():  # tau132: b (x) c (x) a
+            out[(b, c, a)] = out.get((b, c, a), 0) + v
+        return out
+
+    def _tensor3(self, terms: dict) -> Tensor3:
+        return tensor3_from_terms(self.algebra, terms)
 
     def double_jacobiator(self, i: int, j: int, k: int) -> Tensor3:
         """{{e_i,{{e_j,e_k}}}}_L + tau123 {{e_j,{{e_k,e_i}}}}_L + tau132 {{e_k,{{e_i,e_j}}}}_L."""
-        t1 = self._bracket_into_first_leg(i, self.eval_basis(j, k))
-        t2 = self._bracket_into_first_leg(j, self.eval_basis(k, i)).tau123()
-        t3 = self._bracket_into_first_leg(k, self.eval_basis(i, j)).tau132()
-        return t1 + t2 + t3
+        return self._tensor3(self._jacobiator_terms(i, j, k))
 
     def jacobiator_element(self, x: AlgElement, y: AlgElement, z: AlgElement) -> Tensor3:
         """Trilinear extension of the jacobiator to arbitrary elements."""
-        n = self.algebra.dim
-        total = Tensor3.zero(self.algebra)
+        out: dict = {}
         for i, xi in enumerate(x.coords):
             if scalar_is_zero(xi):
                 continue
@@ -274,27 +327,39 @@ class DoubleBracket(CoefficientBracket):
                 for k, zk in enumerate(z.coords):
                     if scalar_is_zero(zk):
                         continue
-                    total = total + self.double_jacobiator(i, j, k).scale(xi * yj * zk)
-        return total
+                    c = xi * yj * zk
+                    for key, v in self._jacobiator_terms(i, j, k).items():
+                        out[key] = out.get(key, 0) + c * v
+        return self._tensor3(out)
 
     def check_jacobi(self, rels: RelationSet | None = None, collect: bool = True):
-        n = self.algebra.dim
-        residuals = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t = self.double_jacobiator(i, j, k)
-                    if not _tensor_zero_mod(t, rels):
-                        residuals.append((("jacobi", i, j, k), t))
-                        if not collect:
-                            return residuals
-        return residuals
+        """Jacobiator witnesses over basis triples, scanned in (i, j, k) order.
 
-    def check_all(
-        self, rels: RelationSet | None = None, rng: random.Random | None = None
-    ) -> AxiomReport:
+        Each first-leg product F(i,j,k) is computed once: the jacobiators of
+        the three cyclic rotations of (i, j, k) read the same three products,
+        which are dropped once the last rotation in scan order is done.
+        """
+        cache: dict = {}
+
+        def first_leg(*t):
+            if t not in cache:
+                cache[t] = self._first_leg_terms(*t)
+            return cache[t]
+
+        def residual(i, j, k):
+            terms = self._jacobiator_terms(i, j, k, first_leg)
+            orbit = ((i, j, k), (j, k, i), (k, i, j))
+            if (i, j, k) == max(orbit):
+                for t in orbit:
+                    cache.pop(t, None)
+            return terms
+
+        triples = product(range(self.algebra.dim), repeat=3)
+        return _witnesses("jacobi", triples, residual, self._tensor3, rels, collect)
+
+    def check_all(self, rels: RelationSet | None = None) -> AxiomReport:
         skew = self.check_skew(rels)
-        leib = self.check_leibniz(rels, rng)
+        leib = self.check_leibniz(rels)
         jac = self.check_jacobi(rels)
         return AxiomReport(
             skew_ok=not skew,
@@ -364,11 +429,6 @@ class DoubleDerivation:
 
     def is_derivation(self) -> bool:
         return not self.leibniz_residuals()
-
-
-def double_derivation_check(delta: DoubleDerivation) -> bool:
-    """True iff delta satisfies the outer-structure Leibniz rule on all pairs."""
-    return delta.is_derivation()
 
 
 def bracket_from_bivector(delta1: DoubleDerivation, delta2: DoubleDerivation) -> DoubleBracket:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -95,7 +94,6 @@ def cmd_check(args) -> int:
         "inputs": {"algebra": _input_digest(args.algebra), "bracket": _input_digest(args.bracket)},
         "modified": modified,
     }
-    rng = random.Random(args.seed)
     if modified:
         if not isinstance(bracket, ModifiedBracket):
             bracket = ModifiedBracket(algebra, bracket.coeffs, bracket.params)
@@ -111,7 +109,7 @@ def cmd_check(args) -> int:
     else:
         if isinstance(bracket, ModifiedBracket):
             raise UsageError("bracket file is marked modified; pass --modified")
-        rep = bracket.check_all(rng=rng)
+        rep = bracket.check_all()
         report["checks"] = {
             "skew": rep.skew_ok,
             "leibniz": rep.leibniz_ok,

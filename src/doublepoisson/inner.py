@@ -11,6 +11,10 @@ obstruction is J(r) = r13 x r12 + r23 x r13 - r12 x r23 (legwise products,
 unit on the missing leg); J(r) = 0 is the associative Yang-Baxter equation,
 and the weaker sufficient-and-necessary condition for the double Jacobi
 identity of {{-,-}}_r is [[[J(r),x]_1,y]_2,z]_3 = 0 for all x, y, z.
+
+J(r) and the triple commutators are summed over nonzero terms only, as
+sparse tensors over the algebra's product table; a Tensor3 is built only for
+the returned obstruction and for witness triples.
 """
 
 from __future__ import annotations
@@ -21,7 +25,16 @@ from fractions import Fraction
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .brackets import DoubleBracket, _zero_grid4
 from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
-from .tensors import Tensor2, Tensor3, _zero_grid2, _zero_grid3
+from .tensors import (
+    Tensor2,
+    Tensor3,
+    _leg_commutator_terms,
+    _legwise_product_terms,
+    _mult_maps,
+    _nonzero_terms,
+    _zero_grid2,
+    tensor3_from_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -162,61 +175,64 @@ def inner_bracket(r: WedgeElement) -> DoubleBracket:
     return DoubleBracket(alg, grid)
 
 
-def _unit_tensor3_inclusion(r: WedgeElement, i: int, j: int) -> Tensor3:
-    """r_ij: r on legs (i, j) of A(x)A(x)A, the unit on the remaining leg."""
-    alg = r.algebra
-    n = alg.dim
-    unit = alg.unit
-    out = _zero_grid3(n)
-    legs = {i, j}
-    (rest,) = tuple({1, 2, 3} - legs)
+def _unit_inclusion_terms(r: WedgeElement, i: int, j: int) -> dict:
+    """r_ij: r on legs (i, j) of A(x)A(x)A, the unit on the remaining leg (sparse)."""
+    (rest,) = tuple({1, 2, 3} - {i, j})
+    out: dict = {}
     for a, b, v in r.entries():
-        for u in range(n):
-            if unit[u] == 0:
+        for u, cu in enumerate(r.algebra.unit):
+            if cu == 0:
                 continue
-            coeff = v * unit[u]
             pos = {i: a, j: b, rest: u}
-            out[pos[1]][pos[2]][pos[3]] = out[pos[1]][pos[2]][pos[3]] + coeff
-    return Tensor3.of(alg, out)
+            key = (pos[1], pos[2], pos[3])
+            out[key] = out.get(key, 0) + v * cu
+    return out
+
+
+def _aybe_terms(r: WedgeElement) -> dict:
+    """J(r) = r13 x r12 + r23 x r13 - r12 x r23, as a sparse tensor."""
+    prods = r.algebra.products
+    r12, r13, r23 = (_unit_inclusion_terms(r, *legs) for legs in ((1, 2), (1, 3), (2, 3)))
+    out = _legwise_product_terms(prods, r13, r12)
+    for key, v in _legwise_product_terms(prods, r23, r13).items():
+        out[key] = out.get(key, 0) + v
+    for key, v in _legwise_product_terms(prods, r12, r23).items():
+        out[key] = out.get(key, 0) - v
+    return _nonzero_terms(out)
 
 
 def aybe_obstruction(r: WedgeElement) -> Tensor3:
     """J(r) = r13 x r12 + r23 x r13 - r12 x r23."""
-    r12 = _unit_tensor3_inclusion(r, 1, 2)
-    r13 = _unit_tensor3_inclusion(r, 1, 3)
-    r23 = _unit_tensor3_inclusion(r, 2, 3)
-    return (
-        r13.legwise_product(r12)
-        + r23.legwise_product(r13)
-        - r12.legwise_product(r23)
-    )
+    return tensor3_from_terms(r.algebra, _aybe_terms(r))
 
 
 def weak_jacobi_condition(r: WedgeElement):
     """(flag, residuals) for [[[J(r),x]_1,y]_2,z]_3 = 0 over all basis triples.
 
     Vanishing is automatic when any argument is the unit, but every basis
-    vector is scanned regardless.
+    vector is scanned regardless.  The commutators act on sparse tensors, and
+    a Tensor3 is built only for a witness triple.
     """
     alg = r.algebra
     n = alg.dim
-    j = aybe_obstruction(r)
+    j = _aybe_terms(r)
     residuals = []
-    basis = [alg.basis_element(i) for i in range(n)]
-    if j.is_zero():
+    if not j:
         return True, residuals
+    basis = [alg.basis_element(i) for i in range(n)]
+    maps = [(_mult_maps(e, left=True), _mult_maps(e, left=False)) for e in basis]
     for x in range(n):
-        jx = j.leg_commutator(basis[x], 1)
-        if jx.is_zero():
+        jx = _leg_commutator_terms(j, *maps[x], 1)
+        if not jx:
             continue
         for y in range(n):
-            jxy = jx.leg_commutator(basis[y], 2)
-            if jxy.is_zero():
+            jxy = _leg_commutator_terms(jx, *maps[y], 2)
+            if not jxy:
                 continue
             for z in range(n):
-                jxyz = jxy.leg_commutator(basis[z], 3)
-                if not jxyz.is_zero():
-                    residuals.append(((x, y, z), jxyz))
+                jxyz = _leg_commutator_terms(jxy, *maps[z], 3)
+                if jxyz:
+                    residuals.append(((x, y, z), tensor3_from_terms(alg, jxyz)))
     return not residuals, residuals
 
 

@@ -141,19 +141,35 @@ def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
     return elim.rank
 
 
+def _sparse_rows(vectors: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    return [{i: x for i, x in enumerate(v) if x} for v in vectors]
+
+
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
     if not vectors:
         return 0
-    return rank_of_rows(({i: x for i, x in enumerate(v) if x != 0} for v in vectors), len(vectors[0]))
+    return rank_of_rows(_sparse_rows(vectors), len(vectors[0]))
 
 
 def subspaces_equal(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> bool:
-    """True iff span(a) == span(b) (as subspaces of the common ambient space)."""
-    ra = rank_of_vectors(a)
-    rb = rank_of_vectors(b)
-    return ra == rb == rank_of_vectors(list(a) + list(b))
+    """True iff span(a) == span(b) (as subspaces of the common ambient space).
+
+    Each vector becomes a sparse row once.  With rank a == rank b, the spans
+    are equal iff b's rows add no pivot to a's eliminator: two eliminations.
+    """
+    rows_a, rows_b = _sparse_rows(a), _sparse_rows(b)
+    ncols = len(a[0]) if a else len(b[0]) if b else 0
+    elim = SparseEliminator(ncols)
+    for row in rows_a:
+        elim.add_row(row)
+    rank_a = elim.rank
+    if rank_of_rows(rows_b, ncols) != rank_a:
+        return False
+    for row in rows_b:
+        elim.add_row(row)
+    return elim.rank == rank_a
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:

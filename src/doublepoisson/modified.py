@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
-from .brackets import CoefficientBracket, _tensor_zero_mod, _zero_grid4
+from .brackets import CoefficientBracket, _zero_grid4
 from .poly import RelationSet, Scalar, scalar_is_zero
-from .tensors import Tensor2
 
 
 class ModifiedBracket(CoefficientBracket):
@@ -42,42 +42,19 @@ class ModifiedBracket(CoefficientBracket):
 
     # -- Leibniz rules -----------------------------------------------------------
 
-    def first_leibniz_residual(self, k: int, l: int, i: int) -> Tensor2:
-        """{{e_k e_l, e_i}} - (1(x)e_k){{e_l, e_i}} - {{e_k, e_i}}(e_l(x)1)."""
-        alg = self.algebra
-        lhs = Tensor2.zero(alg)
-        for m, c in enumerate(alg.basis_product(k, l)):
-            if c != 0:
-                lhs = lhs + self.eval_basis(m, i).scale(c)
-        rhs = self.eval_basis(l, i).inner_left(alg.basis_element(k)) + self.eval_basis(
-            k, i
-        ).inner_right(alg.basis_element(l))
-        return lhs - rhs
-
     def check_leibniz_both(self, rels: RelationSet | None = None):
         """Residuals of both Leibniz rules over all basis triples."""
-        residuals = list(self.check_second_leibniz(rels))
-        n = self.algebra.dim
-        for k in range(n):
-            for l in range(n):
-                for i in range(n):
-                    r = self.first_leibniz_residual(k, l, i)
-                    if not _tensor_zero_mod(r, rels):
-                        residuals.append((("first", k, l, i), r))
-        return residuals
+        return self.check_second_leibniz(rels) + self.check_first_leibniz(rels)
 
     # -- the multiplied bracket {-,-} = m o {{-,-}} --------------------------------
 
     def multiplied_basis(self, i: int, j: int) -> tuple:
         """Coordinates of m({{e_i, e_j}}) in A."""
-        alg = self.algebra
-        n = alg.dim
-        out: list[Scalar] = [Fraction(0)] * n
-        for a, b, v in self.eval_basis(i, j).entries():
-            row = alg.basis_product(a, b)
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] = out[k] + v * row[k]
+        prods = self.algebra.products
+        out: list[Scalar] = [Fraction(0)] * self.algebra.dim
+        for a, b, v in self.terms[i][j]:
+            for k, c in prods[a][b]:
+                out[k] = out[k] + v * c
         return tuple(out)
 
     def multiplied(self, x: AlgElement, y: AlgElement) -> AlgElement:
@@ -99,6 +76,12 @@ class ModifiedBracket(CoefficientBracket):
         return alg.element(out)
 
 
+def _multiplied_table(mb: ModifiedBracket) -> list[list[tuple]]:
+    """table[a][b]: the coordinates of m({{e_a, e_b}}), computed once per basis pair."""
+    n = mb.algebra.dim
+    return [[mb.multiplied_basis(a, b) for b in range(n)] for a in range(n)]
+
+
 def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = None):
     """{e_i,e_j} + {e_j,e_i} must lie in [A,A] for all basis pairs.
 
@@ -106,36 +89,43 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
     list of violating pairs with their trace-space residuals.
     """
     sub = subspace or commutator_subspace(mb.algebra)
+    table = _multiplied_table(mb)
     n = mb.algebra.dim
     bad = []
     for i in range(n):
         for j in range(i, n):
-            s = [
-                a + b
-                for a, b in zip(mb.multiplied_basis(i, j), mb.multiplied_basis(j, i))
-            ]
-            flat = sub.project_flat(s)
+            flat = sub.project_flat([a + b for a, b in zip(table[i][j], table[j][i])])
             if any(not scalar_is_zero(c) for c in flat):
                 bad.append(((i, j), flat))
     return bad
 
 
 def h0_jacobi_check(mb: ModifiedBracket):
-    """Residuals of {a,{b,c}} - {b,{a,c}} - {{a,b},c} over all basis triples."""
+    """Residuals of {a,{b,c}} - {b,{a,c}} - {{a,b},c} over all basis triples.
+
+    Each term is read from the table M[a][b] = m({{e_a, e_b}}), by its nonzero
+    coordinates: {e_i, {e_j, e_k}} = sum_b M[j][k]_b M[i][b], and so on.
+    """
     alg = mb.algebra
     n = alg.dim
-    basis = [alg.basis_element(i) for i in range(n)]
+    table = [
+        [[(c, v) for c, v in enumerate(vec) if not scalar_is_zero(v)] for vec in row]
+        for row in _multiplied_table(mb)
+    ]
     bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = (
-                    mb.multiplied(basis[i], mb.multiplied(basis[j], basis[k]))
-                    - mb.multiplied(basis[j], mb.multiplied(basis[i], basis[k]))
-                    - mb.multiplied(mb.multiplied(basis[i], basis[j]), basis[k])
-                )
-                if not r.is_zero():
-                    bad.append(((i, j, k), r))
+    for i, j, k in product(range(n), repeat=3):
+        r: list[Scalar] = [Fraction(0)] * n
+        for b, v in table[j][k]:
+            for c, w in table[i][b]:
+                r[c] = r[c] + v * w
+        for b, v in table[i][k]:
+            for c, w in table[j][b]:
+                r[c] = r[c] - v * w
+        for a, v in table[i][j]:
+            for c, w in table[a][k]:
+                r[c] = r[c] - v * w
+        if any(not scalar_is_zero(c) for c in r):
+            bad.append(((i, j, k), alg.element(r)))
     return bad
 
 

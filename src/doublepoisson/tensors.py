@@ -20,12 +20,15 @@ from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import Scalar, scalar_is_zero
 
 
+_ZERO = Fraction(0)  # Fractions are immutable, so one zero can fill every grid
+
+
 def _zero_grid2(n: int) -> list[list[Scalar]]:
-    return [[Fraction(0)] * n for _ in range(n)]
+    return [[_ZERO] * n for _ in range(n)]
 
 
 def _zero_grid3(n: int) -> list[list[list[Scalar]]]:
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    return [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -99,34 +102,20 @@ class Tensor2:
 
     # -- actions ---------------------------------------------------------------
 
-    def _mult_first(self, mat) -> Tensor2:
-        n = self.algebra.dim
-        out = _zero_grid2(n)
-        for a in range(n):
-            for b in range(n):
-                v = self.grid[a][b]
-                if scalar_is_zero(v):
-                    continue
-                for c in range(n):
-                    w = mat[c][a]
-                    if scalar_is_zero(w):
-                        continue
-                    out[c][b] = out[c][b] + w * v
+    def _mult_first(self, maps) -> Tensor2:
+        """Replace leg 1 by its image: maps[a] holds the (m, w) terms of e_a's image."""
+        out = _zero_grid2(self.algebra.dim)
+        for a, b, v in self.entries():
+            for m, w in maps[a]:
+                out[m][b] = out[m][b] + w * v
         return Tensor2.of(self.algebra, out)
 
-    def _mult_second(self, mat) -> Tensor2:
-        n = self.algebra.dim
-        out = _zero_grid2(n)
-        for a in range(n):
-            for b in range(n):
-                v = self.grid[a][b]
-                if scalar_is_zero(v):
-                    continue
-                for c in range(n):
-                    w = mat[c][b]
-                    if scalar_is_zero(w):
-                        continue
-                    out[a][c] = out[a][c] + w * v
+    def _mult_second(self, maps) -> Tensor2:
+        """Replace leg 2 by its image: maps[b] holds the (m, w) terms of e_b's image."""
+        out = _zero_grid2(self.algebra.dim)
+        for a, b, v in self.entries():
+            for m, w in maps[b]:
+                out[a][m] = out[a][m] + w * v
         return Tensor2.of(self.algebra, out)
 
     def _check_elem(self, x: AlgElement) -> None:
@@ -136,22 +125,22 @@ class Tensor2:
     def outer_left(self, x: AlgElement) -> Tensor2:
         """x.(a(x)b) = xa(x)b."""
         self._check_elem(x)
-        return self._mult_first(_left_mult_matrix(x))
+        return self._mult_first(_mult_maps(x, left=True))
 
     def outer_right(self, x: AlgElement) -> Tensor2:
         """(a(x)b).x = a(x)bx."""
         self._check_elem(x)
-        return self._mult_second(_right_mult_matrix(x))
+        return self._mult_second(_mult_maps(x, left=False))
 
     def inner_left(self, x: AlgElement) -> Tensor2:
         """x.(a(x)b) = a(x)xb."""
         self._check_elem(x)
-        return self._mult_second(_left_mult_matrix(x))
+        return self._mult_second(_mult_maps(x, left=True))
 
     def inner_right(self, x: AlgElement) -> Tensor2:
         """(a(x)b).x = ax(x)b."""
         self._check_elem(x)
-        return self._mult_first(_right_mult_matrix(x))
+        return self._mult_first(_mult_maps(x, left=False))
 
     def act(self, x: AlgElement, structure: str, side: str) -> Tensor2:
         """Dispatch by structure ("outer"/"inner") and side ("left"/"right")."""
@@ -177,36 +166,69 @@ class Tensor2:
         return " + ".join(parts) if parts else "0"
 
 
-def _left_mult_matrix(x: AlgElement):
-    """Matrix L with (x e_a) = sum_c L[c][a] e_c."""
+def _mult_maps(x: AlgElement, left: bool) -> list[tuple]:
+    """maps[a]: the nonzero (m, w) with x e_a (left) or e_a x (right) = sum w e_m."""
     alg = x.algebra
     n = alg.dim
-    mat = _zero_grid2(n)
+    prods = alg.products
+    maps = [{} for _ in range(n)]
     for i, xi in enumerate(x.coords):
         if scalar_is_zero(xi):
             continue
         for a in range(n):
-            row = alg.mul[i][a]
-            for c in range(n):
-                if row[c] != 0:
-                    mat[c][a] = mat[c][a] + xi * row[c]
-    return mat
+            image = maps[a]
+            for m, c in prods[i][a] if left else prods[a][i]:
+                image[m] = image.get(m, 0) + xi * c
+    return [tuple(_nonzero_terms(image).items()) for image in maps]
 
 
-def _right_mult_matrix(x: AlgElement):
-    """Matrix R with (e_a x) = sum_c R[c][a] e_c."""
-    alg = x.algebra
-    n = alg.dim
-    mat = _zero_grid2(n)
-    for j, xj in enumerate(x.coords):
-        if scalar_is_zero(xj):
-            continue
-        for a in range(n):
-            row = alg.mul[a][j]
-            for c in range(n):
-                if row[c] != 0:
-                    mat[c][a] = mat[c][a] + xj * row[c]
-    return mat
+# -- sparse tensors ----------------------------------------------------------
+#
+# The axiom checkers work on sparse tensors: dicts {position: coefficient}
+# holding only the terms that arise, so their cost follows the number of
+# nonzero products rather than dim^2 or dim^3.  A dict returned by a helper
+# below has no zero values, so "not terms" means the tensor is zero.
+
+
+def _nonzero_terms(terms: dict) -> dict:
+    return {key: v for key, v in terms.items() if not scalar_is_zero(v)}
+
+
+def _leg_commutator_terms(terms: dict, left, right, leg: int) -> dict:
+    """[t, x]_leg for t = terms, with left/right the maps of x (see _mult_maps)."""
+    out: dict = {}
+    for (a, b, c), v in terms.items():
+        if leg == 1:  # a (x) xb (x) c  -  ax (x) b (x) c
+            plus = (((a, m, c), w) for m, w in left[b])
+            minus = (((m, b, c), w) for m, w in right[a])
+        elif leg == 2:  # a (x) b (x) xc  -  a (x) bx (x) c
+            plus = (((a, b, m), w) for m, w in left[c])
+            minus = (((a, m, c), w) for m, w in right[b])
+        else:  # xa (x) b (x) c  -  a (x) b (x) cx
+            plus = (((m, b, c), w) for m, w in left[a])
+            minus = (((a, b, m), w) for m, w in right[c])
+        for key, w in plus:
+            out[key] = out.get(key, 0) + v * w
+        for key, w in minus:
+            out[key] = out.get(key, 0) - v * w
+    return _nonzero_terms(out)
+
+
+def _legwise_product_terms(prods, first: dict, second: dict) -> dict:
+    """(a(x)b(x)c) x (p(x)q(x)r) = ap (x) bq (x) cr over the product table prods."""
+    out: dict = {}
+    for (a, b, c), v in first.items():
+        pa, pb, pc = prods[a], prods[b], prods[c]
+        for (p, q, r), w in second.items():
+            coeff = v * w
+            for i, c1 in pa[p]:
+                x1 = coeff * c1
+                for j, c2 in pb[q]:
+                    x2 = x1 * c2
+                    for k, c3 in pc[r]:
+                        key = (i, j, k)
+                        out[key] = out.get(key, 0) + x2 * c3
+    return _nonzero_terms(out)
 
 
 @dataclass(frozen=True)
@@ -288,70 +310,25 @@ class Tensor3:
         """tau132(a(x)b(x)c) = b(x)c(x)a."""
         return self.tau123().tau123()
 
+    def terms(self) -> dict:
+        """The sparse form {(a, b, c): coefficient} of the nonzero entries."""
+        return {(a, b, c): v for a, b, c, v in self.entries()}
+
     def leg_commutator(self, x: AlgElement, leg: int) -> Tensor3:
         """[t, x]_leg per the displayed leg-commutator formulas (leg in 1..3)."""
         if x.algebra != self.algebra:
             raise AlgebraError("element from a different algebra")
         if leg not in (1, 2, 3):
             raise AlgebraError(f"leg must be 1, 2 or 3, got {leg}")
-        left = _left_mult_matrix(x)
-        right = _right_mult_matrix(x)
-        n = self.algebra.dim
-        out = _zero_grid3(n)
-        for a, b, c, v in self.entries():
-            if leg == 1:
-                # a (x) xb (x) c  -  ax (x) b (x) c
-                for m in range(n):
-                    w = left[m][b]
-                    if not scalar_is_zero(w):
-                        out[a][m][c] = out[a][m][c] + v * w
-                    w = right[m][a]
-                    if not scalar_is_zero(w):
-                        out[m][b][c] = out[m][b][c] - v * w
-            elif leg == 2:
-                # a (x) b (x) xc  -  a (x) bx (x) c
-                for m in range(n):
-                    w = left[m][c]
-                    if not scalar_is_zero(w):
-                        out[a][b][m] = out[a][b][m] + v * w
-                    w = right[m][b]
-                    if not scalar_is_zero(w):
-                        out[a][m][c] = out[a][m][c] - v * w
-            else:
-                # xa (x) b (x) c  -  a (x) b (x) cx
-                for m in range(n):
-                    w = left[m][a]
-                    if not scalar_is_zero(w):
-                        out[m][b][c] = out[m][b][c] + v * w
-                    w = right[m][c]
-                    if not scalar_is_zero(w):
-                        out[a][b][m] = out[a][b][m] - v * w
-        return Tensor3.of(self.algebra, out)
+        left, right = _mult_maps(x, left=True), _mult_maps(x, left=False)
+        terms = _leg_commutator_terms(self.terms(), left, right, leg)
+        return tensor3_from_terms(self.algebra, terms)
 
     def legwise_product(self, other: Tensor3) -> Tensor3:
         """(a(x)b(x)c) x (p(x)q(x)r) = ap (x) bq (x) cr, extended bilinearly."""
         self._same(other)
-        alg = self.algebra
-        n = alg.dim
-        out = _zero_grid3(n)
-        for a, b, c, v in self.entries():
-            for p, q, r, w in other.entries():
-                coeff = v * w
-                row1 = alg.mul[a][p]
-                row2 = alg.mul[b][q]
-                row3 = alg.mul[c][r]
-                for i in range(n):
-                    if row1[i] == 0:
-                        continue
-                    c1 = coeff * row1[i]
-                    for j in range(n):
-                        if row2[j] == 0:
-                            continue
-                        c2 = c1 * row2[j]
-                        for k in range(n):
-                            if row3[k] != 0:
-                                out[i][j][k] = out[i][j][k] + c2 * row3[k]
-        return Tensor3.of(alg, out)
+        terms = _legwise_product_terms(self.algebra.products, self.terms(), other.terms())
+        return tensor3_from_terms(self.algebra, terms)
 
     def __str__(self) -> str:
         names = self.algebra.basis_names
@@ -375,3 +352,13 @@ def tensor3_from_triples(algebra: FDAlgebra, triples) -> Tensor3:
     for a, b, c, coeff in triples:
         grid[a][b][c] = grid[a][b][c] + coeff
     return Tensor3.of(algebra, grid)
+
+
+def tensor_from_terms(algebra: FDAlgebra, terms: dict) -> Tensor2:
+    """The Tensor2 of a sparse tensor {(a, b): coefficient}."""
+    return tensor_from_pairs(algebra, ((a, b, v) for (a, b), v in terms.items()))
+
+
+def tensor3_from_terms(algebra: FDAlgebra, terms: dict) -> Tensor3:
+    """The Tensor3 of a sparse tensor {(a, b, c): coefficient}."""
+    return tensor3_from_triples(algebra, ((a, b, c, v) for (a, b, c), v in terms.items()))

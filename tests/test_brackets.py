@@ -8,7 +8,6 @@ from doublepoisson.brackets import (
     DoubleBracket,
     DoubleDerivation,
     bracket_from_bivector,
-    double_derivation_check,
 )
 from doublepoisson.families import a2_alpha_bracket, a2_double_family, a2_double_family_symbolic
 from doublepoisson.inner import WedgeElement, inner_bracket
@@ -119,13 +118,13 @@ def test_double_derivation_check(a2):
                     for _ in range(alg.dim)
                 ],
             )
-            assert double_derivation_check(DoubleDerivation.inner(m))
+            assert DoubleDerivation.inner(m).is_derivation()
     # constant map delta(e_i) = 1(x)1 is not a derivation
     one_tensor = Tensor2.pure(m2.unit_element(), m2.unit_element())
     const = DoubleDerivation(m2, tuple(one_tensor for _ in range(m2.dim)))
-    assert not double_derivation_check(const)
+    assert not const.is_derivation()
     zero = DoubleDerivation(m2, tuple(Tensor2.zero(m2) for _ in range(m2.dim)))
-    assert double_derivation_check(zero)
+    assert zero.is_derivation()
 
 
 def test_bracket_from_bivector_cross_validation(a2):

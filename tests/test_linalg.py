@@ -61,6 +61,12 @@ def test_subspace_predicates():
     assert in_span(b, [Fraction(3), Fraction(5)])
     assert not subspaces_equal(a[:1], b)
     assert not in_span([a[0]], [Fraction(0), Fraction(1)])
+    # equal ranks, different lines; empty and zero spans
+    assert not subspaces_equal(a[:1], b[:1])
+    assert not subspaces_equal([[Fraction(1), Fraction(2), Fraction(0)]], [[Fraction(2), Fraction(4), Fraction(1)]])
+    assert subspaces_equal([[Fraction(1), Fraction(2)]], [[Fraction(-3), Fraction(-6)], [Fraction(0), Fraction(0)]])
+    assert subspaces_equal([], [[Fraction(0), Fraction(0)]])
+    assert not subspaces_equal([], b)
 
 
 def test_invert_matrix():
