@@ -28,10 +28,7 @@ def _zero_grid4(n: int):
 
 
 def _freeze4(grid):
-    return tuple(
-        tuple(tuple(tuple(v for v in row) for row in plane) for plane in block)
-        for block in grid
-    )
+    return tuple(tuple(tuple(tuple(row) for row in plane) for plane in block) for block in grid)
 
 
 def _residual_zero(value, rels: RelationSet | None) -> bool:

@@ -124,54 +124,39 @@ def inner_bracket(r: WedgeElement) -> DoubleBracket:
     """{{x,y}}_r = [[r,x]_in, y]_out with the worked-example orientation.
 
     Per summand P(x)Q of r the contribution to {{x,y}} is
-    Px(x)Qy - yPx(x)Q - P(x)xQy + yP(x)xQ.
+    Px(x)Qy - yPx(x)Q - P(x)xQy + yP(x)xQ, summed over the nonzero entries
+    of the product table.
     """
     alg = r.algebra
     n = alg.dim
     grid = _zero_grid4(n)
-    mul = alg.mul
+    prods = alg.products
     for p, q, w in r.entries():
         for i in range(n):  # x = e_i
+            px = prods[p][i]
+            xq = prods[i][q]
             for j in range(n):  # y = e_j
                 block = grid[i][j]
                 # Px (x) Qy
-                row1 = mul[p][i]
-                row2 = mul[q][j]
-                for a in range(n):
-                    if row1[a] == 0:
-                        continue
-                    c1 = w * row1[a]
-                    for b in range(n):
-                        if row2[b] != 0:
-                            block[a][b] = block[a][b] + c1 * row2[b]
+                qy = prods[q][j]
+                for a, u in px:
+                    c1 = w * u
+                    for b, v in qy:
+                        block[a][b] = block[a][b] + c1 * v
                 # - yPx (x) Q : yPx = e_j (e_p e_i)
-                row1 = mul[p][i]
-                for m in range(n):
-                    if row1[m] == 0:
-                        continue
-                    roww = mul[j][m]
-                    for a in range(n):
-                        if roww[a] != 0:
-                            block[a][q] = block[a][q] - w * row1[m] * roww[a]
+                for m, u in px:
+                    for a, v in prods[j][m]:
+                        block[a][q] = block[a][q] - w * u * v
                 # - P (x) xQy : xQy = (e_i e_q) e_j
-                row2 = mul[i][q]
-                for m in range(n):
-                    if row2[m] == 0:
-                        continue
-                    roww = mul[m][j]
-                    for b in range(n):
-                        if roww[b] != 0:
-                            block[p][b] = block[p][b] - w * row2[m] * roww[b]
+                row = block[p]
+                for m, u in xq:
+                    for b, v in prods[m][j]:
+                        row[b] = row[b] - w * u * v
                 # + yP (x) xQ
-                row1 = mul[j][p]
-                row2 = mul[i][q]
-                for a in range(n):
-                    if row1[a] == 0:
-                        continue
-                    c1 = w * row1[a]
-                    for b in range(n):
-                        if row2[b] != 0:
-                            block[a][b] = block[a][b] + c1 * row2[b]
+                for a, u in prods[j][p]:
+                    c1 = w * u
+                    for b, v in xq:
+                        block[a][b] = block[a][b] + c1 * v
     return DoubleBracket(alg, grid)
 
 

@@ -141,6 +141,33 @@ def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
     return elim.rank
 
 
+def canonical_basis(
+    rows: Iterable[dict[int, Fraction | int]], ncols: int
+) -> list[list[Fraction]]:
+    """The basis of span(rows) that ``nullspace`` gives for a system with that kernel.
+
+    A nullspace vector is 1 at its free column, 0 at the other free columns,
+    and nonzero elsewhere only at pivot columns smaller than its free column.
+    So the nullspace basis of a system is the reduced echelon basis of its
+    kernel for pivots taken at the largest column, scaled to 1 at each pivot,
+    in ascending pivot order; any spanning set of the kernel gives it back.
+    The elimination runs on reversed columns, so its smallest-column pivots
+    are the largest columns.
+    """
+    last = ncols - 1
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row({last - c: v for c, v in row.items()})
+    basis = []
+    for lead, row in sorted(elim.reduced_pivot_rows().items(), reverse=True):
+        vec = [Fraction(0)] * ncols
+        pivot = row[lead]
+        for c, v in row.items():
+            vec[last - c] = v / pivot
+        basis.append(vec)
+    return basis
+
+
 def _sparse_rows(vectors: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
     return [{i: x for i, x in enumerate(v) if x} for v in vectors]
 

@@ -1,9 +1,16 @@
 """Classification engine for double and modified brackets.
 
-Assembles the linear axioms (skew + outer Leibniz, or both Leibniz rules plus
-H0-skew in the modified case) as a sparse system over the unknown coefficient
-tensor C[i][j][a][b], computes an exact nullspace, and extracts the residual
-quadratic Jacobi constraints in the nullspace parameters t0, t1, ...
+The linear axioms are solved in two stages on the unknown coefficient tensor
+C[i][j][a][b].  The outer Leibniz rule in the second argument makes every
+slot {{e_i, -}} a double derivation, an element of Der(A, A(x)A).  So the
+derivation system on n^3 unknowns is solved once, for a basis D_1..D_p, and
+the remaining axioms are imposed on the n * p coordinates x[i][d] of
+C[i] = sum_d x[i][d] D_d: skew symmetry for double brackets, or the
+first-argument Leibniz rule plus H0-skew for modified ones.  The solutions
+are then written in the basis that the exact nullspace of the one-shot
+system on all n^4 unknowns has (``linalg.canonical_basis``), so the basis
+does not depend on how the system was solved.  The residual quadratic
+Jacobi constraints are extracted in the nullspace parameters t0, t1, ...
 
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
 in t, so the constraints are computed by polarization: integer bilinear
@@ -26,7 +33,13 @@ from math import lcm
 from .algebra import FDAlgebra, commutator_subspace
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import inner_bracket, wedge_basis
-from .linalg import nullspace_of_rows, primitive_row, rank_of_rows, subspaces_equal
+from .linalg import (
+    canonical_basis,
+    nullspace_of_rows,
+    primitive_row,
+    rank_of_rows,
+    subspaces_equal,
+)
 from .modified import ModifiedBracket
 from .poly import MultiPoly, PolyRing, distinct_up_to_scalar
 
@@ -141,17 +154,6 @@ def _derivation_rows(algebra: FDAlgebra, shift: int = 0, strides: tuple[int, int
                         yield row
 
 
-def _second_leibniz_rows(algebra: FDAlgebra):
-    """{{e_i, e_k e_l}} = (e_k(x)1){{e_i,e_l}} + {{e_i,e_k}}(1(x)e_l), componentwise.
-
-    Each slot {{e_i, -}} is a double derivation, so slot i gets the
-    derivation rows on its block of columns C[i][m][a][b].
-    """
-    n = algebra.dim
-    for i in range(n):
-        yield from _derivation_rows(algebra, i * n**3)
-
-
 def _first_leibniz_rows(algebra: FDAlgebra):
     """{{e_k e_l, e_i}} = (1(x)e_k){{e_l,e_i}} + {{e_k,e_i}}(e_l(x)1), componentwise.
 
@@ -201,41 +203,89 @@ def _vectors_to_variety(algebra: FDAlgebra, vectors, modified: bool) -> LinearVa
     cls = ModifiedBracket if modified else DoubleBracket
     basis = []
     for vec in vectors:
-        grid = [
-            [
-                [[vec[_flat_index(n, i, j, a, b)] for b in range(n)] for a in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        basis.append(cls(algebra, grid))
+        # vec is flat in (i, j, a, b) order: rows of n, planes of n rows, blocks
+        # of n planes; the rows are slices of a tuple, which the bracket keeps
+        vec = tuple(vec)
+        rows = [vec[s : s + n] for s in range(0, n**4, n)]
+        planes = [rows[s : s + n] for s in range(0, n**3, n)]
+        basis.append(cls(algebra, [planes[s : s + n] for s in range(0, n * n, n)]))
     names = tuple(f"t{k}" for k in range(len(basis)))
     return LinearVariety(algebra, names, tuple(basis), (), modified)
 
 
-def solve_linear(algebra: FDAlgebra) -> LinearVariety:
-    """Nullspace of the skew + second-argument-Leibniz system on C[i][j][a][b]."""
+def _derivation_basis(algebra: FDAlgebra) -> list[dict[int, Fraction]]:
+    """Basis of Der(A, A(x)A) as sparse rows over the columns of _derivation_rows."""
     n = algebra.dim
+    return [
+        {c: v for c, v in enumerate(vec) if v}
+        for vec in nullspace_of_rows(_derivation_rows(algebra), n**3)
+    ]
 
-    def rows():
-        yield from _skew_rows(algebra)
-        yield from _second_leibniz_rows(algebra)
 
-    vectors = nullspace_of_rows(rows(), n**4)
-    return _vectors_to_variety(algebra, vectors, modified=False)
+def _substitute(rows, columns, p: int):
+    """Rows over the flat C columns as rows over x[i][d] (column i * p + d).
+
+    C[i][j][a][b] = sum_d x[i][d] D_d[j][a][b], where columns[c] lists the
+    (d, w) with D_d equal to w at derivation column c = (j * n + a) * n + b.
+    Rows that vanish on every such C are dropped.
+    """
+    n3 = len(columns)
+    for row in rows:
+        out: dict[int, Fraction | int] = {}
+        for idx, v in row.items():
+            i, c = divmod(idx, n3)
+            for d, w in columns[c]:
+                col = i * p + d
+                out[col] = out.get(col, 0) + v * w
+        out = {col: v for col, v in out.items() if v}
+        if out:
+            yield out
+
+
+def _solve_over_derivations(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
+    """The brackets whose slots {{e_i, -}} are double derivations and that satisfy `rows`.
+
+    `rows` are constraints over the flat C columns.  Each derivation basis
+    vector is scaled to integers; the span, and so the canonical basis of
+    the answer, does not depend on the scaling.
+    """
+    n = algebra.dim
+    n3 = n**3
+    scaled = []
+    for vec in _derivation_basis(algebra):
+        den = _common_denominator(vec.values())
+        scaled.append({c: int(v * den) for c, v in vec.items()})
+    p = len(scaled)
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n3)]
+    for d, vec in enumerate(scaled):
+        for c, w in vec.items():
+            columns[c].append((d, w))
+    brackets = []
+    for x in nullspace_of_rows(_substitute(rows, columns, p), n * p):
+        flat: dict[int, Fraction] = {}
+        for col, coeff in enumerate(x):
+            if coeff:
+                i, d = divmod(col, p)
+                for c, w in scaled[d].items():
+                    idx = i * n3 + c
+                    flat[idx] = flat.get(idx, 0) + coeff * w
+        brackets.append(flat)
+    return _vectors_to_variety(algebra, canonical_basis(brackets, n**4), modified)
+
+
+def solve_linear(algebra: FDAlgebra) -> LinearVariety:
+    """Nullspace of skew symmetry plus the second-argument Leibniz rule on C[i][j][a][b]."""
+    return _solve_over_derivations(algebra, _skew_rows(algebra), modified=False)
 
 
 def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
     """Nullspace of both Leibniz rules plus the (linear) H0-skew condition."""
-    n = algebra.dim
 
     def rows():
-        yield from _second_leibniz_rows(algebra)
         yield from _first_leibniz_rows(algebra)
         yield from _h0_skew_rows(algebra)
 
-    vectors = nullspace_of_rows(rows(), n**4)
-    return _vectors_to_variety(algebra, vectors, modified=True)
+    return _solve_over_derivations(algebra, rows(), modified=True)
 
 
 # -- quadratic constraints by polarization -------------------------------------
@@ -374,6 +424,10 @@ def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
 
     def residual_entries():
         for i, j, k in triples:
+            # J(j, k, i) = tau132 J(i, j, k): a rotation repeats the entries
+            # of the triple scanned first, the least of the three
+            if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+                continue
             yield from _combine(
                 (
                     (1, same, first_leg[i, j, k]),
@@ -495,10 +549,7 @@ def double_derivation_space(algebra: FDAlgebra):
         ]
         return DoubleDerivation.from_grids(algebra, grids)
 
-    der_basis = [
-        derivation(dict(enumerate(vec)))
-        for vec in nullspace_of_rows(_derivation_rows(algebra), n**3)
-    ]
+    der_basis = [derivation(vec) for vec in _derivation_basis(algebra)]
     inner_gens = [derivation(row) for row in _inner_derivation_rows(algebra)]
     return der_basis, inner_gens
 
@@ -509,7 +560,7 @@ def outer_double_derivation_dim(algebra: FDAlgebra) -> tuple[int, int, int]:
     The difference of the first two is the HH^1(A, A(x)A) dimension probe.
     """
     n = algebra.dim
-    dim_der = len(nullspace_of_rows(_derivation_rows(algebra), n**3))
+    dim_der = n**3 - rank_of_rows(_derivation_rows(algebra), n**3)
     dim_inner = rank_of_rows(_inner_derivation_rows(algebra), n**3)
     return dim_der, dim_inner, dim_der - dim_inner
 

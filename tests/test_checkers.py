@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
-from doublepoisson.algebra import commutator_subspace
+from doublepoisson.algebra import commutator_subspace, resolve_preset
 from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_double_family, a2_double_family_symbolic
 from doublepoisson.inner import (
@@ -304,6 +304,52 @@ def _dense_h0_skew(mb):
     return bad
 
 
+def _dense_inner_bracket(r):
+    alg = r.algebra
+    n = alg.dim
+    grid = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    mul = alg.mul
+    for p, q, w in r.entries():
+        for i in range(n):
+            for j in range(n):
+                block = grid[i][j]
+                row1 = mul[p][i]
+                row2 = mul[q][j]
+                for a in range(n):
+                    if row1[a] == 0:
+                        continue
+                    c1 = w * row1[a]
+                    for b in range(n):
+                        if row2[b] != 0:
+                            block[a][b] = block[a][b] + c1 * row2[b]
+                row1 = mul[p][i]
+                for m in range(n):
+                    if row1[m] == 0:
+                        continue
+                    roww = mul[j][m]
+                    for a in range(n):
+                        if roww[a] != 0:
+                            block[a][q] = block[a][q] - w * row1[m] * roww[a]
+                row2 = mul[i][q]
+                for m in range(n):
+                    if row2[m] == 0:
+                        continue
+                    roww = mul[m][j]
+                    for b in range(n):
+                        if roww[b] != 0:
+                            block[p][b] = block[p][b] - w * row2[m] * roww[b]
+                row1 = mul[j][p]
+                row2 = mul[i][q]
+                for a in range(n):
+                    if row1[a] == 0:
+                        continue
+                    c1 = w * row1[a]
+                    for b in range(n):
+                        if row2[b] != 0:
+                            block[a][b] = block[a][b] + c1 * row2[b]
+    return DoubleBracket(alg, grid)
+
+
 # -- inputs ------------------------------------------------------------------------
 
 _small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3)))
@@ -388,6 +434,28 @@ def test_h0_checks_match_dense_oracle(algebras, data):
     mb = ModifiedBracket.from_entries(alg, [(*s, c) for s, c in entries])
     assert h0_jacobi_check(mb) == _dense_h0_jacobi(mb)
     assert h0_skew_check(mb) == _dense_h0_skew(mb)
+
+
+@seed(20261021)
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_inner_bracket_matches_dense_oracle(algebras, data):
+    spec = data.draw(st.sampled_from(("a2", "mat2", "T3", "a2+a2", "mat3")))
+    alg = algebras.get(spec) or resolve_preset(spec)
+    r = data.draw(_wedges(alg))
+    got = inner_bracket(r)
+    assert got == _dense_inner_bracket(r)
+    assert [str(v) for v in got.flat_coeffs()] == [str(v) for v in _dense_inner_bracket(r).flat_coeffs()]
+
+
+def test_symbolic_inner_bracket_matches_dense_oracle(algebras):
+    for spec in ("a2", "T3"):
+        alg = algebras[spec]
+        n = alg.dim
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        ring = PolyRing(tuple(f"w{a}{b}" for a, b in pairs))
+        r = WedgeElement.from_terms(alg, [(a, b, ring.var(f"w{a}{b}")) for a, b in pairs])
+        assert inner_bracket(r) == _dense_inner_bracket(r)
 
 
 def test_symbolic_family_matches_dense_oracle():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from doublepoisson.linalg import (
     QMatrix,
     SparseEliminator,
+    canonical_basis,
     in_span,
     invert_matrix,
     nullspace_of_rows,
@@ -134,3 +135,26 @@ def test_column_indexed_back_substitution_matches_naive_pass():
         reduced = elim.reduced_pivot_rows()
         assert reduced == _naive_reduced_pivot_rows(elim.pivot_rows)
         assert elim.nullspace() == _naive_nullspace(reduced, ncols)
+
+
+def test_canonical_basis_recovers_the_nullspace_basis_from_any_spanning_set():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        ncols = rng.randint(1, 14)
+        elim = SparseEliminator(ncols)
+        for _ in range(rng.randint(0, 12)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))
+            elim.add_row({c: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for c in cols})
+        basis = elim.nullspace()
+        k = len(basis)
+        # a random invertible mix: unit lower times unit upper triangular
+        lower = [[Fraction(rng.randint(-3, 3)) if c < r else Fraction(int(c == r)) for c in range(k)] for r in range(k)]
+        upper = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if c > r else Fraction(int(c == r)) for c in range(k)] for r in range(k)]
+        mix = [[sum(lower[r][m] * upper[m][c] for m in range(k)) for c in range(k)] for r in range(k)]
+        mixed = [
+            {col: x for col in range(ncols) if (x := sum(mix[r][s] * basis[s][col] for s in range(k)))}
+            for r in range(k)
+        ]
+        mixed += [{}] * rng.randint(0, 1)  # a zero vector spans nothing
+        rng.shuffle(mixed)
+        assert canonical_basis(mixed, ncols) == basis

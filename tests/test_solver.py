@@ -1,6 +1,7 @@
 import json
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -25,8 +26,10 @@ from doublepoisson.poly import MultiPoly
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
+    _derivation_rows,
     _first_leibniz_rows,
-    _second_leibniz_rows,
+    _h0_skew_rows,
+    _skew_rows,
     double_derivation_space,
     h0_jacobi_constraints,
     inner_bracket_span,
@@ -407,10 +410,17 @@ def _dense_double_derivation_space(algebra):
     return der_basis, inner_gens
 
 
+def _slot_derivation_rows(algebra):
+    """The second-argument Leibniz rows: the derivation rows on each slot's block C[i]."""
+    n = algebra.dim
+    for i in range(n):
+        yield from _derivation_rows(algebra, i * n**3)
+
+
 @pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
 def test_leibniz_rows_match_dense_oracle(spec, tmp_path):
     algebra = _oracle_algebra(spec, tmp_path)
-    assert list(_second_leibniz_rows(algebra)) == list(_dense_second_leibniz_rows(algebra))
+    assert list(_slot_derivation_rows(algebra)) == list(_dense_second_leibniz_rows(algebra))
     # the same rows, now generated slot by slot
     assert sorted(sorted(r.items()) for r in _first_leibniz_rows(algebra)) == sorted(
         sorted(r.items()) for r in _dense_first_leibniz_rows(algebra)
@@ -443,3 +453,80 @@ def test_derivation_space_matches_dense_oracle(spec, tmp_path):
         len(dense_der) - dense_inner_dim,
     )
     assert subspaces_equal([d.flat_coeffs() for d in der_basis], [d.flat_coeffs() for d in dense_der])
+
+
+# -- oracle: the one-shot linear systems on n^4 unknowns ------------------------------
+#
+# The linear axioms used to be solved as one system over the whole coefficient
+# tensor.  The two-stage solver (derivations first) must return exactly the
+# same nullspace basis: the same Fractions, in the same order.
+
+
+def _one_shot_solve_linear(algebra):
+    rows = chain(_skew_rows(algebra), _slot_derivation_rows(algebra))
+    return nullspace_of_rows(rows, algebra.dim**4)
+
+
+def _one_shot_solve_modified_linear(algebra):
+    rows = chain(_slot_derivation_rows(algebra), _first_leibniz_rows(algebra), _h0_skew_rows(algebra))
+    return nullspace_of_rows(rows, algebra.dim**4)
+
+
+def _rebased_json(spec, path, seed):
+    """The algebra in the basis f = P e for a seeded unimodular integer P."""
+    algebra = resolve_preset(spec)
+    n = algebra.dim
+    rng = random.Random(seed)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Q = [row[:] for row in P]  # P^-1
+    for _ in range(6):
+        a, b = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        P[a] = [x + s * y for x, y in zip(P[a], P[b])]
+        for row in Q:
+            row[b] -= s * row[a]
+    mul = []
+    for i, k in product(range(n), repeat=2):
+        # f_i f_k in e-coordinates, then in f-coordinates via e_m = sum_r Q[m][r] f_r
+        e_coords = [
+            sum(P[i][j] * P[k][l] * algebra.mul[j][l][m] for j in range(n) for l in range(n))
+            for m in range(n)
+        ]
+        for r in range(n):
+            c = sum(e_coords[m] * Q[m][r] for m in range(n))
+            if c:
+                mul.append([i, k, r, str(c)])
+    data = dpio.algebra_to_json(algebra)
+    data["mul"] = mul
+    data["unit"] = [str(sum(algebra.unit[m] * Q[m][r] for m in range(n))) for r in range(n)]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+TWO_STAGE_ALGEBRAS = ORACLE_ALGEBRAS + ("mat2+mat1", "mat2~rebased", "a2+mat1/2", "mat3")
+
+
+def _two_stage_algebra(spec, tmp_path):
+    if spec.endswith("/2"):
+        return dpio.load_algebra(_halved_json(spec[:-2], tmp_path / "halved.json"))
+    if spec.endswith("~rebased"):
+        return dpio.load_algebra(_rebased_json(spec[:-8], tmp_path / "rebased.json", 20261018))
+    return _oracle_algebra(spec, tmp_path)
+
+
+def _exact(vectors):
+    return [[repr(v) for v in vec] for vec in vectors]
+
+
+@pytest.mark.parametrize("spec", TWO_STAGE_ALGEBRAS)
+def test_solve_linear_matches_one_shot_oracle(spec, tmp_path):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    got = [b.flat_coeffs() for b in solve_linear(algebra).nullspace_basis]
+    assert _exact(got) == _exact(_one_shot_solve_linear(algebra))
+
+
+@pytest.mark.parametrize("spec", [s for s in TWO_STAGE_ALGEBRAS if s != "mat3"])
+def test_solve_modified_linear_matches_one_shot_oracle(spec, tmp_path):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    got = [b.flat_coeffs() for b in solve_modified_linear(algebra).nullspace_basis]
+    assert _exact(got) == _exact(_one_shot_solve_modified_linear(algebra))
