@@ -13,6 +13,10 @@ only nonzero products: for each basis triple it costs the number of nonzero
 terms of (e_i e_j) e_k and e_i (e_j e_k), O(dim^3 * nnz^2) in all with nnz
 the largest number of terms in one basis product.  Mat_n has nnz = 1, so
 building mat4 (dim 16) takes milliseconds.
+
+``generating_set`` picks basis elements that generate the algebra, greedily,
+by closing span{1} under products read from the sparse table.  ``preset_dim``
+reads a preset's dimension off its name, before anything is built.
 """
 
 from __future__ import annotations
@@ -272,24 +276,35 @@ def direct_sum(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
 _MAT_RE = re.compile(r"^mat([1-9][0-9]*)$")
 
 
-def _preset_builders(name: str) -> list | None:
-    """The field builders of the "+"-summands of a preset name; None if it names none."""
-    builders = []
+def _preset_parts(name: str) -> list | None:
+    """(field builder, dimension) of each "+"-summand of a preset name; None if it names none."""
+    parts = []
     for part in name.split("+"):
         part = part.strip()
         m = _MAT_RE.match(part)
         if part == "a2":
-            builders.append(_a2_fields)
+            parts.append((_a2_fields, 3))
         elif m:
-            builders.append(partial(_matrix_fields, int(m.group(1))))
+            size = int(m.group(1))
+            parts.append((partial(_matrix_fields, size), size * size))
         else:
             return None
-    return builders
+    return parts
+
+
+def preset_dim(name: str) -> int | None:
+    """The dimension of the preset ``name``, read off the name; None if it names none.
+
+    a2 has dimension 3, matN has N^2, and a "+"-sum adds up its summands.
+    Nothing is built, so a size guard can run before any allocation.
+    """
+    parts = _preset_parts(name)
+    return None if parts is None else sum(dim for _, dim in parts)
 
 
 def is_preset(name: str) -> bool:
     """True iff ``resolve_preset(name)`` resolves; nothing is built."""
-    return _preset_builders(name) is not None
+    return _preset_parts(name) is not None
 
 
 def resolve_preset(name: str) -> FDAlgebra | None:
@@ -297,10 +312,59 @@ def resolve_preset(name: str) -> FDAlgebra | None:
 
     A sum is built as one algebra; its summands are never constructed.
     """
-    builders = _preset_builders(name)
-    if builders is None:
+    parts = _preset_parts(name)
+    if parts is None:
         return None
-    return FDAlgebra(*reduce(_sum_fields, (build() for build in builders)))
+    return FDAlgebra(*reduce(_sum_fields, (build() for build, _ in parts)))
+
+
+# -- generators ----------------------------------------------------------------
+
+
+def _generated_span(algebra: FDAlgebra, generators: Sequence[int]) -> SparseEliminator:
+    """The span of all words in the basis elements ``generators``, 1 included.
+
+    It is the closure of span{1} under right multiplication by each
+    generator: a vector that adds no rank lies in the span of earlier ones,
+    whose products are already taken.
+    """
+    prods = algebra.products
+    span = SparseEliminator(algebra.dim)
+    unit = {k: c for k, c in enumerate(algebra.unit) if c}
+    span.add_row(unit)
+    pending = [unit]
+    while pending:
+        vec = pending.pop()
+        for g in generators:
+            word: dict[int, Fraction] = {}
+            for i, c in vec.items():
+                for k, d in prods[i][g]:
+                    word[k] = word.get(k, 0) + c * d
+            rank = span.rank
+            span.add_row(word)
+            if span.rank > rank:
+                pending.append(word)
+    return span
+
+
+def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
+    """Indices of basis elements that generate the algebra, ascending.
+
+    The basis elements are visited by index, and each one outside the
+    subalgebra generated by the ones chosen so far is chosen.
+    """
+    n = algebra.dim
+    chosen: list[int] = []
+    span = _generated_span(algebra, chosen)
+    for g in range(n):
+        if span.rank == n:
+            break
+        rank = span.rank
+        span.add_row({g: 1})
+        if span.rank > rank:
+            chosen.append(g)
+            span = _generated_span(algebra, chosen)
+    return tuple(chosen)
 
 
 # -- commutator subspace ----------------------------------------------------

@@ -20,7 +20,7 @@ from itertools import product
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
-from .tensors import Tensor2, Tensor3, _zero_grid2, tensor3_from_terms, tensor_from_terms
+from .tensors import _ZERO, Tensor2, Tensor3, _zero_grid2, tensor3_from_terms, tensor_from_terms
 
 
 def _zero_grid4(n: int):
@@ -102,6 +102,29 @@ class CoefficientBracket:
                 for block in self.coeffs
             )
         return self._terms
+
+    @classmethod
+    def from_flat(cls, algebra: FDAlgebra, entries: dict):
+        """The bracket whose C[i][j][a][b] is entries[((i * n + j) * n + a) * n + b], else 0.
+
+        ``entries`` holds nonzero values only, so the terms view is read off
+        its keys instead of a scan of the n^4 grid.
+        """
+        n = algebra.dim
+        flat = [_ZERO] * n**4
+        terms = [[[] for _ in range(n)] for _ in range(n)]
+        for idx in sorted(entries):
+            flat[idx] = v = entries[idx]
+            ij, ab = divmod(idx, n * n)
+            terms[ij // n][ij % n].append((ab // n, ab % n, v))
+        # rows of n, planes of n rows, blocks of n planes, as slices of one tuple
+        flat = tuple(flat)
+        rows = [flat[s : s + n] for s in range(0, n**4, n)]
+        planes = [rows[s : s + n] for s in range(0, n**3, n)]
+        grid = [planes[s : s + n] for s in range(0, n * n, n)]
+        bracket = cls(algebra, grid)
+        bracket._terms = tuple(tuple(tuple(slot) for slot in row) for row in terms)
+        return bracket
 
     # -- evaluation -----------------------------------------------------------
 

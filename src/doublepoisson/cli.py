@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import io as dpio
-from .algebra import AlgebraError, is_preset
+from .algebra import AlgebraError, is_preset, preset_dim
 from .inner import (
     WedgeElement,
     aybe_obstruction,
@@ -58,6 +58,27 @@ def _load_algebra(spec: str):
         return dpio.load_algebra(spec)
     except (FileNotFoundError, AlgebraError, KeyError, ValueError) as e:
         raise UsageError(str(e)) from e
+
+
+def _load_guarded(args):
+    """The algebra of solve/hh1; dimension >= LARGE_DIM_GUARD needs --force-large.
+
+    A preset's dimension is read off its name, so a large preset is refused
+    before its structure constants are built.
+    """
+
+    def guard(dim: int) -> None:
+        if dim >= LARGE_DIM_GUARD and not args.force_large:
+            raise UsageError(
+                f"algebra dimension {dim} needs --force-large (guard at {LARGE_DIM_GUARD})"
+            )
+
+    dim = preset_dim(args.algebra)
+    if dim is not None:
+        guard(dim)
+    algebra = _load_algebra(args.algebra)
+    guard(algebra.dim)
+    return algebra
 
 
 def _emit(report: dict, args, ok: bool, elapsed: float) -> int:
@@ -123,11 +144,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    algebra = _load_algebra(args.algebra)
-    if algebra.dim >= LARGE_DIM_GUARD and not args.force_large:
-        raise UsageError(
-            f"algebra dimension {algebra.dim} needs --force-large (guard at {LARGE_DIM_GUARD})"
-        )
+    algebra = _load_guarded(args)
     if args.modified:
         variety = solve_modified(algebra)
     else:
@@ -233,11 +250,7 @@ def cmd_induce(args) -> int:
 
 def cmd_hh1(args) -> int:
     started = time.time()
-    algebra = _load_algebra(args.algebra)
-    if algebra.dim >= LARGE_DIM_GUARD and not args.force_large:
-        raise UsageError(
-            f"algebra dimension {algebra.dim} needs --force-large (guard at {LARGE_DIM_GUARD})"
-        )
+    algebra = _load_guarded(args)
     dim_der, dim_inner, dim_outer = outer_double_derivation_dim(algebra)
     report = {
         "command": "hh1",

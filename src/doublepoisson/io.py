@@ -153,18 +153,15 @@ def wedge_to_json(wedge: WedgeElement, algebra_spec: str | None = None) -> dict:
 
 
 def variety_to_json(variety: LinearVariety) -> dict:
-    basis = []
-    for db in variety.nullspace_basis:
-        n = db.algebra.dim
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        c = db.coeffs[i][j][a][b]
-                        if c != 0:
-                            entries.append([i, j, a, b, format_scalar(c)])
-        basis.append(entries)
+    basis = [
+        [
+            [i, j, a, b, format_scalar(c)]
+            for i, row in enumerate(db.terms)
+            for j, slot in enumerate(row)
+            for a, b, c in slot
+        ]
+        for db in variety.nullspace_basis
+    ]
     return {
         "algebra": variety.algebra.name,
         "nullspace_dim": variety.dim,

@@ -143,7 +143,7 @@ def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
 
 def canonical_basis(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[list[Fraction]]:
+) -> list[dict[int, Fraction]]:
     """The basis of span(rows) that ``nullspace`` gives for a system with that kernel.
 
     A nullspace vector is 1 at its free column, 0 at the other free columns,
@@ -152,7 +152,8 @@ def canonical_basis(
     kernel for pivots taken at the largest column, scaled to 1 at each pivot,
     in ascending pivot order; any spanning set of the kernel gives it back.
     The elimination runs on reversed columns, so its smallest-column pivots
-    are the largest columns.
+    are the largest columns.  The vectors come back as sparse rows
+    {column: nonzero value}, columns ascending.
     """
     last = ncols - 1
     elim = SparseEliminator(ncols)
@@ -160,11 +161,8 @@ def canonical_basis(
         elim.add_row({last - c: v for c, v in row.items()})
     basis = []
     for lead, row in sorted(elim.reduced_pivot_rows().items(), reverse=True):
-        vec = [Fraction(0)] * ncols
         pivot = row[lead]
-        for c, v in row.items():
-            vec[last - c] = v / pivot
-        basis.append(vec)
+        basis.append({last - c: row[c] / pivot for c in sorted(row, reverse=True)})
     return basis
 
 

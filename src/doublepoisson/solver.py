@@ -15,9 +15,15 @@ Jacobi constraints are extracted in the nullspace parameters t0, t1, ...
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
 in t, so the constraints are computed by polarization: integer bilinear
 arithmetic on the basis brackets B_k, with MultiPoly values built only for the
-finished, distinct constraints.  They come out in the order of a scan of the
-residual entries over basis triples, each scaled to leading coefficient 1,
-with scalar multiples of earlier ones dropped.
+finished constraints.  For double brackets only the triples of algebra
+generators are scanned (``algebra.generating_set``): the triple bracket of a
+bracket that satisfies skew symmetry and Leibniz is a derivation in each
+argument, so these span the same constraint space as all basis triples;
+modified brackets scan every basis triple.  The constraints are the reduced
+echelon basis of that span over the monomials t_k t_l: their count is the
+rank of the span, each has leading coefficient 1, and they are listed by
+leading monomial t_k t_l in ascending (k, l) order, which is descending
+graded lex.
 
 The parameter order is the elimination order of the nullspace engine (free
 columns ascending), which is deterministic but not canonical; golden tests
@@ -28,12 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
-from .algebra import FDAlgebra, commutator_subspace
+from .algebra import FDAlgebra, commutator_subspace, generating_set
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import inner_bracket, wedge_basis
 from .linalg import (
+    SparseEliminator,
     canonical_basis,
     nullspace_of_rows,
     primitive_row,
@@ -41,7 +49,7 @@ from .linalg import (
     subspaces_equal,
 )
 from .modified import ModifiedBracket
-from .poly import MultiPoly, PolyRing, distinct_up_to_scalar
+from .poly import MultiPoly, PolyRing
 
 
 @dataclass(frozen=True)
@@ -198,19 +206,12 @@ def _h0_skew_rows(algebra: FDAlgebra):
                     yield row
 
 
-def _vectors_to_variety(algebra: FDAlgebra, vectors, modified: bool) -> LinearVariety:
-    n = algebra.dim
+def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
+    """The variety with one basis bracket per sparse row over the flat C columns."""
     cls = ModifiedBracket if modified else DoubleBracket
-    basis = []
-    for vec in vectors:
-        # vec is flat in (i, j, a, b) order: rows of n, planes of n rows, blocks
-        # of n planes; the rows are slices of a tuple, which the bracket keeps
-        vec = tuple(vec)
-        rows = [vec[s : s + n] for s in range(0, n**4, n)]
-        planes = [rows[s : s + n] for s in range(0, n**3, n)]
-        basis.append(cls(algebra, [planes[s : s + n] for s in range(0, n * n, n)]))
+    basis = tuple(cls.from_flat(algebra, row) for row in rows)
     names = tuple(f"t{k}" for k in range(len(basis)))
-    return LinearVariety(algebra, names, tuple(basis), (), modified)
+    return LinearVariety(algebra, names, basis, (), modified)
 
 
 def _derivation_basis(algebra: FDAlgebra) -> list[dict[int, Fraction]]:
@@ -270,7 +271,7 @@ def _solve_over_derivations(algebra: FDAlgebra, rows, modified: bool) -> LinearV
                     idx = i * n3 + c
                     flat[idx] = flat.get(idx, 0) + coeff * w
         brackets.append(flat)
-    return _vectors_to_variety(algebra, canonical_basis(brackets, n**4), modified)
+    return _rows_to_variety(algebra, canonical_basis(brackets, n**4), modified)
 
 
 def solve_linear(algebra: FDAlgebra) -> LinearVariety:
@@ -294,10 +295,10 @@ def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
 # slot, so each Jacobi residual entry is a quadratic form in t, computed from
 # the basis brackets by bilinear arithmetic.  A linear form is a tuple of
 # (k, c) pairs with integer c: every basis bracket is scaled by one common
-# denominator, a uniform factor that the leading-coefficient normalization of
-# the constraints cancels.  A quadratic form is a map from monomial key to
-# integer, where t_k t_l (k <= l) has key k * p + l; the smallest key of a form
-# is its graded-lex leading monomial.
+# denominator, a uniform factor that does not change the span of the forms.  A
+# quadratic form is a map from monomial key to integer, where t_k t_l (k <= l)
+# has key k * p + l; the smallest key of a form is its graded-lex leading
+# monomial.
 
 
 def _common_denominator(values) -> int:
@@ -310,17 +311,16 @@ def _common_denominator(values) -> int:
 def _slot_forms(variety: LinearVariety):
     """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of the general element."""
     n = variety.algebra.dim
-    flats = [basis.flat_coeffs() for basis in variety.nullspace_basis]
-    den = _common_denominator(v for flat in flats for v in flat)
-    forms: dict[int, list] = {}
-    for k, flat in enumerate(flats):
-        for idx, v in enumerate(flat):
-            if v:
-                forms.setdefault(idx, []).append((k, int(v * den)))
+    terms = [basis.terms for basis in variety.nullspace_basis]
+    den = _common_denominator(v for t in terms for row in t for slot in row for _, _, v in slot)
     slots = [[[] for _ in range(n)] for _ in range(n)]
-    for idx in sorted(forms):
-        ij, ab = divmod(idx, n * n)
-        slots[ij // n][ij % n].append((ab // n, ab % n, tuple(forms[idx])))
+    for i in range(n):
+        for j in range(n):
+            forms: dict[tuple[int, int], list] = {}
+            for k, t in enumerate(terms):
+                for a, b, v in t[i][j]:
+                    forms.setdefault((a, b), []).append((k, int(v * den)))
+            slots[i][j] = [(a, b, tuple(forms[a, b])) for a, b in sorted(forms)]
     return slots
 
 
@@ -366,7 +366,14 @@ def _combine(terms):
 
 
 def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
-    """The variety with the distinct quadratic forms (up to scalars) as its constraints."""
+    """The variety with the reduced echelon basis of span(forms) as its constraints.
+
+    The integer forms are eliminated on the monomial keys, pivots at the
+    smallest key, which is the leading monomial.  The reduced pivot rows are
+    listed by ascending key, each scaled to leading coefficient 1.  So the
+    constraints depend only on the span of the forms, and their count is its
+    rank.
+    """
     ring = variety.ring()
     p = variety.dim
 
@@ -376,38 +383,40 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
             exps[k] += 1
         return tuple(exps)
 
-    # one representative per primitive integer form reaches MultiPoly arithmetic
-    classes = dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms)
-    polys = (
-        MultiPoly(ring, {monomial(key): Fraction(v) for key, v in form}) for form in classes
-    )
+    # one representative per primitive integer form reaches the elimination
+    elim = SparseEliminator(p * p)
+    for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
+        elim.add_row(dict(form))
+    rows = elim.reduced_pivot_rows()
+    constraints = []
+    for lead in sorted(rows):
+        row = rows[lead]
+        pivot = row[lead]
+        constraints.append(MultiPoly(ring, {monomial(key): v / pivot for key, v in row.items()}))
     return LinearVariety(
         variety.algebra,
         variety.parameter_names,
         variety.nullspace_basis,
-        tuple(distinct_up_to_scalar(polys)),
+        tuple(constraints),
         variety.modified,
     )
 
 
-def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
-    """Quadratic constraints from the double Jacobi identity on the general element.
+def _jacobi_forms(variety: LinearVariety, generators):
+    """The nonzero entries of the jacobiators of the general element on generators^3.
 
-    The jacobiator J(i, j, k) of the general element on each basis triple is
-    F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j) with first-leg products
-    F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L, each computed once by polarization.
-    The distinct nonzero entries of the J(i, j, k), scanned in (i, j, k) and
-    then entry order and taken up to scalar multiples, are the constraints.
+    The jacobiator J(i, j, k) is F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j)
+    with first-leg products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L, computed by
+    polarization.  J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor,
+    so one triple per cyclic class is scanned, the least of its rotations.
     """
-    if variety.dim == 0:
-        return variety
     n = variety.algebra.dim
     slots = _slot_forms(variety)
     keys = _monomial_keys(variety.dim)
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    # entry (c, d, b) of F sits at position (c * n + d) * n + b
-    first_leg = {
-        (i, j, k): _quadratic_sum(
+
+    def first_leg(i: int, j: int, k: int):
+        # entry (c, d, b) of F sits at position (c * n + d) * n + b
+        return _quadratic_sum(
             (
                 ((c * n + d) * n + b, f, g)
                 for a, b, f in slots[j][k]
@@ -415,28 +424,39 @@ def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
             ),
             keys,
         )
-        for i, j, k in triples
-    }
+
     # tau123 moves entry (x, y, z) to (z, x, y); tau132 moves it to (y, z, x)
     same = list(range(n**3))
     tau123 = [(z * n + x) * n + y for x in range(n) for y in range(n) for z in range(n)]
     tau132 = [(y * n + z) * n + x for x in range(n) for y in range(n) for z in range(n)]
-
-    def residual_entries():
-        for i, j, k in triples:
-            # J(j, k, i) = tau132 J(i, j, k): a rotation repeats the entries
-            # of the triple scanned first, the least of the three
-            if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
-                continue
-            yield from _combine(
-                (
-                    (1, same, first_leg[i, j, k]),
-                    (1, tau123, first_leg[j, k, i]),
-                    (1, tau132, first_leg[k, i, j]),
-                )
+    for i, j, k in product(generators, repeat=3):
+        if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+            continue
+        legs = {t: first_leg(*t) for t in ((i, j, k), (j, k, i), (k, i, j))}
+        yield from _combine(
+            (
+                (1, same, legs[i, j, k]),
+                (1, tau123, legs[j, k, i]),
+                (1, tau132, legs[k, i, j]),
             )
+        )
 
-    return _with_constraints(variety, residual_entries())
+
+def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
+    """Quadratic constraints from the double Jacobi identity on the general element.
+
+    Precondition: the basis brackets satisfy skew symmetry and the Leibniz
+    rule, as the ``solve_linear`` basis does.  Then the triple bracket
+    {{a, b, c}} of every bracket in their span is a derivation in each
+    argument and vanishes when an argument is 1 (Van den Bergh, Double
+    Poisson algebras, 2008, section 2.3).  So the jacobiators on triples of
+    the generators from ``algebra.generating_set`` span the same constraint
+    space as those on all basis triples, and only those are scanned.  The
+    constraints are the reduced echelon basis of that span.
+    """
+    if variety.dim == 0:
+        return variety
+    return _with_constraints(variety, _jacobi_forms(variety, generating_set(variety.algebra)))
 
 
 def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
@@ -445,9 +465,10 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
     With M(a, b) = m({{e_a, e_b}}) as linear forms, the residual
     {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k} is
     F(i,j,k) - F(j,i,k) - H(i,j,k) for F(i,j,k) = sum_b M(j,k)_b M(i,b) and
-    H(i,j,k) = sum_a M(i,j)_a M(a,k); each F is computed once.  The distinct
-    nonzero coordinates, in (i, j, k) and coordinate order and up to scalar
-    multiples, are the constraints.
+    H(i,j,k) = sum_a M(i,j)_a M(a,k); each F is computed once.  No
+    derivation property is known for this residual, so every basis triple
+    is scanned.  The constraints are the reduced echelon basis of the span
+    of the nonzero coordinates.
     """
     if variety.dim == 0:
         return variety

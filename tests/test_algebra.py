@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from doublepoisson import algebra as algebra_module
 from doublepoisson.algebra import (
     AlgebraError,
     FDAlgebra,
     commutator,
     commutator_subspace,
     direct_sum,
+    generating_set,
     is_preset,
     make_a2,
     make_matrix_algebra,
+    preset_dim,
     resolve_preset,
 )
+from doublepoisson.io import algebra_from_json
+from doublepoisson.linalg import rank_of_vectors
 
 
 @pytest.fixture
@@ -103,6 +108,21 @@ def test_preset_resolution():
         assert is_preset(name)
     for name in ("nope", "mat0", "a2+", "a2+a2-rebased.json", "mat2+x", ""):
         assert not is_preset(name) and resolve_preset(name) is None
+
+
+def test_preset_dim_is_read_off_the_name(monkeypatch):
+    for name in ("a2", "mat1", "mat3", "mat1+mat1", " a2 + mat2 ", "a2+a2+mat1"):
+        assert preset_dim(name) == resolve_preset(name).dim
+    for name in ("nope", "mat0", "a2+", "a2+a2-rebased.json", "mat2+x", ""):
+        assert preset_dim(name) is None
+
+    def refuse(*args):
+        raise AssertionError("preset built")
+
+    # nothing is built, so a large preset costs nothing to measure
+    monkeypatch.setattr(algebra_module, "_matrix_fields", refuse)
+    assert preset_dim("mat40") == 1600
+    assert preset_dim("a2+mat40+mat1") == 1604
 
 
 def test_preset_sum_is_nested_direct_sum():
@@ -226,3 +246,65 @@ def test_sparse_laws_match_dense_oracle(table):
     except AlgebraError as e:
         got = str(e)
     assert got == expected
+
+
+# -- generating sets ---------------------------------------------------------------
+
+
+def _upper_triangular(n):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    mul = [
+        [x, y, cells.index((i, l)), "1"]
+        for x, (i, j) in enumerate(cells)
+        for y, (k, l) in enumerate(cells)
+        if j == k
+    ]
+    unit = ["1" if i == j else "0" for i, j in cells]
+    return algebra_from_json(
+        {"name": f"T{n}", "basis": [f"E{i + 1}{j + 1}" for i, j in cells], "unit": unit, "mul": mul}
+    )
+
+
+def _generated_dim(algebra, generators):
+    """dim of the span of 1 and the generators closed under products, by dense products."""
+    basis = []
+
+    def add(x):
+        if rank_of_vectors([b.coords for b in basis] + [x.coords]) > len(basis):
+            basis.append(x)
+            return True
+        return False
+
+    for x in [algebra.unit_element()] + [algebra.basis_element(g) for g in generators]:
+        add(x)
+    grown = True
+    while grown:
+        grown = False
+        for x in list(basis):
+            for y in list(basis):
+                grown = add(x * y) or grown
+    return len(basis)
+
+
+GENERATED_ALGEBRAS = ("a2", "mat1", "mat2", "mat3", "mat4", "mat1+mat1", "a2+mat1", "mat2+mat1", "a2+a2", "T3", "T4")
+
+
+def _named_algebra(name):
+    return _upper_triangular(int(name[1])) if name.startswith("T") else resolve_preset(name)
+
+
+@pytest.mark.parametrize("name", GENERATED_ALGEBRAS)
+def test_generating_set_generates(name):
+    algebra = _named_algebra(name)
+    gens = generating_set(algebra)
+    assert list(gens) == sorted(set(gens)) and all(0 <= g < algebra.dim for g in gens)
+    assert _generated_dim(algebra, gens) == algebra.dim
+    # deterministic: the same set again, and on a separately built copy
+    assert generating_set(algebra) == gens
+    assert generating_set(_named_algebra(name)) == gens
+
+
+def test_generating_set_of_mat3():
+    # greedy by index: E11, E12, E13, E21 reach rows 1 and 2, and E31 reaches row 3
+    assert generating_set(make_matrix_algebra(3)) == (0, 1, 2, 3, 6)
+    assert generating_set(make_a2()) == (0, 1)

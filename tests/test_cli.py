@@ -12,6 +12,7 @@ from doublepoisson import io as dpio
 from doublepoisson.cli import main
 from doublepoisson.families import a2_alpha_bracket, a2_double_family, a2_modified_family_symbolic
 from doublepoisson.inner import WedgeElement
+from doublepoisson import algebra as algebra_module
 from doublepoisson.algebra import FDAlgebra, make_a2, resolve_preset
 
 
@@ -79,6 +80,18 @@ def test_solve_modified_reports_computed_dim(tmp_path):
 
 def test_solve_guard():
     assert main(["solve", "--algebra", "mat3"]) == 2
+
+
+def test_size_guard_runs_before_the_preset_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("preset built before the size guard ran")
+
+    monkeypatch.setattr(algebra_module, "_matrix_fields", refuse)
+    for argv in (["solve", "--algebra", "mat3"], ["hh1", "--algebra", "mat3"], ["solve", "--algebra", "a2+mat3"]):
+        assert main(argv) == 2
+    # with the flag the guard lets the build through
+    with pytest.raises(AssertionError):
+        main(["solve", "--algebra", "mat3", "--force-large"])
 
 
 def test_solve_guard_override_runs_small():

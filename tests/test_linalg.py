@@ -157,4 +157,6 @@ def test_canonical_basis_recovers_the_nullspace_basis_from_any_spanning_set():
         ]
         mixed += [{}] * rng.randint(0, 1)  # a zero vector spans nothing
         rng.shuffle(mixed)
-        assert canonical_basis(mixed, ncols) == basis
+        rows = canonical_basis(mixed, ncols)
+        assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
+        assert [[row.get(c, 0) for c in range(ncols)] for row in rows] == basis

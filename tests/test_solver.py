@@ -1,14 +1,16 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 
 import pytest
+import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
-from doublepoisson.algebra import make_a2, make_matrix_algebra, resolve_preset
+from doublepoisson.algebra import FDAlgebra, generating_set, make_a2, make_matrix_algebra, resolve_preset
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -22,14 +24,16 @@ from doublepoisson.linalg import (
     subspaces_equal,
 )
 from doublepoisson.modified import ModifiedBracket
-from doublepoisson.poly import MultiPoly
+from doublepoisson.poly import MultiPoly, grlex_key
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
     _derivation_rows,
     _first_leibniz_rows,
     _h0_skew_rows,
+    _jacobi_forms,
     _skew_rows,
+    _with_constraints,
     double_derivation_space,
     h0_jacobi_constraints,
     inner_bracket_span,
@@ -189,8 +193,9 @@ def test_solve_wrapper_matches_pieces():
 #
 # The constraints used to be computed by pushing the MultiPoly general element
 # through the axioms; that path, rebuilt here from the public API, is the
-# oracle of the polarization kernel.  Output must agree term for term and in
-# order, including the rendered strings that `solve` prints.
+# oracle of the polarization kernel.  The constraints are a reduced echelon
+# basis of the span of the oracle's residual entries, so they are compared
+# by span, and their echelon form is checked on its own.
 
 
 def _distinct_pairwise(polys):
@@ -232,12 +237,27 @@ def _oracle_h0_jacobi(variety):
     return _distinct_pairwise(polys)
 
 
-def _assert_same_constraints(got, expected):
-    assert got == expected
-    assert [str(q) for q in got] == [str(q) for q in expected]
+def _all_triples_jacobi(variety):
+    """The Jacobi constraints from every basis triple, not only generator triples."""
+    if variety.dim == 0:
+        return variety
+    return _with_constraints(variety, _jacobi_forms(variety, range(variety.algebra.dim)))
 
 
-def _t3_json(path):
+def _assert_echelon_basis_of_span(got, oracle):
+    """``got`` is the reduced echelon basis of span(oracle), largest leading monomial first."""
+    leads = [q.leading_monomial() for q in got]
+    assert all(q.coefficient(lead) == 1 for q, lead in zip(got, leads))
+    assert leads == sorted(set(leads), key=grlex_key, reverse=True)
+    assert all(q.coefficient(lead) == 0 for q in got for lead in leads if lead != q.leading_monomial())
+    monomials = sorted({e for p in chain(got, oracle) for e in p.terms})
+    got_rows = [[q.coefficient(e) for e in monomials] for q in got]
+    oracle_rows = [[p.coefficient(e) for e in monomials] for p in oracle]
+    assert subspaces_equal(got_rows, oracle_rows)
+    assert len(got) == rank_of_vectors(oracle_rows)
+
+
+def _t3_data():
     cells = [(i, j) for i in range(3) for j in range(i, 3)]
     mul = [
         [x, y, cells.index((i, l)), "1"]
@@ -246,8 +266,11 @@ def _t3_json(path):
         if j == k
     ]
     unit = ["1" if i == j else "0" for i, j in cells]
-    data = {"name": "T3", "basis": [f"E{i + 1}{j + 1}" for i, j in cells], "unit": unit, "mul": mul}
-    path.write_text(json.dumps(data))
+    return {"name": "T3", "basis": [f"E{i + 1}{j + 1}" for i, j in cells], "unit": unit, "mul": mul}
+
+
+def _t3_json(path):
+    path.write_text(json.dumps(_t3_data()))
     return str(path)
 
 
@@ -262,16 +285,104 @@ def _oracle_algebra(spec, tmp_path):
 def test_jacobi_constraints_match_symbolic_oracle(spec, tmp_path):
     linear = solve_linear(_oracle_algebra(spec, tmp_path))
     got = jacobi_constraints(linear).quadratic_constraints
-    _assert_same_constraints(got, _oracle_jacobi(linear))
+    _assert_echelon_basis_of_span(got, _oracle_jacobi(linear))
     if spec == "a2":
-        assert len(got) == 1
+        assert [str(q) for q in got] == ["t0*t1 + t2^2"]
 
 
 @pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
 def test_h0_jacobi_constraints_match_symbolic_oracle(spec, tmp_path):
     linear = solve_modified_linear(_oracle_algebra(spec, tmp_path))
     got = h0_jacobi_constraints(linear).quadratic_constraints
-    _assert_same_constraints(got, _oracle_h0_jacobi(linear))
+    _assert_echelon_basis_of_span(got, _oracle_h0_jacobi(linear))
+
+
+@pytest.mark.parametrize("spec", ("a2", "mat1+mat1", "mat2", "T3"))
+def test_jacobi_constraints_match_sympy_rref(spec, tmp_path):
+    linear = solve_linear(_oracle_algebra(spec, tmp_path))
+    got = jacobi_constraints(linear).quadratic_constraints
+    oracle = _oracle_jacobi(linear)
+    expected = []
+    if oracle:
+        # columns by descending graded lex, so pivots come first by leading monomial
+        monomials = sorted({e for p in oracle for e in p.terms}, key=grlex_key, reverse=True)
+        matrix = sympy.Matrix(
+            [[sympy.Rational(str(p.coefficient(e))) for e in monomials] for p in oracle]
+        )
+        reduced, pivots = matrix.rref()
+        ring = linear.ring()
+        for r in range(len(pivots)):
+            row = reduced.row(r)
+            expected.append(
+                MultiPoly(ring, {e: Fraction(int(v.p), int(v.q)) for e, v in zip(monomials, row) if v})
+            )
+    assert [str(q) for q in got] == [str(q) for q in expected]
+
+
+# -- oracle: the Jacobi scan over all basis triples -------------------------------
+#
+# jacobi_constraints scans only the triples of a generating set.  On brackets
+# that satisfy skew symmetry and Leibniz the jacobiator is a derivation in
+# each argument, so the scan over all basis triples, the same kernel with the
+# whole basis as generators, must give the same reduced basis.
+
+# the classify ladder, with the rank of its Jacobi constraint span
+CLASSIFY_RUNGS = {
+    "a2": 1,
+    "mat1+mat1": 0,
+    "mat2": 1,
+    "a2+mat1": 10,
+    "T3": 64,
+    "mat2+mat1": 13,
+    "a2+a2": 49,
+    "mat2~rebased": 1,
+    "mat3": 156,
+}
+
+
+@pytest.mark.parametrize("spec", list(CLASSIFY_RUNGS))
+def test_generator_triples_give_the_all_triples_basis(spec, tmp_path):
+    linear = solve_linear(_two_stage_algebra(spec, tmp_path))
+    got = jacobi_constraints(linear).quadratic_constraints
+    full = _all_triples_jacobi(linear).quadratic_constraints
+    assert [str(q) for q in got] == [str(q) for q in full]
+    assert len(got) == CLASSIFY_RUNGS[spec]
+
+
+@lru_cache(maxsize=None)
+def _linear_variety(spec):
+    algebra = dpio.algebra_from_json(_t3_data()) if spec == "T3" else resolve_preset(spec)
+    return solve_linear(algebra)
+
+
+def _relabelled(algebra, perm):
+    """The algebra with basis element i renamed perm[i]."""
+    n = algebra.dim
+    mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    unit = [Fraction(0)] * n
+    for i in range(n):
+        unit[perm[i]] = algebra.unit[i]
+        for j in range(n):
+            for k in range(n):
+                mul[perm[i]][perm[j]][perm[k]] = algebra.mul[i][j][k]
+    names = tuple(algebra.basis_names[perm.index(i)] for i in range(n))
+    return FDAlgebra(algebra.name, names, tuple(unit), tuple(tuple(tuple(v) for v in row) for row in mul))
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_constraint_basis_does_not_depend_on_the_generating_set(data):
+    linear = _linear_variety(data.draw(st.sampled_from(("a2", "mat2", "a2+mat1", "mat2+mat1", "a2+a2", "T3"))))
+    algebra = linear.algebra
+    perm = data.draw(st.permutations(range(algebra.dim)))
+    # greedy in the permuted basis order, mapped back to the original indices
+    permuted = tuple(perm.index(g) for g in generating_set(_relabelled(algebra, perm)))
+    bases = [
+        _with_constraints(linear, _jacobi_forms(linear, generators)).quadratic_constraints
+        for generators in (permuted, generating_set(algebra), range(algebra.dim))
+    ]
+    assert [str(q) for q in bases[0]] == [str(q) for q in bases[1]] == [str(q) for q in bases[2]]
 
 
 _small_rational = st.builds(
@@ -304,13 +415,14 @@ def _random_varieties(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(_random_varieties())
 def test_polarization_matches_oracle_on_random_brackets(variety):
+    # these brackets break Leibniz, so only the scan over all triples applies
     if variety.modified:
         got = h0_jacobi_constraints(variety).quadratic_constraints
         expected = _oracle_h0_jacobi(variety)
     else:
-        got = jacobi_constraints(variety).quadratic_constraints
+        got = _all_triples_jacobi(variety).quadratic_constraints
         expected = _oracle_jacobi(variety)
-    _assert_same_constraints(got, expected)
+    _assert_echelon_basis_of_span(got, expected)
 
 
 # -- oracle: the dense row loops over all index tuples ------------------------------
