@@ -1,34 +1,29 @@
 """Double brackets as coefficient tensors, and the three axioms.
 
-A bracket is stored as C[i][j][a][b] with {{e_i, e_j}} = sum C[i][j][a][b]
+A bracket is the tensor C[i][j][a][b] with {{e_i, e_j}} = sum C[i][j][a][b]
 e_a (x) e_b; coefficients may be exact rationals or polynomials in declared
 formal parameters.  For parametrized brackets an axiom "holds" when every
 residual coefficient is the identically-zero polynomial, unless a RelationSet
 of parameter constraints is supplied to quotient by.
 
+The stored form is sparse: ``terms[i][j]`` holds the nonzero (a, b,
+C[i][j][a][b]) in (a, b) order.  Every constructor builds it directly, and
+``coeffs`` and ``flat_coeffs()`` are dense views derived on demand.
+
 The checkers sum each residual over the nonzero coefficients only: the
-bracket's ``terms`` view and the algebra's product table ``products``.  A
-residual is a sparse tensor {position: coefficient}, and a Tensor2 or Tensor3
-is built only for a witness, a residual that is not zero.
+bracket's ``terms`` and the algebra's product table ``products``.  A
+residual is a sparse tensor {position: coefficient}, and a witness wraps it
+in a Tensor2 or Tensor3 without densifying it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
-from .tensors import _ZERO, Tensor2, Tensor3, _zero_grid2, tensor3_from_terms, tensor_from_terms
-
-
-def _zero_grid4(n: int):
-    return [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-
-def _freeze4(grid):
-    return tuple(tuple(tuple(tuple(row) for row in plane) for plane in block) for block in grid)
+from .tensors import _ZERO, Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
 
 
 def _residual_zero(value, rels: RelationSet | None) -> bool:
@@ -66,75 +61,102 @@ class AxiomReport:
 
 
 class CoefficientBracket:
-    """Shared storage/evaluation for double and modified brackets."""
+    """Shared storage/evaluation for double and modified brackets.
 
-    __slots__ = ("algebra", "coeffs", "params", "_terms")
+    ``terms[i][j]`` is the tuple of nonzero (a, b, C[i][j][a][b]) of
+    {{e_i, e_j}}, in (a, b) order; the constructor takes it as given.
+    ``from_slots``, ``from_entries`` and ``from_flat`` build it from
+    unordered or summed data.
+    """
 
-    def __init__(self, algebra: FDAlgebra, coeffs, params: tuple[str, ...] = ()):
+    __slots__ = ("algebra", "terms", "params")
+
+    def __init__(self, algebra: FDAlgebra, terms, params: tuple[str, ...] = ()):
         n = algebra.dim
-        if len(coeffs) != n or any(
-            len(p) != n or any(len(r) != n or len(r[0]) != n for r in p) for p in coeffs
-        ):
+        if len(terms) != n or any(len(row) != n for row in terms):
             raise AlgebraError("coefficient tensor has wrong shape")
         self.algebra = algebra
-        self.coeffs = _freeze4(coeffs)
+        self.terms = tuple(tuple(tuple(slot) for slot in row) for row in terms)
         self.params = tuple(params)
-        self._terms = None
 
-    @property
-    def terms(self) -> tuple:
-        """terms[i][j]: the nonzero (a, b, C[i][j][a][b]) of {{e_i, e_j}}, in (a, b) order.
+    @classmethod
+    def zero(cls, algebra: FDAlgebra):
+        n = algebra.dim
+        return cls(algebra, [[()] * n for _ in range(n)])
 
-        A read-only view built on first use, so brackets that are only stored
-        or combined (the solver's basis brackets) do not pay for it.
-        """
-        if self._terms is None:
-            self._terms = tuple(
-                tuple(
-                    tuple(
-                        (a, b, v)
-                        for a, row in enumerate(plane)
-                        for b, v in enumerate(row)
-                        if not scalar_is_zero(v)
-                    )
-                    for plane in block
-                )
-                for block in self.coeffs
-            )
-        return self._terms
+    @classmethod
+    def from_slots(cls, algebra: FDAlgebra, slots, params: tuple[str, ...] = ()):
+        """The bracket with C[i][j][a][b] = slots[i][j][(a, b)]; zero values are dropped."""
+        terms = [
+            [
+                [(a, b, v) for (a, b), v in sorted(slot.items()) if not scalar_is_zero(v)]
+                for slot in row
+            ]
+            for row in slots
+        ]
+        return cls(algebra, terms, params)
+
+    @classmethod
+    def from_entries(cls, algebra: FDAlgebra, entries, params: tuple[str, ...] = ()):
+        """Build from (i, j, a, b, coeff) tuples; repeated positions are summed."""
+        n = algebra.dim
+        slots = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, a, b, c in entries:
+            if not all(0 <= k < n for k in (i, j, a, b)):
+                raise AlgebraError(f"bracket entry {(i, j, a, b)} not in 0..{n - 1}")
+            slot = slots[i][j]
+            slot[(a, b)] = slot.get((a, b), _ZERO) + c
+        return cls.from_slots(algebra, slots, params)
 
     @classmethod
     def from_flat(cls, algebra: FDAlgebra, entries: dict):
         """The bracket whose C[i][j][a][b] is entries[((i * n + j) * n + a) * n + b], else 0.
 
-        ``entries`` holds nonzero values only, so the terms view is read off
-        its keys instead of a scan of the n^4 grid.
+        ``entries`` holds nonzero values only, so its sorted keys are the terms.
         """
         n = algebra.dim
-        flat = [_ZERO] * n**4
         terms = [[[] for _ in range(n)] for _ in range(n)]
         for idx in sorted(entries):
-            flat[idx] = v = entries[idx]
             ij, ab = divmod(idx, n * n)
-            terms[ij // n][ij % n].append((ab // n, ab % n, v))
-        # rows of n, planes of n rows, blocks of n planes, as slices of one tuple
-        flat = tuple(flat)
-        rows = [flat[s : s + n] for s in range(0, n**4, n)]
-        planes = [rows[s : s + n] for s in range(0, n**3, n)]
-        grid = [planes[s : s + n] for s in range(0, n * n, n)]
-        bracket = cls(algebra, grid)
-        bracket._terms = tuple(tuple(tuple(slot) for slot in row) for row in terms)
-        return bracket
+            terms[ij // n][ij % n].append((ab // n, ab % n, entries[idx]))
+        return cls(algebra, terms)
+
+    def entries(self):
+        """The nonzero (i, j, a, b, C[i][j][a][b]), in (i, j, a, b) order."""
+        for i, row in enumerate(self.terms):
+            for j, slot in enumerate(row):
+                for a, b, v in slot:
+                    yield (i, j, a, b, v)
+
+    def flat_terms(self) -> dict:
+        """The nonzero C[i][j][a][b] keyed by ((i * n + j) * n + a) * n + b (see from_flat)."""
+        n = self.algebra.dim
+        return {((i * n + j) * n + a) * n + b: v for i, j, a, b, v in self.entries()}
+
+    # -- dense views (tests and small reports) ------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense tensor C[i][j][a][b], zeros filled in, built on each call."""
+        n = self.algebra.dim
+        return tuple(tuple(self.eval_basis(i, j).grid for j in range(n)) for i in range(n))
+
+    def flat_coeffs(self) -> list:
+        """Coefficient tensor flattened in (i, j, a, b) lexicographic order."""
+        flat = [_ZERO] * self.algebra.dim**4
+        for idx, v in self.flat_terms().items():
+            flat[idx] = v
+        return flat
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_basis(self, i: int, j: int) -> Tensor2:
-        return Tensor2.of(self.algebra, self.coeffs[i][j])
+        return Tensor2(self.algebra, {(a, b): v for a, b, v in self.terms[i][j]})
 
     def eval(self, x: AlgElement, y: AlgElement) -> Tensor2:
         if x.algebra != self.algebra or y.algebra != self.algebra:
             raise AlgebraError("elements from a different algebra")
-        out = _zero_grid2(self.algebra.dim)
+        out: dict = {}
         for i, xi in enumerate(x.coords):
             if scalar_is_zero(xi):
                 continue
@@ -143,68 +165,31 @@ class CoefficientBracket:
                     continue
                 c = xi * yj
                 for a, b, v in self.terms[i][j]:
-                    out[a][b] = out[a][b] + c * v
-        return Tensor2.of(self.algebra, out)
+                    out[(a, b)] = out.get((a, b), _ZERO) + c * v
+        return tensor_from_terms(self.algebra, out)
 
     # -- linear structure (used to form general elements) ----------------------
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if self.algebra != other.algebra:
             raise AlgebraError("brackets over different algebras")
-        n = self.algebra.dim
-        grid = [
-            [
-                [
-                    [op(self.coeffs[i][j][a][b], other.coeffs[i][j][a][b]) for b in range(n)]
-                    for a in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
         params = tuple(dict.fromkeys(self.params + other.params))
-        return type(self)(self.algebra, grid, params)
-
-    def __add__(self, other):
-        return self._binary(other, lambda p, q: p + q)
+        return type(self).from_entries(self.algebra, [*self.entries(), *other.entries()], params)
 
     def __sub__(self, other):
-        return self._binary(other, lambda p, q: p - q)
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar):
-        n = self.algebra.dim
-        grid = [
-            [
-                [[c * self.coeffs[i][j][a][b] for b in range(n)] for a in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return type(self)(self.algebra, grid, self.params)
+        entries = [(i, j, a, b, c * v) for i, j, a, b, v in self.entries()]
+        return type(self).from_entries(self.algebra, entries, self.params)
 
     def is_zero(self) -> bool:
-        return all(
-            scalar_is_zero(v)
-            for block in self.coeffs
-            for plane in block
-            for row in plane
-            for v in row
-        )
+        return not any(slot for row in self.terms for slot in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientBracket):
             return NotImplemented
         return self.algebra == other.algebra and (self - other).is_zero()
-
-    def flat_coeffs(self) -> list:
-        """Coefficient tensor flattened in (i, j, a, b) lexicographic order."""
-        return [
-            v
-            for block in self.coeffs
-            for plane in block
-            for row in plane
-            for v in row
-        ]
 
     # -- Leibniz rules (shared) ------------------------------------------------
     #
@@ -266,18 +251,6 @@ class CoefficientBracket:
 
 class DoubleBracket(CoefficientBracket):
     """A candidate double (Poisson) bracket; axioms are checked, not assumed."""
-
-    @staticmethod
-    def zero(algebra: FDAlgebra) -> DoubleBracket:
-        return DoubleBracket(algebra, _zero_grid4(algebra.dim))
-
-    @staticmethod
-    def from_entries(algebra: FDAlgebra, entries, params: tuple[str, ...] = ()) -> DoubleBracket:
-        """Build from (i, j, a, b, coeff) tuples; unspecified entries are 0."""
-        grid = _zero_grid4(algebra.dim)
-        for i, j, a, b, c in entries:
-            grid[i][j][a][b] = grid[i][j][a][b] + c
-        return DoubleBracket(algebra, grid, params)
 
     # -- skew symmetry ---------------------------------------------------------
 
@@ -436,9 +409,8 @@ class DoubleDerivation:
         for i in range(n):
             for j in range(n):
                 lhs = Tensor2.zero(alg)
-                for m, c in enumerate(alg.basis_product(i, j)):
-                    if c != 0:
-                        lhs = lhs + self.images[m].scale(c)
+                for m, c in alg.products[i][j]:
+                    lhs = lhs + self.images[m].scale(c)
                 rhs = self.images[i].outer_right(alg.basis_element(j)) + self.images[
                     j
                 ].outer_left(alg.basis_element(i))
@@ -464,30 +436,23 @@ def bracket_from_bivector(delta1: DoubleDerivation, delta2: DoubleDerivation) ->
         raise AlgebraError("bracket_from_bivector requires genuine double derivations")
     alg = delta1.algebra
     n = alg.dim
+    prods = alg.products
 
-    def tilde(i: int, j: int) -> Tensor2:
-        d1 = delta1.images[i]
-        d2 = delta2.images[j]
-        out = _zero_grid2(n)
-        for a, b, v in d1.entries():  # delta1(a1) = v * e_a (x) e_b
-            for c, d, w in d2.entries():  # delta2(a2) = w * e_c (x) e_d
+    def tilde(i: int, j: int) -> dict:
+        out: dict = {}
+        for a, b, v in delta1.images[i].entries():  # delta1(a1) = v * e_a (x) e_b
+            for c, d, w in delta2.images[j].entries():  # delta2(a2) = w * e_c (x) e_d
                 coeff = v * w
-                row1 = alg.mul[c][b]  # first leg: delta2' delta1''
-                row2 = alg.mul[a][d]  # second leg: delta1' delta2''
-                for p in range(n):
-                    if row1[p] == 0:
-                        continue
-                    cp = coeff * row1[p]
-                    for q in range(n):
-                        if row2[q] != 0:
-                            out[p][q] = out[p][q] + cp * row2[q]
-        return Tensor2.of(alg, out)
+                # first leg: delta2' delta1'' = e_c e_b; second leg: delta1' delta2'' = e_a e_d
+                for p, x in prods[c][b]:
+                    cp = coeff * x
+                    for q, y in prods[a][d]:
+                        out[(p, q)] = out.get((p, q), 0) + cp * y
+        return out
 
-    grid = _zero_grid4(n)
+    entries = []
     for i in range(n):
         for j in range(n):
-            t = tilde(i, j) - tilde(j, i).flip()
-            for a in range(n):
-                for b in range(n):
-                    grid[i][j][a][b] = t.grid[a][b]
-    return DoubleBracket(alg, grid)
+            entries.extend((i, j, a, b, v) for (a, b), v in tilde(i, j).items())
+            entries.extend((i, j, b, a, -v) for (a, b), v in tilde(j, i).items())
+    return DoubleBracket.from_entries(alg, entries)

@@ -117,7 +117,7 @@ def cmd_check(args) -> int:
     }
     if modified:
         if not isinstance(bracket, ModifiedBracket):
-            bracket = ModifiedBracket(algebra, bracket.coeffs, bracket.params)
+            bracket = ModifiedBracket(algebra, bracket.terms, bracket.params)
         leib = bracket.check_leibniz_both()
         skew = h0_skew_check(bracket)
         jac = h0_jacobi_check(bracket)
@@ -219,8 +219,8 @@ def cmd_induce(args) -> int:
             )
         bindings = None
         if not bracket.params:
-            # bind the chart's bracket coefficient A to the concrete alpha slot
-            bindings = {chart.params[0]: bracket.coeffs[0][1][0][0]}
+            # bind the chart's bracket coefficient A to the concrete alpha slot C[0][1][0][0]
+            bindings = {chart.params[0]: bracket.eval_basis(0, 1).grid[0][0]}
         mode = "numeric" if args.numeric else "exact"
         rep = chart_consistency(
             chart,

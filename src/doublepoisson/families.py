@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import FDAlgebra, make_a2
-from .brackets import DoubleBracket, _zero_grid4
+from .brackets import DoubleBracket
 from .modified import ModifiedBracket
 from .poly import PolyRing, Scalar
 
@@ -37,25 +37,16 @@ A2_MODIFIED_PARAM_SLOTS = {
 }
 
 
-def _a2_blocks_to_bracket(algebra: FDAlgebra, blocks, params=()) -> list:
-    """Fill the full 3x3x3x3 tensor from the (e0,e1)x(e0,e1) blocks.
+def _a2_blocks_to_entries(blocks) -> list:
+    """The (i, j, a, b, c) entries of the full 3x3x3x3 tensor from the (e0,e1)x(e0,e1) blocks.
 
     On a2 every remaining block is forced by {{x,1}} = {{1,x}} = 0 with
     1 = e1 + e2:  C[i][2] = -C[i][1], C[2][j] = -C[1][j], C[2][2] = C[1][1].
     """
-    grid = _zero_grid4(3)
-    for (i, j), pairs in blocks.items():
-        for a, b, c in pairs:
-            grid[i][j][a][b] = grid[i][j][a][b] + c
-    for i in (0, 1):
-        for a in range(3):
-            for b in range(3):
-                grid[i][2][a][b] = -grid[i][1][a][b]
-    for j in range(3):
-        for a in range(3):
-            for b in range(3):
-                grid[2][j][a][b] = -grid[1][j][a][b]
-    return grid
+    entries = [(i, j, a, b, c) for (i, j), pairs in blocks.items() for a, b, c in pairs]
+    entries += [(i, 2, a, b, -c) for i, j, a, b, c in entries if j == 1]
+    entries += [(2, j, a, b, -c) for i, j, a, b, c in entries if i == 1]
+    return entries
 
 
 def a2_double_family(alpha: Scalar, beta: Scalar, gamma: Scalar, algebra: FDAlgebra | None = None, params=()) -> DoubleBracket:
@@ -99,7 +90,7 @@ def a2_double_family(alpha: Scalar, beta: Scalar, gamma: Scalar, algebra: FDAlge
             (E0, E1, gamma),
         ],
     }
-    return DoubleBracket(alg, _a2_blocks_to_bracket(alg, blocks), params)
+    return DoubleBracket.from_entries(alg, _a2_blocks_to_entries(blocks), params)
 
 
 def a2_double_family_symbolic() -> tuple[DoubleBracket, PolyRing]:
@@ -175,7 +166,7 @@ def a2_modified_family(
             (E1, E1, -kappa),
         ],
     }
-    return ModifiedBracket(alg, _a2_blocks_to_bracket(alg, blocks), params)
+    return ModifiedBracket.from_entries(alg, _a2_blocks_to_entries(blocks), params)
 
 
 def a2_modified_family_symbolic() -> tuple[ModifiedBracket, PolyRing]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
-from .brackets import DoubleBracket, _zero_grid4
+from .brackets import DoubleBracket
 from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
 from .tensors import (
     Tensor2,
@@ -129,35 +129,34 @@ def inner_bracket(r: WedgeElement) -> DoubleBracket:
     """
     alg = r.algebra
     n = alg.dim
-    grid = _zero_grid4(n)
+    slots = [[{} for _ in range(n)] for _ in range(n)]
     prods = alg.products
     for p, q, w in r.entries():
         for i in range(n):  # x = e_i
             px = prods[p][i]
             xq = prods[i][q]
             for j in range(n):  # y = e_j
-                block = grid[i][j]
+                block = slots[i][j]
                 # Px (x) Qy
                 qy = prods[q][j]
                 for a, u in px:
                     c1 = w * u
                     for b, v in qy:
-                        block[a][b] = block[a][b] + c1 * v
+                        block[(a, b)] = block.get((a, b), 0) + c1 * v
                 # - yPx (x) Q : yPx = e_j (e_p e_i)
                 for m, u in px:
                     for a, v in prods[j][m]:
-                        block[a][q] = block[a][q] - w * u * v
+                        block[(a, q)] = block.get((a, q), 0) - w * u * v
                 # - P (x) xQy : xQy = (e_i e_q) e_j
-                row = block[p]
                 for m, u in xq:
                     for b, v in prods[m][j]:
-                        row[b] = row[b] - w * u * v
+                        block[(p, b)] = block.get((p, b), 0) - w * u * v
                 # + yP (x) xQ
                 for a, u in prods[j][p]:
                     c1 = w * u
                     for b, v in xq:
-                        block[a][b] = block[a][b] + c1 * v
-    return DoubleBracket(alg, grid)
+                        block[(a, b)] = block.get((a, b), 0) + c1 * v
+    return DoubleBracket.from_slots(alg, slots)
 
 
 def _unit_inclusion_terms(r: WedgeElement, i: int, j: int) -> dict:

@@ -10,8 +10,9 @@ bracket:  {"algebra": preset-or-path, "params": [names],
 wedge:    {"algebra": preset-or-path, "terms": [[a, b, "p/q"], ...]}
           meaning sum coeff * (e_a(x)e_b - e_b(x)e_a)
 
-Every index in a file must be an integer in 0 <= idx < dim; any other value
-raises ValueError (a usage error, exit 2, on the command line).
+Every index in a file must be an integer in 0 <= idx < dim, and every
+coefficient a string that parses; anything else raises ValueError naming the
+entry (a usage error, exit 2, on the command line).
 
 Preset names resolve before file paths, so "a2" never reads a local file a2.
 """
@@ -26,7 +27,7 @@ from .algebra import FDAlgebra, resolve_preset
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import WedgeElement
 from .modified import ModifiedBracket
-from .poly import MultiPoly, PolyRing, format_scalar, parse_rational
+from .poly import PolyRing, format_scalar, parse_rational
 from .repspace import PoissonTable
 from .solver import LinearVariety
 
@@ -49,15 +50,25 @@ def _check_indices(entry, count: int, dim: int, what: str) -> None:
             raise ValueError(f"{what} entry {entry!r}: index {idx!r} not in 0..{dim - 1}")
 
 
+def _coefficient(value, where: str, parse=parse_rational):
+    """``value`` parsed by ``parse``; a non-string or unparsable one raises ValueError naming ``where``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: coefficient {value!r} is not a string")
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"{where}: bad coefficient {value!r} ({e})") from e
+
+
 def algebra_from_json(data: dict) -> FDAlgebra:
     basis = tuple(data["basis"])
     n = len(basis)
-    unit = tuple(parse_rational(x) for x in data["unit"])
+    unit = tuple(_coefficient(x, f"unit entry {k}") for k, x in enumerate(data["unit"]))
     mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for entry in data["mul"]:
         i, j, k, coeff = entry
         _check_indices(entry, 3, n, "mul")
-        mul[i][j][k] = mul[i][j][k] + parse_rational(coeff)
+        mul[i][j][k] = mul[i][j][k] + _coefficient(coeff, f"mul entry {entry!r}")
     return FDAlgebra(
         str(data.get("name", "algebra")),
         basis,
@@ -86,19 +97,14 @@ def bracket_from_json(data: dict, algebra: FDAlgebra | None = None) -> Coefficie
     if algebra is None:
         algebra = load_algebra(data["algebra"])
     params = tuple(data.get("params", ()))
-    ring = PolyRing(params) if params else None
-    n = algebra.dim
-    grid = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    parse = PolyRing(params).parse if params else parse_rational
+    entries = []
     for entry in data.get("coeffs", ()):
         i, j, a, b, coeff = entry
-        _check_indices(entry, 4, n, "bracket")
-        if ring is not None:
-            value = ring.parse(coeff)
-        else:
-            value = parse_rational(coeff)
-        grid[i][j][a][b] = grid[i][j][a][b] + value
+        _check_indices(entry, 4, algebra.dim, "bracket")
+        entries.append((i, j, a, b, _coefficient(coeff, f"bracket entry {entry!r}", parse)))
     cls = ModifiedBracket if data.get("modified") else DoubleBracket
-    return cls(algebra, grid, params)
+    return cls.from_entries(algebra, entries, params)
 
 
 def load_bracket(path: str, algebra: FDAlgebra | None = None) -> CoefficientBracket:
@@ -106,19 +112,7 @@ def load_bracket(path: str, algebra: FDAlgebra | None = None) -> CoefficientBrac
 
 
 def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None) -> dict:
-    n = bracket.algebra.dim
-    coeffs = []
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                for b in range(n):
-                    c = bracket.coeffs[i][j][a][b]
-                    if isinstance(c, MultiPoly):
-                        if c.is_zero():
-                            continue
-                        coeffs.append([i, j, a, b, str(c)])
-                    elif c != 0:
-                        coeffs.append([i, j, a, b, format_scalar(c)])
+    coeffs = [[i, j, a, b, format_scalar(c)] for i, j, a, b, c in bracket.entries()]
     data = {
         "algebra": algebra_spec or bracket.algebra.name,
         "params": list(bracket.params),
@@ -136,7 +130,7 @@ def wedge_from_json(data: dict, algebra: FDAlgebra | None = None) -> WedgeElemen
     for entry in data.get("terms", ()):
         a, b, c = entry
         _check_indices(entry, 2, algebra.dim, "wedge")
-        terms.append((a, b, parse_rational(c)))
+        terms.append((a, b, _coefficient(c, f"wedge entry {entry!r}")))
     return WedgeElement.from_terms(algebra, terms)
 
 
@@ -154,12 +148,7 @@ def wedge_to_json(wedge: WedgeElement, algebra_spec: str | None = None) -> dict:
 
 def variety_to_json(variety: LinearVariety) -> dict:
     basis = [
-        [
-            [i, j, a, b, format_scalar(c)]
-            for i, row in enumerate(db.terms)
-            for j, slot in enumerate(row)
-            for a, b, c in slot
-        ]
+        [[i, j, a, b, format_scalar(c)] for i, j, a, b, c in db.entries()]
         for db in variety.nullspace_basis
     ]
     return {

@@ -106,27 +106,34 @@ class SparseEliminator:
                         other[c] = s
         return rows
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the right kernel, one vector per free column, in column order."""
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """Basis of the right kernel, one vector per free column, in column order.
+
+        Each vector is a sparse row {column: nonzero value}, columns
+        ascending: 1 at its free column f and -v / pivot at the lead of each
+        reduced pivot row holding v at f.  A row holds only columns at or
+        after its lead, so those leads all come before f.
+        """
         rows = self.reduced_pivot_rows()
-        basis: dict[int, list[Fraction]] = {}
-        for free in range(self.ncols):
-            if free not in rows:
-                basis[free] = [Fraction(0)] * self.ncols
-                basis[free][free] = Fraction(1)
+        basis: dict[int, dict[int, Fraction]] = {
+            free: {} for free in range(self.ncols) if free not in rows
+        }
         # after the Gauss-Jordan pass a row holds its lead and free columns only
-        for lead, row in rows.items():
+        for lead in sorted(rows):
+            row = rows[lead]
             pivot = row[lead]
             for c, v in row.items():
                 if c != lead:
                     basis[c][lead] = -v / pivot
+        for free, vec in basis.items():
+            vec[free] = Fraction(1)
         return list(basis.values())
 
 
 def nullspace_of_rows(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[list[Fraction]]:
-    """Nullspace basis of the linear system given by sparse constraint rows."""
+) -> list[dict[int, Fraction]]:
+    """Nullspace basis of the linear system given by sparse constraint rows, as sparse rows."""
     elim = SparseEliminator(ncols)
     for row in rows:
         elim.add_row(row)
@@ -179,13 +186,21 @@ def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
 def subspaces_equal(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> bool:
-    """True iff span(a) == span(b) (as subspaces of the common ambient space).
-
-    Each vector becomes a sparse row once.  With rank a == rank b, the spans
-    are equal iff b's rows add no pivot to a's eliminator: two eliminations.
-    """
-    rows_a, rows_b = _sparse_rows(a), _sparse_rows(b)
+    """True iff span(a) == span(b) (as subspaces of the common ambient space)."""
     ncols = len(a[0]) if a else len(b[0]) if b else 0
+    return row_spans_equal(_sparse_rows(a), _sparse_rows(b), ncols)
+
+
+def row_spans_equal(
+    rows_a: Sequence[dict[int, Fraction | int]],
+    rows_b: Sequence[dict[int, Fraction | int]],
+    ncols: int,
+) -> bool:
+    """True iff the sparse rows rows_a and rows_b span the same subspace.
+
+    With rank a == rank b, the spans are equal iff b's rows add no pivot to
+    a's eliminator: two eliminations.
+    """
     elim = SparseEliminator(ncols)
     for row in rows_a:
         elim.add_row(row)
@@ -260,7 +275,9 @@ class QMatrix:
         return self._eliminator().rank
 
     def nullspace(self) -> list[list[Fraction]]:
-        return self._eliminator().nullspace()
+        """The kernel basis of SparseEliminator.nullspace as dense vectors."""
+        zero = Fraction(0)
+        return [[vec.get(c, zero) for c in range(self.cols)] for vec in self._eliminator().nullspace()]
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:

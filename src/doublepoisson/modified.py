@@ -22,23 +22,12 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
-from .brackets import CoefficientBracket, _zero_grid4
+from .brackets import CoefficientBracket
 from .poly import RelationSet, Scalar, scalar_is_zero
 
 
 class ModifiedBracket(CoefficientBracket):
     """Coefficient bracket checked against the modified-bracket axioms."""
-
-    @staticmethod
-    def zero(algebra: FDAlgebra) -> ModifiedBracket:
-        return ModifiedBracket(algebra, _zero_grid4(algebra.dim))
-
-    @staticmethod
-    def from_entries(algebra: FDAlgebra, entries, params=()) -> ModifiedBracket:
-        grid = _zero_grid4(algebra.dim)
-        for i, j, a, b, c in entries:
-            grid[i][j][a][b] = grid[i][j][a][b] + c
-        return ModifiedBracket(algebra, grid, params)
 
     # -- Leibniz rules -----------------------------------------------------------
 

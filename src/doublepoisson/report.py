@@ -268,14 +268,10 @@ def run_golden_report(seed: int = 0) -> list[dict]:
 
 def _minus_sym3(a2):
     """-(e0(x)e0(x)1 + e0(x)1(x)e0 + 1(x)e0(x)e0) on a2."""
-    from .tensors import tensor3_from_triples
+    from .tensors import tensor3_from_terms
 
-    one = a2.unit
-    triples = []
-    for u, c in enumerate(one):
-        if c == 0:
-            continue
-        triples.append((0, 0, u, -c))
-        triples.append((0, u, 0, -c))
-        triples.append((u, 0, 0, -c))
-    return tensor3_from_triples(a2, triples)
+    terms: dict = {}
+    for u, c in enumerate(a2.unit):
+        for key in ((0, 0, u), (0, u, 0), (u, 0, 0)):
+            terms[key] = terms.get(key, 0) - c
+    return tensor3_from_terms(a2, terms)

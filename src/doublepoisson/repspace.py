@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import FDAlgebra, make_a2
 from .brackets import CoefficientBracket
-from .poly import MultiPoly, PolyRing, RelationSet, scalar_is_zero
+from .poly import MultiPoly, PolyRing, RelationSet
 
 
 class ChartError(ValueError):
@@ -108,11 +108,11 @@ class PoissonTable:
         return self.table[(u, v)]
 
     def check_antisymmetry(self) -> bool:
-        names = self.ring.coordinate_names()
-        for u in names:
-            for v in names:
-                if not (self.table[(u, v)] + self.table[(v, u)]).is_zero():
-                    return False
+        """Each entry's term map is the negated term map of its transpose's."""
+        for (u, v), p in self.table.items():
+            q = self.table[(v, u)].terms
+            if len(p.terms) != len(q) or any(q.get(e) != -c for e, c in p.terms.items()):
+                return False
         return True
 
     def poisson_eval(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -138,38 +138,53 @@ class PoissonTable:
 def induce(db: CoefficientBracket, n: int) -> PoissonTable:
     """Induced Poisson table: {a_ij, b_pq} = sum_C C[a][b][u][v] (e_u)_pj (e_v)_iq.
 
-    The input bracket must be skew (the contract of a double bracket); the
-    resulting table is certified antisymmetric before it is returned.
+    Each entry's term map is written directly: the bracket term (u, v, c)
+    of {{a, b}} gives c times the monomial x_{u,pj} x_{v,iq}, with a
+    parametric c embedded in the coordinate ring once per term.  The input
+    bracket must be skew (the contract of a double bracket); the resulting
+    table is certified antisymmetric before it is returned.
     """
     alg = db.algebra
     ring = CoordRing.build(alg, n, tuple(db.params))
     R = ring.ring
-    param_images = {p: R.var(p) for p in db.params}
+    offset = len(db.params)  # the coordinates follow the parameters, (g, i, j) ascending
+    names = [[[coord_var_name(g, i, j) for j in range(n)] for i in range(n)] for g in alg.basis_names]
+
+    def embedded(c) -> list:
+        """c as [(exponent vector over R, coefficient)]; its variables must be bracket parameters."""
+        if not isinstance(c, MultiPoly):
+            return [((0,) * R.nvars, c)]
+        for name in c.ring.names:
+            if name not in db.params:
+                raise ValueError(f"coefficient variable {name!r} is not a bracket parameter")
+        positions = [R.index(name) for name in c.ring.names]
+        out = []
+        for e, coeff in c.terms.items():
+            exps = [0] * R.nvars
+            for k, power in zip(positions, e):
+                exps[k] = power
+            out.append((exps, coeff))
+        return out
+
     table: dict = {}
     for ga in range(alg.dim):
         for gb in range(alg.dim):
-            block = db.coeffs[ga][gb]
-            nonzero = [
-                (u, v, block[u][v])
-                for u in range(alg.dim)
-                for v in range(alg.dim)
-                if not scalar_is_zero(block[u][v])
-            ]
+            terms = [(u, v, embedded(c)) for u, v, c in db.terms[ga][gb]]
             for i in range(n):
                 for j in range(n):
                     for p in range(n):
                         for q in range(n):
-                            val = R.zero()
-                            for u, v, c in nonzero:
-                                if isinstance(c, MultiPoly):
-                                    c = c.substitute(param_images, R)
-                                val = val + c * ring.var(u, p, j) * ring.var(v, i, q)
-                            table[
-                                (
-                                    coord_var_name(alg.basis_names[ga], i, j),
-                                    coord_var_name(alg.basis_names[gb], p, q),
-                                )
-                            ] = val
+                            acc: dict = {}
+                            for u, v, monomials in terms:
+                                left = offset + (u * n + p) * n + j  # x_{u,pj}
+                                right = offset + (v * n + i) * n + q  # x_{v,iq}
+                                for e, coeff in monomials:
+                                    exps = list(e)
+                                    exps[left] += 1
+                                    exps[right] += 1
+                                    key = tuple(exps)
+                                    acc[key] = acc.get(key, 0) + coeff
+                            table[(names[ga][i][j], names[gb][p][q])] = MultiPoly(R, acc)
     result = PoissonTable(ring, table)
     if not result.check_antisymmetry():
         raise ChartError("induced table is not antisymmetric; the bracket is not skew")

@@ -46,7 +46,7 @@ from .linalg import (
     nullspace_of_rows,
     primitive_row,
     rank_of_rows,
-    subspaces_equal,
+    row_spans_equal,
 )
 from .modified import ModifiedBracket
 from .poly import MultiPoly, PolyRing
@@ -76,9 +76,8 @@ class LinearVariety:
     def general_element(self) -> CoefficientBracket:
         """sum_k t_k * (basis bracket k), with MultiPoly coefficients."""
         ring = self.ring()
-        n = self.algebra.dim
         cls = ModifiedBracket if self.modified else DoubleBracket
-        total = cls.zero(self.algebra).scale(ring.zero())
+        total = cls.zero(self.algebra)
         for name, basis in zip(self.parameter_names, self.nullspace_basis):
             total = total + basis.scale(ring.var(name))
         return total
@@ -216,11 +215,7 @@ def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
 
 def _derivation_basis(algebra: FDAlgebra) -> list[dict[int, Fraction]]:
     """Basis of Der(A, A(x)A) as sparse rows over the columns of _derivation_rows."""
-    n = algebra.dim
-    return [
-        {c: v for c, v in enumerate(vec) if v}
-        for vec in nullspace_of_rows(_derivation_rows(algebra), n**3)
-    ]
+    return nullspace_of_rows(_derivation_rows(algebra), algebra.dim**3)
 
 
 def _substitute(rows, columns, p: int):
@@ -264,12 +259,11 @@ def _solve_over_derivations(algebra: FDAlgebra, rows, modified: bool) -> LinearV
     brackets = []
     for x in nullspace_of_rows(_substitute(rows, columns, p), n * p):
         flat: dict[int, Fraction] = {}
-        for col, coeff in enumerate(x):
-            if coeff:
-                i, d = divmod(col, p)
-                for c, w in scaled[d].items():
-                    idx = i * n3 + c
-                    flat[idx] = flat.get(idx, 0) + coeff * w
+        for col, coeff in x.items():
+            i, d = divmod(col, p)
+            for c, w in scaled[d].items():
+                idx = i * n3 + c
+                flat[idx] = flat.get(idx, 0) + coeff * w
         brackets.append(flat)
     return _rows_to_variety(algebra, canonical_basis(brackets, n**4), modified)
 
@@ -592,7 +586,11 @@ def inner_bracket_span(algebra: FDAlgebra) -> list[DoubleBracket]:
 
 
 def inner_bracket_span_equality(algebra: FDAlgebra) -> bool:
-    """True iff the solve_linear nullspace equals the span of inner brackets."""
-    nullspace = [db.flat_coeffs() for db in solve_linear(algebra).nullspace_basis]
-    inner = [db.flat_coeffs() for db in inner_bracket_span(algebra)]
-    return subspaces_equal(nullspace, inner)
+    """True iff the solve_linear nullspace equals the span of inner brackets.
+
+    Both spans are ranked as sparse rows over the flat C columns, read off
+    the brackets' terms.
+    """
+    nullspace = [db.flat_terms() for db in solve_linear(algebra).nullspace_basis]
+    inner = [db.flat_terms() for db in inner_bracket_span(algebra)]
+    return row_spans_equal(nullspace, inner, algebra.dim**4)

@@ -9,11 +9,15 @@ Conventions (fixed once, used everywhere):
     [a(x)b(x)c, y]_2 = a(x)b(x)yc - a(x)by(x)c
     [a(x)b(x)c, z]_3 = za(x)b(x)c - a(x)b(x)cz
 * cyclic permutation: tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
+
+A tensor is stored sparse: ``terms`` maps a position (a, b) or (a, b, c) to
+its nonzero coefficient, so every operation costs the number of nonzero
+terms and products rather than dim^2 or dim^3.  ``grid`` is a dense view,
+built on each call, for tests and small reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
@@ -27,96 +31,116 @@ def _zero_grid2(n: int) -> list[list[Scalar]]:
     return [[_ZERO] * n for _ in range(n)]
 
 
-def _zero_grid3(n: int) -> list[list[list[Scalar]]]:
-    return [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+def _nonzero_terms(terms: dict) -> dict:
+    return {key: v for key, v in terms.items() if not scalar_is_zero(v)}
 
 
-@dataclass(frozen=True)
-class Tensor2:
-    """Element of A(x)A in basis coordinates: sum grid[a][b] e_a(x)e_b."""
+class _SparseTensor:
+    """Shared arithmetic of Tensor2 and Tensor3 over their ``terms`` dicts.
 
-    algebra: FDAlgebra
-    grid: tuple
+    ``terms`` holds nonzero coefficients only; build from a dict that may
+    hold zeros with tensor_from_terms / tensor3_from_terms.
+    """
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: FDAlgebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
+
+    def _same(self, other) -> None:
+        if self.algebra != other.algebra:
+            raise AlgebraError("tensors over different algebras")
+
+    def __add__(self, other):
+        self._same(other)
+        out = dict(self.terms)
+        for key, v in other.terms.items():
+            out[key] = out.get(key, 0) + v
+        return type(self)(self.algebra, _nonzero_terms(out))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {key: -v for key, v in self.terms.items()})
+
+    def scale(self, c: Scalar):
+        return type(self)(self.algebra, _nonzero_terms({key: c * v for key, v in self.terms.items()}))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.algebra == other.algebra and (self - other).is_zero()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def entries(self):
+        """The nonzero terms as (*position, coefficient), positions ascending."""
+        for key, v in sorted(self.terms.items()):
+            yield (*key, v)
+
+    def __str__(self) -> str:
+        names = self.algebra.basis_names
+        parts = [
+            f"({v})*" + "(x)".join(names[k] for k in key) for *key, v in self.entries()
+        ]
+        return " + ".join(parts) if parts else "0"
+
+
+class Tensor2(_SparseTensor):
+    """Element of A(x)A: sum terms[(a, b)] e_a(x)e_b."""
+
+    __slots__ = ()
 
     @staticmethod
     def zero(algebra: FDAlgebra) -> Tensor2:
-        return Tensor2(algebra, tuple(tuple(r) for r in _zero_grid2(algebra.dim)))
+        return Tensor2(algebra, {})
 
     @staticmethod
     def of(algebra: FDAlgebra, grid) -> Tensor2:
-        return Tensor2(algebra, tuple(tuple(row) for row in grid))
+        """The tensor of a dense grid[a][b]."""
+        return tensor_from_terms(
+            algebra, {(a, b): v for a, row in enumerate(grid) for b, v in enumerate(row)}
+        )
 
     @staticmethod
     def pure(x: AlgElement, y: AlgElement) -> Tensor2:
         """x (x) y."""
         if x.algebra != y.algebra:
             raise AlgebraError("tensor factors from different algebras")
-        return Tensor2.of(
-            x.algebra, [[a * b for b in y.coords] for a in x.coords]
-        )
+        terms = {(a, b): u * v for a, u in enumerate(x.coords) for b, v in enumerate(y.coords)}
+        return tensor_from_terms(x.algebra, terms)
 
-    def _same(self, other: Tensor2) -> None:
-        if self.algebra != other.algebra:
-            raise AlgebraError("tensors over different algebras")
-
-    def __add__(self, other: Tensor2) -> Tensor2:
-        self._same(other)
-        return Tensor2.of(
-            self.algebra,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.grid, other.grid)
-            ],
-        )
-
-    def __sub__(self, other: Tensor2) -> Tensor2:
-        self._same(other)
-        return Tensor2.of(
-            self.algebra,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.grid, other.grid)
-            ],
-        )
-
-    def __neg__(self) -> Tensor2:
-        return Tensor2.of(self.algebra, [[-a for a in r] for r in self.grid])
-
-    def scale(self, c: Scalar) -> Tensor2:
-        return Tensor2.of(self.algebra, [[c * a for a in r] for r in self.grid])
+    @property
+    def grid(self) -> tuple:
+        """Dense view: grid[a][b] is the coefficient of e_a(x)e_b."""
+        grid = _zero_grid2(self.algebra.dim)
+        for (a, b), v in self.terms.items():
+            grid[a][b] = v
+        return tuple(tuple(row) for row in grid)
 
     def flip(self) -> Tensor2:
         """(a(x)b)° = b(x)a."""
-        n = self.algebra.dim
-        return Tensor2.of(
-            self.algebra, [[self.grid[b][a] for b in range(n)] for a in range(n)]
-        )
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(a) for r in self.grid for a in r)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.algebra == other.algebra and (self - other).is_zero()
+        return Tensor2(self.algebra, {(b, a): v for (a, b), v in self.terms.items()})
 
     # -- actions ---------------------------------------------------------------
 
-    def _mult_first(self, maps) -> Tensor2:
-        """Replace leg 1 by its image: maps[a] holds the (m, w) terms of e_a's image."""
-        out = _zero_grid2(self.algebra.dim)
-        for a, b, v in self.entries():
-            for m, w in maps[a]:
-                out[m][b] = out[m][b] + w * v
-        return Tensor2.of(self.algebra, out)
-
-    def _mult_second(self, maps) -> Tensor2:
-        """Replace leg 2 by its image: maps[b] holds the (m, w) terms of e_b's image."""
-        out = _zero_grid2(self.algebra.dim)
-        for a, b, v in self.entries():
-            for m, w in maps[b]:
-                out[a][m] = out[a][m] + w * v
-        return Tensor2.of(self.algebra, out)
+    def _mult_leg(self, maps, leg: int) -> Tensor2:
+        """Replace one leg by its image: maps[a] holds the (m, w) terms of e_a's image."""
+        out: dict = {}
+        for (a, b), v in self.terms.items():
+            if leg == 1:
+                for m, w in maps[a]:
+                    out[(m, b)] = out.get((m, b), 0) + w * v
+            else:
+                for m, w in maps[b]:
+                    out[(a, m)] = out.get((a, m), 0) + w * v
+        return Tensor2(self.algebra, _nonzero_terms(out))
 
     def _check_elem(self, x: AlgElement) -> None:
         if x.algebra != self.algebra:
@@ -125,45 +149,22 @@ class Tensor2:
     def outer_left(self, x: AlgElement) -> Tensor2:
         """x.(a(x)b) = xa(x)b."""
         self._check_elem(x)
-        return self._mult_first(_mult_maps(x, left=True))
+        return self._mult_leg(_mult_maps(x, left=True), 1)
 
     def outer_right(self, x: AlgElement) -> Tensor2:
         """(a(x)b).x = a(x)bx."""
         self._check_elem(x)
-        return self._mult_second(_mult_maps(x, left=False))
+        return self._mult_leg(_mult_maps(x, left=False), 2)
 
     def inner_left(self, x: AlgElement) -> Tensor2:
         """x.(a(x)b) = a(x)xb."""
         self._check_elem(x)
-        return self._mult_second(_mult_maps(x, left=True))
+        return self._mult_leg(_mult_maps(x, left=True), 2)
 
     def inner_right(self, x: AlgElement) -> Tensor2:
         """(a(x)b).x = ax(x)b."""
         self._check_elem(x)
-        return self._mult_first(_mult_maps(x, left=False))
-
-    def act(self, x: AlgElement, structure: str, side: str) -> Tensor2:
-        """Dispatch by structure ("outer"/"inner") and side ("left"/"right")."""
-        try:
-            return {
-                ("outer", "left"): self.outer_left,
-                ("outer", "right"): self.outer_right,
-                ("inner", "left"): self.inner_left,
-                ("inner", "right"): self.inner_right,
-            }[(structure, side)](x)
-        except KeyError:
-            raise AlgebraError(f"unknown action {structure}/{side}") from None
-
-    def entries(self):
-        for a, row in enumerate(self.grid):
-            for b, v in enumerate(row):
-                if not scalar_is_zero(v):
-                    yield (a, b, v)
-
-    def __str__(self) -> str:
-        names = self.algebra.basis_names
-        parts = [f"({v})*{names[a]}(x){names[b]}" for a, b, v in self.entries()]
-        return " + ".join(parts) if parts else "0"
+        return self._mult_leg(_mult_maps(x, left=False), 1)
 
 
 def _mult_maps(x: AlgElement, left: bool) -> list[tuple]:
@@ -182,16 +183,11 @@ def _mult_maps(x: AlgElement, left: bool) -> list[tuple]:
     return [tuple(_nonzero_terms(image).items()) for image in maps]
 
 
-# -- sparse tensors ----------------------------------------------------------
+# -- sparse kernels ----------------------------------------------------------
 #
 # The axiom checkers work on sparse tensors: dicts {position: coefficient}
-# holding only the terms that arise, so their cost follows the number of
-# nonzero products rather than dim^2 or dim^3.  A dict returned by a helper
-# below has no zero values, so "not terms" means the tensor is zero.
-
-
-def _nonzero_terms(terms: dict) -> dict:
-    return {key: v for key, v in terms.items() if not scalar_is_zero(v)}
+# holding only the terms that arise.  A dict returned by a helper below has
+# no zero values, so "not terms" means the tensor is zero.
 
 
 def _leg_commutator_terms(terms: dict, left, right, leg: int) -> dict:
@@ -231,88 +227,44 @@ def _legwise_product_terms(prods, first: dict, second: dict) -> dict:
     return _nonzero_terms(out)
 
 
-@dataclass(frozen=True)
-class Tensor3:
-    """Element of A(x)A(x)A: sum grid[a][b][c] e_a(x)e_b(x)e_c."""
+class Tensor3(_SparseTensor):
+    """Element of A(x)A(x)A: sum terms[(a, b, c)] e_a(x)e_b(x)e_c."""
 
-    algebra: FDAlgebra
-    grid: tuple
+    __slots__ = ()
 
     @staticmethod
     def zero(algebra: FDAlgebra) -> Tensor3:
-        n = algebra.dim
-        return Tensor3.of(algebra, _zero_grid3(n))
+        return Tensor3(algebra, {})
 
     @staticmethod
     def of(algebra: FDAlgebra, grid) -> Tensor3:
-        return Tensor3(algebra, tuple(tuple(tuple(r) for r in plane) for plane in grid))
+        """The tensor of a dense grid[a][b][c]."""
+        return tensor3_from_terms(
+            algebra,
+            {
+                (a, b, c): v
+                for a, plane in enumerate(grid)
+                for b, row in enumerate(plane)
+                for c, v in enumerate(row)
+            },
+        )
 
-    def _same(self, other: Tensor3) -> None:
-        if self.algebra != other.algebra:
-            raise AlgebraError("tensors over different algebras")
-
-    def __add__(self, other: Tensor3) -> Tensor3:
-        self._same(other)
+    @property
+    def grid(self) -> tuple:
+        """Dense view: grid[a][b][c] is the coefficient of e_a(x)e_b(x)e_c."""
         n = self.algebra.dim
-        return Tensor3.of(
-            self.algebra,
-            [
-                [
-                    [self.grid[a][b][c] + other.grid[a][b][c] for c in range(n)]
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ],
-        )
-
-    def __sub__(self, other: Tensor3) -> Tensor3:
-        return self + (-other)
-
-    def __neg__(self) -> Tensor3:
-        return Tensor3.of(
-            self.algebra,
-            [[[-v for v in r] for r in plane] for plane in self.grid],
-        )
-
-    def scale(self, c: Scalar) -> Tensor3:
-        return Tensor3.of(
-            self.algebra,
-            [[[c * v for v in r] for r in plane] for plane in self.grid],
-        )
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(v) for plane in self.grid for r in plane for v in r)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.algebra == other.algebra and (self - other).is_zero()
-
-    def entries(self):
-        for a, plane in enumerate(self.grid):
-            for b, row in enumerate(plane):
-                for c, v in enumerate(row):
-                    if not scalar_is_zero(v):
-                        yield (a, b, c, v)
+        grid = [_zero_grid2(n) for _ in range(n)]
+        for (a, b, c), v in self.terms.items():
+            grid[a][b][c] = v
+        return tuple(tuple(tuple(row) for row in plane) for plane in grid)
 
     def tau123(self) -> Tensor3:
         """tau123(a(x)b(x)c) = c(x)a(x)b."""
-        n = self.algebra.dim
-        return Tensor3.of(
-            self.algebra,
-            [
-                [[self.grid[j][k][i] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return Tensor3(self.algebra, {(c, a, b): v for (a, b, c), v in self.terms.items()})
 
     def tau132(self) -> Tensor3:
         """tau132(a(x)b(x)c) = b(x)c(x)a."""
-        return self.tau123().tau123()
-
-    def terms(self) -> dict:
-        """The sparse form {(a, b, c): coefficient} of the nonzero entries."""
-        return {(a, b, c): v for a, b, c, v in self.entries()}
+        return Tensor3(self.algebra, {(b, c, a): v for (a, b, c), v in self.terms.items()})
 
     def leg_commutator(self, x: AlgElement, leg: int) -> Tensor3:
         """[t, x]_leg per the displayed leg-commutator formulas (leg in 1..3)."""
@@ -321,44 +273,20 @@ class Tensor3:
         if leg not in (1, 2, 3):
             raise AlgebraError(f"leg must be 1, 2 or 3, got {leg}")
         left, right = _mult_maps(x, left=True), _mult_maps(x, left=False)
-        terms = _leg_commutator_terms(self.terms(), left, right, leg)
-        return tensor3_from_terms(self.algebra, terms)
+        return Tensor3(self.algebra, _leg_commutator_terms(self.terms, left, right, leg))
 
     def legwise_product(self, other: Tensor3) -> Tensor3:
         """(a(x)b(x)c) x (p(x)q(x)r) = ap (x) bq (x) cr, extended bilinearly."""
         self._same(other)
-        terms = _legwise_product_terms(self.algebra.products, self.terms(), other.terms())
-        return tensor3_from_terms(self.algebra, terms)
-
-    def __str__(self) -> str:
-        names = self.algebra.basis_names
-        parts = [
-            f"({v})*{names[a]}(x){names[b]}(x){names[c]}"
-            for a, b, c, v in self.entries()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
-def tensor_from_pairs(algebra: FDAlgebra, pairs) -> Tensor2:
-    """Sum of coeff * e_a (x) e_b over (a, b, coeff) triples."""
-    grid = _zero_grid2(algebra.dim)
-    for a, b, coeff in pairs:
-        grid[a][b] = grid[a][b] + coeff
-    return Tensor2.of(algebra, grid)
-
-
-def tensor3_from_triples(algebra: FDAlgebra, triples) -> Tensor3:
-    grid = _zero_grid3(algebra.dim)
-    for a, b, c, coeff in triples:
-        grid[a][b][c] = grid[a][b][c] + coeff
-    return Tensor3.of(algebra, grid)
+        terms = _legwise_product_terms(self.algebra.products, self.terms, other.terms)
+        return Tensor3(self.algebra, terms)
 
 
 def tensor_from_terms(algebra: FDAlgebra, terms: dict) -> Tensor2:
-    """The Tensor2 of a sparse tensor {(a, b): coefficient}."""
-    return tensor_from_pairs(algebra, ((a, b, v) for (a, b), v in terms.items()))
+    """The Tensor2 of a sparse tensor {(a, b): coefficient}; zero values are dropped."""
+    return Tensor2(algebra, _nonzero_terms(terms))
 
 
 def tensor3_from_terms(algebra: FDAlgebra, terms: dict) -> Tensor3:
-    """The Tensor3 of a sparse tensor {(a, b, c): coefficient}."""
-    return tensor3_from_triples(algebra, ((a, b, c, v) for (a, b, c), v in terms.items()))
+    """The Tensor3 of a sparse tensor {(a, b, c): coefficient}; zero values are dropped."""
+    return Tensor3(algebra, _nonzero_terms(terms))

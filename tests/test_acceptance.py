@@ -52,7 +52,7 @@ from doublepoisson.solver import (
     solve_linear,
     solve_modified,
 )
-from doublepoisson.tensors import tensor3_from_triples
+from doublepoisson.tensors import tensor3_from_terms
 
 
 def _report(criterion: str, ok: bool, elapsed: float, budget: float, note: str = ""):
@@ -104,10 +104,10 @@ def test_criterion_2_inner_reproduction():
     ok = db1 == a2_alpha_bracket(Fraction(1))  # {{e0,e1}} = e0(x)e0, rest zero
     db2 = inner_bracket(WedgeElement.wedge(one, e0))
     ok = ok and db2 == a2_alpha_bracket(Fraction(-2))
-    expected_j = tensor3_from_triples(
+    expected_j = tensor3_from_terms(
         a2,
-        [t for u, c in enumerate(a2.unit) if c != 0
-         for t in ((0, 0, u, -c), (0, u, 0, -c), (u, 0, 0, -c))],
+        {key: -c for u, c in enumerate(a2.unit) if c != 0
+         for key in ((0, 0, u), (0, u, 0), (u, 0, 0))},
     )
     ok = ok and aybe_obstruction(WedgeElement.wedge(one, e0)) == expected_j
     ok = ok and weak_jacobi_condition(WedgeElement.wedge(one, e0))[0]

@@ -41,6 +41,13 @@ def test_check_skew(a2):
     assert not DoubleBracket.zero(a2).check_skew()
 
 
+@pytest.mark.parametrize("entry", [(0, 1, 3, 0), (0, 1, 0, -1), (-1, 0, 0, 0), (0, 3, 0, 0)])
+def test_from_entries_rejects_out_of_range_positions(a2, entry):
+    # a sparse bracket has no grid to raise IndexError, and -1 must not wrap around
+    with pytest.raises(AlgebraError):
+        DoubleBracket.from_entries(a2, [(*entry, Fraction(1))])
+
+
 def test_check_leibniz_family_and_failures(a2):
     for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5)):
         db = a2_double_family(*(Fraction(x) for x in pt))

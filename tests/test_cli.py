@@ -258,6 +258,44 @@ def test_inner_rejects_out_of_range_wedge_index(tmp_path, capsys):
     assert "index 3 not in 0..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "params, coeff", [([], "1/0"), ([], 1), (["A"], "1/0*A")], ids=["zero-denominator", "number", "poly"]
+)
+def test_check_rejects_malformed_bracket_coefficient(tmp_path, capsys, params, coeff):
+    # these used to escape as ZeroDivisionError / AttributeError tracebacks with exit 1
+    bad = tmp_path / "coeff.json"
+    bad.write_text(json.dumps({"algebra": "a2", "params": params, "coeffs": [[0, 1, 0, 0, coeff]]}))
+    assert main(["check", "--algebra", "a2", "--bracket", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bracket entry [0, 1, 0, 0, {coeff!r}]" in err
+
+
+@pytest.mark.parametrize("coeff", ["1/0", 1], ids=["zero-denominator", "number"])
+def test_inner_rejects_malformed_wedge_coefficient(tmp_path, capsys, coeff):
+    bad = tmp_path / "wedge.json"
+    bad.write_text(json.dumps({"algebra": "a2", "terms": [[0, 1, coeff]]}))
+    assert main(["inner", "--algebra", "a2", "--wedge", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"wedge entry [0, 1, {coeff!r}]" in err
+
+
+@pytest.mark.parametrize("field", ["mul", "unit"])
+@pytest.mark.parametrize("coeff", ["1/0", 1], ids=["zero-denominator", "number"])
+def test_hh1_rejects_malformed_algebra_coefficient(tmp_path, capsys, field, coeff):
+    data = dpio.algebra_to_json(make_a2())
+    if field == "mul":
+        data["mul"][0][3] = coeff
+        where = f"mul entry {data['mul'][0]!r}"
+    else:
+        data["unit"][0] = coeff
+        where = "unit entry 0"
+    bad = tmp_path / "algebra.json"
+    bad.write_text(json.dumps(data))
+    assert main(["hh1", "--algebra", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
 def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
     # a relative file name whose first "+"-part is the preset name a2
     monkeypatch.chdir(tmp_path)

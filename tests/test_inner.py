@@ -15,7 +15,7 @@ from doublepoisson.inner import (
     wedge_basis,
 )
 from doublepoisson.poly import PolyRing
-from doublepoisson.tensors import tensor3_from_triples
+from doublepoisson.tensors import tensor3_from_terms
 
 
 @pytest.fixture
@@ -75,11 +75,11 @@ def test_aybe_obstruction_values(a2):
     e0, e1 = a2.basis_element(0), a2.basis_element(1)
     one = a2.unit_element()
     j = aybe_obstruction(WedgeElement.wedge(one, e0))
-    expected = []
+    expected = {}
     for u, c in enumerate(a2.unit):
         if c != 0:
-            expected += [(0, 0, u, -c), (0, u, 0, -c), (u, 0, 0, -c)]
-    assert j == tensor3_from_triples(a2, expected)
+            expected.update({(0, 0, u): -c, (0, u, 0): -c, (u, 0, 0): -c})
+    assert j == tensor3_from_terms(a2, expected)
     assert aybe_obstruction(WedgeElement.wedge(e0, e1)).is_zero()
     assert aybe_obstruction(WedgeElement.zero(a2)).is_zero()
 

@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from doublepoisson import io as dpio
 from doublepoisson.algebra import make_a2, make_matrix_algebra
+from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_alpha_bracket_symbolic
 from doublepoisson.inner import inner_bracket, wedge_basis
-from doublepoisson.poly import PolyRing
+from doublepoisson.poly import MultiPoly, PolyRing, scalar_is_zero
 from doublepoisson.repspace import (
     ChartError,
     CoordRing,
+    coord_var_name,
     a2_rep2_rational_point,
     a2_rep3_rational_point,
     chart_consistency,
@@ -22,6 +28,7 @@ from doublepoisson.repspace import (
     register_chart_rep2_a2,
     register_chart_rep3_a2,
 )
+from test_solver import _t3_json
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,80 @@ def test_induced_table_alpha_family(alpha_table):
                     assert (got - want).is_zero()
                     assert alpha_table.entry(f"e0_{i}{j}", f"e0_{p}{q}").is_zero()
                     assert alpha_table.entry(f"e1_{i}{j}", f"e1_{p}{q}").is_zero()
+
+
+# -- oracle: the induced table by MultiPoly products ----------------------------
+
+
+def _multipoly_induce(db, n):
+    """The table entry by entry from MultiPoly products: the path induce replaced."""
+    alg = db.algebra
+    ring = CoordRing.build(alg, n, tuple(db.params))
+    R = ring.ring
+    param_images = {p: R.var(p) for p in db.params}
+    coeffs = db.coeffs
+    table = {}
+    for ga in range(alg.dim):
+        for gb in range(alg.dim):
+            block = coeffs[ga][gb]
+            nonzero = [
+                (u, v, block[u][v])
+                for u in range(alg.dim)
+                for v in range(alg.dim)
+                if not scalar_is_zero(block[u][v])
+            ]
+            for i, j, p, q in product(range(n), repeat=4):
+                val = R.zero()
+                for u, v, c in nonzero:
+                    if isinstance(c, MultiPoly):
+                        c = c.substitute(param_images, R)
+                    val = val + c * ring.var(u, p, j) * ring.var(v, i, q)
+                key = (
+                    coord_var_name(alg.basis_names[ga], i, j),
+                    coord_var_name(alg.basis_names[gb], p, q),
+                )
+                table[key] = val
+    return table
+
+
+def _assert_induce_matches_oracle(db, n):
+    got = induce(db, n).table
+    want = _multipoly_induce(db, n)
+    assert list(got) == list(want)
+    assert all(got[key].ring == want[key].ring and got[key].terms == want[key].terms for key in want)
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(tmp_path_factory):
+    t3 = _t3_json(tmp_path_factory.mktemp("algebras") / "T3.json")
+    return {spec: dpio.load_algebra(t3 if spec == "T3" else spec) for spec in ("a2", "mat2", "T3")}
+
+
+_small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
+@seed(20261022)
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_induce_matches_multipoly_oracle(oracle_algebras, data):
+    alg = oracle_algebras[data.draw(st.sampled_from(("a2", "mat2", "T3")))]
+    n = data.draw(st.integers(1, 3))
+    slot = st.tuples(*[st.integers(0, alg.dim - 1)] * 4)
+    cells = data.draw(st.lists(st.tuples(slot, _small_rational), max_size=5))
+    # each entry with its skew partner: C[j][i][b][a] = -C[i][j][a][b]
+    entries = [(*s, c) for s, c in cells] + [(j, i, b, a, -c) for (i, j, a, b), c in cells]
+    _assert_induce_matches_oracle(DoubleBracket.from_entries(alg, entries), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_induce_of_the_symbolic_alpha_family_matches_multipoly_oracle(n):
+    db, _ = a2_alpha_bracket_symbolic("A")
+    _assert_induce_matches_oracle(db, n)
+
+
+def test_induce_rejects_a_bracket_that_is_not_skew(a2):
+    with pytest.raises(ChartError):
+        induce(DoubleBracket.from_entries(a2, [(0, 1, 0, 0, Fraction(1))]), 1)
 
 
 def test_table_antisymmetry(alpha_table):

@@ -511,7 +511,7 @@ def _dense_double_derivation_space(algebra):
 
     der_basis = [
         DoubleDerivation.from_grids(
-            algebra, [[[vec[flat(i, a, b)] for b in range(n)] for a in range(n)] for i in range(n)]
+            algebra, [[[vec.get(flat(i, a, b), 0) for b in range(n)] for a in range(n)] for i in range(n)]
         )
         for vec in nullspace_of_rows(rows(), n**3)
     ]
@@ -574,14 +574,18 @@ def test_derivation_space_matches_dense_oracle(spec, tmp_path):
 # same nullspace basis: the same Fractions, in the same order.
 
 
+def _dense_nullspace(rows, ncols):
+    return [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in nullspace_of_rows(rows, ncols)]
+
+
 def _one_shot_solve_linear(algebra):
     rows = chain(_skew_rows(algebra), _slot_derivation_rows(algebra))
-    return nullspace_of_rows(rows, algebra.dim**4)
+    return _dense_nullspace(rows, algebra.dim**4)
 
 
 def _one_shot_solve_modified_linear(algebra):
     rows = chain(_slot_derivation_rows(algebra), _first_leibniz_rows(algebra), _h0_skew_rows(algebra))
-    return nullspace_of_rows(rows, algebra.dim**4)
+    return _dense_nullspace(rows, algebra.dim**4)
 
 
 def _rebased_json(spec, path, seed):
@@ -642,3 +646,19 @@ def test_solve_modified_linear_matches_one_shot_oracle(spec, tmp_path):
     algebra = _two_stage_algebra(spec, tmp_path)
     got = [b.flat_coeffs() for b in solve_modified_linear(algebra).nullspace_basis]
     assert _exact(got) == _exact(_one_shot_solve_modified_linear(algebra))
+
+
+# -- oracle: innerness ranked on dense flat_coeffs() lists -------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, equal",
+    [("mat2", True), ("mat3", True), ("T3", False), ("a2+a2", False), ("mat2~rebased", True), ("a2", False)],
+)
+def test_innerness_matches_dense_oracle(spec, equal, tmp_path):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    dense = subspaces_equal(
+        [db.flat_coeffs() for db in solve_linear(algebra).nullspace_basis],
+        [db.flat_coeffs() for db in inner_bracket_span(algebra)],
+    )
+    assert inner_bracket_span_equality(algebra) == dense == equal

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from doublepoisson.algebra import AlgebraError, make_a2, make_matrix_algebra
-from doublepoisson.tensors import Tensor2, Tensor3, tensor3_from_triples, tensor_from_pairs
+from doublepoisson.tensors import Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
 
 
 @pytest.fixture
@@ -33,10 +33,8 @@ def test_outer_actions_a2(a2):
         assert act(one) == t
 
 
-def test_action_dispatch_and_mismatch(a2):
+def test_action_algebra_mismatch(a2):
     t = Tensor2.pure(a2.basis_element(0), a2.basis_element(1))
-    with pytest.raises(AlgebraError):
-        t.act(a2.basis_element(0), "sideways", "left")
     m2 = make_matrix_algebra(2)
     with pytest.raises(AlgebraError):
         t.outer_left(m2.basis_element(0))
@@ -65,13 +63,10 @@ def test_outer_and_inner_actions_commute(a2):
 def test_leg3_commutator_example(a2):
     # [e0 (x) e0 (x) 1, e1]_3 = e1e0 (x) e0 (x) 1 - e0 (x) e0 (x) 1*e1
     one = a2.unit
-    t = tensor3_from_triples(
-        a2, [(0, 0, u, c) for u, c in enumerate(one) if c != 0]
-    )
+    t = tensor3_from_terms(a2, {(0, 0, u): c for u, c in enumerate(one)})
     got = t.leg_commutator(a2.basis_element(1), 3)
-    expected = tensor3_from_triples(
-        a2,
-        [(0, 0, u, c) for u, c in enumerate(one) if c != 0] + [(0, 0, 1, Fraction(-1))],
+    expected = tensor3_from_terms(
+        a2, {(0, 0, u): c - Fraction(int(u == 1)) for u, c in enumerate(one)}
     )
     assert got == expected
 
@@ -120,20 +115,21 @@ def test_leg1_matches_bruteforce_mat2():
 
 
 def test_cyclic_permutations(a2):
-    t = tensor3_from_triples(a2, [(0, 1, 2, Fraction(1))])  # e0 (x) e1 (x) e2
-    assert t.tau123() == tensor3_from_triples(a2, [(2, 0, 1, Fraction(1))])
-    assert t.tau132() == tensor3_from_triples(a2, [(1, 2, 0, Fraction(1))])
+    t = tensor3_from_terms(a2, {(0, 1, 2): Fraction(1)})  # e0 (x) e1 (x) e2
+    assert t.tau123() == tensor3_from_terms(a2, {(2, 0, 1): Fraction(1)})
+    assert t.tau132() == tensor3_from_terms(a2, {(1, 2, 0): Fraction(1)})
     assert t.tau123().tau123().tau123() == t
 
 
 def test_legwise_product(a2):
     # (e1 (x) e1 (x) e1) x (e0 (x) e0 (x) e0) = e1e0 (x) e1e0 (x) e1e0 = e0 (x) e0 (x) e0
-    s = tensor3_from_triples(a2, [(1, 1, 1, Fraction(1))])
-    t = tensor3_from_triples(a2, [(0, 0, 0, Fraction(1))])
+    s = tensor3_from_terms(a2, {(1, 1, 1): Fraction(1)})
+    t = tensor3_from_terms(a2, {(0, 0, 0): Fraction(1)})
     assert s.legwise_product(t) == t
     assert t.legwise_product(t).is_zero()  # e0 e0 = 0
 
 
-def test_tensor_from_pairs(a2):
-    t = tensor_from_pairs(a2, [(0, 1, Fraction(2)), (0, 1, Fraction(-2))])
-    assert t.is_zero()
+def test_tensor_from_terms_drops_zeros(a2):
+    t = tensor_from_terms(a2, {(0, 1): Fraction(2) + Fraction(-2), (1, 0): Fraction(0)})
+    assert t.is_zero() and t.terms == {}
+    assert t.grid == Tensor2.zero(a2).grid == ((Fraction(0),) * 3,) * 3
