@@ -1,11 +1,10 @@
 """Finite-dimensional associative unital algebras over exact rationals.
 
-An algebra is a basis, the coordinates of the unit, and a dense structure
-constant tensor mul[i][j][k] with e_i e_j = sum_k mul[i][j][k] e_k.  The
-dense ``mul`` is the stored, compared and hashed field.  Construction also
-derives a read-only sparse view ``products[i][j]``, the nonzero (k, c) entries
-of e_i e_j in k order, and the hot readers (the load-time laws, ``mul_coords``
-and the solver's row generators) go through it.
+An algebra is a name, a basis, the coordinates of the unit, and a sparse
+product table ``products[i][j]``: the nonzero (k, c) pairs of
+e_i e_j = sum c e_k, k ascending.  Those four fields are the one stored
+form, and equality and hash come from them; no dense dim^3 table is built.  ``FDAlgebra.from_entries`` builds the table from (i, j, k, c)
+entries, and every algebra (presets, sums, JSON files) is built through it.
 
 Associativity and the two-sided unit law are checked at construction time,
 so everything downstream may assume them.  The associativity check visits
@@ -22,7 +21,7 @@ reads a preset's dimension off its name, before anything is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Sequence
@@ -42,23 +41,42 @@ class FDAlgebra:
     name: str
     basis_names: tuple[str, ...]
     unit: tuple[Fraction, ...]
-    mul: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    #: products[i][j]: the nonzero (k, mul[i][j][k]) pairs of e_i e_j, k ascending
-    products: tuple = field(init=False, repr=False, compare=False)
+    #: products[i][j]: the nonzero (k, c) pairs of e_i e_j = sum c e_k, k ascending
+    products: tuple
 
     def __post_init__(self):
         n = self.dim
-        if len(self.unit) != n or len(self.mul) != n or any(
-            len(row) != n or any(len(v) != n for v in row) for row in self.mul
-        ):
+        if len(self.unit) != n or len(self.products) != n or any(len(row) != n for row in self.products):
             raise AlgebraError(f"{self.name}: inconsistent dimensions")
-        products = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(vec) if c != 0) for vec in row)
-            for row in self.mul
-        )
-        object.__setattr__(self, "products", products)
         self._check_associative()
         self._check_unit()
+
+    @classmethod
+    def from_entries(cls, name: str, basis_names, unit, entries) -> FDAlgebra:
+        """The algebra with e_i e_j = sum c e_k over its (i, j, k, c) entries.
+
+        Repeated positions are summed and zero sums dropped; an index outside
+        0..dim-1 raises AlgebraError.
+        """
+        n = len(basis_names)
+        table = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in entries:
+            if not all(0 <= x < n for x in (i, j, k)):
+                raise AlgebraError(f"{name}: product entry {(i, j, k)} not in 0..{n - 1}")
+            slot = table[i][j]
+            slot[k] = slot.get(k, 0) + c
+        products = tuple(
+            tuple(tuple((k, Fraction(c)) for k, c in sorted(slot.items()) if c) for slot in row)
+            for row in table
+        )
+        return cls(name, tuple(basis_names), tuple(unit), products)
+
+    def entries(self):
+        """The nonzero (i, j, k, c) of the product table, in (i, j, k) order."""
+        for i, row in enumerate(self.products):
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    yield (i, j, k, c)
 
     @property
     def dim(self) -> int:
@@ -95,9 +113,6 @@ class FDAlgebra:
 
     # -- products --------------------------------------------------------------
 
-    def basis_product(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.mul[i][j]
-
     def mul_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple:
         """Coordinates of the product of two coordinate vectors (bilinear)."""
         out: list[Scalar] = [Fraction(0)] * self.dim
@@ -125,9 +140,6 @@ class FDAlgebra:
 
     def unit_element(self) -> AlgElement:
         return AlgElement(self, self.unit)
-
-    def zero_element(self) -> AlgElement:
-        return AlgElement(self, (Fraction(0),) * self.dim)
 
     def __repr__(self) -> str:
         return f"FDAlgebra({self.name!r}, dim={self.dim})"
@@ -189,72 +201,45 @@ def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
 # -- presets ---------------------------------------------------------------
 
 
-# A preset is built as its constructor arguments (name, basis names, unit,
-# mul) first, so that a "+"-sum validates only the summed algebra.
+# A preset is built as its builder arguments (name, basis names, unit, product
+# entries) first, so that a "+"-sum validates only the summed algebra.
 
 
 def _matrix_fields(n: int) -> tuple:
     if n < 1:
         raise AlgebraError("matrix algebra needs n >= 1")
-    dim = n * n
     names = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
-
-    def flat(i: int, j: int) -> int:
-        return i * n + j
-
-    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        mul[flat(i, j)][flat(k, l)][flat(i, l)] = Fraction(1)
-    unit = [Fraction(0)] * dim
-    for i in range(n):
-        unit[flat(i, i)] = Fraction(1)
-    return (f"mat{n}", names, tuple(unit), tuple(tuple(tuple(v) for v in row) for row in mul))
+    one = Fraction(1)
+    # E_ij E_jl = E_il, the n^3 nonzero products
+    entries = tuple(
+        (i * n + j, j * n + l, i * n + l, one) for i in range(n) for j in range(n) for l in range(n)
+    )
+    unit = tuple(Fraction(int(i == j)) for i in range(n) for j in range(n))
+    return (f"mat{n}", names, unit, entries)
 
 
 def _a2_fields() -> tuple:
     z, o = Fraction(0), Fraction(1)
-    table = {
-        (1, 1): 1,  # e1 e1 = e1
-        (2, 2): 2,  # e2 e2 = e2
-        (1, 0): 0,  # e1 e0 = e0
-        (0, 2): 0,  # e0 e2 = e0
-    }
-    mul = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j), k in table.items():
-        mul[i][j][k] = o
-    return ("a2", ("e0", "e1", "e2"), (z, o, o), tuple(tuple(tuple(v) for v in row) for row in mul))
+    # e1 e1 = e1, e2 e2 = e2, e1 e0 = e0, e0 e2 = e0
+    entries = ((1, 1, 1, o), (2, 2, 2, o), (1, 0, 0, o), (0, 2, 0, o))
+    return ("a2", ("e0", "e1", "e2"), (z, o, o), entries)
 
 
 def _sum_fields(a: tuple, b: tuple) -> tuple:
-    a_name, a_basis, a_unit, a_mul = a
-    b_name, b_basis, b_unit, b_mul = b
-    na, nb = len(a_basis), len(b_basis)
-    dim = na + nb
-    z = Fraction(0)
-    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                mul[i][j][k] = a_mul[i][j][k]
-    for i in range(nb):
-        for j in range(nb):
-            for k in range(nb):
-                mul[na + i][na + j][na + k] = b_mul[i][j][k]
+    a_name, a_basis, a_unit, a_entries = a
+    b_name, b_basis, b_unit, b_entries = b
+    na = len(a_basis)
     return (
         f"{a_name}+{b_name}",
         tuple(f"a.{s}" for s in a_basis) + tuple(f"b.{s}" for s in b_basis),
         a_unit + b_unit,
-        tuple(tuple(tuple(v) for v in row) for row in mul),
+        (*a_entries, *((na + i, na + j, na + k, c) for i, j, k, c in b_entries)),
     )
 
 
 def make_matrix_algebra(n: int) -> FDAlgebra:
     """Mat_n with matrix-unit basis (E_11, E_12, ..., E_nn); E_ij E_kl = d_jk E_il."""
-    return FDAlgebra(*_matrix_fields(n))
+    return FDAlgebra.from_entries(*_matrix_fields(n))
 
 
 def make_a2() -> FDAlgebra:
@@ -263,14 +248,14 @@ def make_a2() -> FDAlgebra:
     Relations: e1^2=e1, e2^2=e2, e1 e0 = e0 e2 = e0, e0 e1 = e2 e0 = e0^2 = 0.
     Path algebra of the one-arrow quiver (e1, e2 the vertices, e0 the arrow).
     """
-    return FDAlgebra(*_a2_fields())
+    return FDAlgebra.from_entries(*_a2_fields())
 
 
 def direct_sum(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     """Block-diagonal sum; cross-block products vanish, unit = (1_a, 1_b)."""
-    return FDAlgebra(
-        *_sum_fields((a.name, a.basis_names, a.unit, a.mul), (b.name, b.basis_names, b.unit, b.mul))
-    )
+    a_fields = (a.name, a.basis_names, a.unit, a.entries())
+    b_fields = (b.name, b.basis_names, b.unit, b.entries())
+    return FDAlgebra.from_entries(*_sum_fields(a_fields, b_fields))
 
 
 _MAT_RE = re.compile(r"^mat([1-9][0-9]*)$")
@@ -315,7 +300,7 @@ def resolve_preset(name: str) -> FDAlgebra | None:
     parts = _preset_parts(name)
     if parts is None:
         return None
-    return FDAlgebra(*reduce(_sum_fields, (build() for build, _ in parts)))
+    return FDAlgebra.from_entries(*reduce(_sum_fields, (build() for build, _ in parts)))
 
 
 # -- generators ----------------------------------------------------------------
@@ -383,7 +368,6 @@ class CommutatorSubspace:
     basis: tuple[tuple[Fraction, ...], ...]
     pivot_columns: tuple[int, ...]
     complement_indices: tuple[int, ...]
-    _reduced: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -403,7 +387,7 @@ class CommutatorSubspace:
         coordinates too, since the pivots themselves are rational.
         """
         vec = list(coords)
-        for row, piv in zip(self._reduced, self.pivot_columns):
+        for row, piv in zip(self.basis, self.pivot_columns):
             factor = vec[piv] * (Fraction(1) / row[piv])
             if scalar_is_zero(factor):
                 continue
@@ -438,4 +422,4 @@ def commutator_subspace(algebra: FDAlgebra) -> CommutatorSubspace:
             row[c] = v
         rows.append(tuple(row))
     complement = tuple(i for i in range(n) if i not in set(pivots))
-    return CommutatorSubspace(algebra, tuple(rows), pivots, complement, tuple(rows))
+    return CommutatorSubspace(algebra, tuple(rows), pivots, complement)

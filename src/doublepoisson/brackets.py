@@ -194,8 +194,8 @@ class CoefficientBracket:
     # -- Leibniz rules (shared) ------------------------------------------------
     #
     # Each rule is a sparse residual {(a, b): coefficient} per basis triple,
-    # read from terms and the product table; the public *_residual methods
-    # return the same residual as a Tensor2.
+    # read from terms and the product table; first_leibniz_residual returns
+    # the same residual as a Tensor2.
 
     def _second_leibniz_terms(self, i: int, k: int, l: int) -> dict:
         prods = self.algebra.products
@@ -230,10 +230,6 @@ class CoefficientBracket:
     def _tensor2(self, terms: dict) -> Tensor2:
         return tensor_from_terms(self.algebra, terms)
 
-    def second_leibniz_residual(self, i: int, k: int, l: int) -> Tensor2:
-        """{{e_i, e_k e_l}} - (e_k(x)1){{e_i, e_l}} - {{e_i, e_k}}(1(x)e_l)."""
-        return self._tensor2(self._second_leibniz_terms(i, k, l))
-
     def first_leibniz_residual(self, k: int, l: int, i: int) -> Tensor2:
         """{{e_k e_l, e_i}} - (1(x)e_k){{e_l, e_i}} - {{e_k, e_i}}(e_l(x)1)."""
         return self._tensor2(self._first_leibniz_terms(k, l, i))
@@ -259,10 +255,6 @@ class DoubleBracket(CoefficientBracket):
         for a, b, v in self.terms[j][i]:
             out[(b, a)] = out.get((b, a), 0) + v
         return out
-
-    def skew_residual(self, i: int, j: int) -> Tensor2:
-        """{{e_i, e_j}} + {{e_j, e_i}}° (zero iff skew holds on the pair)."""
-        return self._tensor2(self._skew_terms(i, j))
 
     def check_skew(self, rels: RelationSet | None = None):
         n = self.algebra.dim
@@ -375,10 +367,6 @@ class DoubleDerivation:
     def __post_init__(self):
         if len(self.images) != self.algebra.dim:
             raise AlgebraError("need one image per basis element")
-
-    @staticmethod
-    def from_grids(algebra: FDAlgebra, grids) -> DoubleDerivation:
-        return DoubleDerivation(algebra, tuple(Tensor2.of(algebra, g) for g in grids))
 
     @staticmethod
     def inner(m: Tensor2) -> DoubleDerivation:

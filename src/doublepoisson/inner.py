@@ -12,9 +12,11 @@ unit on the missing leg); J(r) = 0 is the associative Yang-Baxter equation,
 and the weaker sufficient-and-necessary condition for the double Jacobi
 identity of {{-,-}}_r is [[[J(r),x]_1,y]_2,z]_3 = 0 for all x, y, z.
 
-J(r) and the triple commutators are summed over nonzero terms only, as
-sparse tensors over the algebra's product table; a Tensor3 is built only for
-the returned obstruction and for witness triples.
+A wedge is stored as its nonzero a < b terms, like a bracket; its dense
+antisymmetric grid is a view.  J(r) and the triple commutators are summed
+over nonzero terms only, as sparse tensors over the algebra's product table
+``products``; a Tensor3 is built only for the returned obstruction and for
+witness triples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .brackets import DoubleBracket
 from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
 from .tensors import (
-    Tensor2,
     Tensor3,
     _leg_commutator_terms,
     _legwise_product_terms,
@@ -39,27 +40,33 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class WedgeElement:
-    """r in Lambda^2 A, stored as the antisymmetric grid of r = sum r[a][b] e_a(x)e_b."""
+    """r in Lambda^2 A: r = sum c (e_a(x)e_b - e_b(x)e_a) over its ``terms``.
+
+    ``terms`` is the tuple of nonzero (a, b, c) with a < b, in (a, b) order;
+    the constructor takes it as given, and ``from_terms`` builds it from
+    unordered or summed data.  ``of`` is the one dense entry point, and
+    ``grid`` the dense antisymmetric view.
+    """
 
     algebra: FDAlgebra
-    grid: tuple
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if len(self.grid) != n or any(len(r) != n for r in self.grid):
-            raise AlgebraError("wedge grid has wrong shape")
-        for a in range(n):
-            for b in range(n):
-                if not scalar_is_zero(self.grid[a][b] + self.grid[b][a]):
-                    raise AlgebraError("wedge grid is not antisymmetric")
+    terms: tuple
 
     @staticmethod
     def zero(algebra: FDAlgebra) -> WedgeElement:
-        return WedgeElement(algebra, tuple(tuple(r) for r in _zero_grid2(algebra.dim)))
+        return WedgeElement(algebra, ())
 
     @staticmethod
     def of(algebra: FDAlgebra, grid) -> WedgeElement:
-        return WedgeElement(algebra, tuple(tuple(row) for row in grid))
+        """The wedge sum grid[a][b] e_a(x)e_b of an antisymmetric dense grid."""
+        n = algebra.dim
+        if len(grid) != n or any(len(r) != n for r in grid):
+            raise AlgebraError("wedge grid has wrong shape")
+        for a in range(n):
+            for b in range(a, n):
+                if not scalar_is_zero(grid[a][b] + grid[b][a]):
+                    raise AlgebraError("wedge grid is not antisymmetric")
+        terms = [(a, b, grid[a][b]) for a in range(n) for b in range(a + 1, n)]
+        return WedgeElement.from_terms(algebra, terms)
 
     @staticmethod
     def wedge(x: AlgElement, y: AlgElement) -> WedgeElement:
@@ -67,47 +74,47 @@ class WedgeElement:
         if x.algebra != y.algebra:
             raise AlgebraError("wedge factors from different algebras")
         n = x.algebra.dim
-        grid = [
-            [x.coords[a] * y.coords[b] - y.coords[a] * x.coords[b] for b in range(n)]
-            for a in range(n)
-        ]
-        return WedgeElement.of(x.algebra, grid)
+        u, v = x.coords, y.coords
+        terms = [(a, b, u[a] * v[b] - v[a] * u[b]) for a in range(n) for b in range(a + 1, n)]
+        return WedgeElement.from_terms(x.algebra, terms)
 
     @staticmethod
     def from_terms(algebra: FDAlgebra, terms) -> WedgeElement:
         """Sum of coeff * (e_a(x)e_b - e_b(x)e_a) over (a, b, coeff) triples."""
-        grid = _zero_grid2(algebra.dim)
+        n = algebra.dim
+        acc: dict = {}
         for a, b, c in terms:
-            grid[a][b] = grid[a][b] + c
-            grid[b][a] = grid[b][a] - c
-        return WedgeElement.of(algebra, grid)
+            if not (0 <= a < n and 0 <= b < n):
+                raise AlgebraError(f"wedge term {(a, b)} not in 0..{n - 1}")
+            if a > b:
+                a, b, c = b, a, -c
+            if a != b:  # e_a ^ e_a = 0
+                acc[(a, b)] = acc.get((a, b), 0) + c
+        nonzero = tuple((a, b, c) for (a, b), c in sorted(acc.items()) if not scalar_is_zero(c))
+        return WedgeElement(algebra, nonzero)
 
     def __add__(self, other: WedgeElement) -> WedgeElement:
         if self.algebra != other.algebra:
             raise AlgebraError("wedges over different algebras")
-        n = self.algebra.dim
-        return WedgeElement.of(
-            self.algebra,
-            [[self.grid[a][b] + other.grid[a][b] for b in range(n)] for a in range(n)],
-        )
+        return WedgeElement.from_terms(self.algebra, self.terms + other.terms)
 
     def scale(self, c: Scalar) -> WedgeElement:
-        n = self.algebra.dim
-        return WedgeElement.of(
-            self.algebra, [[c * self.grid[a][b] for b in range(n)] for a in range(n)]
-        )
+        return WedgeElement.from_terms(self.algebra, [(a, b, c * v) for a, b, v in self.terms])
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(v) for row in self.grid for v in row)
+        return not self.terms
 
-    def as_tensor2(self) -> Tensor2:
-        return Tensor2.of(self.algebra, self.grid)
+    @property
+    def grid(self) -> tuple:
+        """Dense view: grid[a][b] is the coefficient of e_a(x)e_b, built on each call."""
+        grid = _zero_grid2(self.algebra.dim)
+        for a, b, v in self.terms:
+            grid[a][b], grid[b][a] = v, -v
+        return tuple(tuple(row) for row in grid)
 
-    def entries(self):
-        for a, row in enumerate(self.grid):
-            for b, v in enumerate(row):
-                if not scalar_is_zero(v):
-                    yield (a, b, v)
+    def entries(self) -> list:
+        """The nonzero (a, b, coefficient of e_a(x)e_b), both orders, in (a, b) order."""
+        return sorted([*self.terms, *((b, a, -v) for a, b, v in self.terms)], key=lambda t: t[:2])
 
 
 def wedge_basis(algebra: FDAlgebra) -> list[WedgeElement]:
@@ -305,13 +312,8 @@ def aybe_solve(
     if not generators:
         return AybeSystem(algebra, (), (), (), () if include_weak else None)
     ring = PolyRing(names)
-    n = algebra.dim
-    grid = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for name, gen in zip(names, generators):
-        t = ring.var(name)
-        for a, b, v in gen.entries():
-            grid[a][b] = grid[a][b] + t * v
-    r = WedgeElement.of(algebra, grid)
+    terms = [(a, b, ring.var(name) * v) for name, gen in zip(names, generators) for a, b, v in gen.terms]
+    r = WedgeElement.from_terms(algebra, terms)
     j = aybe_obstruction(r)
     if leg_basis is not None:
         coeffs = _reexpress_tensor3_legs(j, leg_basis).values()

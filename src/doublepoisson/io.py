@@ -20,7 +20,6 @@ Preset names resolve before file paths, so "a2" never reads a local file a2.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import FDAlgebra, resolve_preset
@@ -64,32 +63,20 @@ def algebra_from_json(data: dict) -> FDAlgebra:
     basis = tuple(data["basis"])
     n = len(basis)
     unit = tuple(_coefficient(x, f"unit entry {k}") for k, x in enumerate(data["unit"]))
-    mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    entries = []
     for entry in data["mul"]:
         i, j, k, coeff = entry
         _check_indices(entry, 3, n, "mul")
-        mul[i][j][k] = mul[i][j][k] + _coefficient(coeff, f"mul entry {entry!r}")
-    return FDAlgebra(
-        str(data.get("name", "algebra")),
-        basis,
-        unit,
-        tuple(tuple(tuple(v) for v in row) for row in mul),
-    )
+        entries.append((i, j, k, _coefficient(coeff, f"mul entry {entry!r}")))
+    return FDAlgebra.from_entries(str(data.get("name", "algebra")), basis, unit, entries)
 
 
 def algebra_to_json(algebra: FDAlgebra) -> dict:
-    mul = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                c = algebra.mul[i][j][k]
-                if c != 0:
-                    mul.append([i, j, k, format_scalar(c)])
     return {
         "name": algebra.name,
         "basis": list(algebra.basis_names),
         "unit": [format_scalar(u) for u in algebra.unit],
-        "mul": mul,
+        "mul": [[i, j, k, format_scalar(c)] for i, j, k, c in algebra.entries()],
     }
 
 

@@ -18,15 +18,19 @@ SparseRow = dict[int, int]
 
 
 def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
-    """Clear denominators and divide out the content; sign-normalize later."""
+    """The primitive integer row of ``row``: denominators cleared, content divided out.
+
+    A row of ints, as the solver's derivation rows are, has no denominators to clear.
+    """
     entries = {c: v for c, v in row.items() if v != 0}
     if not entries:
         return {}
-    denom_lcm = 1
-    for v in entries.values():
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = {c: v.numerator * (denom_lcm // v.denominator) for c, v in entries.items()}
-    return primitive_row(ints)
+    if not all(type(v) is int for v in entries.values()):
+        denom_lcm = 1
+        for v in entries.values():
+            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+        entries = {c: v.numerator * (denom_lcm // v.denominator) for c, v in entries.items()}
+    return primitive_row(entries)
 
 
 def primitive_row(row: SparseRow) -> SparseRow:
@@ -60,8 +64,8 @@ class SparseEliminator:
         while work:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
-            if pivot is None:
-                self.pivot_rows[lead] = primitive_row(work)
+            if pivot is None:  # work is primitive on every path here
+                self.pivot_rows[lead] = work
                 return
             a, b = pivot[lead], work[lead]
             combined: SparseRow = {}

@@ -67,7 +67,7 @@ class CoordRing:
         return [[self.var(g, i, j) for j in range(self.n)] for i in range(self.n)]
 
     def relation_polys(self) -> list[MultiPoly]:
-        """Entries of X_g X_h - sum mul[g][h][k] X_k and of sum unit_g X_g - Id."""
+        """Entries of X_g X_h - sum_k c_k X_k, for e_g e_h = sum_k c_k e_k, and of sum unit_g X_g - Id."""
         alg = self.algebra
         n = self.n
         out = []
@@ -79,10 +79,8 @@ class CoordRing:
                         p = self.ring.zero()
                         for k in range(n):
                             p = p + mats[g][i][k] * mats[h][k][j]
-                        for m in range(alg.dim):
-                            c = alg.mul[g][h][m]
-                            if c != 0:
-                                p = p - mats[m][i][j] * c
+                        for m, c in alg.products[g][h]:
+                            p = p - mats[m][i][j] * c
                         out.append(p)
         for i in range(n):
             for j in range(n):

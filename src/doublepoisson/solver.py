@@ -38,7 +38,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import FDAlgebra, commutator_subspace, generating_set
-from .brackets import CoefficientBracket, DoubleBracket
+from .brackets import CoefficientBracket, DoubleBracket, DoubleDerivation
 from .inner import inner_bracket, wedge_basis
 from .linalg import (
     SparseEliminator,
@@ -50,6 +50,7 @@ from .linalg import (
 )
 from .modified import ModifiedBracket
 from .poly import MultiPoly, PolyRing
+from .tensors import Tensor2
 
 
 @dataclass(frozen=True)
@@ -176,31 +177,31 @@ def _first_leibniz_rows(algebra: FDAlgebra):
 def _h0_skew_rows(algebra: FDAlgebra):
     """Complement components of m({{e_i,e_j}}) + m({{e_j,e_i}}) must vanish."""
     n = algebra.dim
-    mul = algebra.mul
     sub = commutator_subspace(algebra)
-    # flat-projection of each basis product e_a e_b, as a row over A_flat coords
-    flat_products = {}
-    for a in range(n):
-        for b in range(n):
-            flat_products[(a, b)] = sub.project_flat(mul[a][b])
+    # flat-projection of each nonzero basis product e_a e_b, by linearity from the basis
+    flat_basis = [sub.project_flat(algebra.basis_element(k).coords) for k in range(n)]
+    flat_products: dict[tuple[int, int], list] = {}
+    for a, b, k, c in algebra.entries():
+        acc = flat_products.setdefault((a, b), [0] * sub.flat_dim)
+        for comp, v in enumerate(flat_basis[k]):
+            acc[comp] += c * v
     for i in range(n):
         for j in range(i, n):
             for comp in range(sub.flat_dim):
                 row: dict[int, Fraction] = {}
-                for a in range(n):
-                    for b in range(n):
-                        coeff = flat_products[(a, b)][comp]
-                        if coeff == 0:
-                            continue
-                        for idx in (
-                            _flat_index(n, i, j, a, b),
-                            _flat_index(n, j, i, a, b),
-                        ):
-                            s = row.get(idx, Fraction(0)) + coeff
-                            if s == 0:
-                                row.pop(idx, None)
-                            else:
-                                row[idx] = s
+                for (a, b), flat in flat_products.items():
+                    coeff = flat[comp]
+                    if coeff == 0:
+                        continue
+                    for idx in (
+                        _flat_index(n, i, j, a, b),
+                        _flat_index(n, j, i, a, b),
+                    ):
+                        s = row.get(idx, Fraction(0)) + coeff
+                        if s == 0:
+                            row.pop(idx, None)
+                        else:
+                            row[idx] = s
                 if row:
                     yield row
 
@@ -550,19 +551,17 @@ def double_derivation_space(algebra: FDAlgebra):
 
     The derivation space is the nullspace of the outer-structure Leibniz
     system on maps A -> A(x)A; both lists come back as DoubleDerivation
-    values (the inner generators are not linearly independent in general).
+    values (the inner generators are not linearly independent in general),
+    their images read off the sparse rows.
     """
-    from .brackets import DoubleDerivation
-
     n = algebra.dim
-    zero = Fraction(0)
 
-    def derivation(coords) -> DoubleDerivation:
-        grids = [
-            [[coords.get((i * n + a) * n + b, zero) for b in range(n)] for a in range(n)]
-            for i in range(n)
-        ]
-        return DoubleDerivation.from_grids(algebra, grids)
+    def derivation(row) -> DoubleDerivation:
+        images = [{} for _ in range(n)]
+        for idx, v in row.items():
+            i, ab = divmod(idx, n * n)
+            images[i][divmod(ab, n)] = v
+        return DoubleDerivation(algebra, tuple(Tensor2(algebra, terms) for terms in images))
 
     der_basis = [derivation(vec) for vec in _derivation_basis(algebra)]
     inner_gens = [derivation(row) for row in _inner_derivation_rows(algebra)]

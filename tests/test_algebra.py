@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -19,7 +21,7 @@ from doublepoisson.algebra import (
     preset_dim,
     resolve_preset,
 )
-from doublepoisson.io import algebra_from_json
+from doublepoisson.io import algebra_from_json, algebra_to_json
 from doublepoisson.linalg import rank_of_vectors
 
 
@@ -75,15 +77,11 @@ def test_all_nine_a2_products(a2):
 
 
 def test_associativity_enforced():
-    bad = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-    bad[0][0][0] = Fraction(1)
-    bad[0][1][0] = Fraction(1)
-    bad[1][0][1] = Fraction(1)
-    bad[1][1][1] = Fraction(1)
-    bad[1][0][0] = Fraction(1)  # breaks associativity and the unit law
+    one = Fraction(1)
+    # the last entry breaks associativity and the unit law
+    bad = [(0, 0, 0, one), (0, 1, 0, one), (1, 0, 1, one), (1, 1, 1, one), (1, 0, 0, one)]
     with pytest.raises(AlgebraError):
-        FDAlgebra("bad", ("x", "y"), (Fraction(1), Fraction(0)),
-                  tuple(tuple(tuple(v) for v in row) for row in bad))
+        FDAlgebra.from_entries("bad", ("x", "y"), (Fraction(1), Fraction(0)), bad)
 
 
 def test_direct_sum_examples():
@@ -103,7 +101,7 @@ def test_preset_resolution():
     assert resolve_preset("mat1+mat1").dim == 2
     assert resolve_preset("a2+mat1").dim == 4
     assert resolve_preset("nope") is None
-    assert resolve_preset(" a2 + mat1 ").mul == resolve_preset("a2+mat1").mul
+    assert resolve_preset(" a2 + mat1 ") == resolve_preset("a2+mat1")
     for name in ("a2", "mat3", "mat1+mat1", " a2 + mat2 "):
         assert is_preset(name)
     for name in ("nope", "mat0", "a2+", "a2+a2-rebased.json", "mat2+x", ""):
@@ -177,6 +175,131 @@ def test_dim_split_property():
             assert sub.contains(commutator(x, y).coords)
 
 
+# -- oracle: the dense structure constants -----------------------------------------
+#
+# The algebra used to store its dense structure constants mul[i][j][k], and the
+# presets were built as dense dim^3 grids.  The loops below are those builders,
+# kept as the oracle of the sparse product entries.
+
+
+_DENSE_MUL: dict = {}  # id(alg) -> (alg, mul); holding alg keeps its id unique
+
+
+def _dense_mul(alg):
+    """mul[i][j][k]: the coefficient of e_k in e_i e_j, zeros filled in.
+
+    Cached by identity: the oracles call it in their inner loops, where
+    hashing the algebra would cost more than the lookup saves.
+    """
+    hit = _DENSE_MUL.get(id(alg))
+    if hit is None:
+        n = alg.dim
+        mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in alg.entries():
+            mul[i][j][k] = c
+        hit = _DENSE_MUL[id(alg)] = (alg, _frozen(mul))
+    return hit[1]
+
+
+def _frozen(mul):
+    return tuple(tuple(tuple(v) for v in row) for row in mul)
+
+
+def _dense_entries(mul):
+    """Every (i, j, k, mul[i][j][k]), zeros included: the builder drops them."""
+    n = len(mul)
+    return [(i, j, k, mul[i][j][k]) for i in range(n) for j in range(n) for k in range(n)]
+
+
+def _dense_matrix_fields(n):
+    dim = n * n
+    names = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
+    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, l in product(range(n), repeat=4):
+        if j == k:
+            mul[i * n + j][k * n + l][i * n + l] = Fraction(1)
+    unit = [Fraction(0)] * dim
+    for i in range(n):
+        unit[i * n + i] = Fraction(1)
+    return (f"mat{n}", names, tuple(unit), _frozen(mul))
+
+
+def _dense_a2_fields():
+    z, o = Fraction(0), Fraction(1)
+    mul = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), k in {(1, 1): 1, (2, 2): 2, (1, 0): 0, (0, 2): 0}.items():
+        mul[i][j][k] = o
+    return ("a2", ("e0", "e1", "e2"), (z, o, o), _frozen(mul))
+
+
+def _dense_sum_fields(a, b):
+    a_name, a_basis, a_unit, a_mul = a
+    b_name, b_basis, b_unit, b_mul = b
+    na, nb = len(a_basis), len(b_basis)
+    dim = na + nb
+    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k in product(range(na), repeat=3):
+        mul[i][j][k] = a_mul[i][j][k]
+    for i, j, k in product(range(nb), repeat=3):
+        mul[na + i][na + j][na + k] = b_mul[i][j][k]
+    return (
+        f"{a_name}+{b_name}",
+        tuple(f"a.{s}" for s in a_basis) + tuple(f"b.{s}" for s in b_basis),
+        a_unit + b_unit,
+        _frozen(mul),
+    )
+
+
+def _dense_preset_fields(name):
+    parts = [_dense_a2_fields() if p == "a2" else _dense_matrix_fields(int(p[3:])) for p in name.split("+")]
+    return reduce(_dense_sum_fields, parts)
+
+
+DENSE_ORACLE_PRESETS = ("a2", "mat1", "mat2", "mat3", "mat4", "a2+mat1", "mat2+mat1+a2")
+
+
+@pytest.mark.parametrize("name", DENSE_ORACLE_PRESETS)
+def test_sparse_presets_match_dense_oracle(name):
+    alg = resolve_preset(name)
+    want_name, want_basis, want_unit, want_mul = _dense_preset_fields(name)
+    assert (alg.name, alg.basis_names, alg.unit) == (want_name, want_basis, want_unit)
+    assert _dense_mul(alg) == want_mul
+    # the products view holds exactly the nonzero constants, k ascending
+    for i, j in product(range(alg.dim), repeat=2):
+        assert alg.products[i][j] == tuple((k, c) for k, c in enumerate(want_mul[i][j]) if c)
+    assert alg == FDAlgebra.from_entries(want_name, want_basis, want_unit, _dense_entries(want_mul))
+
+
+@pytest.mark.parametrize("name", DENSE_ORACLE_PRESETS)
+def test_preset_json_round_trip_and_direct_sum_agree(name):
+    alg = resolve_preset(name)
+    back = algebra_from_json(algebra_to_json(alg))
+    assert back == alg and hash(back) == hash(alg)
+    summed = reduce(direct_sum, (resolve_preset(p) for p in name.split("+")))
+    assert summed == alg and hash(summed) == hash(alg)
+
+
+def test_entries_builder_sums_duplicates_and_drops_zeros():
+    half = Fraction(1, 2)
+    clean = [(1, 1, 1, Fraction(1)), (2, 2, 2, Fraction(1)), (1, 0, 0, Fraction(1)), (0, 2, 0, Fraction(1))]
+    messy = [
+        (0, 2, 0, half), (1, 1, 1, Fraction(3)), (2, 2, 2, Fraction(1)), (0, 0, 1, Fraction(0)),
+        (1, 0, 0, Fraction(1)), (2, 1, 0, Fraction(7)), (1, 1, 1, Fraction(-2)), (0, 2, 0, half),
+        (2, 1, 0, Fraction(-7)),
+    ]
+    unit = (Fraction(0), Fraction(1), Fraction(1))
+    a = FDAlgebra.from_entries("a2", ("e0", "e1", "e2"), unit, clean)
+    b = FDAlgebra.from_entries("a2", ("e0", "e1", "e2"), unit, messy)
+    assert a == b == make_a2() and hash(a) == hash(b)
+    assert b.products[2][1] == () and b.products[0][0] == ()
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 3), (3, 0, 0), (0, -1, 0)])
+def test_entries_builder_rejects_out_of_range(entry):
+    with pytest.raises(AlgebraError, match="not in 0..2"):
+        FDAlgebra.from_entries("a2", ("e0", "e1", "e2"), (0, 1, 1), [*make_a2().entries(), (*entry, 1)])
+
+
 # -- oracle: the dense load-time laws ---------------------------------------------
 
 
@@ -212,10 +335,8 @@ def _structure_tables(draw):
         n = alg.dim
         perm = draw(st.permutations(range(n)))
         mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    mul[perm[i]][perm[j]][perm[k]] = alg.mul[i][j][k]
+        for i, j, k, c in alg.entries():
+            mul[perm[i]][perm[j]][perm[k]] = c
         unit = [Fraction(0)] * n
         for i in range(n):
             unit[perm[i]] = alg.unit[i]
@@ -240,8 +361,7 @@ def test_sparse_laws_match_dense_oracle(table):
     unit, mul = table
     expected = _dense_law_error("t", unit, mul)
     try:
-        FDAlgebra("t", tuple(f"x{i}" for i in range(len(unit))), tuple(unit),
-                  tuple(tuple(tuple(v) for v in row) for row in mul))
+        FDAlgebra.from_entries("t", tuple(f"x{i}" for i in range(len(unit))), unit, _dense_entries(mul))
         got = None
     except AlgebraError as e:
         got = str(e)

@@ -28,6 +28,7 @@ from doublepoisson.inner import (
 from doublepoisson.modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, distinct_up_to_scalar, scalar_is_zero
 from doublepoisson.tensors import Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
+from test_algebra import _dense_mul
 from test_solver import _t3_json
 
 SPECS = ("a2", "mat1+mat1", "mat2", "a2+a2", "T3")
@@ -75,12 +76,13 @@ def _dense_left_matrix(x):
     """L with x e_a = sum_c L[c][a] e_c."""
     alg = x.algebra
     n = alg.dim
+    mul = _dense_mul(alg)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for i, xi in enumerate(x.coords):
         if scalar_is_zero(xi):
             continue
         for a in range(n):
-            row = alg.mul[i][a]
+            row = mul[i][a]
             for c in range(n):
                 if row[c] != 0:
                     mat[c][a] = mat[c][a] + xi * row[c]
@@ -91,12 +93,13 @@ def _dense_right_matrix(x):
     """R with e_a x = sum_c R[c][a] e_c."""
     alg = x.algebra
     n = alg.dim
+    mul = _dense_mul(alg)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for j, xj in enumerate(x.coords):
         if scalar_is_zero(xj):
             continue
         for a in range(n):
-            row = alg.mul[a][j]
+            row = mul[a][j]
             for c in range(n):
                 if row[c] != 0:
                     mat[c][a] = mat[c][a] + xj * row[c]
@@ -150,7 +153,7 @@ def _dense_second_leibniz(db, rels=None):
     residuals = []
     for i, k, l in product(range(n), repeat=3):
         lhs = Tensor2.zero(alg)
-        for m, c in enumerate(alg.basis_product(k, l)):
+        for m, c in enumerate(_dense_mul(alg)[k][l]):
             if c != 0:
                 lhs = lhs + db.eval_basis(i, m).scale(c)
         ek, el = alg.basis_element(k), alg.basis_element(l)
@@ -169,7 +172,7 @@ def _dense_first_leibniz(db, rels=None):
     residuals = []
     for k, l, i in product(range(n), repeat=3):
         lhs = Tensor2.zero(alg)
-        for m, c in enumerate(alg.basis_product(k, l)):
+        for m, c in enumerate(_dense_mul(alg)[k][l]):
             if c != 0:
                 lhs = lhs + db.eval_basis(m, i).scale(c)
         ek, el = alg.basis_element(k), alg.basis_element(l)
@@ -223,11 +226,12 @@ def _dense_leg_commutator(t, x, leg):
 def _dense_legwise_product(t, u):
     alg = t.algebra
     n = alg.dim
+    mul = _dense_mul(alg)
     out = _zero3(n)
     for a, b, c, v in t.entries():
         for p, q, r, w in u.entries():
             coeff = v * w
-            row1, row2, row3 = alg.mul[a][p], alg.mul[b][q], alg.mul[c][r]
+            row1, row2, row3 = mul[a][p], mul[b][q], mul[c][r]
             for i in range(n):
                 if row1[i] == 0:
                     continue
@@ -288,7 +292,7 @@ def _dense_multiplied(mb, x, y):
         if scalar_is_zero(c):
             continue
         for a, b, v in mb.eval_basis(i, j).entries():
-            for k, w in enumerate(alg.basis_product(a, b)):
+            for k, w in enumerate(_dense_mul(alg)[a][b]):
                 out[k] = out[k] + c * v * w
     return alg.element(out)
 
@@ -324,7 +328,7 @@ def _dense_inner_bracket(r):
     alg = r.algebra
     n = alg.dim
     grid = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    mul = alg.mul
+    mul = _dense_mul(alg)
     for p, q, w in r.entries():
         for i in range(n):
             for j in range(n):

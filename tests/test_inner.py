@@ -41,6 +41,12 @@ def test_wedge_construction(a2):
     with pytest.raises(AlgebraError):
         WedgeElement.of(a2, [[Fraction(1)] * 3 for _ in range(3)])
     assert WedgeElement.wedge(e0, e0).is_zero()
+    # terms are stored once, a < b; reversed and repeated terms are summed
+    r = WedgeElement.from_terms(a2, [(1, 0, Fraction(2)), (0, 1, Fraction(3)), (2, 2, Fraction(5))])
+    assert r.terms == ((0, 1, Fraction(1)),) and r == WedgeElement.of(a2, r.grid)
+    for bad in ((0, 3, Fraction(1)), (-1, 0, Fraction(1))):
+        with pytest.raises(AlgebraError):
+            WedgeElement.from_terms(a2, [bad])
 
 
 def test_inner_bracket_paper_values(a2):

@@ -14,9 +14,25 @@ def test_algebra_round_trip():
     a2 = make_a2()
     data = dpio.algebra_to_json(a2)
     back = dpio.algebra_from_json(data)
-    assert back.basis_names == a2.basis_names
-    assert back.unit == a2.unit
-    assert back.mul == a2.mul
+    assert back == a2 and hash(back) == hash(a2)
+
+
+# a2 in the basis (e0, e1/2, e2): f1 f1 = 1/2 f1, f1 f0 = 1/2 f0, unit 2 f1 + f2
+A2_HALVED = {
+    "name": "a2-halved",
+    "basis": ["f0", "f1", "f2"],
+    "unit": ["0", "2", "1"],
+    "mul": [[0, 2, 0, "1"], [1, 0, 0, "1/2"], [1, 1, 1, "1/2"], [2, 2, 2, "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ["a2", "mat1", "mat2", "mat3", "mat4", "mat1+mat1", "a2+mat1", "mat2+mat1+a2", "a2-halved"]
+)
+def test_algebra_json_round_trip_is_byte_identical(spec):
+    data = A2_HALVED if spec == "a2-halved" else dpio.algebra_to_json(dpio.load_algebra(spec))
+    text = dpio.dump_json(data)
+    assert dpio.dump_json(dpio.algebra_to_json(dpio.algebra_from_json(json.loads(text)))) == text
 
 
 def test_algebra_file_via_cli(tmp_path):

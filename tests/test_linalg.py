@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from doublepoisson.linalg import (
     QMatrix,
@@ -8,6 +12,7 @@ from doublepoisson.linalg import (
     in_span,
     invert_matrix,
     nullspace_of_rows,
+    primitive_row,
     rank_of_vectors,
     subspaces_equal,
 )
@@ -166,3 +171,54 @@ def test_canonical_basis_recovers_the_nullspace_basis_from_any_spanning_set():
         rows = canonical_basis(mixed, ncols)
         assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
         assert [[row.get(c, 0) for c in range(ncols)] for row in rows] == basis
+
+
+# -- oracle: the elimination that normalized every row twice -----------------------
+
+
+def _old_add_row(pivot_rows, row):
+    """add_row as it was: every row cleared of denominators, primitive again at the pivot."""
+    entries = {c: v for c, v in row.items() if v != 0}
+    if not entries:
+        return
+    den = 1
+    for v in entries.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    work = primitive_row({c: v.numerator * (den // v.denominator) for c, v in entries.items()})
+    while work:
+        lead = min(work)
+        pivot = pivot_rows.get(lead)
+        if pivot is None:
+            pivot_rows[lead] = primitive_row(work)
+            return
+        a, b = pivot[lead], work[lead]
+        combined = {c: a * v for c, v in work.items()}
+        for c, v in pivot.items():
+            s = combined.get(c, 0) - b * v
+            if s == 0:
+                combined.pop(c, None)
+            else:
+                combined[c] = s
+        work = primitive_row(combined)
+
+
+_row_values = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.dictionaries(st.integers(0, n - 1), _row_values, max_size=5), max_size=12)
+)))
+def test_pivot_rows_match_the_twice_normalized_elimination(case):
+    ncols, rows = case
+    elim = SparseEliminator(ncols)
+    old: dict = {}
+    for row in rows:
+        elim.add_row(row)
+        _old_add_row(old, row)
+        assert elim.pivot_rows == old
+        assert all(type(v) is int for r in elim.pivot_rows.values() for v in r.values())

@@ -10,7 +10,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
-from doublepoisson.algebra import FDAlgebra, generating_set, make_a2, make_matrix_algebra, resolve_preset
+from doublepoisson.algebra import (
+    FDAlgebra,
+    commutator_subspace,
+    generating_set,
+    make_a2,
+    make_matrix_algebra,
+    resolve_preset,
+)
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -44,6 +51,7 @@ from doublepoisson.solver import (
     solve_linear,
     solve_modified_linear,
 )
+from test_algebra import _dense_mul
 
 
 @pytest.fixture(scope="module")
@@ -358,15 +366,12 @@ def _linear_variety(spec):
 def _relabelled(algebra, perm):
     """The algebra with basis element i renamed perm[i]."""
     n = algebra.dim
-    mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     unit = [Fraction(0)] * n
     for i in range(n):
         unit[perm[i]] = algebra.unit[i]
-        for j in range(n):
-            for k in range(n):
-                mul[perm[i]][perm[j]][perm[k]] = algebra.mul[i][j][k]
+    entries = [(perm[i], perm[j], perm[k], c) for i, j, k, c in algebra.entries()]
     names = tuple(algebra.basis_names[perm.index(i)] for i in range(n))
-    return FDAlgebra(algebra.name, names, tuple(unit), tuple(tuple(tuple(v) for v in row) for row in mul))
+    return FDAlgebra.from_entries(algebra.name, names, unit, entries)
 
 
 @seed(20261019)
@@ -427,10 +432,15 @@ def test_polarization_matches_oracle_on_random_brackets(variety):
 
 # -- oracle: the dense row loops over all index tuples ------------------------------
 #
-# The Leibniz rows and the derivation space used to be built by scanning the
-# dense structure constants mul[i][j][k] for every index tuple, and the inner
-# generators as dense DoubleDerivation values.  Those loops, kept here, are
-# the oracle of the rows read from the sparse product table.
+# The Leibniz rows, the H0-skew rows and the derivation space used to be built
+# by scanning the dense structure constants mul[i][j][k] for every index
+# tuple, and the derivations as dense DoubleDerivation values.  Those loops,
+# kept here, are the oracle of the rows read from the sparse product table.
+
+
+def _from_grids(algebra, grids):
+    """The DoubleDerivation with image grids[i][a][b] of e_i."""
+    return DoubleDerivation(algebra, tuple(Tensor2.of(algebra, g) for g in grids))
 
 
 def _row_adder(row):
@@ -450,7 +460,7 @@ def _flat4(n, i, j, a, b):
 
 def _dense_second_leibniz_rows(algebra):
     n = algebra.dim
-    mul = algebra.mul
+    mul = _dense_mul(algebra)
     for i, k, l, c, d in product(range(n), repeat=5):
         row = {}
         add = _row_adder(row)
@@ -469,7 +479,7 @@ def _dense_second_leibniz_rows(algebra):
 
 def _dense_first_leibniz_rows(algebra):
     n = algebra.dim
-    mul = algebra.mul
+    mul = _dense_mul(algebra)
     for k, l, i, c, d in product(range(n), repeat=5):
         row = {}
         add = _row_adder(row)
@@ -488,7 +498,7 @@ def _dense_first_leibniz_rows(algebra):
 
 def _dense_double_derivation_space(algebra):
     n = algebra.dim
-    mul = algebra.mul
+    mul = _dense_mul(algebra)
 
     def flat(i, a, b):
         return (i * n + a) * n + b
@@ -510,7 +520,7 @@ def _dense_double_derivation_space(algebra):
                 yield row
 
     der_basis = [
-        DoubleDerivation.from_grids(
+        _from_grids(
             algebra, [[[vec.get(flat(i, a, b), 0) for b in range(n)] for a in range(n)] for i in range(n)]
         )
         for vec in nullspace_of_rows(rows(), n**3)
@@ -520,6 +530,25 @@ def _dense_double_derivation_space(algebra):
         grid = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]
         inner_gens.append(DoubleDerivation.inner(Tensor2.of(algebra, grid)))
     return der_basis, inner_gens
+
+
+def _dense_h0_skew_rows(algebra):
+    n = algebra.dim
+    mul = _dense_mul(algebra)
+    sub = commutator_subspace(algebra)
+    flat_products = {(a, b): sub.project_flat(mul[a][b]) for a, b in product(range(n), repeat=2)}
+    for i in range(n):
+        for j in range(i, n):
+            for comp in range(sub.flat_dim):
+                row = {}
+                add = _row_adder(row)
+                for a, b in product(range(n), repeat=2):
+                    coeff = flat_products[(a, b)][comp]
+                    if coeff != 0:
+                        add(_flat4(n, i, j, a, b), coeff)
+                        add(_flat4(n, j, i, a, b), coeff)
+                if row:
+                    yield row
 
 
 def _slot_derivation_rows(algebra):
@@ -537,6 +566,12 @@ def test_leibniz_rows_match_dense_oracle(spec, tmp_path):
     assert sorted(sorted(r.items()) for r in _first_leibniz_rows(algebra)) == sorted(
         sorted(r.items()) for r in _dense_first_leibniz_rows(algebra)
     )
+
+
+@pytest.mark.parametrize("spec", ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2"))
+def test_h0_skew_rows_match_dense_oracle(spec, tmp_path):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    assert list(_h0_skew_rows(algebra)) == list(_dense_h0_skew_rows(algebra))
 
 
 def _halved_json(spec, path):
@@ -601,19 +636,20 @@ def _rebased_json(spec, path, seed):
         P[a] = [x + s * y for x, y in zip(P[a], P[b])]
         for row in Q:
             row[b] -= s * row[a]
-    mul = []
+    mul = _dense_mul(algebra)
+    entries = []
     for i, k in product(range(n), repeat=2):
         # f_i f_k in e-coordinates, then in f-coordinates via e_m = sum_r Q[m][r] f_r
         e_coords = [
-            sum(P[i][j] * P[k][l] * algebra.mul[j][l][m] for j in range(n) for l in range(n))
+            sum(P[i][j] * P[k][l] * mul[j][l][m] for j in range(n) for l in range(n))
             for m in range(n)
         ]
         for r in range(n):
             c = sum(e_coords[m] * Q[m][r] for m in range(n))
             if c:
-                mul.append([i, k, r, str(c)])
+                entries.append([i, k, r, str(c)])
     data = dpio.algebra_to_json(algebra)
-    data["mul"] = mul
+    data["mul"] = entries
     data["unit"] = [str(sum(algebra.unit[m] * Q[m][r] for m in range(n))) for r in range(n)]
     path.write_text(json.dumps(data))
     return str(path)
