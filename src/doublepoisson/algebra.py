@@ -401,9 +401,6 @@ class CommutatorSubspace:
             raise AlgebraError("projection failed: reduction left non-complement coordinates")
         return tuple(vec[i] for i in self.complement_indices)
 
-    def flat_basis_elements(self) -> list[AlgElement]:
-        return [self.algebra.basis_element(i) for i in self.complement_indices]
-
 
 def commutator_subspace(algebra: FDAlgebra) -> CommutatorSubspace:
     """Span of all basis commutators [e_i, e_j], with flat-space bookkeeping."""

@@ -10,20 +10,47 @@ The stored form is sparse: ``terms[i][j]`` holds the nonzero (a, b,
 C[i][j][a][b]) in (a, b) order.  Every constructor builds it directly, and
 ``coeffs`` and ``flat_coeffs()`` are dense views derived on demand.
 
-The checkers sum each residual over the nonzero coefficients only: the
-bracket's ``terms`` and the algebra's product table ``products``.  A
-residual is a sparse tensor {position: coefficient}, and a witness wraps it
-in a Tensor2 or Tensor3 without densifying it.
+Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
+The checkers fold it over the bracket's ``terms`` and the product table
+``products``, so a residual, a sparse tensor {position: coefficient}, sums
+nonzero coefficients only; a witness wraps it in a Tensor2 or Tensor3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
+from .axioms import (
+    derivation_terms,
+    first_leg_pairs,
+    flipped,
+    inner_derivation_terms,
+    jacobiator_parts,
+    skew_terms,
+)
 from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
 from .tensors import _ZERO, Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
+
+
+def _residual(terms) -> dict:
+    """The checker fold of a linear rule: coefficient * payload summed at each position."""
+    out: dict = {}
+    for pos, c, v in terms:
+        prev = out.get(pos)
+        out[pos] = c * v if prev is None else prev + c * v
+    return out
+
+
+def _pair_residual(pairs) -> dict:
+    """The checker fold of a bilinear rule: x * y summed at each position."""
+    out: dict = {}
+    for pos, x, y in pairs:
+        prev = out.get(pos)
+        out[pos] = x * y if prev is None else prev + x * y
+    return out
 
 
 def _residual_zero(value, rels: RelationSet | None) -> bool:
@@ -193,56 +220,41 @@ class CoefficientBracket:
 
     # -- Leibniz rules (shared) ------------------------------------------------
     #
-    # Each rule is a sparse residual {(a, b): coefficient} per basis triple,
-    # read from terms and the product table; first_leibniz_residual returns
-    # the same residual as a Tensor2.
+    # Each rule is the checker fold of ``axioms.derivation_terms`` per basis
+    # triple: a sparse residual {(a, b): coefficient}.
 
-    def _second_leibniz_terms(self, i: int, k: int, l: int) -> dict:
-        prods = self.algebra.products
-        row = self.terms[i]
-        out: dict = {}
-        for m, c in prods[k][l]:  # {{e_i, e_k e_l}}
-            for a, b, v in row[m]:
-                out[(a, b)] = out.get((a, b), 0) + c * v
-        for a, b, v in row[l]:  # (e_k (x) 1){{e_i, e_l}} = e_k a (x) b
-            for m, c in prods[k][a]:
-                out[(m, b)] = out.get((m, b), 0) - c * v
-        for a, b, v in row[k]:  # {{e_i, e_k}}(1 (x) e_l) = a (x) b e_l
-            for m, c in prods[b][l]:
-                out[(a, m)] = out.get((a, m), 0) - c * v
-        return out
-
-    def _first_leibniz_terms(self, k: int, l: int, i: int) -> dict:
-        prods = self.algebra.products
-        terms = self.terms
-        out: dict = {}
-        for m, c in prods[k][l]:  # {{e_k e_l, e_i}}
-            for a, b, v in terms[m][i]:
-                out[(a, b)] = out.get((a, b), 0) + c * v
-        for a, b, v in terms[l][i]:  # (1 (x) e_k){{e_l, e_i}} = a (x) e_k b
-            for m, c in prods[k][b]:
-                out[(a, m)] = out.get((a, m), 0) - c * v
-        for a, b, v in terms[k][i]:  # {{e_k, e_i}}(e_l (x) 1) = a e_l (x) b
-            for m, c in prods[a][l]:
-                out[(m, b)] = out.get((m, b), 0) - c * v
-        return out
+    def _first_rule_images(self, i: int) -> list:
+        """images[m] = {{e_m, e_i}}°: x -> {{x, e_i}}° is a double derivation."""
+        return [flipped(self.terms[m][i]) for m in range(self.algebra.dim)]
 
     def _tensor2(self, terms: dict) -> Tensor2:
         return tensor_from_terms(self.algebra, terms)
 
     def first_leibniz_residual(self, k: int, l: int, i: int) -> Tensor2:
         """{{e_k e_l, e_i}} - (1(x)e_k){{e_l, e_i}} - {{e_k, e_i}}(e_l(x)1)."""
-        return self._tensor2(self._first_leibniz_terms(k, l, i))
+        images = self._first_rule_images(i)
+        return self._tensor2(_residual(derivation_terms(self.algebra.products, images, k, l))).flip()
 
     def check_second_leibniz(self, rels: RelationSet | None = None):
         """All-basis-triples check of the outer-structure Leibniz rule."""
+        prods, terms = self.algebra.products, self.terms
+
+        def residual(i, k, l):
+            return _residual(derivation_terms(prods, terms[i], k, l))
+
         triples = product(range(self.algebra.dim), repeat=3)
-        return _witnesses("second", triples, self._second_leibniz_terms, self._tensor2, rels)
+        return _witnesses("second", triples, residual, self._tensor2, rels)
 
     def check_first_leibniz(self, rels: RelationSet | None = None):
         """All-basis-triples check of the first-argument rule, tagged ("first", k, l, i)."""
+        prods = self.algebra.products
+        images = [self._first_rule_images(i) for i in range(self.algebra.dim)]
+
+        def residual(k, l, i):
+            return _residual(derivation_terms(prods, images[i], k, l))
+
         triples = product(range(self.algebra.dim), repeat=3)
-        return _witnesses("first", triples, self._first_leibniz_terms, self._tensor2, rels)
+        return _witnesses("first", triples, residual, lambda terms: self._tensor2(terms).flip(), rels)
 
 
 class DoubleBracket(CoefficientBracket):
@@ -250,16 +262,14 @@ class DoubleBracket(CoefficientBracket):
 
     # -- skew symmetry ---------------------------------------------------------
 
-    def _skew_terms(self, i: int, j: int) -> dict:
-        out = {(a, b): v for a, b, v in self.terms[i][j]}
-        for a, b, v in self.terms[j][i]:
-            out[(b, a)] = out.get((b, a), 0) + v
-        return out
-
     def check_skew(self, rels: RelationSet | None = None):
-        n = self.algebra.dim
+        n, terms = self.algebra.dim, self.terms
         pairs = ((i, j) for i in range(n) for j in range(i, n))
-        return _witnesses("skew", pairs, self._skew_terms, self._tensor2, rels)
+
+        def residual(i, j):
+            return _residual(skew_terms(terms[i][j], terms[j][i]))
+
+        return _witnesses("skew", pairs, residual, self._tensor2, rels)
 
     # -- Leibniz ----------------------------------------------------------------
 
@@ -274,23 +284,20 @@ class DoubleBracket(CoefficientBracket):
 
     # -- double Jacobi ------------------------------------------------------------
 
-    def _first_leg_terms(self, i: int, j: int, k: int) -> dict:
-        """{{e_i,{{e_j,e_k}}}}_L = sum C[j][k][a][b] {{e_i, e_a}} (x) e_b, sparse."""
-        row = self.terms[i]
-        out: dict = {}
-        for a, b, v in self.terms[j][k]:
-            for c, d, w in row[a]:
-                out[(c, d, b)] = out.get((c, d, b), 0) + v * w
-        return out
+    def _first_leg(self, i: int, j: int, k: int) -> dict:
+        """{{e_i,{{e_j,e_k}}}}_L as a sparse tensor {(c, d, b): coefficient}."""
+        return _pair_residual(first_leg_pairs(self.terms[i], self.terms[j][k]))
 
     def _jacobiator_terms(self, i: int, j: int, k: int, first_leg=None) -> dict:
-        """F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j), F the first-leg product."""
-        first_leg = first_leg or self._first_leg_terms
-        out = dict(first_leg(i, j, k))
-        for (a, b, c), v in first_leg(j, k, i).items():  # tau123: c (x) a (x) b
-            out[(c, a, b)] = out.get((c, a, b), 0) + v
-        for (a, b, c), v in first_leg(k, i, j).items():  # tau132: b (x) c (x) a
-            out[(b, c, a)] = out.get((b, c, a), 0) + v
+        """The jacobiator J(i, j, k) (``axioms.jacobiator_parts``) as a sparse tensor."""
+        first_leg = first_leg or self._first_leg
+        out: dict = {}
+        for t, legs in jacobiator_parts(i, j, k):
+            permuted = itemgetter(*legs)
+            for p, v in first_leg(*t).items():
+                key = permuted(p)
+                prev = out.get(key)
+                out[key] = v if prev is None else prev + v
         return out
 
     def _tensor3(self, terms: dict) -> Tensor3:
@@ -301,21 +308,15 @@ class DoubleBracket(CoefficientBracket):
         return self._tensor3(self._jacobiator_terms(i, j, k))
 
     def jacobiator_element(self, x: AlgElement, y: AlgElement, z: AlgElement) -> Tensor3:
-        """Trilinear extension of the jacobiator to arbitrary elements."""
-        out: dict = {}
-        for i, xi in enumerate(x.coords):
-            if scalar_is_zero(xi):
-                continue
-            for j, yj in enumerate(y.coords):
-                if scalar_is_zero(yj):
-                    continue
-                for k, zk in enumerate(z.coords):
-                    if scalar_is_zero(zk):
-                        continue
-                    c = xi * yj * zk
-                    for key, v in self._jacobiator_terms(i, j, k).items():
-                        out[key] = out.get(key, 0) + c * v
-        return self._tensor3(out)
+        """Trilinear extension of the jacobiator: the first legs of (x, y, z) come from ``eval``."""
+        args = (x, y, z)
+        basis = [self.algebra.basis_element(a) for a in range(self.algebra.dim)]
+
+        def first_leg(u, v, w):
+            row = [list(self.eval(args[u], e).entries()) for e in basis]
+            return _pair_residual(first_leg_pairs(row, self.eval(args[v], args[w]).entries()))
+
+        return self._tensor3(self._jacobiator_terms(0, 1, 2, first_leg))
 
     def check_jacobi(self, rels: RelationSet | None = None, collect: bool = True):
         """Jacobiator witnesses over basis triples, scanned in (i, j, k) order.
@@ -328,7 +329,7 @@ class DoubleBracket(CoefficientBracket):
 
         def first_leg(*t):
             if t not in cache:
-                cache[t] = self._first_leg_terms(*t)
+                cache[t] = self._first_leg(*t)
             return cache[t]
 
         def residual(i, j, k):
@@ -372,18 +373,9 @@ class DoubleDerivation:
     def inner(m: Tensor2) -> DoubleDerivation:
         """The inner double derivation a -> a.m - m.a (outer actions)."""
         alg = m.algebra
-        images = []
-        for i in range(alg.dim):
-            e = alg.basis_element(i)
-            images.append(m.outer_left(e) - m.outer_right(e))
-        return DoubleDerivation(alg, tuple(images))
-
-    def apply(self, x: AlgElement) -> Tensor2:
-        out = Tensor2.zero(self.algebra)
-        for i, xi in enumerate(x.coords):
-            if not scalar_is_zero(xi):
-                out = out + self.images[i].scale(xi)
-        return out
+        tensor = [(p, q, w) for (p, q), w in m.terms.items()]
+        images = (_residual(inner_derivation_terms(alg.products, tensor, i)) for i in range(alg.dim))
+        return DoubleDerivation(alg, tuple(tensor_from_terms(alg, r) for r in images))
 
     def flat_coeffs(self) -> list:
         """Images flattened in (basis index, leg a, leg b) order."""
@@ -392,19 +384,12 @@ class DoubleDerivation:
     def leibniz_residuals(self):
         """delta(e_i e_j) - delta(e_i).e_j - e_i.delta(e_j) over all pairs."""
         alg = self.algebra
-        n = alg.dim
+        images = [[(a, b, v) for (a, b), v in img.terms.items()] for img in self.images]
         bad = []
-        for i in range(n):
-            for j in range(n):
-                lhs = Tensor2.zero(alg)
-                for m, c in alg.products[i][j]:
-                    lhs = lhs + self.images[m].scale(c)
-                rhs = self.images[i].outer_right(alg.basis_element(j)) + self.images[
-                    j
-                ].outer_left(alg.basis_element(i))
-                r = lhs - rhs
-                if not r.is_zero():
-                    bad.append(((i, j), r))
+        for i, j in product(range(alg.dim), repeat=2):
+            r = tensor_from_terms(alg, _residual(derivation_terms(alg.products, images, i, j)))
+            if not r.is_zero():
+                bad.append(((i, j), r))
         return bad
 
     def is_derivation(self) -> bool:

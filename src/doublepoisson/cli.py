@@ -60,6 +60,13 @@ def _load_algebra(spec: str):
         raise UsageError(str(e)) from e
 
 
+def _load_bracket(path: str, algebra):
+    try:
+        return dpio.bracket_from_json(json.loads(Path(path).read_text()), algebra)
+    except (FileNotFoundError, json.JSONDecodeError, KeyError, IndexError, ValueError) as e:
+        raise UsageError(f"bad bracket file {path!r}: {e}") from e
+
+
 def _load_guarded(args):
     """The algebra of solve/hh1; dimension >= LARGE_DIM_GUARD needs --force-large.
 
@@ -103,12 +110,8 @@ def _emit(report: dict, args, ok: bool, elapsed: float) -> int:
 def cmd_check(args) -> int:
     started = time.time()
     algebra = _load_algebra(args.algebra)
-    try:
-        data = json.loads(Path(args.bracket).read_text())
-        bracket = dpio.bracket_from_json(data, algebra)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, IndexError, ValueError) as e:
-        raise UsageError(f"bad bracket file {args.bracket!r}: {e}") from e
-    modified = args.modified or bool(data.get("modified"))
+    bracket = _load_bracket(args.bracket, algebra)
+    modified = args.modified or isinstance(bracket, ModifiedBracket)
     report = {
         "command": "check",
         "algebra": args.algebra,
@@ -128,8 +131,6 @@ def cmd_check(args) -> int:
         }
         residuals = [str(tag) for tag, _ in leib] + [str(t) for t, _ in skew] + [str(t) for t, _ in jac]
     else:
-        if isinstance(bracket, ModifiedBracket):
-            raise UsageError("bracket file is marked modified; pass --modified")
         rep = bracket.check_all()
         report["checks"] = {
             "skew": rep.skew_ok,
@@ -199,11 +200,7 @@ def cmd_induce(args) -> int:
     if args.samples <= 0:
         raise UsageError(f"--samples must be a positive integer, got {args.samples}")
     algebra = _load_algebra(args.algebra)
-    try:
-        data = json.loads(Path(args.bracket).read_text())
-        bracket = dpio.bracket_from_json(data, algebra)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, IndexError, ValueError) as e:
-        raise UsageError(f"bad bracket file {args.bracket!r}: {e}") from e
+    bracket = _load_bracket(args.bracket, algebra)
     table = induce(bracket, args.n)
     report = {"command": "induce", "n": args.n}
     report["inputs"] = {"algebra": _input_digest(args.algebra), "bracket": _input_digest(args.bracket)}

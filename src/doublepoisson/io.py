@@ -10,9 +10,10 @@ bracket:  {"algebra": preset-or-path, "params": [names],
 wedge:    {"algebra": preset-or-path, "terms": [[a, b, "p/q"], ...]}
           meaning sum coeff * (e_a(x)e_b - e_b(x)e_a)
 
-Every index in a file must be an integer in 0 <= idx < dim, and every
-coefficient a string that parses; anything else raises ValueError naming the
-entry (a usage error, exit 2, on the command line).
+Every file is a JSON object and every list field and entry a JSON array,
+every index an integer in 0 <= idx < dim, and every coefficient a string that
+parses; anything else raises ValueError naming the field or entry (a usage
+error, exit 2, on the command line).
 
 Preset names resolve before file paths, so "a2" never reads a local file a2.
 """
@@ -33,6 +34,8 @@ from .solver import LinearVariety
 
 def load_algebra(spec: str) -> FDAlgebra:
     """Resolve a preset name, else read an algebra JSON file."""
+    if not isinstance(spec, str):
+        raise ValueError(f"algebra must be a preset name or a file path, not {type(spec).__name__}")
     preset = resolve_preset(spec)
     if preset is not None:
         return preset
@@ -40,6 +43,14 @@ def load_algebra(spec: str) -> FDAlgebra:
     if not path.exists():
         raise FileNotFoundError(f"no preset and no file named {spec!r}")
     return algebra_from_json(json.loads(path.read_text()))
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON object (dict) or array (list), else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {name}, not {type(value).__name__}")
+    return value
 
 
 def _check_indices(entry, count: int, dim: int, what: str) -> None:
@@ -60,12 +71,14 @@ def _coefficient(value, where: str, parse=parse_rational):
 
 
 def algebra_from_json(data: dict) -> FDAlgebra:
-    basis = tuple(data["basis"])
+    _expect(data, dict, "algebra")
+    basis = tuple(_expect(data["basis"], list, "basis"))
     n = len(basis)
-    unit = tuple(_coefficient(x, f"unit entry {k}") for k, x in enumerate(data["unit"]))
+    unit = _expect(data["unit"], list, "unit")
+    unit = tuple(_coefficient(x, f"unit entry {k}") for k, x in enumerate(unit))
     entries = []
-    for entry in data["mul"]:
-        i, j, k, coeff = entry
+    for entry in _expect(data["mul"], list, "mul"):
+        i, j, k, coeff = _expect(entry, list, "mul entry")
         _check_indices(entry, 3, n, "mul")
         entries.append((i, j, k, _coefficient(coeff, f"mul entry {entry!r}")))
     return FDAlgebra.from_entries(str(data.get("name", "algebra")), basis, unit, entries)
@@ -81,21 +94,20 @@ def algebra_to_json(algebra: FDAlgebra) -> dict:
 
 
 def bracket_from_json(data: dict, algebra: FDAlgebra | None = None) -> CoefficientBracket:
+    _expect(data, dict, "bracket")
     if algebra is None:
         algebra = load_algebra(data["algebra"])
-    params = tuple(data.get("params", ()))
+    params = tuple(_expect(data.get("params", []), list, "params"))
+    if not all(isinstance(p, str) for p in params):
+        raise ValueError(f"params must be strings, not {params!r}")
     parse = PolyRing(params).parse if params else parse_rational
     entries = []
-    for entry in data.get("coeffs", ()):
-        i, j, a, b, coeff = entry
+    for entry in _expect(data.get("coeffs", []), list, "coeffs"):
+        i, j, a, b, coeff = _expect(entry, list, "bracket entry")
         _check_indices(entry, 4, algebra.dim, "bracket")
         entries.append((i, j, a, b, _coefficient(coeff, f"bracket entry {entry!r}", parse)))
     cls = ModifiedBracket if data.get("modified") else DoubleBracket
     return cls.from_entries(algebra, entries, params)
-
-
-def load_bracket(path: str, algebra: FDAlgebra | None = None) -> CoefficientBracket:
-    return bracket_from_json(json.loads(Path(path).read_text()), algebra)
 
 
 def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None) -> dict:
@@ -111,11 +123,12 @@ def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None
 
 
 def wedge_from_json(data: dict, algebra: FDAlgebra | None = None) -> WedgeElement:
+    _expect(data, dict, "wedge")
     if algebra is None:
         algebra = load_algebra(data["algebra"])
     terms = []
-    for entry in data.get("terms", ()):
-        a, b, c = entry
+    for entry in _expect(data.get("terms", []), list, "terms"):
+        a, b, c = _expect(entry, list, "wedge entry")
         _check_indices(entry, 2, algebra.dim, "wedge")
         terms.append((a, b, _coefficient(c, f"wedge entry {entry!r}")))
     return WedgeElement.from_terms(algebra, terms)

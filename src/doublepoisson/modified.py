@@ -13,6 +13,9 @@ skew modulo commutators, and requires the Jacobi identity
 
 The induced bracket on the universal trace space A_flat = A/[A,A] is computed
 by flat_bracket, with an explicit well-definedness certificate.
+
+Each axiom is written once, in ``axioms``: one generator per axiom, two
+folds.  The checks here fold the generators over a bracket's terms.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
-from .brackets import CoefficientBracket
+from .axioms import h0_jacobiator_parts, h0_skew_terms, multiplied_terms, nested_pairs
+from .brackets import CoefficientBracket, _residual
 from .poly import RelationSet, Scalar, scalar_is_zero
 
 
@@ -39,36 +43,13 @@ class ModifiedBracket(CoefficientBracket):
 
     def multiplied_basis(self, i: int, j: int) -> tuple:
         """Coordinates of m({{e_i, e_j}}) in A."""
-        prods = self.algebra.products
-        out: list[Scalar] = [Fraction(0)] * self.algebra.dim
-        for a, b, v in self.terms[i][j]:
-            for k, c in prods[a][b]:
-                out[k] = out[k] + v * c
-        return tuple(out)
+        r = _residual(multiplied_terms(self.algebra.products, self.terms[i][j]))
+        return tuple(r.get(k, Fraction(0)) for k in range(self.algebra.dim))
 
     def multiplied(self, x: AlgElement, y: AlgElement) -> AlgElement:
         """{x, y} = m({{x, y}}), extended bilinearly to coordinate vectors."""
-        alg = self.algebra
-        n = alg.dim
-        out: list[Scalar] = [Fraction(0)] * n
-        for i, xi in enumerate(x.coords):
-            if scalar_is_zero(xi):
-                continue
-            for j, yj in enumerate(y.coords):
-                if scalar_is_zero(yj):
-                    continue
-                c = xi * yj
-                vec = self.multiplied_basis(i, j)
-                for k in range(n):
-                    if not scalar_is_zero(vec[k]):
-                        out[k] = out[k] + c * vec[k]
-        return alg.element(out)
-
-
-def _multiplied_table(mb: ModifiedBracket) -> list[list[tuple]]:
-    """table[a][b]: the coordinates of m({{e_a, e_b}}), computed once per basis pair."""
-    n = mb.algebra.dim
-    return [[mb.multiplied_basis(a, b) for b in range(n)] for a in range(n)]
+        r = _residual(multiplied_terms(self.algebra.products, self.eval(x, y).entries()))
+        return self.algebra.element([r.get(k, Fraction(0)) for k in range(self.algebra.dim)])
 
 
 def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = None):
@@ -78,12 +59,12 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
     list of violating pairs with their trace-space residuals.
     """
     sub = subspace or commutator_subspace(mb.algebra)
-    table = _multiplied_table(mb)
-    n = mb.algebra.dim
+    n, terms = mb.algebra.dim, mb.terms
     bad = []
     for i in range(n):
         for j in range(i, n):
-            flat = sub.project_flat([a + b for a, b in zip(table[i][j], table[j][i])])
+            r = _residual(h0_skew_terms(mb.algebra.products, terms[i][j], terms[j][i]))
+            flat = sub.project_flat([r.get(c, Fraction(0)) for c in range(n)])
             if any(not scalar_is_zero(c) for c in flat):
                 bad.append(((i, j), flat))
     return bad
@@ -92,27 +73,21 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
 def h0_jacobi_check(mb: ModifiedBracket):
     """Residuals of {a,{b,c}} - {b,{a,c}} - {{a,b},c} over all basis triples.
 
-    Each term is read from the table M[a][b] = m({{e_a, e_b}}), by its nonzero
-    coordinates: {e_i, {e_j, e_k}} = sum_b M[j][k]_b M[i][b], and so on.
+    The table M[a][b] = m({{e_a, e_b}}) holds nonzero coordinates only, and
+    each residual is the checker fold of ``axioms.h0_jacobiator_parts``.
     """
     alg = mb.algebra
     n = alg.dim
     table = [
-        [[(c, v) for c, v in enumerate(vec) if not scalar_is_zero(v)] for vec in row]
-        for row in _multiplied_table(mb)
+        [[(c, v) for c, v in enumerate(mb.multiplied_basis(a, b)) if not scalar_is_zero(v)] for b in range(n)]
+        for a in range(n)
     ]
     bad = []
     for i, j, k in product(range(n), repeat=3):
         r: list[Scalar] = [Fraction(0)] * n
-        for b, v in table[j][k]:
-            for c, w in table[i][b]:
-                r[c] = r[c] + v * w
-        for b, v in table[i][k]:
-            for c, w in table[j][b]:
-                r[c] = r[c] - v * w
-        for a, v in table[i][j]:
-            for c, w in table[a][k]:
-                r[c] = r[c] - v * w
+        for sign, t, left in h0_jacobiator_parts(i, j, k):
+            for c, f, g in nested_pairs(table, *t, left):
+                r[c] = r[c] + f * g if sign > 0 else r[c] - f * g
         if any(not scalar_is_zero(c) for c in r):
             bad.append(((i, j, k), alg.element(r)))
     return bad
@@ -140,41 +115,20 @@ class FlatBracketTable:
                         return False
         return True
 
-    def _bracket_vec(self, x, y):
-        """[x, y] for coordinate vectors over the flat basis, via the table."""
-        d = len(self.basis_indices)
-        out = [Fraction(0)] * d
-        for i, xi in enumerate(x):
-            if scalar_is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if scalar_is_zero(yj):
-                    continue
-                c = xi * yj
-                for k in range(d):
-                    v = self.table[i][j][k]
-                    if not scalar_is_zero(v):
-                        out[k] = out[k] + c * v
-        return out
-
     def lie_jacobi_residuals(self):
-        """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] over the flat basis triples."""
+        """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] over the flat basis triples, by ``axioms.nested_pairs``."""
         d = len(self.basis_indices)
-        basis = [[Fraction(1 if k == i else 0) for k in range(d)] for i in range(d)]
+        table = [
+            [[(c, v) for c, v in enumerate(vec) if not scalar_is_zero(v)] for vec in row] for row in self.table
+        ]
         bad = []
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    r = [
-                        a + b + c
-                        for a, b, c in zip(
-                            self._bracket_vec(basis[i], self._bracket_vec(basis[j], basis[k])),
-                            self._bracket_vec(basis[j], self._bracket_vec(basis[k], basis[i])),
-                            self._bracket_vec(basis[k], self._bracket_vec(basis[i], basis[j])),
-                        )
-                    ]
-                    if any(not scalar_is_zero(v) for v in r):
-                        bad.append(((i, j, k), r))
+        for i, j, k in product(range(d), repeat=3):
+            r = [Fraction(0)] * d
+            for t in ((i, j, k), (j, k, i), (k, i, j)):
+                for c, f, g in nested_pairs(table, *t):
+                    r[c] = r[c] + f * g
+            if any(not scalar_is_zero(v) for v in r):
+                bad.append(((i, j, k), r))
         return bad
 
 

@@ -112,17 +112,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading_monomial(self) -> tuple[int, ...]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
@@ -379,11 +368,6 @@ class RelationSet:
             guard += 1
             if guard > 100000:
                 raise RuntimeError("rewriting did not terminate (non-admissible rules?)")
-
-    def combined(self, other: RelationSet) -> RelationSet:
-        if other.ring != self.ring:
-            raise ValueError("cannot combine relation sets over different rings")
-        return RelationSet(self.ring, self.rules + other.rules)
 
 
 def poly_normal_form(p: MultiPoly, rels: RelationSet) -> MultiPoly:

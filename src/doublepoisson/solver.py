@@ -12,6 +12,10 @@ system on all n^4 unknowns has (``linalg.canonical_basis``), so the basis
 does not depend on how the system was solved.  The residual quadratic
 Jacobi constraints are extracted in the nullspace parameters t0, t1, ...
 
+Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
+The checkers fold a bracket's terms into residuals; this module folds generic
+slots (``_generic_slot``, ``_slot_forms``) into rows and quadratic forms.
+
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
 in t, so the constraints are computed by polarization: integer bilinear
 arithmetic on the basis brackets B_k, with MultiPoly values built only for the
@@ -34,10 +38,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from .algebra import FDAlgebra, commutator_subspace, generating_set
+from .axioms import (
+    JACOBI_LEGS,
+    derivation_terms,
+    first_leg_pairs,
+    flipped,
+    h0_jacobiator_parts,
+    h0_skew_terms,
+    inner_derivation_terms,
+    jacobiator_parts,
+    multiplied_terms,
+    nested_pairs,
+    skew_terms,
+)
 from .brackets import CoefficientBracket, DoubleBracket, DoubleDerivation
 from .inner import inner_bracket, wedge_basis
 from .linalg import (
@@ -77,40 +94,17 @@ class LinearVariety:
     def general_element(self) -> CoefficientBracket:
         """sum_k t_k * (basis bracket k), with MultiPoly coefficients."""
         ring = self.ring()
-        cls = ModifiedBracket if self.modified else DoubleBracket
-        total = cls.zero(self.algebra)
-        for name, basis in zip(self.parameter_names, self.nullspace_basis):
-            total = total + basis.scale(ring.var(name))
-        return total
+        return self._combination(ring.var(name) for name in self.parameter_names)
 
     def point(self, values) -> CoefficientBracket:
         """Rational specialization of the general element."""
-        cls = ModifiedBracket if self.modified else DoubleBracket
-        total = cls.zero(self.algebra)
-        for v, basis in zip(values, self.nullspace_basis):
-            total = total + basis.scale(Fraction(v))
+        return self._combination(Fraction(v) for v in values)
+
+    def _combination(self, coeffs) -> CoefficientBracket:
+        total = (ModifiedBracket if self.modified else DoubleBracket).zero(self.algebra)
+        for c, basis in zip(coeffs, self.nullspace_basis):
+            total = total + basis.scale(c)
         return total
-
-
-def _flat_index(n: int, i: int, j: int, a: int, b: int) -> int:
-    return ((i * n + j) * n + a) * n + b
-
-
-def _skew_rows(algebra: FDAlgebra):
-    """C[i][j][a][b] + C[j][i][b][a] = 0 for every index tuple."""
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                for b in range(n):
-                    left = _flat_index(n, i, j, a, b)
-                    right = _flat_index(n, j, i, b, a)
-                    if left > right:
-                        continue
-                    if left == right:
-                        yield {left: 2}
-                    else:
-                        yield {left: 1, right: 1}
 
 
 def _integer_products(algebra: FDAlgebra):
@@ -119,91 +113,74 @@ def _integer_products(algebra: FDAlgebra):
     return [[[(k, int(v * den)) for k, v in terms] for terms in row] for row in algebra.products]
 
 
-def _derivation_rows(algebra: FDAlgebra, shift: int = 0, strides: tuple[int, int, int] | None = None):
-    """delta(e_k e_l) = delta(e_k).e_l + e_k.delta(e_l) at each leg pair (c, d), outer actions.
+def _generic_slot(n: int, base: int) -> list:
+    """A slot whose payload at (a, b) is the column base + a * n + b: base (i * n + j) * n^2
+    for {{e_i, e_j}} of the general bracket, m * n^2 for delta(e_m) of the general map."""
+    return [(a, b, base + a * n + b) for a in range(n) for b in range(n)]
 
-    The coefficient of e_a(x)e_b in delta(e_m) is the unknown at column
-    shift + m * sm + a * sa + b * sb for (sm, sa, sb) = strides, by default
-    (n^2, n, 1).  Rows come in (k, l, c, d) order, read from the product table
-    scaled to integers, which scales every row by the same factor.
+
+def _fold_rows(terms) -> dict:
+    """The solver fold: position -> sparse row {column: summed coefficient}."""
+    rows: dict = {}
+    for pos, v, col in terms:
+        row = rows.get(pos)
+        if row is None:
+            row = rows[pos] = {}
+        row[col] = row.get(col, 0) + v
+    return rows
+
+
+def _rows(groups):
+    """The nonzero rows of each group of terms, in ascending position order per group."""
+    for terms in groups:
+        rows = _fold_rows(terms)
+        for pos in sorted(rows):
+            row = {col: v for col, v in rows[pos].items() if v}
+            if row:
+                yield row
+
+
+def _leibniz_rows(prods, images):
+    """``axioms.derivation_terms`` rows for the generic ``images``, in (k, l, c, d) order."""
+    n = len(prods)
+    return _rows(derivation_terms(prods, images, k, l) for k in range(n) for l in range(n))
+
+
+def _derivation_rows(algebra: FDAlgebra):
+    """The Leibniz rows of Der(A, A(x)A) over the columns (m * n + a) * n + b of delta(e_m).
+
+    The product table is scaled to integers, which scales every row alike.
     """
     n = algebra.dim
-    sm, sa, sb = strides or (n * n, n, 1)
-    prods = _integer_products(algebra)
-    # left[k][c] = [(a, v)]: v e_c is a term of e_k e_a; right[l][d] = [(b, v)]: of e_b e_l
-    left = [[[] for _ in range(n)] for _ in range(n)]
-    right = [[[] for _ in range(n)] for _ in range(n)]
-    for x, row in enumerate(prods):
-        for y, terms in enumerate(row):
-            for z, v in terms:
-                left[x][z].append((y, v))
-                right[y][z].append((x, v))
-    for k in range(n):
-        for l in range(n):
-            kl = prods[k][l]
-            for c in range(n):
-                kc = left[k][c]
-                for d in range(n):
-                    ld = right[l][d]
-                    if not (kl or kc or ld):
-                        continue
-                    row: dict[int, int] = {}
-                    for m, v in kl:
-                        idx = shift + m * sm + c * sa + d * sb
-                        row[idx] = row.get(idx, 0) + v
-                    for a, v in kc:
-                        idx = shift + l * sm + a * sa + d * sb
-                        row[idx] = row.get(idx, 0) - v
-                    for b, v in ld:
-                        idx = shift + k * sm + c * sa + b * sb
-                        row[idx] = row.get(idx, 0) - v
-                    row = {idx: v for idx, v in row.items() if v}
-                    if row:
-                        yield row
+    images = [_generic_slot(n, m * n * n) for m in range(n)]
+    return _leibniz_rows(_integer_products(algebra), images)
 
 
 def _first_leibniz_rows(algebra: FDAlgebra):
-    """{{e_k e_l, e_i}} = (1(x)e_k){{e_l,e_i}} + {{e_k,e_i}}(e_l(x)1), componentwise.
+    """The first-argument Leibniz rows over the flat C columns, slot i = 0, 1, ... in turn.
 
-    x -> {{x, e_i}} obeys the Leibniz rule for the inner actions; with its
-    tensor legs swapped it is a double derivation, so slot i gets the
-    derivation rows on the columns C[m][i][b][a].
+    x -> {{x, e_i}}° is a double derivation: images flipped({{e_m, e_i}}).
     """
     n = algebra.dim
+    prods = _integer_products(algebra)
     for i in range(n):
-        yield from _derivation_rows(algebra, i * n * n, (n**3, 1, n))
+        yield from _leibniz_rows(prods, [flipped(_generic_slot(n, (m * n + i) * n * n)) for m in range(n)])
 
 
 def _h0_skew_rows(algebra: FDAlgebra):
-    """Complement components of m({{e_i,e_j}}) + m({{e_j,e_i}}) must vanish."""
+    """The A/[A,A] coordinates of ``axioms.h0_skew_terms``, i <= j, as rows in (i, j, coordinate) order."""
     n = algebra.dim
     sub = commutator_subspace(algebra)
-    # flat-projection of each nonzero basis product e_a e_b, by linearity from the basis
-    flat_basis = [sub.project_flat(algebra.basis_element(k).coords) for k in range(n)]
-    flat_products: dict[tuple[int, int], list] = {}
-    for a, b, k, c in algebra.entries():
-        acc = flat_products.setdefault((a, b), [0] * sub.flat_dim)
-        for comp, v in enumerate(flat_basis[k]):
-            acc[comp] += c * v
-    for i in range(n):
-        for j in range(i, n):
-            for comp in range(sub.flat_dim):
-                row: dict[int, Fraction] = {}
-                for (a, b), flat in flat_products.items():
-                    coeff = flat[comp]
-                    if coeff == 0:
-                        continue
-                    for idx in (
-                        _flat_index(n, i, j, a, b),
-                        _flat_index(n, j, i, a, b),
-                    ):
-                        s = row.get(idx, Fraction(0)) + coeff
-                        if s == 0:
-                            row.pop(idx, None)
-                        else:
-                            row[idx] = s
-                if row:
-                    yield row
+    flat_basis = [sub.project_flat(algebra.basis_element(c).coords) for c in range(n)]
+
+    def projected(i, j):
+        slots = (_generic_slot(n, (i * n + j) * n * n), _generic_slot(n, (j * n + i) * n * n))
+        for c, v, col in h0_skew_terms(algebra.products, *slots):
+            for comp, w in enumerate(flat_basis[c]):
+                if w:
+                    yield comp, v * w, col
+
+    return _rows(projected(i, j) for i in range(n) for j in range(i, n))
 
 
 def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
@@ -215,7 +192,7 @@ def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
 
 
 def _derivation_basis(algebra: FDAlgebra) -> list[dict[int, Fraction]]:
-    """Basis of Der(A, A(x)A) as sparse rows over the columns of _derivation_rows."""
+    """Basis of Der(A, A(x)A) as sparse rows over the columns of ``_derivation_rows``."""
     return nullspace_of_rows(_derivation_rows(algebra), algebra.dim**3)
 
 
@@ -271,17 +248,23 @@ def _solve_over_derivations(algebra: FDAlgebra, rows, modified: bool) -> LinearV
 
 def solve_linear(algebra: FDAlgebra) -> LinearVariety:
     """Nullspace of skew symmetry plus the second-argument Leibniz rule on C[i][j][a][b]."""
-    return _solve_over_derivations(algebra, _skew_rows(algebra), modified=False)
+    n = algebra.dim
+
+    def groups():
+        for i in range(n):
+            for j in range(i, n):
+                terms = skew_terms(_generic_slot(n, (i * n + j) * n * n), _generic_slot(n, (j * n + i) * n * n))
+                # {{e_i, e_i}} + {{e_i, e_i}}° is symmetric: its rows at (a, b) and (b, a) agree
+                yield terms if i < j else (t for t in terms if t[0][0] <= t[0][1])
+
+    return _solve_over_derivations(algebra, _rows(groups()), modified=False)
 
 
 def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
     """Nullspace of both Leibniz rules plus the (linear) H0-skew condition."""
-
-    def rows():
-        yield from _first_leibniz_rows(algebra)
-        yield from _h0_skew_rows(algebra)
-
-    return _solve_over_derivations(algebra, rows(), modified=True)
+    return _solve_over_derivations(
+        algebra, chain(_first_leibniz_rows(algebra), _h0_skew_rows(algebra)), modified=True
+    )
 
 
 # -- quadratic constraints by polarization -------------------------------------
@@ -324,10 +307,11 @@ def _monomial_keys(p: int) -> list[list[int]]:
     return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
 
 
-def _quadratic_sum(products, keys) -> dict[int, dict[int, int]]:
-    """position -> quadratic form, summing f * g over the (position, f, g) products."""
+def _quadratic_sum(products, keys, index) -> dict[int, dict[int, int]]:
+    """index[position] -> quadratic form, summing f * g over the (position, f, g) products."""
     out: dict[int, dict[int, int]] = {}
     for pos, f, g in products:
+        pos = index[pos]
         acc = out.get(pos)
         if acc is None:
             acc = out[pos] = {}
@@ -400,41 +384,27 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
 def _jacobi_forms(variety: LinearVariety, generators):
     """The nonzero entries of the jacobiators of the general element on generators^3.
 
-    The jacobiator J(i, j, k) is F(i,j,k) + tau123 F(j,k,i) + tau132 F(k,i,j)
-    with first-leg products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L, computed by
-    polarization.  J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor,
-    so one triple per cyclic class is scanned, the least of its rotations.
+    The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
+    products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
+    each computed by polarization from ``axioms.first_leg_pairs``.
+    J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor, so one triple
+    per cyclic class is scanned, the least of its rotations.
     """
     n = variety.algebra.dim
     slots = _slot_forms(variety)
     keys = _monomial_keys(variety.dim)
-
-    def first_leg(i: int, j: int, k: int):
-        # entry (c, d, b) of F sits at position (c * n + d) * n + b
-        return _quadratic_sum(
-            (
-                ((c * n + d) * n + b, f, g)
-                for a, b, f in slots[j][k]
-                for c, d, g in slots[i][a]
-            ),
-            keys,
-        )
-
-    # tau123 moves entry (x, y, z) to (z, x, y); tau132 moves it to (y, z, x)
-    same = list(range(n**3))
-    tau123 = [(z * n + x) * n + y for x in range(n) for y in range(n) for z in range(n)]
-    tau132 = [(y * n + z) * n + x for x in range(n) for y in range(n) for z in range(n)]
+    # entry (c, d, b) sits at index (c * n + d) * n + b
+    cells = list(product(range(n), repeat=3))
+    index = {p: k for k, p in enumerate(cells)}
+    perms = {legs: [index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells] for legs in JACOBI_LEGS}
     for i, j, k in product(generators, repeat=3):
         if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
             continue
-        legs = {t: first_leg(*t) for t in ((i, j, k), (j, k, i), (k, i, j))}
-        yield from _combine(
-            (
-                (1, same, legs[i, j, k]),
-                (1, tau123, legs[j, k, i]),
-                (1, tau132, legs[k, i, j]),
-            )
-        )
+        parts = list(jacobiator_parts(i, j, k))
+        forms = {
+            t: _quadratic_sum(first_leg_pairs(slots[t[0]], slots[t[1]][t[2]]), keys, index) for t, _ in parts
+        }
+        yield from _combine((1, perms[legs], forms[t]) for t, legs in parts)
 
 
 def jacobi_constraints(variety: LinearVariety) -> LinearVariety:
@@ -460,10 +430,10 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
     With M(a, b) = m({{e_a, e_b}}) as linear forms, the residual
     {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k} is
     F(i,j,k) - F(j,i,k) - H(i,j,k) for F(i,j,k) = sum_b M(j,k)_b M(i,b) and
-    H(i,j,k) = sum_a M(i,j)_a M(a,k); each F is computed once.  No
-    derivation property is known for this residual, so every basis triple
-    is scanned.  The constraints are the reduced echelon basis of the span
-    of the nonzero coordinates.
+    H(i,j,k) = sum_a M(i,j)_a M(a,k) (``axioms.h0_jacobiator_parts``); each
+    F is computed once.  No derivation property is known for this residual,
+    so every basis triple is scanned.  The constraints are the reduced
+    echelon basis of the span of the nonzero coordinates.
     """
     if variety.dim == 0:
         return variety
@@ -473,43 +443,34 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
     keys = _monomial_keys(variety.dim)
     # the structure constants scaled to integers: again a uniform factor
     mul = _integer_products(alg)
-    # multiplied[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
-    multiplied = [[[] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            coords: dict[int, dict[int, int]] = {}
-            for x, y, f in slots[a][b]:
-                for c, m in mul[x][y]:
-                    acc = coords.setdefault(c, {})
-                    for k, u in f:
-                        acc[k] = acc.get(k, 0) + m * u
-            for c in sorted(coords):
-                form = tuple((k, u) for k, u in coords[c].items() if u)
-                if form:
-                    multiplied[a][b].append((c, form))
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    nested = {
-        (i, j, k): _quadratic_sum(
-            ((c, f, g) for b, f in multiplied[j][k] for c, g in multiplied[i][b]), keys
-        )
-        for i, j, k in triples
-    }
+    # table[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
+    table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
     same = list(range(n))
+    nested: dict = {}
+
+    def part(t, left):
+        if (t, left) not in nested:
+            nested[t, left] = _quadratic_sum(nested_pairs(table, *t, left), keys, same)
+        return nested[t, left]
 
     def residual_entries():
-        for i, j, k in triples:
-            left_nested = _quadratic_sum(
-                ((c, f, g) for a, f in multiplied[i][j] for c, g in multiplied[a][k]), keys
-            )
+        for i, j, k in product(range(n), repeat=3):
             yield from _combine(
-                (
-                    (1, same, nested[i, j, k]),
-                    (-1, same, nested[j, i, k]),
-                    (-1, same, left_nested),
-                )
+                (sign, same, part(t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k)
             )
 
     return _with_constraints(variety, residual_entries())
+
+
+def _multiplied_forms(mul, slot) -> list:
+    """The nonzero (c, form) of m({{e_a, e_b}}) for a slot of linear forms (``axioms.multiplied_terms``)."""
+    coords: dict[int, dict[int, int]] = {}
+    for c, m, f in multiplied_terms(mul, slot):
+        acc = coords.setdefault(c, {})
+        for k, u in f:
+            acc[k] = acc.get(k, 0) + m * u
+    forms = ((c, tuple((k, u) for k, u in coords[c].items() if u)) for c in sorted(coords))
+    return [(c, form) for c, form in forms if form]
 
 
 def solve_modified(algebra: FDAlgebra) -> LinearVariety:
@@ -528,22 +489,18 @@ def solve(algebra: FDAlgebra) -> LinearVariety:
 def _inner_derivation_rows(algebra: FDAlgebra):
     """The inner generators a -> a.m - m.a, m = e_p(x)e_q, as sparse rows in (p, q) order.
 
-    Columns are the derivation coordinates (i * n + a) * n + b of
-    _derivation_rows: the image of e_i is e_i e_p (x) e_q - e_p (x) e_q e_i.
+    ``axioms.inner_derivation_terms`` is folded on the generic m whose
+    payload at (p, q) is the generator p * n + q; columns are the derivation
+    coordinates (i * n + a) * n + b of ``_derivation_rows``.
     """
     n = algebra.dim
-    prods = algebra.products
-    for p in range(n):
-        for q in range(n):
-            row: dict[int, Fraction] = {}
-            for i in range(n):
-                for x, v in prods[i][p]:
-                    idx = (i * n + x) * n + q
-                    row[idx] = row.get(idx, 0) + v
-                for y, v in prods[q][i]:
-                    idx = (i * n + p) * n + y
-                    row[idx] = row.get(idx, 0) - v
-            yield {idx: v for idx, v in row.items() if v}
+    generic = _generic_slot(n, 0)
+    rows: list[dict] = [{} for _ in range(n * n)]
+    for i in range(n):
+        for (a, b), v, g in inner_derivation_terms(algebra.products, generic, i):
+            row, idx = rows[g], (i * n + a) * n + b
+            row[idx] = row.get(idx, 0) + v
+    return [{idx: v for idx, v in row.items() if v} for row in rows]
 
 
 def double_derivation_space(algebra: FDAlgebra):

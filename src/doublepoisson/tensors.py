@@ -233,10 +233,6 @@ class Tensor3(_SparseTensor):
     __slots__ = ()
 
     @staticmethod
-    def zero(algebra: FDAlgebra) -> Tensor3:
-        return Tensor3(algebra, {})
-
-    @staticmethod
     def of(algebra: FDAlgebra, grid) -> Tensor3:
         """The tensor of a dense grid[a][b][c]."""
         return tensor3_from_terms(

@@ -296,6 +296,42 @@ def test_hh1_rejects_malformed_algebra_coefficient(tmp_path, capsys, field, coef
     assert err.startswith("error: ") and where in err
 
 
+_A2_JSON = dpio.algebra_to_json(make_a2())
+
+
+@pytest.mark.parametrize(
+    "command, data, field",
+    [
+        ("check", [1], "bracket"),
+        ("check", "a2", "bracket"),
+        ("check", None, "bracket"),
+        ("check", {"coeffs": 5}, "coeffs"),
+        ("check", {"coeffs": [5]}, "bracket entry"),
+        ("check", {"params": 5}, "params"),
+        ("check", {"params": [[1]]}, "params"),
+        ("induce", [1], "bracket"),
+        ("inner", [1], "wedge"),
+        ("inner", "a2", "wedge"),
+        ("inner", None, "wedge"),
+        ("inner", {"terms": 5}, "terms"),
+        ("inner", {"terms": [5]}, "wedge entry"),
+        ("hh1", [1], "algebra"),
+        ("hh1", None, "algebra"),
+        ("hh1", {**_A2_JSON, "mul": 5}, "mul"),
+        ("hh1", {**_A2_JSON, "mul": [5]}, "mul entry"),
+    ],
+)
+def test_malformed_json_shape_is_a_usage_error(tmp_path, capsys, command, data, field):
+    # these used to escape as AttributeError / TypeError tracebacks with exit 1
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = {"check": "--bracket", "induce": "--bracket", "inner": "--wedge", "hh1": "--algebra"}[command]
+    argv = [command, flag, str(path)] + ([] if command == "hh1" else ["--algebra", "a2"])
+    assert main(argv + (["--n", "2"] if command == "induce" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err and "Traceback" not in err
+
+
 def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
     # a relative file name whose first "+"-part is the preset name a2
     monkeypatch.chdir(tmp_path)

@@ -113,3 +113,10 @@ def test_algebra_json_rejects_bad_index():
 def test_bracket_json_last_slot_still_accepted():
     data = {"algebra": "a2", "params": [], "coeffs": [[2, 2, 2, 2, "1"]]}
     assert dpio.bracket_from_json(data).coeffs[2][2][2][2] == 1
+
+
+@pytest.mark.parametrize("load", [dpio.bracket_from_json, dpio.wedge_from_json])
+def test_json_without_an_algebra_rejects_a_non_string_algebra_field(load):
+    # load_algebra(5) used to fail with AttributeError inside the preset parser
+    with pytest.raises(ValueError, match="algebra must be a preset name or a file path, not int"):
+        load({"algebra": 5})

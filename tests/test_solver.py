@@ -18,6 +18,7 @@ from doublepoisson.algebra import (
     make_matrix_algebra,
     resolve_preset,
 )
+from doublepoisson.axioms import skew_terms
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -35,11 +36,13 @@ from doublepoisson.poly import MultiPoly, grlex_key
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
-    _derivation_rows,
     _first_leibniz_rows,
+    _generic_slot,
     _h0_skew_rows,
+    _integer_products,
     _jacobi_forms,
-    _skew_rows,
+    _leibniz_rows,
+    _rows,
     _with_constraints,
     double_derivation_space,
     h0_jacobi_constraints,
@@ -552,10 +555,18 @@ def _dense_h0_skew_rows(algebra):
 
 
 def _slot_derivation_rows(algebra):
-    """The second-argument Leibniz rows: the derivation rows on each slot's block C[i]."""
+    """The second-argument Leibniz rows: the derivation rows of each generic row {{e_i, -}}."""
     n = algebra.dim
+    prods = _integer_products(algebra)
     for i in range(n):
-        yield from _derivation_rows(algebra, i * n**3)
+        yield from _leibniz_rows(prods, [_generic_slot(n, (i * n + m) * n * n) for m in range(n)])
+
+
+def _skew_rows(algebra):
+    """The skew-symmetry rows over the flat C columns, pairs i <= j."""
+    n = algebra.dim
+    slots = [[_generic_slot(n, (i * n + j) * n * n) for j in range(n)] for i in range(n)]
+    return _rows(skew_terms(slots[i][j], slots[j][i]) for i in range(n) for j in range(i, n))
 
 
 @pytest.mark.parametrize("spec", ORACLE_ALGEBRAS)
