@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ from .inner import (
 )
 from .modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from .poly import format_scalar
-from .repspace import CHART_REGISTRY, ChartError, chart_consistency, get_chart, induce, jacobi_check_bivector
+from .repspace import ChartError, chart_consistency, get_chart, induce, jacobi_check_bivector
 from .solver import (
     jacobi_constraints,
     outer_double_derivation_dim,
@@ -199,6 +200,8 @@ def cmd_induce(args) -> int:
         raise UsageError(f"--n must be a positive integer, got {args.n}")
     if args.samples <= 0:
         raise UsageError(f"--samples must be a positive integer, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be a finite positive number, got {args.tol}")
     algebra = _load_algebra(args.algebra)
     bracket = _load_bracket(args.bracket, algebra)
     table = induce(bracket, args.n)
@@ -207,8 +210,6 @@ def cmd_induce(args) -> int:
     report["table"] = dpio.table_to_json(table)["brackets"]
     ok = True
     if args.chart:
-        if args.chart not in CHART_REGISTRY:
-            raise UsageError(f"unknown chart {args.chart!r} (available: {sorted(CHART_REGISTRY)})")
         chart = get_chart(args.chart)
         if chart.algebra != algebra or chart.n != args.n:
             raise UsageError(

@@ -10,8 +10,12 @@ Verification charts parametrize the variety:
 
 * Rep2 of a2 -- exact, over Q[c,s,lam,mu] / (c^2 + s^2 - 1), with the angle
   coordinate theta acting through the derivation c -> -s, s -> c.
-* Rep3 of a2 -- the rank-1 branch in spherical coordinates; residuals are
-  exact polynomials evaluated numerically at seeded on-variety samples.
+* Rep3 of a2 -- the rank-1 branch in spherical coordinates.
+
+Each chart check (table consistency, relations, bivector Jacobi) builds one
+residual polynomial per item in the chart ring.  Exact mode reduces it modulo
+the chart relations; numeric mode samples it with ``MultiPoly.eval_float`` at
+seeded on-variety points.  No numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import FDAlgebra, make_a2
 from .brackets import CoefficientBracket
@@ -233,12 +238,6 @@ class ParamChart:
     def nf(self, p: MultiPoly) -> MultiPoly:
         return self.relations.normal_form(p) if self.relations else p
 
-    def coordinate(self, name: str) -> ChartCoord:
-        for c in self.coords:
-            if c.name == name:
-                return c
-        raise ChartError(f"no chart coordinate {name!r}")
-
     def pi_entry(self, a: int, b: int) -> MultiPoly:
         return self.bivector[a][b]
 
@@ -300,26 +299,6 @@ class ParamChart:
         return points
 
 
-def _poly_arrays(p: MultiPoly, var_order: list[str]):
-    import numpy as np
-
-    idx = [p.ring.index(v) for v in var_order]
-    exps = np.array([[e[i] for i in idx] for e in p.terms] or np.zeros((0, len(idx))), dtype=np.int64)
-    coeffs = np.array([float(c) for c in p.terms.values()] or [], dtype=np.float64)
-    return exps, coeffs
-
-
-def _eval_poly_at(p: MultiPoly, samples: np.ndarray, var_order: list[str]) -> np.ndarray:
-    """Evaluate p at every row of ``samples`` (columns ordered by var_order)."""
-    import numpy as np
-
-    exps, coeffs = _poly_arrays(p, var_order)
-    if coeffs.size == 0:
-        return np.zeros(samples.shape[0])
-    powers = samples[:, None, :] ** exps[None, :, :]
-    return powers.prod(axis=2) @ coeffs
-
-
 @dataclass(frozen=True)
 class ChartReport:
     chart: str
@@ -328,6 +307,34 @@ class ChartReport:
     max_residual: float
     failures: tuple
     frame: str = ""
+
+
+def _vanishing(
+    chart: ParamChart, residuals, mode: str, samples: int, seed: int, tol: float, bindings: dict | None
+) -> tuple[list, float]:
+    """(failures, max_residual) of tagged chart-ring residuals that should vanish on the chart.
+
+    Exact mode keeps each residual whose normal form modulo the chart
+    relations is nonzero, as (tag, normal form).  Numeric mode evaluates each
+    residual that is not identically zero with ``eval_float`` at seeded
+    on-variety samples, and keeps (tag, worst |value|) above ``tol``.
+    """
+    if mode == "exact":
+        reduced = ((tag, chart.nf(p)) for tag, p in residuals)
+        return [(tag, r) for tag, r in reduced if not r.is_zero()], 0.0
+    if mode != "numeric":
+        raise ChartError(f"unknown mode {mode!r}")
+    points = chart.sample_points(samples, seed, bindings)
+    failures = []
+    max_residual = 0.0
+    for tag, p in residuals:
+        if p.is_zero():
+            continue
+        worst = max(abs(p.eval_float(pt)) for pt in points)
+        max_residual = max(max_residual, worst)
+        if worst > tol:
+            failures.append((tag, worst))
+    return failures, max_residual
 
 
 def chart_consistency(
@@ -341,10 +348,10 @@ def chart_consistency(
 ) -> ChartReport:
     """Does the chart bivector reproduce the induced table on this chart?
 
-    Exact mode: for every generator pair (u, v),
-        nf( subst(table[(u,v)]) - sum_pq pi[p][q] D_p(subst u) D_q(subst v) ) = 0
-    modulo the chart relations.  Numeric mode checks the same identity at
-    seeded on-variety sample points within ``tol``.
+    One residual per generator pair (u, v):
+        subst(table[(u,v)]) - sum_pq pi[p][q] D_p(subst u) D_q(subst v).
+    Exact mode reduces it modulo the chart relations; numeric mode samples it
+    with ``eval_float`` at seeded on-variety points within ``tol``; no numpy.
     """
     if table.ring.algebra != chart.algebra or table.ring.n != chart.n:
         raise ChartError(
@@ -359,68 +366,21 @@ def chart_consistency(
         for q in range(ncoords)
         if not pi[p][q].is_zero()
     ]
-    subst_images = {u: chart.substitute_poly(table.ring.ring.var(u), bindings) for u in names}
-    derivatives = {
-        u: [chart.coords[k].derive(img) for k in range(ncoords)]
-        for u, img in subst_images.items()
-    }
+    derivatives = {}
+    for u in names:
+        image = chart.substitute_poly(table.ring.ring.var(u), bindings)
+        derivatives[u] = [coord.derive(image) for coord in chart.coords]
 
-    if mode == "exact":
-        failures = []
+    def residuals():
         for u in names:
             for v in names:
-                lhs = chart.substitute_poly(table.entry(u, v), bindings)
                 rhs = chart.ring.zero()
                 for p, q in pi_nonzero:
                     rhs = rhs + pi[p][q] * derivatives[u][p] * derivatives[v][q]
-                residual = chart.nf(lhs - rhs)
-                if not residual.is_zero():
-                    failures.append(((u, v), residual))
-        return ChartReport(chart.name, "exact", not failures, 0.0, tuple(failures), chart.frame)
+                yield (u, v), chart.substitute_poly(table.entry(u, v), bindings) - rhs
 
-    if mode != "numeric":
-        raise ChartError(f"unknown mode {mode!r}")
-
-    import numpy as np
-
-    points = chart.sample_points(samples, seed, bindings)
-    var_order = list(chart.ring.names)
-    sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])
-    img_vals = {u: _eval_poly_at(img, sample_matrix, var_order) for u, img in subst_images.items()}
-    deriv_vals = {
-        u: [_eval_poly_at(d, sample_matrix, var_order) for d in derivs]
-        for u, derivs in derivatives.items()
-    }
-    pi_vals = {pq: _eval_poly_at(pi[pq[0]][pq[1]], sample_matrix, var_order) for pq in pi_nonzero}
-
-    # Evaluate table entries by substituting the sampled ambient coordinates.
-    ambient_order = list(table.ring.ring.names)
-    ambient_vals = np.zeros((sample_matrix.shape[0], len(ambient_order)))
-    for col, v in enumerate(ambient_order):
-        if v in subst_images:
-            ambient_vals[:, col] = img_vals[v]
-        elif bindings and v in bindings:
-            ambient_vals[:, col] = float(bindings[v])
-        elif v in var_order:
-            ambient_vals[:, col] = sample_matrix[:, var_order.index(v)]
-        else:
-            raise ChartError(f"no sample value for table variable {v!r}")
-
-    max_residual = 0.0
-    failures = []
-    for u in names:
-        for v in names:
-            lhs = _eval_poly_at(table.entry(u, v), ambient_vals, ambient_order)
-            rhs = np.zeros_like(lhs)
-            for p, q in pi_nonzero:
-                rhs = rhs + pi_vals[(p, q)] * deriv_vals[u][p] * deriv_vals[v][q]
-            worst = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-            max_residual = max(max_residual, worst)
-            if worst > tol:
-                failures.append(((u, v), worst))
-    return ChartReport(
-        chart.name, "numeric", not failures, max_residual, tuple(failures), chart.frame
-    )
+    failures, max_residual = _vanishing(chart, residuals(), mode, samples, seed, tol, bindings)
+    return ChartReport(chart.name, mode, not failures, max_residual, tuple(failures), chart.frame)
 
 
 def chart_relations_check(
@@ -431,27 +391,11 @@ def chart_relations_check(
     tol: float = 1e-9,
 ):
     """All CoordRing relation polynomials must vanish under the substitution."""
-    ring = CoordRing.build(chart.algebra, chart.n)
-    rels = ring.relation_polys()
-    if mode == "exact":
-        bad = []
-        for p in rels:
-            image = chart.nf(chart.substitute_poly(p))
-            if not image.is_zero():
-                bad.append(image)
-        return (not bad, 0.0 if not bad else math.inf)
-    import numpy as np
-
-    points = chart.sample_points(samples, seed)
-    var_order = list(chart.ring.names)
-    sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])
-    worst = 0.0
-    for p in rels:
-        image = chart.substitute_poly(p)
-        vals = _eval_poly_at(image, sample_matrix, var_order)
-        if vals.size:
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return (worst <= tol, worst)
+    rels = CoordRing.build(chart.algebra, chart.n).relation_polys()
+    residuals = ((k, chart.substitute_poly(p)) for k, p in enumerate(rels))
+    failures, worst = _vanishing(chart, residuals, mode, samples, seed, tol, None)
+    # an exact failure has no sampled size
+    return (not failures, math.inf if failures and not worst else worst)
 
 
 def jacobi_check_bivector(
@@ -468,53 +412,48 @@ def jacobi_check_bivector(
                         + pi[l][c] D_l pi[a][b]  for a < b < c.
     """
     pi = chart.bound_bivector(bindings)
-    ncoords = len(chart.coords)
-    components = []
-    for a in range(ncoords):
-        for b in range(a + 1, ncoords):
-            for c in range(b + 1, ncoords):
-                comp = chart.ring.zero()
-                for l in range(ncoords):
-                    comp = comp + pi[l][a] * chart.coords[l].derive(pi[b][c])
-                    comp = comp + pi[l][b] * chart.coords[l].derive(pi[c][a])
-                    comp = comp + pi[l][c] * chart.coords[l].derive(pi[a][b])
-                components.append(comp)
-    if mode == "exact":
-        return all(chart.nf(comp).is_zero() for comp in components)
-    import numpy as np
 
-    points = chart.sample_points(samples, seed, bindings)
-    var_order = list(chart.ring.names)
-    sample_matrix = np.array([[pt[v] for v in var_order] for pt in points])
-    for comp in components:
-        vals = _eval_poly_at(comp, sample_matrix, var_order)
-        if vals.size and float(np.max(np.abs(vals))) > tol:
-            return False
-    return True
+    def components():
+        for a, b, c in combinations(range(len(chart.coords)), 3):
+            comp = chart.ring.zero()
+            for l, coord in enumerate(chart.coords):
+                comp = comp + pi[l][a] * coord.derive(pi[b][c])
+                comp = comp + pi[l][b] * coord.derive(pi[c][a])
+                comp = comp + pi[l][c] * coord.derive(pi[a][b])
+            yield (a, b, c), comp
+
+    failures, _ = _vanishing(chart, components(), mode, samples, seed, tol, bindings)
+    return not failures
 
 
 # -- the two a2 verification charts ----------------------------------------------
 
 
-def register_chart_rep2_a2(param: str = "A") -> ParamChart:
+def _a2_rank_one(x, y, z) -> dict:
+    """rho(e0) = x y^T, rho(e1) = x z^T, rho(e2) = Id - x z^T, by coordinate name.
+
+    The vector entries may be MultiPolys (a chart substitution) or Fractions
+    (an exact point).
+    """
+    values = {}
+    for i in range(len(x)):
+        for j in range(len(x)):
+            values[coord_var_name("e0", i, j)] = x[i] * y[j]
+            values[coord_var_name("e1", i, j)] = x[i] * z[j]
+            values[coord_var_name("e2", i, j)] = int(i == j) - x[i] * z[j]
+    return values
+
+
+def register_chart_rep2_a2() -> ParamChart:
     """Rep2(a2): u=(c,s), v=lam(-s,c), w=(c-mu*s, s+mu*c) on c^2+s^2=1.
 
     rho(e0) = u v^T, rho(e1) = u w^T, rho(e2) = Id - rho(e1); the bivector in
     coordinates (theta, lam, mu) has the single block {lam, mu} = A lam^2.
     """
     alg = make_a2()
-    ring = PolyRing((param, "c", "s", "lam", "mu"))
+    ring = PolyRing(("A", "c", "s", "lam", "mu"))
     A, c, s, lam, mu = (ring.var(nm) for nm in ring.names)
     rels = RelationSet.of(ring, [(c * c, ring.one() - s * s)])
-    u = [c, s]
-    v = [-lam * s, lam * c]
-    w = [c - mu * s, s + mu * c]
-    subst = {}
-    for i in range(2):
-        for j in range(2):
-            subst[coord_var_name("e0", i, j)] = u[i] * v[j]
-            subst[coord_var_name("e1", i, j)] = u[i] * w[j]
-            subst[coord_var_name("e2", i, j)] = (ring.one() if i == j else ring.zero()) - u[i] * w[j]
     coords = (
         ChartCoord("theta", "angle", "c", "s"),
         ChartCoord("lam", "plain"),
@@ -533,9 +472,9 @@ def register_chart_rep2_a2(param: str = "A") -> ParamChart:
         ring=ring,
         relations=rels,
         coords=coords,
-        substitution=subst,
+        substitution=_a2_rank_one([c, s], [-lam * s, lam * c], [c - mu * s, s + mu * c]),
         bivector=pi,
-        params=(param,),
+        params=("A",),
     )
 
 
@@ -546,7 +485,7 @@ REP3_FRAME_STANDARD = (
 )
 
 
-def register_chart_rep3_a2(frame_choice: str = "standard", param: str = "A") -> ParamChart:
+def register_chart_rep3_a2() -> ParamChart:
     """Rep3(a2), rank-1 branch: u on S^2, y = ca f1 + cb f2, z = u + cg f1 + cd f2.
 
     Chart coordinates are (theta, phi, ca, cb, cg, cd); ca..cd are the plane
@@ -554,10 +493,8 @@ def register_chart_rep3_a2(frame_choice: str = "standard", param: str = "A") -> 
     The bivector blocks are {ca,cg} = A ca^2, {ca,cd} = {cb,cg} = A ca cb,
     {cb,cd} = A cb^2.
     """
-    if frame_choice != "standard":
-        raise ChartError(f"unknown frame choice {frame_choice!r}")
     alg = make_a2()
-    ring = PolyRing((param, "ct", "st", "cp", "sp", "ca", "cb", "cg", "cd"))
+    ring = PolyRing(("A", "ct", "st", "cp", "sp", "ca", "cb", "cg", "cd"))
     A, ct, st, cp, sp, ca, cb, cg, cd = (ring.var(nm) for nm in ring.names)
     rels = RelationSet.of(
         ring,
@@ -568,14 +505,6 @@ def register_chart_rep3_a2(frame_choice: str = "standard", param: str = "A") -> 
     f2 = [-ct * sp, -st * sp, cp]
     y = [ca * f1[k] + cb * f2[k] for k in range(3)]
     z = [x[k] + cg * f1[k] + cd * f2[k] for k in range(3)]
-    subst = {}
-    for i in range(3):
-        for j in range(3):
-            subst[coord_var_name("e0", i, j)] = x[i] * y[j]
-            subst[coord_var_name("e1", i, j)] = x[i] * z[j]
-            subst[coord_var_name("e2", i, j)] = (
-                ring.one() if i == j else ring.zero()
-            ) - x[i] * z[j]
     coords = (
         ChartCoord("theta", "angle", "ct", "st"),
         ChartCoord("phi", "angle", "cp", "sp"),
@@ -602,9 +531,9 @@ def register_chart_rep3_a2(frame_choice: str = "standard", param: str = "A") -> 
         ring=ring,
         relations=rels,
         coords=coords,
-        substitution=subst,
+        substitution=_a2_rank_one(x, y, z),
         bivector=tuple(tuple(row) for row in grid),
-        params=(param,),
+        params=("A",),
         frame=REP3_FRAME_STANDARD,
     )
 
@@ -628,16 +557,7 @@ def a2_rep2_rational_point(c: Fraction, s: Fraction, lam: Fraction, mu: Fraction
     """Exact Rep2(a2) point from a rational circle point c^2 + s^2 = 1."""
     if c * c + s * s != 1:
         raise ChartError("need c^2 + s^2 = 1 exactly")
-    u = [c, s]
-    v = [-lam * s, lam * c]
-    w = [c - mu * s, s + mu * c]
-    values = {}
-    for i in range(2):
-        for j in range(2):
-            values[coord_var_name("e0", i, j)] = u[i] * v[j]
-            values[coord_var_name("e1", i, j)] = u[i] * w[j]
-            values[coord_var_name("e2", i, j)] = (Fraction(1) if i == j else Fraction(0)) - u[i] * w[j]
-    return values
+    return _a2_rank_one([c, s], [-lam * s, lam * c], [c - mu * s, s + mu * c])
 
 
 def a2_rep3_rational_point(u, v, w) -> dict:
@@ -648,13 +568,7 @@ def a2_rep3_rational_point(u, v, w) -> dict:
     dot = lambda p, q: sum(a * b for a, b in zip(p, q))
     if dot(u, u) != 1 or dot(u, v) != 0 or dot(u, w) != 1:
         raise ChartError("need u.u = 1, u.v = 0, u.w = 1 exactly")
-    values = {}
-    for i in range(3):
-        for j in range(3):
-            values[coord_var_name("e0", i, j)] = u[i] * v[j]
-            values[coord_var_name("e1", i, j)] = u[i] * w[j]
-            values[coord_var_name("e2", i, j)] = (Fraction(1) if i == j else Fraction(0)) - u[i] * w[j]
-    return values
+    return _a2_rank_one(u, v, w)
 
 
 def matrix_algebra_rep_point(n: int, g: list[list[Fraction]]) -> dict:

@@ -243,6 +243,14 @@ def test_induce_rejects_nonpositive_samples(alpha_file, capsys, samples):
     assert "--samples must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_induce_rejects_a_tolerance_that_is_not_finite_and_positive(alpha_file, capsys, tol):
+    argv = ["induce", "--algebra", "a2", "--bracket", alpha_file, "--n", "3",
+            "--chart", "rep3-a2", "--numeric", "--samples", "5", "--tol", tol]
+    assert main(argv) == 2
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
 def test_check_rejects_out_of_range_bracket_index(tmp_path, capsys):
     # a negative index used to wrap around to the last slot silently
     bad = tmp_path / "negative.json"
@@ -355,10 +363,21 @@ def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
         assert len(builds) == 1, (argv, builds)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only the numeric chart mode uses numpy; no other command pays for its import
+def _python_with_package(code: str) -> str:
     src = str(Path(doublepoisson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the package does not use numpy; importing the CLI must not load it
     code = "import sys, doublepoisson.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _python_with_package(code).strip() == "False"
+
+
+def test_numeric_chart_check_leaves_numpy_unloaded(alpha_file, tmp_path):
+    # the numeric chart mode samples with MultiPoly.eval_float, not numpy
+    argv = ["--format", "json", "--out", str(tmp_path / "induce3.json"), "induce", "--algebra", "a2",
+            "--bracket", alpha_file, "--n", "3", "--chart", "rep3-a2", "--numeric", "--samples", "5"]
+    code = f"import sys; from doublepoisson.cli import main; print(main({argv!r}), 'numpy' in sys.modules)"
+    assert _python_with_package(code).split() == ["0", "False"]

@@ -11,6 +11,7 @@ from doublepoisson.algebra import make_a2, make_matrix_algebra
 from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_alpha_bracket_symbolic
 from doublepoisson.inner import inner_bracket, wedge_basis
+from doublepoisson.linalg import rank_of_vectors
 from doublepoisson.poly import MultiPoly, PolyRing, scalar_is_zero
 from doublepoisson.repspace import (
     ChartError,
@@ -216,8 +217,9 @@ def test_rep2_pi_matrix(rep2_chart):
         assert rep2_chart.pi_entry(p, q).is_zero()
 
 
-def test_rep2_chart_corrupted_pi_fails(rep2_chart, alpha_table):
-    # mutate A*lam^2 -> A*lam and the consistency residual must be nonzero
+@pytest.fixture(scope="module")
+def corrupted_rep2_chart(rep2_chart):
+    # A*lam^2 -> A*lam
     from dataclasses import replace
 
     R = rep2_chart.ring
@@ -227,10 +229,21 @@ def test_rep2_chart_corrupted_pi_fails(rep2_chart, alpha_table):
         (z, z, R.parse("A*lam")),
         (z, R.parse("0 - A*lam"), z),
     )
-    corrupted = replace(rep2_chart, bivector=bad_pi)
-    report = chart_consistency(corrupted, alpha_table, mode="exact")
+    return replace(rep2_chart, bivector=bad_pi)
+
+
+def test_rep2_chart_corrupted_pi_fails(corrupted_rep2_chart, alpha_table):
+    report = chart_consistency(corrupted_rep2_chart, alpha_table, mode="exact")
     assert not report.ok
     assert report.failures
+
+
+def test_rep2_chart_corrupted_pi_fails_numerically(corrupted_rep2_chart, alpha_table):
+    tol = 1e-9
+    report = chart_consistency(corrupted_rep2_chart, alpha_table, mode="numeric", samples=25, seed=3, tol=tol)
+    assert not report.ok
+    assert report.max_residual > tol
+    assert all(worst > tol for _, worst in report.failures)
 
 
 def test_rep2_numeric_mode_matches_exact(rep2_chart, alpha_table):
@@ -241,6 +254,15 @@ def test_rep2_numeric_mode_matches_exact(rep2_chart, alpha_table):
 
 def test_rep2_bivector_jacobi(rep2_chart):
     assert jacobi_check_bivector(rep2_chart, mode="exact")
+
+
+def test_chart_checks_reject_an_unknown_mode(rep2_chart, alpha_table):
+    with pytest.raises(ChartError):
+        jacobi_check_bivector(rep2_chart, mode="bogus")
+    with pytest.raises(ChartError):
+        chart_relations_check(rep2_chart, mode="bogus")
+    with pytest.raises(ChartError):
+        chart_consistency(rep2_chart, alpha_table, mode="bogus")
 
 
 def test_constant_bivector_jacobi(a2):
@@ -283,18 +305,15 @@ def test_rep3_bivector_jacobi(rep3_chart):
 
 
 def test_rep3_beta_delta_zero_slice_rank(rep3_chart):
-    # on the cb = cd = 0 slice the bivector drops to rank 2
-    import numpy as np
-
+    # on the cb = cd = 0 slice the bivector drops to rank 2; the zeroed
+    # blocks evaluate to exactly 0.0, so the float grid ranks exactly
     pts = rep3_chart.sample_points(5, seed=11)
     for pt in pts:
         pt = dict(pt)
         pt["cb"] = 0.0
         pt["cd"] = 0.0
-        grid = np.array(
-            [[entry.eval_float(pt) for entry in row] for row in rep3_chart.bivector]
-        )
-        assert np.linalg.matrix_rank(grid, tol=1e-12) == 2
+        grid = [[Fraction(entry.eval_float(pt)) for entry in row] for row in rep3_chart.bivector]
+        assert rank_of_vectors(grid) == 2
 
 
 def test_chart_algebra_guard(rep2_chart):
