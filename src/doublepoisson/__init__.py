@@ -43,7 +43,6 @@ from .inner import (
     wedge_basis,
 )
 from .linalg import (
-    QMatrix,
     in_span,
     invert_matrix,
     nullspace_of_rows,
@@ -58,7 +57,7 @@ from .modified import (
     h0_jacobi_check,
     h0_skew_check,
 )
-from .poly import MultiPoly, PolyRing, RelationSet, poly_normal_form
+from .poly import MultiPoly, PolyRing, RelationSet
 from .repspace import (
     ChartError,
     ChartReport,

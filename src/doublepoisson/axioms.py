@@ -11,8 +11,15 @@ sum the residual; the solver passes generic slots (payload: the column of an
 unknown, or a linear form in the nullspace parameters) and collects
 row[column] += coefficient at each position.
 
-Only this module knows the signs and leg conventions of the axioms.  The
-actions on A(x)A are the outer ones: x.(a(x)b) = xa(x)b, (a(x)b).x = a(x)bx.
+Only this module knows the signs and leg conventions, of the axioms and of
+the inner brackets built from a wedge r.  The actions on A(x)A are the outer
+ones: x.(a(x)b) = xa(x)b, (a(x)b).x = a(x)bx; the inner action is the outer
+one conjugated by the flip.  The inner bracket is the composite
+{{e_i, e_j}}_r = D_j(flip(D_i(flip r))) of inner derivations
+D_i(m) = e_i.m - m.e_i; the AYBE obstruction J(r) is summed over pairs of
+r's entries; the leg commutators of A(x)A(x)A are
+[a(x)b(x)c, x]_1 = a(x)xb(x)c - ax(x)b(x)c, [-, x]_2 = a(x)b(x)xc - a(x)bx(x)c
+and [-, x]_3 = xa(x)b(x)c - a(x)b(x)cx.
 """
 
 from __future__ import annotations
@@ -58,6 +65,38 @@ def inner_derivation_terms(prods, tensor, i: int):
             yield (a, q), v, w
         for b, v in prods[q][i]:
             yield (p, b), -v, w
+
+
+def aybe_pairs(prods, entries):
+    """J(r) = r13 r12 + r23 r13 - r12 r23 as (position, x, y) pairs, r = sum x e_a(x)e_b over ``entries``.
+
+    The legwise products put the unit on each r's missing leg, so by the unit
+    law every ordered pair of entries (a, b, x), (c, d, y) contributes
+    x y [(e_a e_c)(x)e_d(x)e_b + e_c(x)e_a(x)(e_b e_d) - e_a(x)(e_b e_c)(x)e_d].
+    """
+    for a, b, x in entries:
+        pa, pb = prods[a], prods[b]
+        for c, d, y in entries:
+            for m, v in pa[c]:
+                yield (m, d, b), x, v * y
+            for m, v in pb[d]:
+                yield (c, a, m), x, v * y
+            for m, v in pb[c]:
+                yield (a, m, d), x, -v * y
+
+
+def leg_commutator_terms(prods, terms, x: int, leg: int):
+    """[t, e_x]_leg at each position, for t = sum payload e_a(x)e_b(x)e_c over the ((a, b, c), payload) ``terms``.
+
+    e_x multiplies the leg after ``leg`` (cyclically) from the left and the
+    leg ``leg`` itself from the right, with a minus sign.
+    """
+    plus, minus = leg % 3, leg - 1
+    for pos, p in terms:
+        for m, v in prods[x][pos[plus]]:
+            yield pos[:plus] + (m,) + pos[plus + 1 :], v, p
+        for m, v in prods[pos[minus]][x]:
+            yield pos[:minus] + (m,) + pos[minus + 1 :], -v, p
 
 
 def multiplied_terms(prods, slot):

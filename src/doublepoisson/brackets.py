@@ -29,6 +29,7 @@ from .axioms import (
     flipped,
     inner_derivation_terms,
     jacobiator_parts,
+    multiplied_terms,
     skew_terms,
 )
 from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
@@ -194,6 +195,11 @@ class CoefficientBracket:
                 for a, b, v in self.terms[i][j]:
                     out[(a, b)] = out.get((a, b), _ZERO) + c * v
         return tensor_from_terms(self.algebra, out)
+
+    def multiplied_basis(self, i: int, j: int) -> tuple:
+        """Coordinates of m({{e_i, e_j}}) in A, the checker fold of ``axioms.multiplied_terms``."""
+        r = _residual(multiplied_terms(self.algebra.products, self.terms[i][j]))
+        return tuple(r.get(k, _ZERO) for k in range(self.algebra.dim))
 
     # -- linear structure (used to form general elements) ----------------------
 

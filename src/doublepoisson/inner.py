@@ -1,22 +1,21 @@
 """Inner double brackets from wedges, and the associative Yang-Baxter test.
 
-For r = A^B = A(x)B - B(x)A the inner bracket is expanded as
-
-    {{x,y}}_r = Ax(x)By - yAx(x)B - A(x)xBy + yA(x)xB
-                - Bx(x)Ay + yBx(x)A + B(x)xAy - yB(x)xA,
-
-the orientation that reproduces {{e0,e1}}_{e0^e1} = e0(x)e0 and
+For r in Lambda^2 A the inner bracket is {{e_i, e_j}}_r = D_j(flip(D_i(flip r))),
+with D_i(m) = e_i.m - m.e_i; per summand A(x)B of r = A^B = A(x)B - B(x)A
+this is Ae_i(x)Be_j - e_jAe_i(x)B - A(x)e_iBe_j + e_jA(x)e_iB, the
+orientation that reproduces {{e0,e1}}_{e0^e1} = e0(x)e0 and
 {{e0,e1}}_{1^e0} = -2 e0(x)e0 on the upper-triangular algebra.  The Jacobi
 obstruction is J(r) = r13 x r12 + r23 x r13 - r12 x r23 (legwise products,
 unit on the missing leg); J(r) = 0 is the associative Yang-Baxter equation,
 and the weaker sufficient-and-necessary condition for the double Jacobi
 identity of {{-,-}}_r is [[[J(r),x]_1,y]_2,z]_3 = 0 for all x, y, z.
 
-A wedge is stored as its nonzero a < b terms, like a bracket; its dense
-antisymmetric grid is a view.  J(r) and the triple commutators are summed
-over nonzero terms only, as sparse tensors over the algebra's product table
-``products``; a Tensor3 is built only for the returned obstruction and for
-witness triples.
+The signs and leg conventions of all three live in ``axioms``: the inner
+bracket is two folds of ``inner_derivation_terms``, J(r) the fold of
+``aybe_pairs`` over pairs of r's entries, and each commutator the fold of
+``leg_commutator_terms``.  This module reads the product table ``products``
+only to pass it to those generators.  A wedge is stored as its nonzero
+a < b terms, like a bracket; its dense antisymmetric grid is a view.
 """
 
 from __future__ import annotations
@@ -25,17 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
-from .brackets import DoubleBracket
+from .axioms import aybe_pairs, flipped, inner_derivation_terms, leg_commutator_terms
+from .brackets import CoefficientBracket, DoubleBracket, _pair_residual, _residual
 from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
-from .tensors import (
-    Tensor3,
-    _leg_commutator_terms,
-    _legwise_product_terms,
-    _mult_maps,
-    _nonzero_terms,
-    _zero_grid2,
-    tensor3_from_terms,
-)
+from .tensors import Tensor3, _nonzero_terms, _zero_grid2, tensor3_from_terms
 
 
 @dataclass(frozen=True)
@@ -128,102 +120,59 @@ def wedge_basis(algebra: FDAlgebra) -> list[WedgeElement]:
 
 
 def inner_bracket(r: WedgeElement) -> DoubleBracket:
-    """{{x,y}}_r = [[r,x]_in, y]_out with the worked-example orientation.
+    """{{e_i, e_j}}_r = D_j(flip(D_i(flip r))), D_i the inner derivation of ``axioms``.
 
-    Per summand P(x)Q of r the contribution to {{x,y}} is
-    Px(x)Qy - yPx(x)Q - P(x)xQy + yP(x)xQ, summed over the nonzero entries
-    of the product table.
+    The flips turn the inner commutator [r, e_i]_in into an outer one and back,
+    and the two signs cancel: per summand P(x)Q of r the slot is
+    Pe_i(x)Qe_j - e_jPe_i(x)Q - P(x)e_iQe_j + e_jP(x)e_iQ.
     """
     alg = r.algebra
     n = alg.dim
-    slots = [[{} for _ in range(n)] for _ in range(n)]
     prods = alg.products
-    for p, q, w in r.entries():
-        for i in range(n):  # x = e_i
-            px = prods[p][i]
-            xq = prods[i][q]
-            for j in range(n):  # y = e_j
-                block = slots[i][j]
-                # Px (x) Qy
-                qy = prods[q][j]
-                for a, u in px:
-                    c1 = w * u
-                    for b, v in qy:
-                        block[(a, b)] = block.get((a, b), 0) + c1 * v
-                # - yPx (x) Q : yPx = e_j (e_p e_i)
-                for m, u in px:
-                    for a, v in prods[j][m]:
-                        block[(a, q)] = block.get((a, q), 0) - w * u * v
-                # - P (x) xQy : xQy = (e_i e_q) e_j
-                for m, u in xq:
-                    for b, v in prods[m][j]:
-                        block[(p, b)] = block.get((p, b), 0) - w * u * v
-                # + yP (x) xQ
-                for a, u in prods[j][p]:
-                    c1 = w * u
-                    for b, v in xq:
-                        block[(a, b)] = block.get((a, b), 0) + c1 * v
+    flip_r = flipped(r.entries())
+    slots = []
+    for i in range(n):
+        half = [(b, a, v) for (a, b), v in _residual(inner_derivation_terms(prods, flip_r, i)).items()]
+        slots.append([_residual(inner_derivation_terms(prods, half, j)) for j in range(n)])
     return DoubleBracket.from_slots(alg, slots)
 
 
-def _unit_inclusion_terms(r: WedgeElement, i: int, j: int) -> dict:
-    """r_ij: r on legs (i, j) of A(x)A(x)A, the unit on the remaining leg (sparse)."""
-    (rest,) = tuple({1, 2, 3} - {i, j})
-    out: dict = {}
-    for a, b, v in r.entries():
-        for u, cu in enumerate(r.algebra.unit):
-            if cu == 0:
-                continue
-            pos = {i: a, j: b, rest: u}
-            key = (pos[1], pos[2], pos[3])
-            out[key] = out.get(key, 0) + v * cu
-    return out
-
-
-def _aybe_terms(r: WedgeElement) -> dict:
-    """J(r) = r13 x r12 + r23 x r13 - r12 x r23, as a sparse tensor."""
-    prods = r.algebra.products
-    r12, r13, r23 = (_unit_inclusion_terms(r, *legs) for legs in ((1, 2), (1, 3), (2, 3)))
-    out = _legwise_product_terms(prods, r13, r12)
-    for key, v in _legwise_product_terms(prods, r23, r13).items():
-        out[key] = out.get(key, 0) + v
-    for key, v in _legwise_product_terms(prods, r12, r23).items():
-        out[key] = out.get(key, 0) - v
-    return _nonzero_terms(out)
-
-
 def aybe_obstruction(r: WedgeElement) -> Tensor3:
-    """J(r) = r13 x r12 + r23 x r13 - r12 x r23."""
-    return tensor3_from_terms(r.algebra, _aybe_terms(r))
+    """J(r) = r13 x r12 + r23 x r13 - r12 x r23, the checker fold of ``axioms.aybe_pairs``."""
+    return tensor3_from_terms(r.algebra, _pair_residual(aybe_pairs(r.algebra.products, r.entries())))
 
 
 def weak_jacobi_condition(r: WedgeElement):
     """(flag, residuals) for [[[J(r),x]_1,y]_2,z]_3 = 0 over all basis triples.
 
     Vanishing is automatic when any argument is the unit, but every basis
-    vector is scanned regardless.  The commutators act on sparse tensors, and
-    a Tensor3 is built only for a witness triple.
+    vector is scanned regardless.  Each commutator is the checker fold of
+    ``axioms.leg_commutator_terms``, and a Tensor3 is built only for a
+    witness triple.
     """
     alg = r.algebra
     n = alg.dim
-    j = _aybe_terms(r)
+    prods = alg.products
+
+    def commutator(terms: dict, x: int, leg: int) -> dict:
+        return _nonzero_terms(_residual(leg_commutator_terms(prods, terms.items(), x, leg)))
+
+    j = aybe_obstruction(r).terms
     residuals = []
     if not j:
         return True, residuals
-    basis = [alg.basis_element(i) for i in range(n)]
-    maps = [(_mult_maps(e, left=True), _mult_maps(e, left=False)) for e in basis]
     for x in range(n):
-        jx = _leg_commutator_terms(j, *maps[x], 1)
+        jx = commutator(j, x, 1)
         if not jx:
             continue
         for y in range(n):
-            jxy = _leg_commutator_terms(jx, *maps[y], 2)
+            jxy = commutator(jx, y, 2)
             if not jxy:
                 continue
             for z in range(n):
-                jxyz = _leg_commutator_terms(jxy, *maps[z], 3)
+                jxyz = commutator(jxy, z, 3)
                 if jxyz:
-                    residuals.append(((x, y, z), tensor3_from_terms(alg, jxyz)))
+                    residuals.append(((x, y, z), Tensor3(alg, jxyz)))
     return not residuals, residuals
 
 
@@ -331,32 +280,12 @@ def aybe_solve(
 # -- trace Casimir identity ----------------------------------------------------
 
 
-def trace_casimir_check(r: WedgeElement) -> bool:
-    """Word-level verification that traces are Casimirs for inner brackets.
+def trace_casimir_check(db: CoefficientBracket) -> bool:
+    """Whether the traces are Casimirs of the bracket that ``db`` induces on every Rep_n.
 
-    Treats the matrix entries of the wedge legs and of the arguments x, y as
-    formal noncommuting symbols and checks that sum_i {x_ii, y_pq}, computed
-    from the inner-bracket expansion via (MN)_pq = sum_i M_pi N_iq alone,
-    cancels identically -- independent of the matrix size n.  The cancellation
-    is linear in r, so each wedge summand is certified separately.
+    sum_i {x_ii, y_pq} = (m({{x, y}}))_pq, so that holds iff m({{e_i, e_j}}) = 0
+    on every basis pair.  An inner bracket passes: m(D_j(t)) = [e_j, m(t)], and
+    m(flip(D_i(flip r))) = Pe_iQ - Pe_iQ = 0 for each summand P(x)Q of r.
     """
-    if r.is_zero():
-        return True
-    words: dict[tuple[str, ...], Scalar] = {}
-    for idx, (a, b, coeff) in enumerate(r.entries()):
-        # abstract symbols for the two legs of this summand of r
-        A, B = f"L{idx}", f"R{idx}"
-        for left, right, sign in _inner_bracket_words(A, B, "x", "y"):
-            word = left + right
-            words[word] = words.get(word, Fraction(0)) + sign * coeff
-    return all(scalar_is_zero(c) for c in words.values())
-
-
-def _inner_bracket_words(A: str, B: str, x: str, y: str):
-    """The bracket {{x,y}}_{A(x)B} as signed (left-leg word, right-leg word) pairs."""
-    return [
-        ((A, x), (B, y), Fraction(1)),
-        ((y, A, x), (B,), Fraction(-1)),
-        ((A,), (x, B, y), Fraction(-1)),
-        ((y, A), (x, B), Fraction(1)),
-    ]
+    n = db.algebra.dim
+    return all(scalar_is_zero(c) for i in range(n) for j in range(n) for c in db.multiplied_basis(i, j))

@@ -9,7 +9,6 @@ so echelon forms, ranks and nullspace bases are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -240,50 +239,3 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense exact-rational matrix exposing rank and right-nullspace."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(data: Sequence[Sequence]) -> QMatrix:
-        grid = tuple(tuple(Fraction(x) for x in row) for row in data)
-        nrows = len(grid)
-        ncols = len(grid[0]) if grid else 0
-        if any(len(r) != ncols for r in grid):
-            raise ValueError("ragged rows")
-        return QMatrix(nrows, ncols, grid)
-
-    @staticmethod
-    def identity(n: int) -> QMatrix:
-        return QMatrix.from_rows(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> QMatrix:
-        return QMatrix(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
-
-    def _eliminator(self) -> SparseEliminator:
-        elim = SparseEliminator(self.cols)
-        for row in self.entries:
-            elim.add_row({i: x for i, x in enumerate(row) if x != 0})
-        return elim
-
-    def rank(self) -> int:
-        return self._eliminator().rank
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """The kernel basis of SparseEliminator.nullspace as dense vectors."""
-        zero = Fraction(0)
-        return [[vec.get(c, zero) for c in range(self.cols)] for vec in self._eliminator().nullspace()]
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * vec[j] for j in range(self.cols)), Fraction(0)) for r in self.entries]

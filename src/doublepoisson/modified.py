@@ -41,11 +41,6 @@ class ModifiedBracket(CoefficientBracket):
 
     # -- the multiplied bracket {-,-} = m o {{-,-}} --------------------------------
 
-    def multiplied_basis(self, i: int, j: int) -> tuple:
-        """Coordinates of m({{e_i, e_j}}) in A."""
-        r = _residual(multiplied_terms(self.algebra.products, self.terms[i][j]))
-        return tuple(r.get(k, Fraction(0)) for k in range(self.algebra.dim))
-
     def multiplied(self, x: AlgElement, y: AlgElement) -> AlgElement:
         """{x, y} = m({{x, y}}), extended bilinearly to coordinate vectors."""
         r = _residual(multiplied_terms(self.algebra.products, self.eval(x, y).entries()))

@@ -370,11 +370,6 @@ class RelationSet:
                 raise RuntimeError("rewriting did not terminate (non-admissible rules?)")
 
 
-def poly_normal_form(p: MultiPoly, rels: RelationSet) -> MultiPoly:
-    """Normal form of ``p`` modulo the rewrite rules (idempotent)."""
-    return rels.normal_form(p)
-
-
 # -- parser ------------------------------------------------------------------
 #
 # Grammar:  expr   := ['+'|'-'] term (('+'|'-') term)*

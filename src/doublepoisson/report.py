@@ -197,8 +197,8 @@ def run_golden_report(seed: int = 0) -> list[dict]:
     # --- trace Casimirs ---
     results.append(
         _item(
-            "trace Casimir 8-term cancellation (formal matrix entries)",
-            trace_casimir_check(WedgeElement.wedge(e0, e1)),
+            "trace Casimirs: m o {{-,-}}_r = 0 on every basis pair (a2, r = e0^e1)",
+            trace_casimir_check(db1),
         )
     )
     point = a2_rep2_rational_point(Fraction(3, 5), Fraction(4, 5), Fraction(2), Fraction(7))

@@ -1,19 +1,13 @@
-"""Tensor square and cube of an algebra, with all bimodule actions.
-
-Conventions (fixed once, used everywhere):
-
-* outer action on A(x)A:   x.(a(x)b) = xa(x)b,   (a(x)b).x = a(x)bx
-* inner action on A(x)A:   x.(a(x)b) = a(x)xb,   (a(x)b).x = ax(x)b
-* leg commutators on A(x)A(x)A:
-    [a(x)b(x)c, x]_1 = a(x)xb(x)c - ax(x)b(x)c
-    [a(x)b(x)c, y]_2 = a(x)b(x)yc - a(x)by(x)c
-    [a(x)b(x)c, z]_3 = za(x)b(x)c - a(x)b(x)cz
-* cyclic permutation: tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
+"""Tensor square and cube of an algebra: the value types of brackets and residuals.
 
 A tensor is stored sparse: ``terms`` maps a position (a, b) or (a, b, c) to
 its nonzero coefficient, so every operation costs the number of nonzero
-terms and products rather than dim^2 or dim^3.  ``grid`` is a dense view,
-built on each call, for tests and small reports.
+terms rather than dim^2 or dim^3.  ``grid`` is a dense view, built on each
+call, for tests and small reports.  The types never read the product
+table: the bimodule actions, the leg commutators and J(r) are term
+generators in ``axioms``, which fixes every sign and leg convention once.
+Only the index permutations live here: the flip (a(x)b)° = b(x)a and the
+cyclic tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
 """
 
 from __future__ import annotations
@@ -128,104 +122,6 @@ class Tensor2(_SparseTensor):
         """(a(x)b)° = b(x)a."""
         return Tensor2(self.algebra, {(b, a): v for (a, b), v in self.terms.items()})
 
-    # -- actions ---------------------------------------------------------------
-
-    def _mult_leg(self, maps, leg: int) -> Tensor2:
-        """Replace one leg by its image: maps[a] holds the (m, w) terms of e_a's image."""
-        out: dict = {}
-        for (a, b), v in self.terms.items():
-            if leg == 1:
-                for m, w in maps[a]:
-                    out[(m, b)] = out.get((m, b), 0) + w * v
-            else:
-                for m, w in maps[b]:
-                    out[(a, m)] = out.get((a, m), 0) + w * v
-        return Tensor2(self.algebra, _nonzero_terms(out))
-
-    def _check_elem(self, x: AlgElement) -> None:
-        if x.algebra != self.algebra:
-            raise AlgebraError("element from a different algebra")
-
-    def outer_left(self, x: AlgElement) -> Tensor2:
-        """x.(a(x)b) = xa(x)b."""
-        self._check_elem(x)
-        return self._mult_leg(_mult_maps(x, left=True), 1)
-
-    def outer_right(self, x: AlgElement) -> Tensor2:
-        """(a(x)b).x = a(x)bx."""
-        self._check_elem(x)
-        return self._mult_leg(_mult_maps(x, left=False), 2)
-
-    def inner_left(self, x: AlgElement) -> Tensor2:
-        """x.(a(x)b) = a(x)xb."""
-        self._check_elem(x)
-        return self._mult_leg(_mult_maps(x, left=True), 2)
-
-    def inner_right(self, x: AlgElement) -> Tensor2:
-        """(a(x)b).x = ax(x)b."""
-        self._check_elem(x)
-        return self._mult_leg(_mult_maps(x, left=False), 1)
-
-
-def _mult_maps(x: AlgElement, left: bool) -> list[tuple]:
-    """maps[a]: the nonzero (m, w) with x e_a (left) or e_a x (right) = sum w e_m."""
-    alg = x.algebra
-    n = alg.dim
-    prods = alg.products
-    maps = [{} for _ in range(n)]
-    for i, xi in enumerate(x.coords):
-        if scalar_is_zero(xi):
-            continue
-        for a in range(n):
-            image = maps[a]
-            for m, c in prods[i][a] if left else prods[a][i]:
-                image[m] = image.get(m, 0) + xi * c
-    return [tuple(_nonzero_terms(image).items()) for image in maps]
-
-
-# -- sparse kernels ----------------------------------------------------------
-#
-# The axiom checkers work on sparse tensors: dicts {position: coefficient}
-# holding only the terms that arise.  A dict returned by a helper below has
-# no zero values, so "not terms" means the tensor is zero.
-
-
-def _leg_commutator_terms(terms: dict, left, right, leg: int) -> dict:
-    """[t, x]_leg for t = terms, with left/right the maps of x (see _mult_maps)."""
-    out: dict = {}
-    for (a, b, c), v in terms.items():
-        if leg == 1:  # a (x) xb (x) c  -  ax (x) b (x) c
-            plus = (((a, m, c), w) for m, w in left[b])
-            minus = (((m, b, c), w) for m, w in right[a])
-        elif leg == 2:  # a (x) b (x) xc  -  a (x) bx (x) c
-            plus = (((a, b, m), w) for m, w in left[c])
-            minus = (((a, m, c), w) for m, w in right[b])
-        else:  # xa (x) b (x) c  -  a (x) b (x) cx
-            plus = (((m, b, c), w) for m, w in left[a])
-            minus = (((a, b, m), w) for m, w in right[c])
-        for key, w in plus:
-            out[key] = out.get(key, 0) + v * w
-        for key, w in minus:
-            out[key] = out.get(key, 0) - v * w
-    return _nonzero_terms(out)
-
-
-def _legwise_product_terms(prods, first: dict, second: dict) -> dict:
-    """(a(x)b(x)c) x (p(x)q(x)r) = ap (x) bq (x) cr over the product table prods."""
-    out: dict = {}
-    for (a, b, c), v in first.items():
-        pa, pb, pc = prods[a], prods[b], prods[c]
-        for (p, q, r), w in second.items():
-            coeff = v * w
-            for i, c1 in pa[p]:
-                x1 = coeff * c1
-                for j, c2 in pb[q]:
-                    x2 = x1 * c2
-                    for k, c3 in pc[r]:
-                        key = (i, j, k)
-                        out[key] = out.get(key, 0) + x2 * c3
-    return _nonzero_terms(out)
-
 
 class Tensor3(_SparseTensor):
     """Element of A(x)A(x)A: sum terms[(a, b, c)] e_a(x)e_b(x)e_c."""
@@ -261,21 +157,6 @@ class Tensor3(_SparseTensor):
     def tau132(self) -> Tensor3:
         """tau132(a(x)b(x)c) = b(x)c(x)a."""
         return Tensor3(self.algebra, {(b, c, a): v for (a, b, c), v in self.terms.items()})
-
-    def leg_commutator(self, x: AlgElement, leg: int) -> Tensor3:
-        """[t, x]_leg per the displayed leg-commutator formulas (leg in 1..3)."""
-        if x.algebra != self.algebra:
-            raise AlgebraError("element from a different algebra")
-        if leg not in (1, 2, 3):
-            raise AlgebraError(f"leg must be 1, 2 or 3, got {leg}")
-        left, right = _mult_maps(x, left=True), _mult_maps(x, left=False)
-        return Tensor3(self.algebra, _leg_commutator_terms(self.terms, left, right, leg))
-
-    def legwise_product(self, other: Tensor3) -> Tensor3:
-        """(a(x)b(x)c) x (p(x)q(x)r) = ap (x) bq (x) cr, extended bilinearly."""
-        self._same(other)
-        terms = _legwise_product_terms(self.algebra.products, self.terms, other.terms)
-        return Tensor3(self.algebra, terms)
 
 
 def tensor_from_terms(algebra: FDAlgebra, terms: dict) -> Tensor2:

@@ -194,7 +194,7 @@ def test_criterion_7_trace_casimirs():
     started = time.time()
     a2 = make_a2()
     m2 = make_matrix_algebra(2)
-    ok = trace_casimir_check(WedgeElement.wedge(a2.basis_element(0), a2.basis_element(1)))
+    ok = trace_casimir_check(inner_bracket(WedgeElement.wedge(a2.basis_element(0), a2.basis_element(1))))
     # exact evaluation at rational variety points, all inner brackets
     points2 = [a2_rep2_rational_point(Fraction(3, 5), Fraction(4, 5), Fraction(2), Fraction(7))]
     for w in wedge_basis(a2):

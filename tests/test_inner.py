@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from doublepoisson.algebra import AlgebraError, make_a2, make_matrix_algebra
+from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_alpha_bracket
 from doublepoisson.inner import (
     WedgeElement,
@@ -158,8 +159,11 @@ def test_implication_chain_random():
 
 
 def test_trace_casimir_words(a2):
+    # m o {{-,-}}_r = 0 for every wedge, read off the structure constants
     e0, e1 = a2.basis_element(0), a2.basis_element(1)
-    assert trace_casimir_check(WedgeElement.wedge(e0, e1))
-    assert trace_casimir_check(WedgeElement.zero(a2))
+    assert trace_casimir_check(inner_bracket(WedgeElement.wedge(e0, e1)))
+    assert trace_casimir_check(inner_bracket(WedgeElement.zero(a2)))
     rng = random.Random(13)
-    assert trace_casimir_check(rand_wedge(make_matrix_algebra(2), rng))
+    assert trace_casimir_check(inner_bracket(rand_wedge(make_matrix_algebra(2), rng)))
+    # negative control: {{e1, e1}} = e1 (x) e1 alone has m({{e1, e1}}) = e1 e1 = e1
+    assert not trace_casimir_check(DoubleBracket.from_entries(a2, [(1, 1, 1, 1, Fraction(1))]))
