@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[Fraction, "MultiPoly"]
@@ -97,8 +98,8 @@ class PolyRing:
 class MultiPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
-    Immutable by convention: every operation returns a fresh instance, and the
-    term map never stores zero coefficients.
+    Immutable by convention: no operation modifies an operand (``p ** 1`` is
+    ``p`` itself), and the term map never stores zero coefficients.
     """
 
     __slots__ = ("ring", "terms")
@@ -106,6 +107,14 @@ class MultiPoly:
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _clean(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> MultiPoly:
+        """Wrap a term map that holds no zero coefficient, without filtering it again."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
 
     # -- basic structure ---------------------------------------------------
 
@@ -122,7 +131,7 @@ class MultiPoly:
 
     def _coerce(self, other) -> MultiPoly:
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
             return other
         return self.ring.const(other)
@@ -133,17 +142,20 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            if e in terms:
+                s = terms[e] + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
             else:
-                terms[e] = s
-        return MultiPoly(self.ring, terms)
+                terms[e] = c
+        return MultiPoly._clean(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._coerce(other))
@@ -154,29 +166,35 @@ class MultiPoly:
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce(other)
         acc: dict[tuple[int, ...], Fraction] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(e, None)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                if e in acc:
+                    s = acc[e] + c1 * c2
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
                 else:
-                    acc[e] = s
-        return MultiPoly(self.ring, acc)
+                    acc[e] = c1 * c2
+        return MultiPoly._clean(self.ring, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MultiPoly:
+        """Square and multiply; the base is squared only while a higher bit remains."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return self.ring.one() if result is None else result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -200,7 +218,7 @@ class MultiPoly:
             de = list(e)
             de[i] -= 1
             acc[tuple(de)] = c * e[i]
-        return MultiPoly(self.ring, acc)
+        return MultiPoly._clean(self.ring, acc)
 
     def substitute(self, mapping: Mapping[str, MultiPoly], target: PolyRing) -> MultiPoly:
         """Ring morphism: replace every variable by its image in ``target``.

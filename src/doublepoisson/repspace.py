@@ -13,9 +13,12 @@ Verification charts parametrize the variety:
 * Rep3 of a2 -- the rank-1 branch in spherical coordinates.
 
 Each chart check (table consistency, relations, bivector Jacobi) builds one
-residual polynomial per item in the chart ring.  Exact mode reduces it modulo
-the chart relations; numeric mode samples it with ``MultiPoly.eval_float`` at
-seeded on-variety points.  No numpy.
+residual polynomial per item in the chart ring.  It reads images cached for
+the length of one call: the chart image of each variable and of each
+monomial, each derivative of a generator image or of a bivector entry, and
+the bivector contracted once with each generator's derivatives.  Exact mode
+reduces a residual modulo the chart relations; numeric mode samples it with
+``MultiPoly.eval_float`` at seeded on-variety points.  No numpy.
 """
 
 from __future__ import annotations
@@ -241,20 +244,6 @@ class ParamChart:
     def pi_entry(self, a: int, b: int) -> MultiPoly:
         return self.bivector[a][b]
 
-    def substitute_poly(self, p: MultiPoly, bindings: dict | None = None) -> MultiPoly:
-        """Map a coordinate-ring polynomial into the chart ring."""
-        mapping = {}
-        for v in p.ring.names:
-            if v in self.substitution:
-                mapping[v] = self.substitution[v]
-            elif bindings and v in bindings:
-                mapping[v] = self.ring.const(bindings[v])
-            elif v in self.ring.names:
-                mapping[v] = self.ring.var(v)
-            else:
-                raise ChartError(f"no chart image for variable {v!r}")
-        return p.substitute(mapping, self.ring)
-
     def bound_bivector(self, bindings: dict | None):
         if not bindings:
             return self.bivector
@@ -309,6 +298,51 @@ class ChartReport:
     frame: str = ""
 
 
+def _chart_images(chart: ParamChart, ring: PolyRing, bindings: dict | None):
+    """The map of ``ring`` into the chart ring, as a function of one polynomial.
+
+    A variable goes to its chart substitution, else to its binding, else to
+    the chart variable of the same name.  Each variable's image, each power
+    and each monomial's image is built once, on first use, and lives as long
+    as the returned function.  The image of p is the sum of c * img(e) over
+    the terms (e, c) of p in sorted order, as ``MultiPoly.substitute`` folds
+    it, so both give the same term map in the same key order.
+    """
+    variables = []
+    for v in ring.names:
+        if v in chart.substitution:
+            variables.append(chart.substitution[v])
+        elif bindings and v in bindings:
+            variables.append(chart.ring.const(bindings[v]))
+        elif v in chart.ring.names:
+            variables.append(chart.ring.var(v))
+        else:
+            raise ChartError(f"no chart image for variable {v!r}")
+    powers: dict = {}
+    monomials: dict = {}
+
+    def monomial(e: tuple) -> MultiPoly:
+        m = None
+        for i, k in enumerate(e):
+            if k:
+                power = powers.get((i, k))
+                if power is None:
+                    power = powers[(i, k)] = variables[i] ** k
+                m = power if m is None else m * power
+        return chart.ring.one() if m is None else m
+
+    def image(p: MultiPoly) -> MultiPoly:
+        out = chart.ring.zero()
+        for e, c in sorted(p.terms.items()):
+            m = monomials.get(e)
+            if m is None:
+                m = monomials[e] = monomial(e)
+            out = out + m * c
+        return out
+
+    return image
+
+
 def _vanishing(
     chart: ParamChart, residuals, mode: str, samples: int, seed: int, tol: float, bindings: dict | None
 ) -> tuple[list, float]:
@@ -348,8 +382,7 @@ def chart_consistency(
 ) -> ChartReport:
     """Does the chart bivector reproduce the induced table on this chart?
 
-    One residual per generator pair (u, v):
-        subst(table[(u,v)]) - sum_pq pi[p][q] D_p(subst u) D_q(subst v).
+    One residual per generator pair (u, v), see ``_consistency_residuals``.
     Exact mode reduces it modulo the chart relations; numeric mode samples it
     with ``eval_float`` at seeded on-variety points within ``tol``; no numpy.
     """
@@ -357,30 +390,39 @@ def chart_consistency(
         raise ChartError(
             f"chart {chart.name} is for {chart.algebra.name} at n={chart.n}"
         )
+    residuals = _consistency_residuals(chart, table, bindings)
+    failures, max_residual = _vanishing(chart, residuals, mode, samples, seed, tol, bindings)
+    return ChartReport(chart.name, mode, not failures, max_residual, tuple(failures), chart.frame)
+
+
+def _consistency_residuals(chart: ParamChart, table: PoissonTable, bindings: dict | None):
+    """((u, v), img(table[(u,v)]) - sum_q w_u[q] D_q(img v)) for every generator pair.
+
+    w_u[q] = sum_p pi[p][q] D_p(img u) is contracted once per generator u,
+    and each D_p(img u) is derived once, so a pair costs one product per
+    coordinate q that the bivector reaches.
+    """
+    image = _chart_images(chart, table.ring.ring, bindings)
     names = table.ring.coordinate_names()
     pi = chart.bound_bivector(bindings)
-    ncoords = len(chart.coords)
-    pi_nonzero = [
-        (p, q)
-        for p in range(ncoords)
-        for q in range(ncoords)
-        if not pi[p][q].is_zero()
-    ]
+    ncoords = range(len(chart.coords))
+    pi_nonzero = [(p, q) for p in ncoords for q in ncoords if not pi[p][q].is_zero()]
+    reached = sorted({q for _, q in pi_nonzero})
     derivatives = {}
+    contracted = {}
     for u in names:
-        image = chart.substitute_poly(table.ring.ring.var(u), bindings)
-        derivatives[u] = [coord.derive(image) for coord in chart.coords]
-
-    def residuals():
-        for u in names:
-            for v in names:
-                rhs = chart.ring.zero()
-                for p, q in pi_nonzero:
-                    rhs = rhs + pi[p][q] * derivatives[u][p] * derivatives[v][q]
-                yield (u, v), chart.substitute_poly(table.entry(u, v), bindings) - rhs
-
-    failures, max_residual = _vanishing(chart, residuals(), mode, samples, seed, tol, bindings)
-    return ChartReport(chart.name, mode, not failures, max_residual, tuple(failures), chart.frame)
+        img = image(table.ring.ring.var(u))
+        derivatives[u] = [coord.derive(img) for coord in chart.coords]
+        w = [chart.ring.zero() for _ in ncoords]
+        for p, q in pi_nonzero:
+            w[q] = w[q] + pi[p][q] * derivatives[u][p]
+        contracted[u] = w
+    for u in names:
+        for v in names:
+            rhs = chart.ring.zero()
+            for q in reached:
+                rhs = rhs + contracted[u][q] * derivatives[v][q]
+            yield (u, v), image(table.entry(u, v)) - rhs
 
 
 def chart_relations_check(
@@ -391,8 +433,9 @@ def chart_relations_check(
     tol: float = 1e-9,
 ):
     """All CoordRing relation polynomials must vanish under the substitution."""
-    rels = CoordRing.build(chart.algebra, chart.n).relation_polys()
-    residuals = ((k, chart.substitute_poly(p)) for k, p in enumerate(rels))
+    coord_ring = CoordRing.build(chart.algebra, chart.n)
+    image = _chart_images(chart, coord_ring.ring, None)
+    residuals = ((k, image(p)) for k, p in enumerate(coord_ring.relation_polys()))
     failures, worst = _vanishing(chart, residuals, mode, samples, seed, tol, None)
     # an exact failure has no sampled size
     return (not failures, math.inf if failures and not worst else worst)
@@ -409,17 +452,19 @@ def jacobi_check_bivector(
     """Schouten self-bracket of the chart bivector vanishes (exact or sampled).
 
     Components: sum_l pi[l][a] D_l pi[b][c] + pi[l][b] D_l pi[c][a]
-                        + pi[l][c] D_l pi[a][b]  for a < b < c.
+                        + pi[l][c] D_l pi[a][b]  for a < b < c,
+    read from one table of the derivatives D_l pi[p][q].
     """
     pi = chart.bound_bivector(bindings)
+    dpi = [[[coord.derive(entry) for entry in row] for row in pi] for coord in chart.coords]
 
     def components():
         for a, b, c in combinations(range(len(chart.coords)), 3):
             comp = chart.ring.zero()
-            for l, coord in enumerate(chart.coords):
-                comp = comp + pi[l][a] * coord.derive(pi[b][c])
-                comp = comp + pi[l][b] * coord.derive(pi[c][a])
-                comp = comp + pi[l][c] * coord.derive(pi[a][b])
+            for l in range(len(chart.coords)):
+                comp = comp + pi[l][a] * dpi[l][b][c]
+                comp = comp + pi[l][b] * dpi[l][c][a]
+                comp = comp + pi[l][c] * dpi[l][a][b]
             yield (a, b, c), comp
 
     failures, _ = _vanishing(chart, components(), mode, samples, seed, tol, bindings)

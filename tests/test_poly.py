@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from doublepoisson.poly import (
+    MultiPoly,
     PolyRing,
     RelationSet,
     format_rational,
@@ -132,3 +135,94 @@ def test_substitute_and_eval(cs_ring):
     assert image == target.parse("2*u^2")
     assert p.eval_rational({"c": Fraction(2), "s": Fraction(1), "lam": 0, "mu": 0}) == 5
     assert abs(p.eval_float({"c": 2.0, "s": 1.0, "lam": 0.0, "mu": 0.0}) - 5.0) < 1e-12
+
+
+# -- oracle: the kernel before it skipped its throwaway work ---------------------
+#
+# Each old operation built a Fraction(0) default per term and filtered zeros
+# again in the constructor, and __pow__ squared the base once past its last
+# bit.  The new kernel must give the same term maps in the same key order.
+
+
+def _old_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        s = terms.get(e, Fraction(0)) + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return MultiPoly(p.ring, terms)
+
+
+def _old_neg(p):
+    return MultiPoly(p.ring, {e: -c for e, c in p.terms.items()})
+
+
+def _old_sub(p, q):
+    return _old_add(p, _old_neg(q))
+
+
+def _old_mul(p, q):
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = acc.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return MultiPoly(p.ring, acc)
+
+
+def _old_pow(p, n):
+    result = p.ring.one()
+    base = p
+    while n:
+        if n & 1:
+            result = _old_mul(result, base)
+        base = _old_mul(base, base)
+        n >>= 1
+    return result
+
+
+_KERNEL_RING = PolyRing(("x", "y", "z"))
+# a small exponent box, so that sums and products meet the same keys often
+_exponents = st.tuples(*[st.integers(0, 2)] * 3)
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+_kernel_polys = st.lists(st.tuples(_exponents, _coefficients), max_size=6).map(
+    lambda terms: MultiPoly(_KERNEL_RING, dict(terms))
+)
+
+
+def _same(got, want):
+    """Equal term maps in the same key order, and no stored zero."""
+    assert got.ring == want.ring
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(c != 0 for c in got.terms.values())
+
+
+@seed(20261024)
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=_kernel_polys, q=_kernel_polys, c=_coefficients)
+def test_kernel_matches_the_old_arithmetic(p, q, c):
+    # q - p against p cancels p's terms in p + (q - p); p - p and p + (-p) vanish
+    for a, b in ((p, q), (p, _old_neg(p)), (p, p), (p, _old_sub(q, p)), (q, p)):
+        _same(a + b, _old_add(a, b))
+        _same(a - b, _old_sub(a, b))
+        _same(a * b, _old_mul(a, b))
+    _same(-p, _old_neg(p))
+    scalar = _KERNEL_RING.const(c)
+    _same(p + c, _old_add(p, scalar))
+    _same(p - c, _old_sub(p, scalar))
+    _same(p * c, _old_mul(p, scalar))
+    assert (p + _old_neg(p)).is_zero() and (p - p).is_zero()
+    product = _KERNEL_RING.one()
+    for k in range(6):
+        _same(p**k, _old_pow(p, k))
+        assert (p**k).terms == product.terms
+        product = product * p

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from doublepoisson import io as dpio
 from doublepoisson.algebra import make_a2, make_matrix_algebra
 from doublepoisson.brackets import DoubleBracket
-from doublepoisson.families import a2_alpha_bracket_symbolic
+from doublepoisson.families import a2_alpha_bracket, a2_alpha_bracket_symbolic, a2_double_family
 from doublepoisson.inner import inner_bracket, wedge_basis
 from doublepoisson.linalg import rank_of_vectors
 from doublepoisson.poly import MultiPoly, PolyRing, scalar_is_zero
 from doublepoisson.repspace import (
+    ChartCoord,
     ChartError,
+    ChartReport,
     CoordRing,
     coord_var_name,
     a2_rep2_rational_point,
@@ -28,6 +31,8 @@ from doublepoisson.repspace import (
     matrix_algebra_rep_point,
     register_chart_rep2_a2,
     register_chart_rep3_a2,
+    _consistency_residuals,
+    _vanishing,
 )
 from test_solver import _t3_json
 
@@ -372,3 +377,112 @@ def test_trace_casimir_at_rational_points(a2):
                             for i in (1, 2)
                         )
                         assert total == 0
+
+
+# -- oracle: the chart check by per-pair substitution ----------------------------
+
+
+def _substitute_poly(chart, p, bindings=None):
+    """Map a coordinate-ring polynomial into the chart ring, all variables afresh."""
+    mapping = {}
+    for v in p.ring.names:
+        if v in chart.substitution:
+            mapping[v] = chart.substitution[v]
+        elif bindings and v in bindings:
+            mapping[v] = chart.ring.const(bindings[v])
+        elif v in chart.ring.names:
+            mapping[v] = chart.ring.var(v)
+        else:
+            raise ChartError(f"no chart image for variable {v!r}")
+    return p.substitute(mapping, chart.ring)
+
+
+def _substituted_residuals(chart, table, bindings=None):
+    """The consistency residuals, every image substituted afresh per pair: the cached check's reference."""
+    names = table.ring.coordinate_names()
+    pi = chart.bound_bivector(bindings)
+    ncoords = len(chart.coords)
+    pi_nonzero = [(p, q) for p in range(ncoords) for q in range(ncoords) if not pi[p][q].is_zero()]
+    derivatives = {}
+    for u in names:
+        image = _substitute_poly(chart, table.ring.ring.var(u), bindings)
+        derivatives[u] = [coord.derive(image) for coord in chart.coords]
+    for u in names:
+        for v in names:
+            rhs = chart.ring.zero()
+            for p, q in pi_nonzero:
+                rhs = rhs + pi[p][q] * derivatives[u][p] * derivatives[v][q]
+            yield (u, v), _substitute_poly(chart, table.entry(u, v), bindings) - rhs
+
+
+def _oracle_report(chart, residuals, mode, samples, seed, bindings):
+    failures, max_residual = _vanishing(chart, iter(residuals), mode, samples, seed, 1e-9, bindings)
+    return ChartReport(chart.name, mode, not failures, max_residual, tuple(failures), chart.frame)
+
+
+def _chart_case(data, charts, corrupted):
+    """(chart, table, bindings) for one drawn case, on rep2 or rep3."""
+    n = data.draw(st.sampled_from((2, 3)))
+    case = data.draw(st.sampled_from(("symbolic", "alpha", "off-variety", "corrupted")))
+    chart = charts[n]
+    if case in ("symbolic", "corrupted"):
+        db, _ = a2_alpha_bracket_symbolic("A")
+        if case == "corrupted":
+            n, chart = 2, corrupted
+        return chart, induce(db, n), None
+    nonzero = _small_rational.filter(lambda c: c != 0)
+    if case == "alpha":
+        alpha = data.draw(nonzero)
+        return chart, induce(a2_alpha_bracket(alpha), n), {"A": alpha}
+    # off the variety gamma^2 + alpha beta = 0; A is bound as the CLI binds it
+    alpha, beta, gamma = data.draw(
+        st.tuples(nonzero, _small_rational, _small_rational).filter(lambda t: t[2] ** 2 + t[0] * t[1] != 0)
+    )
+    db = a2_double_family(alpha, beta, gamma)
+    return chart, induce(db, n), {"A": db.eval_basis(0, 1).grid[0][0]}
+
+
+@seed(20261025)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_cached_chart_check_matches_per_pair_substitution(rep2_chart, rep3_chart, corrupted_rep2_chart, data):
+    chart, table, bindings = _chart_case(data, {2: rep2_chart, 3: rep3_chart}, corrupted_rep2_chart)
+    want = list(_substituted_residuals(chart, table, bindings))
+    got = list(_consistency_residuals(chart, table, bindings))
+    assert [tag for tag, _ in got] == [tag for tag, _ in want]
+    for (_, p), (_, q) in zip(got, want):
+        assert p.ring == q.ring and list(p.terms.items()) == list(q.terms.items())
+    for mode in ("exact", "numeric"):
+        report = chart_consistency(chart, table, mode=mode, samples=5, seed=11, bindings=bindings)
+        oracle = _oracle_report(chart, want, mode, 5, 11, bindings)
+        assert report == oracle
+        assert report.max_residual.hex() == oracle.max_residual.hex()
+
+
+def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeypatch):
+    """27 generators x 6 coordinates derivations, not one per pair; no per-pair substitution."""
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for cls, name in ((ChartCoord, "derive"), (MultiPoly, "substitute"), (MultiPoly, "__pow__")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    db, _ = a2_alpha_bracket_symbolic("A")
+    table = induce(db, 3)
+    # each table entry has degree at most 2 in each variable: one power per (variable, exponent)
+    powers = 2 * table.ring.ring.nvars
+    assert chart_consistency(rep3_chart, table, mode="exact").ok
+    assert calls["derive"] == 27 * 6 and calls["substitute"] == 0 and calls["__pow__"] <= powers
+    calls.clear()
+    # bound, the bivector's 36 entries are substituted once each
+    assert chart_consistency(rep3_chart, induce(a2_alpha_bracket(Fraction(2)), 3), bindings={"A": 2}).ok
+    assert calls["derive"] == 27 * 6 and calls["substitute"] == 36
+    calls.clear()
+    # the bivector Jacobi check derives each entry once along each coordinate
+    assert jacobi_check_bivector(rep3_chart, mode="exact")
+    assert calls["derive"] == 6 * 36
