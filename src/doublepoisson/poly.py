@@ -1,9 +1,12 @@
 """Exact multivariate polynomials over Q with graded-lex rewriting.
 
-Coefficients are :class:`fractions.Fraction` throughout; a polynomial is a
-sparse map from exponent vectors to nonzero coefficients.  Rings are just an
-ordered tuple of variable names, fixed at construction so that the graded
-lexicographic order (and hence every normal form) is deterministic.
+A polynomial is a sparse map from exponent vectors to nonzero exact rational
+coefficients.  The ring's constructors (``const``, ``var``, ``monomial``,
+``parse``) store :class:`fractions.Fraction`; arithmetic keeps what its
+operands hold, so int coefficients that a caller stores stay ints under + and
+*.  Rings are just an ordered tuple of variable names, fixed at construction
+so that the graded lexicographic order (and hence every normal form) is
+deterministic.
 
 Rewrite systems (:class:`RelationSet`) are deliberately restricted to rules
 whose replacement is strictly smaller than the leading monomial in graded-lex;
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[Fraction, "MultiPoly"]
 
@@ -94,9 +97,48 @@ class PolyRing:
     def parse(self, text: str) -> MultiPoly:
         return _parse_poly(self, text)
 
+    def morphism(self, mapping: Mapping[str, Scalar], target: PolyRing) -> Callable[[MultiPoly], MultiPoly]:
+        """The ring morphism into ``target`` that sends each variable to its image.
+
+        Every variable of this ring must be mapped (to a MultiPoly over
+        ``target`` or to a Fraction/int constant).  The returned function maps
+        one polynomial of this ring; each power of a variable's image is built
+        once, on first use, and kept for as long as the function lives.  The
+        image of p is folded term by term, in sorted term order, as c times
+        the powers that the exponent vector e names.
+        """
+        images: list[MultiPoly] = []
+        for name in self.names:
+            if name not in mapping:
+                raise ValueError(f"substitute: no image given for variable {name!r}")
+            img = mapping[name]
+            if not isinstance(img, MultiPoly):
+                img = target.const(img)
+            elif img.ring != target:
+                raise ValueError(f"image of {name!r} lives in {img.ring}, not {target}")
+            images.append(img)
+        powers: dict[tuple[int, int], MultiPoly] = {}
+
+        def image(p: MultiPoly) -> MultiPoly:
+            if p.ring is not self and p.ring != self:
+                raise ValueError(f"ring mismatch: {p.ring} is not the source ring {self}")
+            out = target.zero()
+            for e, c in sorted(p.terms.items()):
+                term = target.const(c)
+                for i, k in enumerate(e):
+                    if k:
+                        power = powers.get((i, k))
+                        if power is None:
+                            power = powers[(i, k)] = images[i] ** k
+                        term = term * power
+                out = out + term
+            return out
+
+        return image
+
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational (Fraction or int) coefficients.
 
     Immutable by convention: no operation modifies an operand (``p ** 1`` is
     ``p`` itself), and the term map never stores zero coefficients.
@@ -220,34 +262,13 @@ class MultiPoly:
             acc[tuple(de)] = c * e[i]
         return MultiPoly._clean(self.ring, acc)
 
-    def substitute(self, mapping: Mapping[str, MultiPoly], target: PolyRing) -> MultiPoly:
+    def substitute(self, mapping: Mapping[str, Scalar], target: PolyRing) -> MultiPoly:
         """Ring morphism: replace every variable by its image in ``target``.
 
         Every variable of this ring must be mapped (to a MultiPoly over
-        ``target`` or to a Fraction/int constant).
+        ``target`` or to a Fraction/int constant); see ``PolyRing.morphism``.
         """
-        images: list[MultiPoly] = []
-        for name in self.ring.names:
-            if name not in mapping:
-                raise ValueError(f"substitute: no image given for variable {name!r}")
-            img = mapping[name]
-            if not isinstance(img, MultiPoly):
-                img = target.const(img)
-            elif img.ring != target:
-                raise ValueError(f"image of {name!r} lives in {img.ring}, not {target}")
-            images.append(img)
-        powers: list[dict[int, MultiPoly]] = [dict() for _ in images]
-        result = target.zero()
-        for e, c in sorted(self.terms.items()):
-            term = target.const(c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if k not in powers[i]:
-                    powers[i][k] = images[i] ** k
-                term = term * powers[i][k]
-            result = result + term
-        return result
+        return self.ring.morphism(mapping, target)(self)
 
     def eval_rational(self, values: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation at a rational point (all variables required)."""
@@ -318,7 +339,7 @@ def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     for p in polys:
         if p.is_zero():
             continue
-        lead = p.terms[p.leading_monomial()]
+        lead = Fraction(p.terms[p.leading_monomial()])  # an int quotient would be a float
         terms = {e: c / lead for e, c in p.terms.items()}
         key = (p.ring, frozenset(terms.items()))
         if key not in seen:

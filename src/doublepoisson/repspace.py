@@ -14,11 +14,12 @@ Verification charts parametrize the variety:
 
 Each chart check (table consistency, relations, bivector Jacobi) builds one
 residual polynomial per item in the chart ring.  It reads images cached for
-the length of one call: the chart image of each variable and of each
-monomial, each derivative of a generator image or of a bivector entry, and
-the bivector contracted once with each generator's derivatives.  Exact mode
-reduces a residual modulo the chart relations; numeric mode samples it with
-``MultiPoly.eval_float`` at seeded on-variety points.  No numpy.
+the length of one call: one ``PolyRing.morphism`` into the chart ring (each
+power of a variable's image raised once), each derivative of a generator
+image or of a bivector entry, and the bivector contracted once with each
+generator's derivatives.  Exact mode reduces a residual modulo the chart
+relations; numeric mode samples it with ``MultiPoly.eval_float`` at seeded
+on-variety points.  No numpy.
 """
 
 from __future__ import annotations
@@ -247,16 +248,8 @@ class ParamChart:
     def bound_bivector(self, bindings: dict | None):
         if not bindings:
             return self.bivector
-        mapping = {}
-        for v in self.ring.names:
-            if v in bindings:
-                mapping[v] = self.ring.const(bindings[v])
-            else:
-                mapping[v] = self.ring.var(v)
-        return tuple(
-            tuple(entry.substitute(mapping, self.ring) for entry in row)
-            for row in self.bivector
-        )
+        image = _chart_images(self, self.ring, bindings)
+        return tuple(tuple(image(entry) for entry in row) for row in self.bivector)
 
     def sample_points(self, count: int, seed: int, bindings: dict | None = None) -> list[dict]:
         """Seeded on-variety samples: every chart ring variable gets a float."""
@@ -299,48 +292,22 @@ class ChartReport:
 
 
 def _chart_images(chart: ParamChart, ring: PolyRing, bindings: dict | None):
-    """The map of ``ring`` into the chart ring, as a function of one polynomial.
+    """The map of ``ring`` into the chart ring, as a cached ``PolyRing.morphism``.
 
     A variable goes to its chart substitution, else to its binding, else to
-    the chart variable of the same name.  Each variable's image, each power
-    and each monomial's image is built once, on first use, and lives as long
-    as the returned function.  The image of p is the sum of c * img(e) over
-    the terms (e, c) of p in sorted order, as ``MultiPoly.substitute`` folds
-    it, so both give the same term map in the same key order.
+    the chart variable of the same name.
     """
-    variables = []
+    mapping = {}
     for v in ring.names:
         if v in chart.substitution:
-            variables.append(chart.substitution[v])
+            mapping[v] = chart.substitution[v]
         elif bindings and v in bindings:
-            variables.append(chart.ring.const(bindings[v]))
+            mapping[v] = chart.ring.const(bindings[v])
         elif v in chart.ring.names:
-            variables.append(chart.ring.var(v))
+            mapping[v] = chart.ring.var(v)
         else:
             raise ChartError(f"no chart image for variable {v!r}")
-    powers: dict = {}
-    monomials: dict = {}
-
-    def monomial(e: tuple) -> MultiPoly:
-        m = None
-        for i, k in enumerate(e):
-            if k:
-                power = powers.get((i, k))
-                if power is None:
-                    power = powers[(i, k)] = variables[i] ** k
-                m = power if m is None else m * power
-        return chart.ring.one() if m is None else m
-
-    def image(p: MultiPoly) -> MultiPoly:
-        out = chart.ring.zero()
-        for e, c in sorted(p.terms.items()):
-            m = monomials.get(e)
-            if m is None:
-                m = monomials[e] = monomial(e)
-            out = out + m * c
-        return out
-
-    return image
+    return ring.morphism(mapping, chart.ring)
 
 
 def _vanishing(

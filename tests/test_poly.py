@@ -187,6 +187,23 @@ def _old_pow(p, n):
     return result
 
 
+def _old_substitute(p, mapping, target):
+    """The ring morphism folded term by term, each power raised afresh per call."""
+    images = [mapping[name] for name in p.ring.names]
+    images = [img if isinstance(img, MultiPoly) else target.const(img) for img in images]
+    powers = [dict() for _ in images]
+    result = target.zero()
+    for e, c in sorted(p.terms.items()):
+        term = target.const(c)
+        for i, k in enumerate(e):
+            if k:
+                if k not in powers[i]:
+                    powers[i][k] = _old_pow(images[i], k)
+                term = _old_mul(term, powers[i][k])
+        result = _old_add(result, term)
+    return result
+
+
 _KERNEL_RING = PolyRing(("x", "y", "z"))
 # a small exponent box, so that sums and products meet the same keys often
 _exponents = st.tuples(*[st.integers(0, 2)] * 3)
@@ -226,3 +243,20 @@ def test_kernel_matches_the_old_arithmetic(p, q, c):
         _same(p**k, _old_pow(p, k))
         assert (p**k).terms == product.terms
         product = product * p
+    # one morphism maps several polynomials through the same power and monomial caches
+    mapping = {"x": q, "y": c, "z": p + q}
+    image = _KERNEL_RING.morphism(mapping, _KERNEL_RING)
+    for r in (p, q, p * q, p):
+        _same(image(r), _old_substitute(r, mapping, _KERNEL_RING))
+        _same(r.substitute(mapping, _KERNEL_RING), _old_substitute(r, mapping, _KERNEL_RING))
+
+
+def test_morphism_rejects_missing_foreign_and_misplaced_images(cs_ring):
+    target = PolyRing(("u",))
+    with pytest.raises(ValueError, match="no image"):
+        cs_ring.morphism({"c": 1}, target)
+    with pytest.raises(ValueError, match="lives in"):
+        cs_ring.morphism({"c": cs_ring.var("c"), "s": 0, "lam": 0, "mu": 0}, target)
+    image = cs_ring.morphism({"c": 1, "s": 0, "lam": 0, "mu": 0}, target)
+    with pytest.raises(ValueError, match="source ring"):
+        image(target.var("u"))

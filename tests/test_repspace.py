@@ -34,6 +34,7 @@ from doublepoisson.repspace import (
     _consistency_residuals,
     _vanishing,
 )
+from test_poly import _old_substitute
 from test_solver import _t3_json
 
 
@@ -383,7 +384,7 @@ def test_trace_casimir_at_rational_points(a2):
 
 
 def _substitute_poly(chart, p, bindings=None):
-    """Map a coordinate-ring polynomial into the chart ring, all variables afresh."""
+    """Map a coordinate-ring polynomial into the chart ring by the reference fold, all powers afresh."""
     mapping = {}
     for v in p.ring.names:
         if v in chart.substitution:
@@ -394,7 +395,7 @@ def _substitute_poly(chart, p, bindings=None):
             mapping[v] = chart.ring.var(v)
         else:
             raise ChartError(f"no chart image for variable {v!r}")
-    return p.substitute(mapping, chart.ring)
+    return _old_substitute(p, mapping, chart.ring)
 
 
 def _substituted_residuals(chart, table, bindings=None):
@@ -460,7 +461,7 @@ def test_cached_chart_check_matches_per_pair_substitution(rep2_chart, rep3_chart
 
 
 def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeypatch):
-    """27 generators x 6 coordinates derivations, not one per pair; no per-pair substitution."""
+    """27 generators x 6 coordinates derivations, not one per pair; one morphism per ring, no per-pair substitution."""
     calls = Counter()
 
     def counting(name, method):
@@ -470,18 +471,20 @@ def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeyp
 
         return wrapper
 
-    for cls, name in ((ChartCoord, "derive"), (MultiPoly, "substitute"), (MultiPoly, "__pow__")):
+    patched = ((ChartCoord, "derive"), (MultiPoly, "substitute"), (MultiPoly, "__pow__"), (PolyRing, "morphism"))
+    for cls, name in patched:
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     db, _ = a2_alpha_bracket_symbolic("A")
     table = induce(db, 3)
     # each table entry has degree at most 2 in each variable: one power per (variable, exponent)
     powers = 2 * table.ring.ring.nvars
     assert chart_consistency(rep3_chart, table, mode="exact").ok
-    assert calls["derive"] == 27 * 6 and calls["substitute"] == 0 and calls["__pow__"] <= powers
+    assert calls["derive"] == 27 * 6 and calls["morphism"] == 1 and calls["__pow__"] <= powers
+    assert calls["substitute"] == 0
     calls.clear()
-    # bound, the bivector's 36 entries are substituted once each
+    # bound, the bivector's 36 entries go through one more morphism
     assert chart_consistency(rep3_chart, induce(a2_alpha_bracket(Fraction(2)), 3), bindings={"A": 2}).ok
-    assert calls["derive"] == 27 * 6 and calls["substitute"] == 36
+    assert calls["derive"] == 27 * 6 and calls["morphism"] == 2 and calls["substitute"] == 0
     calls.clear()
     # the bivector Jacobi check derives each entry once along each coordinate
     assert jacobi_check_bivector(rep3_chart, mode="exact")
