@@ -58,6 +58,18 @@ def derivation_terms(prods, images, k: int, l: int):
             yield (a, m), -v, p
 
 
+def unit_terms(unit, images):
+    """delta(1) = sum_m unit[m] delta(e_m) at each position (a, b), ``unit`` the coordinates of 1.
+
+    With the ``derivation_terms`` of (k, l) for k in a generating set and
+    every l, delta(1) = 0 gives the Leibniz rule on all pairs.
+    """
+    for m, u in enumerate(unit):
+        if u:
+            for a, b, p in images[m]:
+                yield (a, b), u, p
+
+
 def inner_derivation_terms(prods, tensor, i: int):
     """e_i.m - m.e_i at each position (a, b), for m = sum payload e_p(x)e_q over the ``tensor`` slot."""
     for p, q, w in tensor:

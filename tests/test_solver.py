@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
+from unittest import mock
 
 import pytest
 import sympy
@@ -10,6 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
+from doublepoisson import solver
 from doublepoisson.algebra import (
     FDAlgebra,
     commutator_subspace,
@@ -18,7 +20,7 @@ from doublepoisson.algebra import (
     make_matrix_algebra,
     resolve_preset,
 )
-from doublepoisson.axioms import skew_terms
+from doublepoisson.axioms import derivation_terms, flipped, skew_terms
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -36,12 +38,13 @@ from doublepoisson.poly import MultiPoly, grlex_key
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
+    _derivation_basis,
+    _derivation_rows,
     _first_leibniz_rows,
     _generic_slot,
     _h0_skew_rows,
     _integer_products,
     _jacobi_forms,
-    _leibniz_rows,
     _rows,
     _with_constraints,
     double_derivation_space,
@@ -361,9 +364,13 @@ def test_generator_triples_give_the_all_triples_basis(spec, tmp_path):
 
 
 @lru_cache(maxsize=None)
+def _ladder_algebra(spec):
+    return dpio.algebra_from_json(_t3_data()) if spec == "T3" else resolve_preset(spec)
+
+
+@lru_cache(maxsize=None)
 def _linear_variety(spec):
-    algebra = dpio.algebra_from_json(_t3_data()) if spec == "T3" else resolve_preset(spec)
-    return solve_linear(algebra)
+    return solve_linear(_ladder_algebra(spec))
 
 
 def _relabelled(algebra, perm):
@@ -499,34 +506,38 @@ def _dense_first_leibniz_rows(algebra):
             yield row
 
 
-def _dense_double_derivation_space(algebra):
+def _dense_derivation_rows(algebra):
+    """The Leibniz rows of Der(A, A(x)A) for every pair (i, j), over the columns (m * n + a) * n + b."""
     n = algebra.dim
     mul = _dense_mul(algebra)
 
     def flat(i, a, b):
         return (i * n + a) * n + b
 
-    def rows():
-        for i, j, c, d in product(range(n), repeat=4):
-            row = {}
-            add = _row_adder(row)
-            for m in range(n):
-                if mul[i][j][m] != 0:
-                    add(flat(m, c, d), mul[i][j][m])
-            for b in range(n):
-                if mul[b][j][d] != 0:
-                    add(flat(i, c, b), -mul[b][j][d])
-            for a in range(n):
-                if mul[i][a][c] != 0:
-                    add(flat(j, a, d), -mul[i][a][c])
-            if row:
-                yield row
+    for i, j, c, d in product(range(n), repeat=4):
+        row = {}
+        add = _row_adder(row)
+        for m in range(n):
+            if mul[i][j][m] != 0:
+                add(flat(m, c, d), mul[i][j][m])
+        for b in range(n):
+            if mul[b][j][d] != 0:
+                add(flat(i, c, b), -mul[b][j][d])
+        for a in range(n):
+            if mul[i][a][c] != 0:
+                add(flat(j, a, d), -mul[i][a][c])
+        if row:
+            yield row
 
+
+def _dense_double_derivation_space(algebra):
+    n = algebra.dim
     der_basis = [
         _from_grids(
-            algebra, [[[vec.get(flat(i, a, b), 0) for b in range(n)] for a in range(n)] for i in range(n)]
+            algebra,
+            [[[vec.get((i * n + a) * n + b, 0) for b in range(n)] for a in range(n)] for i in range(n)],
         )
-        for vec in nullspace_of_rows(rows(), n**3)
+        for vec in nullspace_of_rows(_dense_derivation_rows(algebra), n**3)
     ]
     inner_gens = []
     for p, q in product(range(n), repeat=2):
@@ -554,12 +565,29 @@ def _dense_h0_skew_rows(algebra):
                     yield row
 
 
+def _pair_rows(prods, images, firsts):
+    """The ``derivation_terms`` rows of the pairs (k, l), k in ``firsts``, in (k, l, c, d) order, without delta(1) = 0.
+
+    With every k this is the fold the solver ran before it kept only the generator pairs.
+    """
+    n = len(prods)
+    return _rows(derivation_terms(prods, images, k, l) for k in firsts for l in range(n))
+
+
 def _slot_derivation_rows(algebra):
-    """The second-argument Leibniz rows: the derivation rows of each generic row {{e_i, -}}."""
+    """The second-argument Leibniz rows of every pair: the derivation rows of each generic row {{e_i, -}}."""
     n = algebra.dim
     prods = _integer_products(algebra)
     for i in range(n):
-        yield from _leibniz_rows(prods, [_generic_slot(n, (i * n + m) * n * n) for m in range(n)])
+        yield from _pair_rows(prods, [_generic_slot(n, (i * n + m) * n * n) for m in range(n)], range(n))
+
+
+def _slot_first_leibniz_rows(algebra):
+    """The first-argument Leibniz rows of every pair, slot i = 0, 1, ... in turn."""
+    n = algebra.dim
+    prods = _integer_products(algebra)
+    for i in range(n):
+        yield from _pair_rows(prods, [flipped(_generic_slot(n, (m * n + i) * n * n)) for m in range(n)], range(n))
 
 
 def _skew_rows(algebra):
@@ -574,7 +602,7 @@ def test_leibniz_rows_match_dense_oracle(spec, tmp_path):
     algebra = _oracle_algebra(spec, tmp_path)
     assert list(_slot_derivation_rows(algebra)) == list(_dense_second_leibniz_rows(algebra))
     # the same rows, now generated slot by slot
-    assert sorted(sorted(r.items()) for r in _first_leibniz_rows(algebra)) == sorted(
+    assert sorted(sorted(r.items()) for r in _slot_first_leibniz_rows(algebra)) == sorted(
         sorted(r.items()) for r in _dense_first_leibniz_rows(algebra)
     )
 
@@ -613,6 +641,85 @@ def test_derivation_space_matches_dense_oracle(spec, tmp_path):
     assert subspaces_equal([d.flat_coeffs() for d in der_basis], [d.flat_coeffs() for d in dense_der])
 
 
+# -- the Leibniz rule on generators ------------------------------------------------------
+#
+# Every Leibniz system of the solver is imposed on (generator, basis) pairs plus
+# delta(1) = 0.  Its rows differ from the dense rows of every pair, but the
+# nullspace basis, which depends only on the row space, must be the same.
+
+
+def _exact_rows(rows):
+    return [[(c, repr(v)) for c, v in row.items()] for row in rows]
+
+
+@pytest.mark.parametrize("spec", ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2"))
+def test_generator_leibniz_rows_give_the_dense_nullspace(spec, tmp_path):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    n = algebra.dim
+    generators = generating_set(algebra)
+    assert _exact_rows(nullspace_of_rows(_derivation_rows(algebra, generators), n**3)) == _exact_rows(
+        nullspace_of_rows(_dense_derivation_rows(algebra), n**3)
+    )
+    assert _exact_rows(nullspace_of_rows(_first_leibniz_rows(algebra, generators), n**4)) == _exact_rows(
+        nullspace_of_rows(_dense_first_leibniz_rows(algebra), n**4)
+    )
+
+
+@pytest.mark.parametrize("spec, dim, without_unit", [("mat1+mat1", 2, 4), ("a2+mat1", 15, 19), ("mat2+mat1", 20, 25)])
+def test_unit_rows_are_needed(spec, dim, without_unit):
+    """Without delta(1) = 0 the generator rows leave a larger space than Der(A, A(x)A)."""
+    algebra = resolve_preset(spec)
+    n = algebra.dim
+    generators = generating_set(algebra)
+    images = [_generic_slot(n, m * n * n) for m in range(n)]
+    pairs = _pair_rows(_integer_products(algebra), images, generators)
+    assert len(nullspace_of_rows(pairs, n**3)) == without_unit
+    dense = nullspace_of_rows(_dense_derivation_rows(algebra), n**3)
+    assert len(_derivation_basis(algebra, generators)) == dim == len(dense)
+
+
+@seed(20261020)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_derivation_stages_do_not_depend_on_the_generating_set(data):
+    algebra = _ladder_algebra(data.draw(st.sampled_from(("a2", "mat2", "a2+mat1", "mat2+mat1", "a2+a2", "T3"))))
+    perm = data.draw(st.permutations(range(algebra.dim)))
+    # greedy in the permuted basis order, mapped back to the original indices
+    permuted = tuple(perm.index(g) for g in generating_set(_relabelled(algebra, perm)))
+    results = []
+    for generators in (permuted, generating_set(algebra), tuple(range(algebra.dim))):
+        with mock.patch.object(solver, "generating_set", lambda _: generators):
+            modified = solve_modified_linear(algebra)
+        results.append(
+            (
+                _exact_rows(_derivation_basis(algebra, generators)),
+                _exact([b.flat_coeffs() for b in modified.nullspace_basis]),
+            )
+        )
+    assert results[0] == results[1] == results[2]
+
+
+def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
+    """mat4 hh1 folds len(G) * 16 = 112 pairs, not 256; solve --modified finds the generators once."""
+    calls = {"derivation_terms": 0, "generating_set": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    mat4 = make_matrix_algebra(4)
+    assert outer_double_derivation_dim(mat4) == (240, 240, 0)
+    assert calls["derivation_terms"] == len(generating_set(mat4)) * 16 == 112
+    calls["generating_set"] = 0
+    solve_modified_linear(make_a2())
+    assert calls["generating_set"] == 1
+
+
 # -- oracle: the one-shot linear systems on n^4 unknowns ------------------------------
 #
 # The linear axioms used to be solved as one system over the whole coefficient
@@ -630,7 +737,7 @@ def _one_shot_solve_linear(algebra):
 
 
 def _one_shot_solve_modified_linear(algebra):
-    rows = chain(_slot_derivation_rows(algebra), _first_leibniz_rows(algebra), _h0_skew_rows(algebra))
+    rows = chain(_slot_derivation_rows(algebra), _slot_first_leibniz_rows(algebra), _h0_skew_rows(algebra))
     return _dense_nullspace(rows, algebra.dim**4)
 
 
