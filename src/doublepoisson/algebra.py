@@ -14,7 +14,8 @@ the largest number of terms in one basis product.  Mat_n has nnz = 1, so
 building mat4 (dim 16) takes milliseconds.
 
 ``generating_set`` picks basis elements that generate the algebra, greedily,
-by closing span{1} under products read from the sparse table.  ``preset_dim``
+by closing span{1} under products read from the sparse table, and then
+drops each one the others generate without, so no proper subset generates.  ``preset_dim``
 reads a preset's dimension off its name, before anything is built.
 """
 
@@ -333,10 +334,13 @@ def _generated_span(algebra: FDAlgebra, generators: Sequence[int]) -> SparseElim
 
 
 def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
-    """Indices of basis elements that generate the algebra, ascending.
+    """Indices of basis elements that generate the algebra and no proper subset does, ascending.
 
     The basis elements are visited by index, and each one outside the
-    subalgebra generated by the ones chosen so far is chosen.
+    subalgebra generated by the ones chosen so far is chosen.  Then each
+    chosen element, in ascending order, is dropped when the others still
+    generate.  Dropping never lets an earlier kept element go, since a
+    subset of a set that does not generate does not generate either.
     """
     n = algebra.dim
     chosen: list[int] = []
@@ -349,6 +353,10 @@ def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
         if span.rank > rank:
             chosen.append(g)
             span = _generated_span(algebra, chosen)
+    for g in list(chosen):
+        rest = [h for h in chosen if h != g]
+        if _generated_span(algebra, rest).rank == n:
+            chosen = rest
     return tuple(chosen)
 
 

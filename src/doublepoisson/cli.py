@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import io as dpio
-from .algebra import AlgebraError, is_preset, preset_dim
+from .algebra import AlgebraError, generating_set, is_preset, preset_dim
 from .inner import (
     WedgeElement,
     aybe_obstruction,
@@ -150,7 +150,9 @@ def cmd_solve(args) -> int:
     if args.modified:
         variety = solve_modified(algebra)
     else:
-        variety = jacobi_constraints(solve_linear(algebra))
+        # one generating set serves both stages
+        generators = generating_set(algebra)
+        variety = jacobi_constraints(solve_linear(algebra, generators=generators), generators=generators)
     report = {"command": "solve", "modified": args.modified}
     report.update(dpio.variety_to_json(variety))
     report["inputs"] = {"algebra": _input_digest(args.algebra)}

@@ -4,7 +4,9 @@ The workhorse is a fraction-free sparse elimination: rows are dicts from
 column index to integer entry, kept primitive (content divided out) after
 every combination step, which bounds coefficient growth the same way Bareiss
 pivoting does on dense data.  Pivots are chosen at the smallest column index,
-so echelon forms, ranks and nullspace bases are deterministic.
+so echelon forms, ranks and nullspace bases are deterministic.  The
+Gauss-Jordan pass is fraction-free too: it clears in integers, and each entry
+becomes a Fraction once, at the end.
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
 
     A row of ints, as the solver's derivation rows are, has no denominators to clear.
     """
-    entries = {c: v for c, v in row.items() if v != 0}
+    entries = {}
+    all_int = True
+    for c, v in row.items():
+        if v:
+            entries[c] = v
+            all_int = all_int and type(v) is int
     if not entries:
         return {}
-    if not all(type(v) is int for v in entries.values()):
+    if not all_int:
         denom_lcm = 1
         for v in entries.values():
             denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
@@ -51,6 +58,25 @@ def primitive_row(row: SparseRow) -> SparseRow:
     return row
 
 
+def _cleared(row: SparseRow, pivot: SparseRow, lead: int) -> SparseRow:
+    """``row`` with column ``lead`` cleared by ``pivot``, made primitive.
+
+    With p = pivot[lead], v = row[lead] and g = gcd(p, v) the combination is
+    (p/g) row - (v/g) pivot, all in integers; p/g == 1 skips the scaling copy.
+    """
+    p, v = pivot[lead], row[lead]
+    g = gcd(p, v)
+    a, b = p // g, v // g
+    combined = dict(row) if a == 1 else {c: a * w for c, w in row.items()}
+    for c, w in pivot.items():
+        s = combined.get(c, 0) - b * w
+        if s == 0:
+            combined.pop(c, None)
+        else:
+            combined[c] = s
+    return primitive_row(combined)
+
+
 class SparseEliminator:
     """Incremental row reduction keeping one primitive pivot row per column."""
 
@@ -66,17 +92,7 @@ class SparseEliminator:
             if pivot is None:  # work is primitive on every path here
                 self.pivot_rows[lead] = work
                 return
-            a, b = pivot[lead], work[lead]
-            combined: SparseRow = {}
-            for c, v in work.items():
-                combined[c] = a * v
-            for c, v in pivot.items():
-                s = combined.get(c, 0) - b * v
-                if s == 0:
-                    combined.pop(c, None)
-                else:
-                    combined[c] = s
-            work = primitive_row(combined)
+            work = _cleared(work, pivot, lead)
 
     @property
     def rank(self) -> int:
@@ -88,9 +104,13 @@ class SparseEliminator:
         Pivots are cleared in descending order.  When a pivot row is used, it
         holds its lead and non-pivot columns only, so clearing never adds or
         removes a pivot column elsewhere, and the rows holding each pivot
-        column are indexed once, before the pass.
+        column are indexed once, before the pass.  Clearing is fraction-free
+        (``_cleared``) and leaves a row's lead alone, so dividing by the lead
+        it reaches and multiplying by its original lead gives the rational
+        row with the original lead, the one a pass of rational row
+        operations gives.
         """
-        rows = {c: {k: Fraction(v) for k, v in r.items()} for c, r in self.pivot_rows.items()}
+        rows = dict(self.pivot_rows)
         holders: dict[int, list[int]] = {}
         for lead, row in rows.items():
             for c in row:
@@ -99,15 +119,12 @@ class SparseEliminator:
         for lead in sorted(rows, reverse=True):
             row = rows[lead]
             for other_lead in holders.get(lead, ()):
-                other = rows[other_lead]
-                factor = other[lead] / row[lead]
-                for c, v in row.items():
-                    s = other.get(c, Fraction(0)) - factor * v
-                    if s == 0:
-                        other.pop(c, None)
-                    else:
-                        other[c] = s
-        return rows
+                rows[other_lead] = _cleared(rows[other_lead], row, lead)
+        reduced = {}
+        for lead, row in rows.items():
+            lead_orig, lead_now = self.pivot_rows[lead][lead], row[lead]
+            reduced[lead] = {c: Fraction(v * lead_orig, lead_now) for c, v in row.items()}
+        return reduced
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         """Basis of the right kernel, one vector per free column, in column order.

@@ -42,9 +42,8 @@ from .repspace import (
 )
 from .solver import (
     inner_bracket_span_equality,
-    jacobi_constraints,
     outer_double_derivation_dim,
-    solve_linear,
+    solve,
     solve_modified,
 )
 
@@ -80,7 +79,7 @@ def run_golden_report(seed: int = 0) -> list[dict]:
     one = a2.unit_element()
 
     # --- classification of double brackets on a2 ---
-    variety = jacobi_constraints(solve_linear(a2))
+    variety = solve(a2)
     results.append(_item("a2 double brackets form a 3-parameter family", variety.dim == 3))
     display = [
         a2_double_family(Fraction(1), Fraction(0), Fraction(0)).flat_coeffs(),

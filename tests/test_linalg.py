@@ -228,3 +228,41 @@ def test_pivot_rows_match_the_twice_normalized_elimination(case):
         _old_add_row(old, row)
         assert elim.pivot_rows == old
         assert all(type(v) is int for r in elim.pivot_rows.values() for v in r.values())
+
+
+# -- the fraction-free Gauss-Jordan pass against the Fraction oracle -------------
+
+_big_entries = st.builds(lambda sign, v: sign * v, st.sampled_from((-1, 1)), st.integers(2, 10**6))
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(st.integers(0, n - 1), _big_entries, min_size=2, max_size=6), min_size=1, max_size=10),
+)))
+def test_backsubstitution_with_large_leads_matches_naive_pass(case):
+    """Entries of magnitude 2..10^6: pivot leads other than 1, so the gcd scaling and content division run."""
+    ncols, rows = case
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row(row)
+    reduced = elim.reduced_pivot_rows()
+    assert reduced == _naive_reduced_pivot_rows(elim.pivot_rows)
+    assert all(type(v) is Fraction for row in reduced.values() for v in row.values())
+    assert _dense(elim.nullspace(), ncols) == _naive_nullspace(reduced, ncols)
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.dictionaries(st.integers(0, n - 1), st.integers(-10**6, 10**6), max_size=5), max_size=12)
+)))
+def test_int_and_fraction_rows_give_the_same_elimination(case):
+    ncols, rows = case
+    as_int, as_fraction = SparseEliminator(ncols), SparseEliminator(ncols)
+    for row in rows:
+        as_int.add_row(row)
+        as_fraction.add_row({c: Fraction(v) for c, v in row.items()})
+    assert as_int.pivot_rows == as_fraction.pivot_rows
+    assert as_int.reduced_pivot_rows() == as_fraction.reduced_pivot_rows()

@@ -10,8 +10,8 @@ import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from doublepoisson import cli, solver
 from doublepoisson import io as dpio
-from doublepoisson import solver
 from doublepoisson.algebra import (
     FDAlgebra,
     commutator_subspace,
@@ -57,7 +57,7 @@ from doublepoisson.solver import (
     solve_linear,
     solve_modified_linear,
 )
-from test_algebra import _dense_mul
+from test_algebra import _dense_mul, _generated_dim
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +400,37 @@ def test_constraint_basis_does_not_depend_on_the_generating_set(data):
     assert [str(q) for q in bases[0]] == [str(q) for q in bases[1]] == [str(q) for q in bases[2]]
 
 
+# -- the generating set is irredundant ----------------------------------------------
+#
+# generating_set keeps the greedy choice and then drops every element that the
+# others generate without.  Checked with the dense closure of test_algebra,
+# which shares no code with algebra._generated_span.
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_generating_set_is_irredundant(tmp_path_factory, data):
+    spec = data.draw(st.sampled_from(("a2", "mat1+mat1", "mat2", "a2+mat1", "T3", "mat2+mat1", "a2+a2", "mat3")))
+    form = data.draw(st.sampled_from(("preset", "relabelled", "rebased")))
+    if form == "rebased" and spec != "T3":  # _rebased_json rebases presets only
+        path = _rebased_json(spec, tmp_path_factory.mktemp("rebased") / "rebased.json", data.draw(st.integers(0, 99)))
+        build = lambda: dpio.load_algebra(path)  # noqa: E731
+    elif form == "relabelled":
+        perm = data.draw(st.permutations(range(_ladder_algebra(spec).dim)))
+        build = lambda: _relabelled(_ladder_algebra(spec), perm)  # noqa: E731
+    else:
+        build = lambda: _ladder_algebra(spec)  # noqa: E731
+    algebra = build()
+    gens = generating_set(algebra)
+    assert list(gens) == sorted(set(gens)) and all(0 <= g < algebra.dim for g in gens)
+    assert _generated_dim(algebra, gens) == algebra.dim
+    # deterministic: the same set again, and on a separately built copy
+    assert generating_set(algebra) == gens == generating_set(build())
+    for g in gens:
+        assert _generated_dim(algebra, [h for h in gens if h != g]) < algebra.dim
+
+
 _small_rational = st.builds(
     Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3))
 )
@@ -700,7 +731,7 @@ def test_derivation_stages_do_not_depend_on_the_generating_set(data):
 
 
 def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
-    """mat4 hh1 folds len(G) * 16 = 112 pairs, not 256; solve --modified finds the generators once."""
+    """mat4 hh1 folds len(G) * 16 = 96 pairs, not 256; solve --modified finds the generators once."""
     calls = {"derivation_terms": 0, "generating_set": 0}
 
     def counting(name, fn):
@@ -714,10 +745,21 @@ def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     mat4 = make_matrix_algebra(4)
     assert outer_double_derivation_dim(mat4) == (240, 240, 0)
-    assert calls["derivation_terms"] == len(generating_set(mat4)) * 16 == 112
+    assert calls["derivation_terms"] == len(generating_set(mat4)) * 16 == 96
     calls["generating_set"] = 0
     solve_modified_linear(make_a2())
     assert calls["generating_set"] == 1
+
+
+def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
+    """solve and the CLI solve command share one generating set between the two stages."""
+    calls = []
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "generating_set", lambda algebra: calls.append(algebra) or generating_set(algebra))
+    solve(make_a2())
+    assert len(calls) == 1
+    assert cli.main(["solve", "--algebra", "a2", "--format", "json", "--out", str(tmp_path / "a2.json")]) == 0
+    assert len(calls) == 2
 
 
 # -- oracle: the one-shot linear systems on n^4 unknowns ------------------------------
