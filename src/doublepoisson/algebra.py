@@ -28,7 +28,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from .linalg import SparseEliminator
-from .poly import Scalar, scalar_is_zero
+from .poly import Scalar, exact_scalar, scalar_is_zero
 
 Coords = tuple
 
@@ -41,7 +41,7 @@ class AlgebraError(ValueError):
 class FDAlgebra:
     name: str
     basis_names: tuple[str, ...]
-    unit: tuple[Fraction, ...]
+    unit: tuple[int | Fraction, ...]
     #: products[i][j]: the nonzero (k, c) pairs of e_i e_j = sum c e_k, k ascending
     products: tuple
 
@@ -57,7 +57,10 @@ class FDAlgebra:
         """The algebra with e_i e_j = sum c e_k over its (i, j, k, c) entries.
 
         Repeated positions are summed and zero sums dropped; an index outside
-        0..dim-1 raises AlgebraError.
+        0..dim-1 raises AlgebraError.  The structure constants and the unit
+        are stored as exact scalars (``poly.exact_scalar``): ints when
+        integral, as every preset's are, so the folds over the table run on
+        ints.
         """
         n = len(basis_names)
         table = [[{} for _ in range(n)] for _ in range(n)]
@@ -67,10 +70,10 @@ class FDAlgebra:
             slot = table[i][j]
             slot[k] = slot.get(k, 0) + c
         products = tuple(
-            tuple(tuple((k, Fraction(c)) for k, c in sorted(slot.items()) if c) for slot in row)
+            tuple(tuple((k, exact_scalar(c)) for k, c in sorted(slot.items()) if c) for slot in row)
             for row in table
         )
-        return cls(name, tuple(basis_names), tuple(unit), products)
+        return cls(name, tuple(basis_names), tuple(exact_scalar(u) for u in unit), products)
 
     def entries(self):
         """The nonzero (i, j, k, c) of the product table, in (i, j, k) order."""
@@ -116,7 +119,7 @@ class FDAlgebra:
 
     def mul_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple:
         """Coordinates of the product of two coordinate vectors (bilinear)."""
-        out: list[Scalar] = [Fraction(0)] * self.dim
+        out: list[Scalar] = [0] * self.dim
         for i, xi in enumerate(x):
             if scalar_is_zero(xi):
                 continue
@@ -146,8 +149,8 @@ class FDAlgebra:
         return f"FDAlgebra({self.name!r}, dim={self.dim})"
 
 
-def _basis_coords(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
+def _basis_coords(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(k == i) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -210,20 +213,18 @@ def _matrix_fields(n: int) -> tuple:
     if n < 1:
         raise AlgebraError("matrix algebra needs n >= 1")
     names = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    one = Fraction(1)
     # E_ij E_jl = E_il, the n^3 nonzero products
     entries = tuple(
-        (i * n + j, j * n + l, i * n + l, one) for i in range(n) for j in range(n) for l in range(n)
+        (i * n + j, j * n + l, i * n + l, 1) for i in range(n) for j in range(n) for l in range(n)
     )
-    unit = tuple(Fraction(int(i == j)) for i in range(n) for j in range(n))
+    unit = tuple(int(i == j) for i in range(n) for j in range(n))
     return (f"mat{n}", names, unit, entries)
 
 
 def _a2_fields() -> tuple:
-    z, o = Fraction(0), Fraction(1)
     # e1 e1 = e1, e2 e2 = e2, e1 e0 = e0, e0 e2 = e0
-    entries = ((1, 1, 1, o), (2, 2, 2, o), (1, 0, 0, o), (0, 2, 0, o))
-    return ("a2", ("e0", "e1", "e2"), (z, o, o), entries)
+    entries = ((1, 1, 1, 1), (2, 2, 2, 1), (1, 0, 0, 1), (0, 2, 0, 1))
+    return ("a2", ("e0", "e1", "e2"), (0, 1, 1), entries)
 
 
 def _sum_fields(a: tuple, b: tuple) -> tuple:

@@ -11,6 +11,12 @@ sum the residual; the solver passes generic slots (payload: the column of an
 unknown, or a linear form in the nullspace parameters) and collects
 row[column] += coefficient at each position.
 
+The generators only multiply what they are given by the structure
+constants, by 1 and by -1, so they keep the scalar rule of the engine
+(``poly.exact_scalar``): an exact scalar is an int when its denominator is
+1, a Fraction otherwise, and never a float.  On integral input every
+coefficient and payload they yield is an int.
+
 Only this module knows the signs and leg conventions, of the axioms and of
 the inner brackets built from a wedge r.  The actions on A(x)A are the outer
 ones: x.(a(x)b) = xa(x)b, (a(x)b).x = a(x)bx; the inner action is the outer

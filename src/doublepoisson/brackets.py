@@ -14,6 +14,12 @@ Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
 The checkers fold it over the bracket's ``terms`` and the product table
 ``products``, so a residual, a sparse tensor {position: coefficient}, sums
 nonzero coefficients only; a witness wraps it in a Tensor2 or Tensor3.
+
+A rational coefficient follows the scalar rule of ``poly.exact_scalar``: an
+int when its denominator is 1, a Fraction otherwise, never a float.  Parsed
+brackets and preset algebras hold ints wherever they are integral, and the
+folds start from the int 0, so a residual is built from ints unless a
+coefficient has a denominator.
 """
 
 from __future__ import annotations
@@ -133,7 +139,7 @@ class CoefficientBracket:
             if not all(0 <= k < n for k in (i, j, a, b)):
                 raise AlgebraError(f"bracket entry {(i, j, a, b)} not in 0..{n - 1}")
             slot = slots[i][j]
-            slot[(a, b)] = slot.get((a, b), _ZERO) + c
+            slot[(a, b)] = slot.get((a, b), 0) + c
         return cls.from_slots(algebra, slots, params)
 
     @classmethod
@@ -193,13 +199,13 @@ class CoefficientBracket:
                     continue
                 c = xi * yj
                 for a, b, v in self.terms[i][j]:
-                    out[(a, b)] = out.get((a, b), _ZERO) + c * v
+                    out[(a, b)] = out.get((a, b), 0) + c * v
         return tensor_from_terms(self.algebra, out)
 
     def multiplied_basis(self, i: int, j: int) -> tuple:
         """Coordinates of m({{e_i, e_j}}) in A, the checker fold of ``axioms.multiplied_terms``."""
         r = _residual(multiplied_terms(self.algebra.products, self.terms[i][j]))
-        return tuple(r.get(k, _ZERO) for k in range(self.algebra.dim))
+        return tuple(r.get(k, 0) for k in range(self.algebra.dim))
 
     # -- linear structure (used to form general elements) ----------------------
 

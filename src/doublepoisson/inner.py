@@ -113,7 +113,7 @@ def wedge_basis(algebra: FDAlgebra) -> list[WedgeElement]:
     """The e_a ^ e_b, a < b, basis of Lambda^2 A."""
     n = algebra.dim
     return [
-        WedgeElement.from_terms(algebra, [(a, b, Fraction(1))])
+        WedgeElement.from_terms(algebra, [(a, b, 1)])
         for a in range(n)
         for b in range(a + 1, n)
     ]

@@ -21,7 +21,6 @@ folds.  The checks here fold the generators over a bracket's terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
@@ -44,7 +43,7 @@ class ModifiedBracket(CoefficientBracket):
     def multiplied(self, x: AlgElement, y: AlgElement) -> AlgElement:
         """{x, y} = m({{x, y}}), extended bilinearly to coordinate vectors."""
         r = _residual(multiplied_terms(self.algebra.products, self.eval(x, y).entries()))
-        return self.algebra.element([r.get(k, Fraction(0)) for k in range(self.algebra.dim)])
+        return self.algebra.element([r.get(k, 0) for k in range(self.algebra.dim)])
 
 
 def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = None):
@@ -59,7 +58,7 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
     for i in range(n):
         for j in range(i, n):
             r = _residual(h0_skew_terms(mb.algebra.products, terms[i][j], terms[j][i]))
-            flat = sub.project_flat([r.get(c, Fraction(0)) for c in range(n)])
+            flat = sub.project_flat([r.get(c, 0) for c in range(n)])
             if any(not scalar_is_zero(c) for c in flat):
                 bad.append(((i, j), flat))
     return bad
@@ -79,7 +78,7 @@ def h0_jacobi_check(mb: ModifiedBracket):
     ]
     bad = []
     for i, j, k in product(range(n), repeat=3):
-        r: list[Scalar] = [Fraction(0)] * n
+        r: list[Scalar] = [0] * n
         for sign, t, left in h0_jacobiator_parts(i, j, k):
             for c, f, g in nested_pairs(table, *t, left):
                 r[c] = r[c] + f * g if sign > 0 else r[c] - f * g
@@ -118,7 +117,7 @@ class FlatBracketTable:
         ]
         bad = []
         for i, j, k in product(range(d), repeat=3):
-            r = [Fraction(0)] * d
+            r = [0] * d
             for t in ((i, j, k), (j, k, i), (k, i, j)):
                 for c, f, g in nested_pairs(table, *t):
                     r[c] = r[c] + f * g

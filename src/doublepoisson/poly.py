@@ -1,12 +1,14 @@
 """Exact multivariate polynomials over Q with graded-lex rewriting.
 
 A polynomial is a sparse map from exponent vectors to nonzero exact rational
-coefficients.  The ring's constructors (``const``, ``var``, ``monomial``,
-``parse``) store :class:`fractions.Fraction`; arithmetic keeps what its
-operands hold, so int coefficients that a caller stores stay ints under + and
-*.  Rings are just an ordered tuple of variable names, fixed at construction
-so that the graded lexicographic order (and hence every normal form) is
-deterministic.
+coefficients.  Every exact scalar of the engine follows one rule
+(``exact_scalar``): it is an int when its denominator is 1, a
+:class:`fractions.Fraction` otherwise, and never a float.  The ring's
+constructors (``const``, ``var``, ``monomial``, ``parse``) apply it, and
+arithmetic keeps what its operands hold, so int coefficients stay ints under
++ and *.  Rings are just an ordered tuple of variable names, fixed at
+construction so that the graded lexicographic order (and hence every normal
+form) is deterministic.
 
 Rewrite systems (:class:`RelationSet`) are deliberately restricted to rules
 whose replacement is strictly smaller than the leading monomial in graded-lex;
@@ -21,16 +23,43 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
-Scalar = Union[Fraction, "MultiPoly"]
+Scalar = Union[int, Fraction, "MultiPoly"]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(text.strip())
+def exact_scalar(c) -> int | Fraction:
+    """The exact rational ``c``: an int when its denominator is 1, a Fraction otherwise.
+
+    ``c`` is an int, a Fraction, or anything ``Fraction`` reads exactly (a
+    "p/q" string, a float, a Decimal); the result is never a float.  Folds
+    that start from the int 0 then run on ints wherever their inputs are
+    integral, and meet a Fraction only where a denominator exists.
+    """
+    if type(c) is int:
+        return c
+    q = c if type(c) is Fraction else Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+def parse_rational(text: str) -> int | Fraction:
+    """Parse "p/q" or "p" into an exact scalar (``exact_scalar``).
+
+    An integer literal is read by ``int``, which skips the regular
+    expression that ``Fraction`` parses with.
+    """
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        return exact_scalar(text)
+
+
+def format_rational(q: int | Fraction) -> str:
+    """Render an exact scalar as "p/q", or "p" when the denominator is 1.
+
+    An exact scalar is an int when its denominator is 1 and a Fraction
+    otherwise, never a float; both render alike, so a value prints the same
+    whichever of the two holds it.
+    """
     return str(q)
 
 
@@ -75,7 +104,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> MultiPoly:
-        c = Fraction(c)
+        c = exact_scalar(c)
         if c == 0:
             return self.zero()
         return MultiPoly(self, {(0,) * self.nvars: c})
@@ -83,13 +112,13 @@ class PolyRing:
     def var(self, name: str) -> MultiPoly:
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return MultiPoly(self, {tuple(exps): Fraction(1)})
+        return MultiPoly(self, {tuple(exps): 1})
 
     def monomial(self, exps: Mapping[str, int], coeff=1) -> MultiPoly:
         vec = [0] * self.nvars
         for name, e in exps.items():
             vec[self.index(name)] = e
-        c = Fraction(coeff)
+        c = exact_scalar(coeff)
         if c == 0:
             return self.zero()
         return MultiPoly(self, {tuple(vec): c})
@@ -138,7 +167,11 @@ class PolyRing:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational (Fraction or int) coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    A coefficient is an int when its denominator is 1 and a Fraction
+    otherwise, never a float (``exact_scalar``); the ring's constructors
+    apply that rule, and + and * keep it.
 
     Immutable by convention: no operation modifies an operand (``p ** 1`` is
     ``p`` itself), and the term map never stores zero coefficients.
@@ -168,8 +201,8 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(exps, Fraction(0))
+    def coefficient(self, exps: tuple[int, ...]) -> int | Fraction:
+        return self.terms.get(exps, 0)
 
     def _coerce(self, other) -> MultiPoly:
         if isinstance(other, MultiPoly):
@@ -509,7 +542,7 @@ class _Parser:
                 raise ValueError("unbalanced parenthesis")
             return inner
         if tok[0].isdigit():
-            return self.ring.const(Fraction(tok))
+            return self.ring.const(parse_rational(tok))
         if tok[0].isalpha() or tok[0] == "_":
             return self.ring.var(tok)
         raise ValueError(f"unexpected token {tok!r}")

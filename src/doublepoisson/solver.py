@@ -120,8 +120,11 @@ class LinearVariety:
 
 
 def _integer_products(algebra: FDAlgebra):
-    """The product table times the common denominator of its entries."""
-    den = _common_denominator(v for row in algebra.products for terms in row for _, v in terms)
+    """The product table times the common denominator of its entries; the table itself when all are ints."""
+    values = [v for row in algebra.products for terms in row for _, v in terms]
+    if all(type(v) is int for v in values):
+        return algebra.products
+    den = _common_denominator(values)
     return [[[(k, int(v * den)) for k, v in terms] for terms in row] for row in algebra.products]
 
 

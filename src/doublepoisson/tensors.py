@@ -18,7 +18,10 @@ from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import Scalar, scalar_is_zero
 
 
-_ZERO = Fraction(0)  # Fractions are immutable, so one zero can fill every grid
+# The zero of the dense views (``grid``, ``flat_coeffs``): a Fraction, like the
+# solver's basis brackets that the views are compared against.  Folds start
+# from the int 0 instead, so integral coefficients stay ints.
+_ZERO = Fraction(0)
 
 
 def _zero_grid2(n: int) -> list[list[Scalar]]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -381,3 +382,72 @@ def test_numeric_chart_check_leaves_numpy_unloaded(alpha_file, tmp_path):
             "--bracket", alpha_file, "--n", "3", "--chart", "rep3-a2", "--numeric", "--samples", "5"]
     code = f"import sys; from doublepoisson.cli import main; print(main({argv!r}), 'numpy' in sys.modules)"
     assert _python_with_package(code).split() == ["0", "False"]
+
+
+# -- no float in JSON output ---------------------------------------------------------
+#
+# Every scalar the engine prints is exact: an int or a Fraction, never a float.
+# Python's int / int is a float, so a division that loses its Fraction operand
+# would print one, as a JSON number or inside a coefficient or polynomial
+# string ("0.5", "1.0*t0").  Each output is parsed with a parse_float that
+# raises, and its strings are searched for decimal numbers.  The chart's
+# max_residual is the one float by design (0.0 in exact mode), and a report
+# note is free text.
+
+# a decimal point, or an exponent as repr(float) writes it (1e-05, never 1e-5)
+_DECIMAL = re.compile(r"(?<![\w.])\d+\.\d|\d[eE][-+]\d\d")
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in JSON output")
+
+
+def _strings(value, key=None):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _strings(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _strings(v, key)
+    elif isinstance(value, str) and key != "note":
+        yield value
+
+
+@pytest.fixture
+def half_files(tmp_path):
+    """A bracket and a wedge on a2 whose coefficients have denominators."""
+    bracket = tmp_path / "half-bracket.json"
+    bracket.write_text(json.dumps({"algebra": "a2", "coeffs": [[0, 1, 0, 0, "1/2"], [1, 0, 0, 0, "-1/2"]]}))
+    wedge = tmp_path / "half-wedge.json"
+    wedge.write_text(json.dumps({"algebra": "a2", "terms": [[0, 1, "3/2"], [1, 2, "-2"]]}))
+    return {"half_bracket": str(bracket), "half_wedge": str(wedge)}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--algebra", "a2", "--bracket", "{alpha}"], 0),
+        (["check", "--algebra", "a2", "--bracket", "{gamma}"], 1),
+        (["check", "--algebra", "a2", "--bracket", "{half_bracket}"], 1),
+        (["check", "--algebra", "a2", "--bracket", "{half_bracket}", "--modified"], 1),
+        (["solve", "--algebra", "a2"], 0),
+        (["solve", "--algebra", "mat2"], 0),
+        (["solve", "--algebra", "a2", "--modified"], 0),
+        (["inner", "--algebra", "a2", "--wedge", "{wedge}"], 0),
+        (["inner", "--algebra", "a2", "--wedge", "{half_wedge}"], 1),
+        (["hh1", "--algebra", "a2"], 0),
+        (["induce", "--algebra", "a2", "--bracket", "{alpha}", "--n", "2", "--chart", "rep2-a2"], 0),
+        (["induce", "--algebra", "a2", "--bracket", "{half_bracket}", "--n", "2"], 0),
+        (["report"], 1),
+    ],
+)
+def test_json_output_holds_no_float(argv, code, alpha_file, gamma_file, wedge_file, half_files, tmp_path):
+    files = dict(half_files, alpha=alpha_file, gamma=gamma_file, wedge=wedge_file)
+    out_file = tmp_path / "out.json"
+    assert main(["--format", "json", "--out", str(out_file)] + [a.format(**files) for a in argv]) == code
+    text = out_file.read_text()
+    if "--chart" in argv:
+        assert json.loads(text)["chart"]["max_residual"] == 0.0
+        text = text.replace('"max_residual": 0.0', '"max_residual": null', 1)
+    data = json.loads(text, parse_float=_no_float)
+    assert [s for s in _strings(data) if _DECIMAL.search(s)] == []
