@@ -15,8 +15,14 @@ building mat4 (dim 16) takes milliseconds.
 
 ``generating_set`` picks basis elements that generate the algebra, greedily,
 by closing span{1} under products read from the sparse table, and then
-drops each one the others generate without, so no proper subset generates.  ``preset_dim``
-reads a preset's dimension off its name, before anything is built.
+drops each one the others generate without, so no proper subset generates.
+The greedy pass visits the basis in two orders and keeps the smaller result:
+by index, and in the Peirce order, which reads the basis idempotents and the
+elements between them (e_i x e_j = x) off the table and visits a closed walk
+through each strongly connected piece of that graph first.  For Mat_n that
+walk is the n-cycle E_12, E_23, ..., E_n1, so n elements generate it.
+``preset_dim`` reads a preset's dimension off its name, before anything is
+built.
 """
 
 from __future__ import annotations
@@ -334,19 +340,72 @@ def _generated_span(algebra: FDAlgebra, generators: Sequence[int]) -> SparseElim
     return span
 
 
-def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
-    """Indices of basis elements that generate the algebra and no proper subset does, ascending.
+def _peirce_order(algebra: FDAlgebra) -> list[int]:
+    """The basis indices in the Peirce visiting order of ``generating_set``.
 
-    The basis elements are visited by index, and each one outside the
-    subalgebra generated by the ones chosen so far is chosen.  Then each
-    chosen element, in ascending order, is dropped when the others still
-    generate.  Dropping never lets an earlier kept element go, since a
-    subset of a set that does not generate does not generate either.
+    The basis idempotents (e_i e_i = e_i) are the vertices of a graph with
+    an edge i -> j for each other basis element x with e_i x = x = x e_j.
+    Each strongly connected piece of two or more vertices comes first, as
+    one element per edge of a closed walk through it: from its least vertex
+    to each of the others in ascending order and back, by shortest paths.
+    For Mat_n that is the cycle E_12, E_23, ..., E_n1.  The other edge
+    elements follow, then the idempotents, then every other index.
+    """
+    prods = algebra.products
+    n = algebra.dim
+    idempotents = [i for i in range(n) if prods[i][i] == ((i, 1),)]
+    edges: dict[tuple[int, int], list[int]] = {}
+    for x in range(n):
+        if x in idempotents:
+            continue
+        for i in idempotents:
+            if prods[i][x] == ((x, 1),):
+                for j in idempotents:
+                    if prods[x][j] == ((x, 1),):
+                        edges.setdefault((i, j), []).append(x)
+
+    def parents(root: int) -> dict:
+        """The breadth-first tree of the vertices that ``root`` reaches, as child -> parent."""
+        tree = {root: None}
+        queue = [root]
+        for v in queue:
+            for w in idempotents:
+                if w not in tree and (v, w) in edges:
+                    tree[w] = v
+                    queue.append(w)
+        return tree
+
+    trees = {v: parents(v) for v in idempotents}
+    cycles: list[int] = []
+    placed: set[int] = set()
+    for root in idempotents:
+        piece = sorted(v for v in trees[root] if root in trees[v])
+        if root in placed or len(piece) < 2:
+            continue
+        placed.update(piece)
+        for start, stop in zip(piece, piece[1:] + piece[:1]):
+            path = []
+            while stop != start:
+                path.append(edges[(trees[start][stop], stop)][0])
+                stop = trees[start][stop]
+            cycles.extend(reversed(path))
+    edge_elements = sorted({x for xs in edges.values() for x in xs})
+    return list(dict.fromkeys(cycles + edge_elements + idempotents + list(range(n))))
+
+
+def _pruned_greedy(algebra: FDAlgebra, order) -> tuple[int, ...]:
+    """The greedy generating set in the visiting ``order``, made irredundant, ascending.
+
+    Each basis element outside the subalgebra generated by the ones chosen
+    so far is chosen.  Then each chosen element, in the order chosen, is
+    dropped when the others still generate.  Dropping never lets an earlier
+    kept element go, since a subset of a set that does not generate does not
+    generate either.
     """
     n = algebra.dim
     chosen: list[int] = []
     span = _generated_span(algebra, chosen)
-    for g in range(n):
+    for g in order:
         if span.rank == n:
             break
         rank = span.rank
@@ -358,7 +417,23 @@ def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
         rest = [h for h in chosen if h != g]
         if _generated_span(algebra, rest).rank == n:
             chosen = rest
-    return tuple(chosen)
+    return tuple(sorted(chosen))
+
+
+def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
+    """Indices of basis elements that generate the algebra and no proper subset does, ascending.
+
+    The pruned greedy pass (``_pruned_greedy``) runs in two visiting orders:
+    by index, and in the Peirce order of the basis idempotents
+    (``_peirce_order``), which finds the n-cycle of matrix units that
+    generates Mat_n.  Any order gives a generating set with no redundant
+    element; the smaller of the two is returned, the index-order one on a
+    tie.  An algebra without idempotent basis elements has the index order
+    as its Peirce order.
+    """
+    by_index = _pruned_greedy(algebra, range(algebra.dim))
+    by_peirce = _pruned_greedy(algebra, _peirce_order(algebra))
+    return by_peirce if len(by_peirce) < len(by_index) else by_index
 
 
 # -- commutator subspace ----------------------------------------------------
@@ -374,7 +449,7 @@ class CommutatorSubspace:
     """
 
     algebra: FDAlgebra
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int | Fraction, ...], ...]
     pivot_columns: tuple[int, ...]
     complement_indices: tuple[int, ...]
 
@@ -397,7 +472,7 @@ class CommutatorSubspace:
         """
         vec = list(coords)
         for row, piv in zip(self.basis, self.pivot_columns):
-            factor = vec[piv] * (Fraction(1) / row[piv])
+            factor = vec[piv] if row[piv] == 1 else vec[piv] * (Fraction(1) / row[piv])
             if scalar_is_zero(factor):
                 continue
             for c, v in enumerate(row):
@@ -423,9 +498,9 @@ def commutator_subspace(algebra: FDAlgebra) -> CommutatorSubspace:
     pivots = tuple(sorted(reduced))
     rows = []
     for piv in pivots:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for c, v in reduced[piv].items():
-            row[c] = v
+            row[c] = exact_scalar(v)
         rows.append(tuple(row))
     complement = tuple(i for i in range(n) if i not in set(pivots))
     return CommutatorSubspace(algebra, tuple(rows), pivots, complement)

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import io as dpio
-from .algebra import AlgebraError, generating_set, is_preset, preset_dim
+from .algebra import AlgebraError, is_preset, preset_dim
 from .inner import (
     WedgeElement,
     aybe_obstruction,
@@ -30,12 +30,8 @@ from .inner import (
 from .modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from .poly import format_scalar
 from .repspace import ChartError, chart_consistency, get_chart, induce, jacobi_check_bivector
-from .solver import (
-    jacobi_constraints,
-    outer_double_derivation_dim,
-    solve_linear,
-    solve_modified,
-)
+# solve_linear is not called here; the benchmark's tracer self-test reads it as cli.solve_linear
+from .solver import outer_double_derivation_dim, solve, solve_linear, solve_modified  # noqa: F401
 
 LARGE_DIM_GUARD = 9  # solve/hh1 refuse algebras of dim >= 9 without --force-large
 
@@ -147,12 +143,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     started = time.time()
     algebra = _load_guarded(args)
-    if args.modified:
-        variety = solve_modified(algebra)
-    else:
-        # one generating set serves both stages
-        generators = generating_set(algebra)
-        variety = jacobi_constraints(solve_linear(algebra, generators=generators), generators=generators)
+    variety = solve_modified(algebra) if args.modified else solve(algebra)
     report = {"command": "solve", "modified": args.modified}
     report.update(dpio.variety_to_json(variety))
     report["inputs"] = {"algebra": _input_digest(args.algebra)}

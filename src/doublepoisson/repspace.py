@@ -352,27 +352,38 @@ def chart_consistency(
     One residual per generator pair (u, v), see ``_consistency_residuals``.
     Exact mode reduces it modulo the chart relations; numeric mode samples it
     with ``eval_float`` at seeded on-variety points within ``tol``; no numpy.
+    Only the pairs u < v are built, reduced or sampled: residual(v, u) =
+    -residual(u, v) has the negated normal form and the same sampled size,
+    and residual(u, u) = 0.  The failures are listed in (u, v) order.
     """
     if table.ring.algebra != chart.algebra or table.ring.n != chart.n:
         raise ChartError(
             f"chart {chart.name} is for {chart.algebra.name} at n={chart.n}"
         )
     residuals = _consistency_residuals(chart, table, bindings)
-    failures, max_residual = _vanishing(chart, residuals, mode, samples, seed, tol, bindings)
+    upper, max_residual = _vanishing(chart, residuals, mode, samples, seed, tol, bindings)
+    mirrored = [((v, u), -r if mode == "exact" else r) for (u, v), r in upper]
+    place = {u: k for k, u in enumerate(table.ring.coordinate_names())}
+    failures = sorted(upper + mirrored, key=lambda f: (place[f[0][0]], place[f[0][1]]))
     return ChartReport(chart.name, mode, not failures, max_residual, tuple(failures), chart.frame)
 
 
 def _consistency_residuals(chart: ParamChart, table: PoissonTable, bindings: dict | None):
-    """((u, v), img(table[(u,v)]) - sum_q w_u[q] D_q(img v)) for every generator pair.
+    """((u, v), img(table[(u,v)]) - sum_q w_u[q] D_q(img v)) for each generator pair u < v.
 
     w_u[q] = sum_p pi[p][q] D_p(img u) is contracted once per generator u,
     and each D_p(img u) is derived once, so a pair costs one product per
-    coordinate q that the bivector reaches.
+    coordinate q that the bivector reaches.  The pairs u < v (in coordinate
+    order) are all that is built: the table is antisymmetric (an induced
+    table is certified so) and so must the bound bivector be, so
+    residual(v, u) = -residual(u, v) and residual(u, u) = 0.
     """
     image = _chart_images(chart, table.ring.ring, bindings)
     names = table.ring.coordinate_names()
     pi = chart.bound_bivector(bindings)
     ncoords = range(len(chart.coords))
+    if any(pi[p][q] != -pi[q][p] for p in ncoords for q in ncoords):
+        raise ChartError(f"chart {chart.name}: the bivector is not antisymmetric")
     pi_nonzero = [(p, q) for p in ncoords for q in ncoords if not pi[p][q].is_zero()]
     reached = sorted({q for _, q in pi_nonzero})
     derivatives = {}
@@ -384,8 +395,8 @@ def _consistency_residuals(chart: ParamChart, table: PoissonTable, bindings: dic
         for p, q in pi_nonzero:
             w[q] = w[q] + pi[p][q] * derivatives[u][p]
         contracted[u] = w
-    for u in names:
-        for v in names:
+    for a, u in enumerate(names):
+        for v in names[a + 1 :]:
             rhs = chart.ring.zero()
             for q in reached:
                 rhs = rhs + contracted[u][q] * derivatives[v][q]

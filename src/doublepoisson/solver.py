@@ -20,8 +20,8 @@ L(xy, z) = L(x, yz) + x.L(y, z) - L(x, y).z, so the x with L(x, -) = 0 form
 a subspace closed under products.  It holds 1 iff delta(1) = 0, since
 L(1, z) = -delta(1).z, and then it holds the subalgebra the generators
 generate, which is A.  So these rows have the same nullspace as the rows
-of all n^2 pairs, and so give the same nullspace basis (mat4: 14,176 rows
-for its 6 generators instead of 36,352).
+of all n^2 pairs, and so give the same nullspace basis (mat4: 9,536 rows
+for its 4 generators instead of 36,352).
 
 Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
 The checkers fold a bracket's terms into residuals; this module folds generic

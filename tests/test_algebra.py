@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -425,7 +425,30 @@ def test_generating_set_generates(name):
 
 
 def test_generating_set_of_mat3():
-    # greedy by index: E11, E12, E13, E21 reach rows 1 and 2, and E31 reaches row 3;
-    # then E11 = E12 E21 is dropped, and each of the other four is needed
-    assert generating_set(make_matrix_algebra(3)) == (1, 2, 3, 6)
+    # the Peirce order visits the cycle E12, E23, E31 first, and it generates;
+    # greedy by index keeps four (E12, E13, E21, E31), so the cycle is returned
+    assert generating_set(make_matrix_algebra(3)) == (1, 5, 6)
     assert generating_set(make_a2()) == (0, 1)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_generating_set_of_mat_n_is_the_cycle_of_matrix_units(n):
+    gens = generating_set(make_matrix_algebra(n))
+    assert len(gens) == n
+    # E_12, E_23, ..., E_n1
+    assert gens == tuple(sorted(i * n + (i + 1) % n for i in range(n)))
+
+
+def _smallest_generating_size(algebra):
+    """The size of a smallest generating subset of the basis, by exhaustive search."""
+    n = algebra.dim
+    for size in range(n + 1):
+        if any(_generated_dim(algebra, subset) == n for subset in combinations(range(n), size)):
+            return size
+
+
+@pytest.mark.parametrize("name", ("mat2", "mat3", "a2", "T3", "a2+mat1", "mat2+mat1", "a2+a2"))
+def test_generating_set_is_a_smallest_one(name):
+    algebra = _named_algebra(name)
+    assert algebra.dim <= 9
+    assert len(generating_set(algebra)) == _smallest_generating_size(algebra)

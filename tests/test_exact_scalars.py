@@ -17,7 +17,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
-from doublepoisson.algebra import AlgElement, FDAlgebra, make_a2
+from doublepoisson.algebra import AlgElement, FDAlgebra, commutator_subspace, make_a2
 from doublepoisson.brackets import AxiomReport, CoefficientBracket, DoubleBracket
 from doublepoisson.families import a2_double_family
 from doublepoisson.inner import WedgeElement, aybe_obstruction, inner_bracket, weak_jacobi_condition
@@ -124,6 +124,9 @@ def test_scalars_enter_as_ints_when_integral(algebras):
         assert all(type(u) is int for u in alg.unit)
         assert all(type(c) is int for *_, c in alg.entries())
         assert _integer_products(alg) is alg.products
+        sub = commutator_subspace(alg)
+        assert all(type(v) is int for row in sub.basis for v in row)
+        assert all(type(v) is int for v in sub.project_flat(range(1, alg.dim + 1)))
     halved, _ = algebras["a2+mat1/2"]
     assert {type(c) for *_, c in halved.entries()} == {Fraction}
     for alg in [halved] + [fractions for _, fractions in algebras.values()]:
@@ -149,8 +152,7 @@ def test_bracket_checks_agree_with_the_fraction_path(algebras, data):
     mb_oracle = ModifiedBracket.from_entries(fractions, oracle)
     _same(mb.check_leibniz_both(), mb_oracle.check_leibniz_both(), integral)
     _same(h0_jacobi_check(mb), h0_jacobi_check(mb_oracle), integral)
-    # the projection to A/[A,A] runs through the Fraction-valued basis of [A,A]
-    _same(h0_skew_check(mb), h0_skew_check(mb_oracle), integral=False)
+    _same(h0_skew_check(mb), h0_skew_check(mb_oracle), integral)
 
 
 @seed(20261020)

@@ -19,6 +19,7 @@ from doublepoisson.repspace import (
     ChartError,
     ChartReport,
     CoordRing,
+    PoissonTable,
     coord_var_name,
     a2_rep2_rational_point,
     a2_rep3_rational_point,
@@ -244,6 +245,16 @@ def test_rep2_chart_corrupted_pi_fails(corrupted_rep2_chart, alpha_table):
     assert report.failures
 
 
+def test_chart_consistency_rejects_a_bivector_that_is_not_antisymmetric(rep2_chart, alpha_table):
+    from dataclasses import replace
+
+    R = rep2_chart.ring
+    z = R.zero()
+    one_sided = ((z, z, z), (z, z, R.parse("A*lam^2")), (z, z, z))
+    with pytest.raises(ChartError, match="not antisymmetric"):
+        chart_consistency(replace(rep2_chart, bivector=one_sided), alpha_table)
+
+
 def test_rep2_chart_corrupted_pi_fails_numerically(corrupted_rep2_chart, alpha_table):
     tol = 1e-9
     report = chart_consistency(corrupted_rep2_chart, alpha_table, mode="numeric", samples=25, seed=3, tol=tol)
@@ -450,8 +461,14 @@ def test_cached_chart_check_matches_per_pair_substitution(rep2_chart, rep3_chart
     chart, table, bindings = _chart_case(data, {2: rep2_chart, 3: rep3_chart}, corrupted_rep2_chart)
     want = list(_substituted_residuals(chart, table, bindings))
     got = list(_consistency_residuals(chart, table, bindings))
-    assert [tag for tag, _ in got] == [tag for tag, _ in want]
-    for (_, p), (_, q) in zip(got, want):
+    # the cached check builds the pairs u < v; the oracle's mirrors are their negations
+    names = table.ring.coordinate_names()
+    residual = dict(want)
+    upper = [((u, v), residual[(u, v)]) for a, u in enumerate(names) for v in names[a + 1 :]]
+    assert all(residual[(v, u)] == -p for (u, v), p in upper)
+    assert all(residual[(u, u)].is_zero() for u in names)
+    assert [tag for tag, _ in got] == [tag for tag, _ in upper]
+    for (_, p), (_, q) in zip(got, upper):
         assert p.ring == q.ring and list(p.terms.items()) == list(q.terms.items())
     for mode in ("exact", "numeric"):
         report = chart_consistency(chart, table, mode=mode, samples=5, seed=11, bindings=bindings)
@@ -461,7 +478,10 @@ def test_cached_chart_check_matches_per_pair_substitution(rep2_chart, rep3_chart
 
 
 def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeypatch):
-    """27 generators x 6 coordinates derivations, not one per pair; one morphism per ring, no per-pair substitution."""
+    """27 generators x 6 coordinates derivations, not one per pair; one morphism per ring, no per-pair substitution.
+
+    Each unordered pair of distinct generators reads its table entry once; its mirror is the negated residual.
+    """
     calls = Counter()
 
     def counting(name, method):
@@ -471,7 +491,13 @@ def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeyp
 
         return wrapper
 
-    patched = ((ChartCoord, "derive"), (MultiPoly, "substitute"), (MultiPoly, "__pow__"), (PolyRing, "morphism"))
+    patched = (
+        (ChartCoord, "derive"),
+        (MultiPoly, "substitute"),
+        (MultiPoly, "__pow__"),
+        (PolyRing, "morphism"),
+        (PoissonTable, "entry"),
+    )
     for cls, name in patched:
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     db, _ = a2_alpha_bracket_symbolic("A")
@@ -480,7 +506,7 @@ def test_chart_consistency_derives_each_generator_image_once(rep3_chart, monkeyp
     powers = 2 * table.ring.ring.nvars
     assert chart_consistency(rep3_chart, table, mode="exact").ok
     assert calls["derive"] == 27 * 6 and calls["morphism"] == 1 and calls["__pow__"] <= powers
-    assert calls["substitute"] == 0
+    assert calls["substitute"] == 0 and calls["entry"] == 27 * 26 // 2
     calls.clear()
     # bound, the bivector's 36 entries go through one more morphism
     assert chart_consistency(rep3_chart, induce(a2_alpha_bracket(Fraction(2)), 3), bindings={"A": 2}).ok

@@ -14,6 +14,7 @@ from doublepoisson import cli, solver
 from doublepoisson import io as dpio
 from doublepoisson.algebra import (
     FDAlgebra,
+    _generated_span,
     commutator_subspace,
     generating_set,
     make_a2,
@@ -402,9 +403,31 @@ def test_constraint_basis_does_not_depend_on_the_generating_set(data):
 
 # -- the generating set is irredundant ----------------------------------------------
 #
-# generating_set keeps the greedy choice and then drops every element that the
+# generating_set keeps a greedy choice and then drops every element that the
 # others generate without.  Checked with the dense closure of test_algebra,
-# which shares no code with algebra._generated_span.
+# which shares no code with algebra._generated_span.  It is never larger than
+# the greedy choice by index, the set it returned before the Peirce order was
+# added (_index_order_generating_set).
+
+
+def _index_order_generating_set(algebra):
+    """The basis elements chosen greedily by index, then pruned in ascending order."""
+    n = algebra.dim
+    chosen = []
+    span = _generated_span(algebra, chosen)
+    for g in range(n):
+        if span.rank == n:
+            break
+        rank = span.rank
+        span.add_row({g: 1})
+        if span.rank > rank:
+            chosen.append(g)
+            span = _generated_span(algebra, chosen)
+    for g in list(chosen):
+        rest = [h for h in chosen if h != g]
+        if _generated_span(algebra, rest).rank == n:
+            chosen = rest
+    return tuple(chosen)
 
 
 @seed(20261021)
@@ -429,6 +452,18 @@ def test_generating_set_is_irredundant(tmp_path_factory, data):
     assert generating_set(algebra) == gens == generating_set(build())
     for g in gens:
         assert _generated_dim(algebra, [h for h in gens if h != g]) < algebra.dim
+    assert len(gens) <= len(_index_order_generating_set(algebra))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_mat_n_solve_matches_the_index_order_generators(n):
+    """The n-cycle and the larger index-order set give equal varieties, Jacobi constraints included."""
+    algebra = make_matrix_algebra(n)
+    cycle, by_index = generating_set(algebra), _index_order_generating_set(algebra)
+    assert len(cycle) == n < len(by_index)
+    got, want = (jacobi_constraints(solve_linear(algebra, generators=g), generators=g) for g in (cycle, by_index))
+    assert got.quadratic_constraints == want.quadratic_constraints
+    assert got == want
 
 
 _small_rational = st.builds(
@@ -731,7 +766,7 @@ def test_derivation_stages_do_not_depend_on_the_generating_set(data):
 
 
 def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
-    """mat4 hh1 folds len(G) * 16 = 96 pairs, not 256; solve --modified finds the generators once."""
+    """mat4 hh1 folds len(G) * 16 = 64 pairs, not 256; solve --modified finds the generators once."""
     calls = {"derivation_terms": 0, "generating_set": 0}
 
     def counting(name, fn):
@@ -745,7 +780,7 @@ def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     mat4 = make_matrix_algebra(4)
     assert outer_double_derivation_dim(mat4) == (240, 240, 0)
-    assert calls["derivation_terms"] == len(generating_set(mat4)) * 16 == 96
+    assert calls["derivation_terms"] == len(generating_set(mat4)) * 16 == 64
     calls["generating_set"] = 0
     solve_modified_linear(make_a2())
     assert calls["generating_set"] == 1
@@ -754,8 +789,7 @@ def test_leibniz_systems_fold_generator_pairs_only(monkeypatch):
 def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
     """solve and the CLI solve command share one generating set between the two stages."""
     calls = []
-    for module in (solver, cli):
-        monkeypatch.setattr(module, "generating_set", lambda algebra: calls.append(algebra) or generating_set(algebra))
+    monkeypatch.setattr(solver, "generating_set", lambda algebra: calls.append(algebra) or generating_set(algebra))
     solve(make_a2())
     assert len(calls) == 1
     assert cli.main(["solve", "--algebra", "a2", "--format", "json", "--out", str(tmp_path / "a2.json")]) == 0
