@@ -333,9 +333,7 @@ def _generated_span(algebra: FDAlgebra, generators: Sequence[int]) -> SparseElim
             for i, c in vec.items():
                 for k, d in prods[i][g]:
                     word[k] = word.get(k, 0) + c * d
-            rank = span.rank
-            span.add_row(word)
-            if span.rank > rank:
+            if span.add_row(word):
                 pending.append(word)
     return span
 
@@ -408,9 +406,7 @@ def _pruned_greedy(algebra: FDAlgebra, order) -> tuple[int, ...]:
     for g in order:
         if span.rank == n:
             break
-        rank = span.rank
-        span.add_row({g: 1})
-        if span.rank > rank:
+        if span.add_row({g: 1}):
             chosen.append(g)
             span = _generated_span(algebra, chosen)
     for g in list(chosen):
@@ -443,9 +439,9 @@ def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
 class CommutatorSubspace:
     """[A,A] as a subspace of A, plus the complementary trace-space data.
 
-    ``basis`` spans [A,A] (in RREF, pivots first by column); the quotient
-    A_flat = A/[A,A] is coordinatized by the non-pivot basis positions
-    ``complement_indices``.
+    ``basis`` spans [A,A] (in RREF: each row 1 at its pivot, pivots
+    ascending); the quotient A_flat = A/[A,A] is coordinatized by the
+    non-pivot basis positions ``complement_indices``.
     """
 
     algebra: FDAlgebra
@@ -467,12 +463,13 @@ class CommutatorSubspace:
     def project_flat(self, coords: Sequence[Scalar]) -> tuple:
         """Coordinates of the class of ``coords`` in A_flat.
 
-        Reduction against the RREF basis of [A,A] works for polynomial
-        coordinates too, since the pivots themselves are rational.
+        Reduction against the RREF basis of [A,A], each row 1 at its pivot,
+        subtracts vec[pivot] times the row, so it works for polynomial
+        coordinates too.
         """
         vec = list(coords)
         for row, piv in zip(self.basis, self.pivot_columns):
-            factor = vec[piv] if row[piv] == 1 else vec[piv] * (Fraction(1) / row[piv])
+            factor = vec[piv]
             if scalar_is_zero(factor):
                 continue
             for c, v in enumerate(row):

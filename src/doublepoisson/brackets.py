@@ -242,11 +242,6 @@ class CoefficientBracket:
     def _tensor2(self, terms: dict) -> Tensor2:
         return tensor_from_terms(self.algebra, terms)
 
-    def first_leibniz_residual(self, k: int, l: int, i: int) -> Tensor2:
-        """{{e_k e_l, e_i}} - (1(x)e_k){{e_l, e_i}} - {{e_k, e_i}}(e_l(x)1)."""
-        images = self._first_rule_images(i)
-        return self._tensor2(_residual(derivation_terms(self.algebra.products, images, k, l))).flip()
-
     def check_second_leibniz(self, rels: RelationSet | None = None):
         """All-basis-triples check of the outer-structure Leibniz rule."""
         prods, terms = self.algebra.products, self.terms

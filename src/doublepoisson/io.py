@@ -11,9 +11,10 @@ wedge:    {"algebra": preset-or-path, "terms": [[a, b, "p/q"], ...]}
           meaning sum coeff * (e_a(x)e_b - e_b(x)e_a)
 
 Every file is a JSON object and every list field and entry a JSON array,
-every index an integer in 0 <= idx < dim, and every coefficient a string that
-parses; anything else raises ValueError naming the field or entry (a usage
-error, exit 2, on the command line).
+every index an integer in 0 <= idx < dim, every basis name a string used
+once, and every coefficient a string that parses; anything else raises
+ValueError naming the field or entry (a usage error, exit 2, on the command
+line).
 
 Preset names resolve before file paths, so "a2" never reads a local file a2.
 """
@@ -73,6 +74,8 @@ def _coefficient(value, where: str, parse=parse_rational):
 def algebra_from_json(data: dict) -> FDAlgebra:
     _expect(data, dict, "algebra")
     basis = tuple(_expect(data["basis"], list, "basis"))
+    if not all(isinstance(name, str) for name in basis) or len(set(basis)) != len(basis):
+        raise ValueError(f"basis names must be distinct strings, not {list(basis)!r}")
     n = len(basis)
     unit = _expect(data["unit"], list, "unit")
     unit = tuple(_coefficient(x, f"unit entry {k}") for k, x in enumerate(unit))

@@ -1,12 +1,14 @@
-"""Exact rational linear algebra: rank, RREF and nullspaces.
+"""Exact rational linear algebra: rank, RREF, nullspaces and inverses.
 
-The workhorse is a fraction-free sparse elimination: rows are dicts from
+The one elimination is a fraction-free sparse one: rows are dicts from
 column index to integer entry, kept primitive (content divided out) after
 every combination step, which bounds coefficient growth the same way Bareiss
 pivoting does on dense data.  Pivots are chosen at the smallest column index,
 so echelon forms, ranks and nullspace bases are deterministic.  The
 Gauss-Jordan pass is fraction-free too: it clears in integers, and each entry
-becomes a Fraction once, at the end.
+becomes a Fraction once, at the end, in the monic reduced row (1 at its
+lead).  This module alone decides how a reduced row is scaled; nullspaces,
+canonical bases and inverses are read off the monic rows as they are.
 """
 
 from __future__ import annotations
@@ -84,31 +86,33 @@ class SparseEliminator:
         self.ncols = ncols
         self.pivot_rows: dict[int, SparseRow] = {}
 
-    def add_row(self, row: dict[int, Fraction | int]) -> None:
+    def add_row(self, row: dict[int, Fraction | int]) -> bool:
+        """Reduce ``row`` against the pivot rows; True iff it adds a pivot, so the rank grows."""
         work = _to_int_row(row)
         while work:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
             if pivot is None:  # work is primitive on every path here
                 self.pivot_rows[lead] = work
-                return
+                return True
             work = _cleared(work, pivot, lead)
+        return False
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
     def reduced_pivot_rows(self) -> dict[int, dict[int, Fraction]]:
-        """Gauss-Jordan pass: each pivot column appears in its own row only.
+        """Gauss-Jordan pass: the monic reduced rows, one per pivot column.
 
+        Each row is 1 at its lead, and each pivot column appears in its own
+        row only, so the rows are the reduced row echelon form of the span.
         Pivots are cleared in descending order.  When a pivot row is used, it
         holds its lead and non-pivot columns only, so clearing never adds or
         removes a pivot column elsewhere, and the rows holding each pivot
         column are indexed once, before the pass.  Clearing is fraction-free
-        (``_cleared``) and leaves a row's lead alone, so dividing by the lead
-        it reaches and multiplying by its original lead gives the rational
-        row with the original lead, the one a pass of rational row
-        operations gives.
+        (``_cleared``) and keeps each row's lead, so dividing by the lead a
+        row reaches makes each entry a Fraction once.
         """
         rows = dict(self.pivot_rows)
         holders: dict[int, list[int]] = {}
@@ -120,17 +124,15 @@ class SparseEliminator:
             row = rows[lead]
             for other_lead in holders.get(lead, ()):
                 rows[other_lead] = _cleared(rows[other_lead], row, lead)
-        reduced = {}
-        for lead, row in rows.items():
-            lead_orig, lead_now = self.pivot_rows[lead][lead], row[lead]
-            reduced[lead] = {c: Fraction(v * lead_orig, lead_now) for c, v in row.items()}
-        return reduced
+        return {
+            lead: {c: Fraction(v, row[lead]) for c, v in row.items()} for lead, row in rows.items()
+        }
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         """Basis of the right kernel, one vector per free column, in column order.
 
         Each vector is a sparse row {column: nonzero value}, columns
-        ascending: 1 at its free column f and -v / pivot at the lead of each
+        ascending: 1 at its free column f and -v at the lead of each monic
         reduced pivot row holding v at f.  A row holds only columns at or
         after its lead, so those leads all come before f.
         """
@@ -140,11 +142,9 @@ class SparseEliminator:
         }
         # after the Gauss-Jordan pass a row holds its lead and free columns only
         for lead in sorted(rows):
-            row = rows[lead]
-            pivot = row[lead]
-            for c, v in row.items():
+            for c, v in rows[lead].items():
                 if c != lead:
-                    basis[c][lead] = -v / pivot
+                    basis[c][lead] = -v
         for free, vec in basis.items():
             vec[free] = Fraction(1)
         return list(basis.values())
@@ -179,18 +179,18 @@ def canonical_basis(
     kernel for pivots taken at the largest column, scaled to 1 at each pivot,
     in ascending pivot order; any spanning set of the kernel gives it back.
     The elimination runs on reversed columns, so its smallest-column pivots
-    are the largest columns.  The vectors come back as sparse rows
-    {column: nonzero value}, columns ascending.
+    are the largest columns, and its monic reduced rows are the basis.  The
+    vectors come back as sparse rows {column: nonzero value}, columns
+    ascending.
     """
     last = ncols - 1
     elim = SparseEliminator(ncols)
     for row in rows:
         elim.add_row({last - c: v for c, v in row.items()})
-    basis = []
-    for lead, row in sorted(elim.reduced_pivot_rows().items(), reverse=True):
-        pivot = row[lead]
-        basis.append({last - c: row[c] / pivot for c in sorted(row, reverse=True)})
-    return basis
+    return [
+        {last - c: row[c] for c in sorted(row, reverse=True)}
+        for _, row in sorted(elim.reduced_pivot_rows().items(), reverse=True)
+    ]
 
 
 def _sparse_rows(vectors: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
@@ -224,12 +224,9 @@ def row_spans_equal(
     elim = SparseEliminator(ncols)
     for row in rows_a:
         elim.add_row(row)
-    rank_a = elim.rank
-    if rank_of_rows(rows_b, ncols) != rank_a:
+    if rank_of_rows(rows_b, ncols) != elim.rank:
         return False
-    for row in rows_b:
-        elim.add_row(row)
-    return elim.rank == rank_a
+    return not any(elim.add_row(row) for row in rows_b)
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
@@ -238,21 +235,17 @@ def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> boo
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
+    """Exact inverse of the n x n matrix M; raises ValueError when M is singular.
+
+    [M | I] has rank n, and M is invertible iff every pivot of [M | I] lies
+    in M's columns.  Then the monic reduced row at lead i is 1 at i, 0 at
+    M's other columns, and row i of the inverse in I's columns.
+    """
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    elim = SparseEliminator(2 * n)
+    for i, row in enumerate(rows):
+        elim.add_row({**{j: x for j, x in enumerate(row) if x}, n + i: 1})
+    if any(lead >= n for lead in elim.pivot_rows):
+        raise ValueError("matrix is not invertible")
+    reduced = elim.reduced_pivot_rows()
+    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]

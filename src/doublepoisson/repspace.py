@@ -43,6 +43,10 @@ def coord_var_name(basis_name: str, i: int, j: int) -> str:
     return f"{basis_name}_{i + 1}{j + 1}"
 
 
+def _coordinate_names(algebra: FDAlgebra, n: int) -> list[str]:
+    return [coord_var_name(g, i, j) for g in algebra.basis_names for i in range(n) for j in range(n)]
+
+
 @dataclass(frozen=True)
 class CoordRing:
     """Generators and defining relations of O(Rep_n(A)), plus bracket parameters."""
@@ -54,23 +58,18 @@ class CoordRing:
 
     @staticmethod
     def build(algebra: FDAlgebra, n: int, params: tuple[str, ...] = ()) -> CoordRing:
-        names = list(params)
-        for g in algebra.basis_names:
-            for i in range(n):
-                for j in range(n):
-                    names.append(coord_var_name(g, i, j))
-        return CoordRing(algebra, n, tuple(params), PolyRing(names))
+        """The ring of the bracket ``params`` and the Rep_n coordinates; a name in both raises ChartError."""
+        coords = _coordinate_names(algebra, n)
+        clashes = sorted(set(params) & set(coords))
+        if clashes:
+            raise ChartError(f"bracket parameters {clashes} clash with Rep_{n} coordinate names")
+        return CoordRing(algebra, n, tuple(params), PolyRing(list(params) + coords))
 
     def var(self, g: int, i: int, j: int) -> MultiPoly:
         return self.ring.var(coord_var_name(self.algebra.basis_names[g], i, j))
 
     def coordinate_names(self) -> list[str]:
-        return [
-            coord_var_name(g, i, j)
-            for g in self.algebra.basis_names
-            for i in range(self.n)
-            for j in range(self.n)
-        ]
+        return _coordinate_names(self.algebra, self.n)
 
     def generic_matrix(self, g: int) -> list[list[MultiPoly]]:
         return [[self.var(g, i, j) for j in range(self.n)] for i in range(self.n)]

@@ -377,8 +377,8 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """The variety with the reduced echelon basis of span(forms) as its constraints.
 
     The integer forms are eliminated on the monomial keys, pivots at the
-    smallest key, which is the leading monomial.  The reduced pivot rows are
-    listed by ascending key, each scaled to leading coefficient 1.  So the
+    smallest key, which is the leading monomial.  The monic reduced pivot
+    rows are listed by ascending key, so each has leading coefficient 1, the
     constraints depend only on the span of the forms, and their count is its
     rank.
     """
@@ -396,11 +396,9 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
         elim.add_row(dict(form))
     rows = elim.reduced_pivot_rows()
-    constraints = []
-    for lead in sorted(rows):
-        row = rows[lead]
-        pivot = row[lead]
-        constraints.append(MultiPoly(ring, {monomial(key): v / pivot for key, v in row.items()}))
+    constraints = [
+        MultiPoly(ring, {monomial(key): v for key, v in rows[lead].items()}) for lead in sorted(rows)
+    ]
     return LinearVariety(
         variety.algebra,
         variety.parameter_names,

@@ -341,6 +341,26 @@ def test_malformed_json_shape_is_a_usage_error(tmp_path, capsys, command, data, 
     assert err.startswith("error: ") and f"{field} must be" in err and "Traceback" not in err
 
 
+def test_induce_rejects_an_algebra_with_a_repeated_basis_name(tmp_path, capsys):
+    # used to load, then die building the coordinate ring: ValueError traceback, exit 1
+    algebra = tmp_path / "dup.json"
+    algebra.write_text(json.dumps({"name": "dup", "basis": ["x", "x"], "unit": ["1", "0"], "mul": [[0, 0, 0, "1"]]}))
+    bracket = tmp_path / "zero.json"
+    bracket.write_text(json.dumps({"algebra": "mat1", "params": [], "coeffs": []}))
+    assert main(["induce", "--algebra", str(algebra), "--bracket", str(bracket), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "basis names must be distinct strings" in err
+
+
+def test_induce_rejects_a_parameter_named_like_a_coordinate(tmp_path, capsys):
+    # mat1's basis element E11 has the Rep_1 coordinate E11_11
+    bracket = tmp_path / "clash.json"
+    bracket.write_text(json.dumps({"algebra": "mat1", "params": ["E11_11", "a"], "coeffs": []}))
+    assert main(["induce", "--algebra", "mat1", "--bracket", str(bracket), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['E11_11']" in err and "Traceback" not in err
+
+
 def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
     # a relative file name whose first "+"-part is the preset name a2
     monkeypatch.chdir(tmp_path)

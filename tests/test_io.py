@@ -110,6 +110,13 @@ def test_algebra_json_rejects_bad_index():
         dpio.algebra_from_json(data)
 
 
+@pytest.mark.parametrize("basis", [["x", "x"], ["x", 1], ["x", None]])
+def test_algebra_json_rejects_repeated_or_non_string_basis_names(basis):
+    data = {"name": "bad", "basis": basis, "unit": ["1", "0"], "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}
+    with pytest.raises(ValueError, match="basis names must be distinct strings"):
+        dpio.algebra_from_json(data)
+
+
 def test_bracket_json_last_slot_still_accepted():
     data = {"algebra": "a2", "params": [], "coeffs": [[2, 2, 2, 2, "1"]]}
     assert dpio.bracket_from_json(data).coeffs[2][2][2][2] == 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,70 @@ def test_invert_matrix():
     assert prod == [[1, 0], [0, 1]]
 
 
+# -- oracle: the dense Gauss-Jordan inverse ------------------------------------
+
+
+def _dense_invert_matrix(rows):
+    """Gauss-Jordan on the dense [M | I] with row swaps; ValueError when singular."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is not invertible")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def test_invert_matrix_matches_the_dense_gauss_jordan():
+    rng = random.Random(20261019)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            m[0][0] = Fraction(0)  # the dense pass must swap rows
+        if trial % 5 == 0 and n > 1:
+            # row 1 a combination of the others: singular
+            a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[1] = [a * x + b * y for x, y in zip(m[0], m[-1])]
+        try:
+            expected = _dense_invert_matrix(m)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="not invertible"):
+                invert_matrix(m)
+            continue
+        inverse = invert_matrix(m)
+        assert inverse == expected
+        assert all(type(x) is Fraction for row in inverse for x in row)
+    assert 40 <= singular <= 200
+
+
+def test_add_row_returns_whether_the_rank_grew():
+    rng = random.Random(20261023)
+    grew = kept = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        elim = SparseEliminator(ncols)
+        for _ in range(rng.randint(1, 12)):
+            cols = rng.sample(range(ncols), rng.randint(0, min(ncols, 4)))
+            rank = elim.rank
+            added = elim.add_row({c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in cols})
+            assert added is (elim.rank > rank)
+            grew, kept = grew + added, kept + (not added)
+    assert grew and kept
+
+
 def test_deterministic_nullspace_order():
     rows = [{0: 1, 1: 1, 2: 1}]
     b1 = nullspace_of_rows(rows, 3)
@@ -104,6 +169,7 @@ def test_deterministic_nullspace_order():
 
 
 def _naive_reduced_pivot_rows(pivot_rows):
+    """The reduced rows by rational row operations, each then scaled to 1 at its lead."""
     rows = {c: {k: Fraction(v) for k, v in r.items()} for c, r in pivot_rows.items()}
     for lead in sorted(rows, reverse=True):
         row = rows[lead]
@@ -117,7 +183,7 @@ def _naive_reduced_pivot_rows(pivot_rows):
                     other.pop(c, None)
                 else:
                     other[c] = s
-    return rows
+    return {lead: {c: v / row[lead] for c, v in row.items()} for lead, row in rows.items()}
 
 
 def _dense(vectors, ncols):
