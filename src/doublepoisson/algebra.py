@@ -493,11 +493,6 @@ def commutator_subspace(algebra: FDAlgebra) -> CommutatorSubspace:
             elim.add_row({k: v for k, v in enumerate(c.coords) if v != 0})
     reduced = elim.reduced_pivot_rows()
     pivots = tuple(sorted(reduced))
-    rows = []
-    for piv in pivots:
-        row = [0] * n
-        for c, v in reduced[piv].items():
-            row[c] = exact_scalar(v)
-        rows.append(tuple(row))
+    rows = tuple(tuple(reduced[piv].get(c, 0) for c in range(n)) for piv in pivots)
     complement = tuple(i for i in range(n) if i not in set(pivots))
-    return CommutatorSubspace(algebra, tuple(rows), pivots, complement)
+    return CommutatorSubspace(algebra, rows, pivots, complement)

@@ -28,7 +28,6 @@ from .inner import (
     weak_jacobi_condition,
 )
 from .modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
-from .poly import format_scalar
 from .repspace import ChartError, chart_consistency, get_chart, induce, jacobi_check_bivector
 # solve_linear is not called here; the benchmark's tracer self-test reads it as cli.solve_linear
 from .solver import outer_double_derivation_dim, solve, solve_linear, solve_modified  # noqa: F401
@@ -179,9 +178,7 @@ def cmd_inner(args) -> int:
     weak_ok, _ = weak_jacobi_condition(wedge)
     report["inputs"]["wedge"] = _input_digest(args.wedge)
     report["bracket"] = dpio.bracket_to_json(db, args.algebra)["coeffs"]
-    report["aybe_obstruction"] = [
-        [a, b, c, format_scalar(v)] for a, b, c, v in j.entries()
-    ]
+    report["aybe_obstruction"] = [[a, b, c, str(v)] for a, b, c, v in j.entries()]
     report["aybe_holds"] = j.is_zero()
     report["weak_jacobi_condition"] = weak_ok
     return _emit(report, args, weak_ok, time.time() - started)

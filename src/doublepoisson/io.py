@@ -28,7 +28,7 @@ from .algebra import FDAlgebra, resolve_preset
 from .brackets import CoefficientBracket, DoubleBracket
 from .inner import WedgeElement
 from .modified import ModifiedBracket
-from .poly import PolyRing, format_scalar, parse_rational
+from .poly import PolyRing, parse_rational
 from .repspace import PoissonTable
 from .solver import LinearVariety
 
@@ -91,8 +91,8 @@ def algebra_to_json(algebra: FDAlgebra) -> dict:
     return {
         "name": algebra.name,
         "basis": list(algebra.basis_names),
-        "unit": [format_scalar(u) for u in algebra.unit],
-        "mul": [[i, j, k, format_scalar(c)] for i, j, k, c in algebra.entries()],
+        "unit": [str(u) for u in algebra.unit],
+        "mul": [[i, j, k, str(c)] for i, j, k, c in algebra.entries()],
     }
 
 
@@ -114,7 +114,7 @@ def bracket_from_json(data: dict, algebra: FDAlgebra | None = None) -> Coefficie
 
 
 def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None) -> dict:
-    coeffs = [[i, j, a, b, format_scalar(c)] for i, j, a, b, c in bracket.entries()]
+    coeffs = [[i, j, a, b, str(c)] for i, j, a, b, c in bracket.entries()]
     data = {
         "algebra": algebra_spec or bracket.algebra.name,
         "params": list(bracket.params),
@@ -145,13 +145,13 @@ def wedge_to_json(wedge: WedgeElement, algebra_spec: str | None = None) -> dict:
     terms = []
     for a, b, v in wedge.entries():
         if a < b:
-            terms.append([a, b, format_scalar(v)])
+            terms.append([a, b, str(v)])
     return {"algebra": algebra_spec or wedge.algebra.name, "terms": terms}
 
 
 def variety_to_json(variety: LinearVariety) -> dict:
     basis = [
-        [[i, j, a, b, format_scalar(c)] for i, j, a, b, c in db.entries()]
+        [[i, j, a, b, str(c)] for i, j, a, b, c in db.entries()]
         for db in variety.nullspace_basis
     ]
     return {

@@ -5,10 +5,13 @@ column index to integer entry, kept primitive (content divided out) after
 every combination step, which bounds coefficient growth the same way Bareiss
 pivoting does on dense data.  Pivots are chosen at the smallest column index,
 so echelon forms, ranks and nullspace bases are deterministic.  The
-Gauss-Jordan pass is fraction-free too: it clears in integers, and each entry
-becomes a Fraction once, at the end, in the monic reduced row (1 at its
-lead).  This module alone decides how a reduced row is scaled; nullspaces,
-canonical bases and inverses are read off the monic rows as they are.
+Gauss-Jordan pass is fraction-free too: it clears in integers, and each row
+is divided by its lead once, at the end, into the monic reduced row (1 at
+its lead).  That division follows the engine's scalar rule
+(``poly.exact_scalar``), so an entry is an int when it is integral and a
+Fraction otherwise.  This module alone decides how a row is scaled: rational
+rows enter through ``primitive_row``, and nullspaces, canonical bases and
+inverses are read off the monic rows as they are, ints on integral input.
 """
 
 from __future__ import annotations
@@ -17,13 +20,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .poly import exact_scalar
+
 SparseRow = dict[int, int]
 
 
-def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
-    """The primitive integer row of ``row``: denominators cleared, content divided out.
+def primitive_row(row: dict[int, Fraction | int]) -> SparseRow:
+    """The primitive integer row of the rational ``row``: zeros dropped, denominators cleared.
 
-    A row of ints, as the solver's derivation rows are, has no denominators to clear.
+    Content is divided out and the entry at the smallest key made positive,
+    so two rows are rational multiples of each other iff their primitive
+    rows are equal.  A row of ints, as the solver's derivation rows are, has
+    no denominators to clear.
     """
     entries = {}
     all_int = True
@@ -38,15 +46,11 @@ def _to_int_row(row: dict[int, Fraction | int]) -> SparseRow:
         for v in entries.values():
             denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
         entries = {c: v.numerator * (denom_lcm // v.denominator) for c, v in entries.items()}
-    return primitive_row(entries)
+    return _primitive(entries)
 
 
-def primitive_row(row: SparseRow) -> SparseRow:
-    """Content divided out, entry at the smallest key positive.
-
-    Two integer rows are rational multiples of each other iff their primitive
-    rows are equal.
-    """
+def _primitive(row: SparseRow) -> SparseRow:
+    """The integer ``row`` with its content divided out and the entry at its smallest key positive."""
     g = 0
     for v in row.values():
         g = gcd(g, abs(v))
@@ -54,8 +58,7 @@ def primitive_row(row: SparseRow) -> SparseRow:
             break
     if g > 1:
         row = {c: v // g for c, v in row.items()}
-    lead = min(row) if row else None
-    if lead is not None and row[lead] < 0:
+    if row and row[min(row)] < 0:
         row = {c: -v for c, v in row.items()}
     return row
 
@@ -76,7 +79,7 @@ def _cleared(row: SparseRow, pivot: SparseRow, lead: int) -> SparseRow:
             combined.pop(c, None)
         else:
             combined[c] = s
-    return primitive_row(combined)
+    return _primitive(combined)
 
 
 class SparseEliminator:
@@ -88,7 +91,7 @@ class SparseEliminator:
 
     def add_row(self, row: dict[int, Fraction | int]) -> bool:
         """Reduce ``row`` against the pivot rows; True iff it adds a pivot, so the rank grows."""
-        work = _to_int_row(row)
+        work = primitive_row(row)
         while work:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
@@ -102,7 +105,7 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduced_pivot_rows(self) -> dict[int, dict[int, Fraction]]:
+    def reduced_pivot_rows(self) -> dict[int, dict[int, int | Fraction]]:
         """Gauss-Jordan pass: the monic reduced rows, one per pivot column.
 
         Each row is 1 at its lead, and each pivot column appears in its own
@@ -111,8 +114,10 @@ class SparseEliminator:
         holds its lead and non-pivot columns only, so clearing never adds or
         removes a pivot column elsewhere, and the rows holding each pivot
         column are indexed once, before the pass.  Clearing is fraction-free
-        (``_cleared``) and keeps each row's lead, so dividing by the lead a
-        row reaches makes each entry a Fraction once.
+        (``_cleared``) and keeps each row's lead, so each row is divided by
+        the lead it reaches once, into exact scalars (``poly.exact_scalar``):
+        a row that reaches lead 1 is a copy of its int row.  No returned row
+        is a ``pivot_rows`` dict.
         """
         rows = dict(self.pivot_rows)
         holders: dict[int, list[int]] = {}
@@ -125,19 +130,22 @@ class SparseEliminator:
             for other_lead in holders.get(lead, ()):
                 rows[other_lead] = _cleared(rows[other_lead], row, lead)
         return {
-            lead: {c: Fraction(v, row[lead]) for c, v in row.items()} for lead, row in rows.items()
+            lead: dict(row) if row[lead] == 1
+            else {c: exact_scalar(Fraction(v, row[lead])) for c, v in row.items()}
+            for lead, row in rows.items()
         }
 
-    def nullspace(self) -> list[dict[int, Fraction]]:
+    def nullspace(self) -> list[dict[int, int | Fraction]]:
         """Basis of the right kernel, one vector per free column, in column order.
 
-        Each vector is a sparse row {column: nonzero value}, columns
+        Each vector is a sparse row {column: nonzero exact scalar}, columns
         ascending: 1 at its free column f and -v at the lead of each monic
         reduced pivot row holding v at f.  A row holds only columns at or
-        after its lead, so those leads all come before f.
+        after its lead, so those leads all come before f.  The vectors hold
+        ints wherever the reduced rows do.
         """
         rows = self.reduced_pivot_rows()
-        basis: dict[int, dict[int, Fraction]] = {
+        basis: dict[int, dict[int, int | Fraction]] = {
             free: {} for free in range(self.ncols) if free not in rows
         }
         # after the Gauss-Jordan pass a row holds its lead and free columns only
@@ -146,13 +154,13 @@ class SparseEliminator:
                 if c != lead:
                     basis[c][lead] = -v
         for free, vec in basis.items():
-            vec[free] = Fraction(1)
+            vec[free] = 1
         return list(basis.values())
 
 
 def nullspace_of_rows(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """Nullspace basis of the linear system given by sparse constraint rows, as sparse rows."""
     elim = SparseEliminator(ncols)
     for row in rows:
@@ -170,7 +178,7 @@ def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
 
 def canonical_basis(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """The basis of span(rows) that ``nullspace`` gives for a system with that kernel.
 
     A nullspace vector is 1 at its free column, 0 at the other free columns,
@@ -234,7 +242,7 @@ def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> boo
     return rank_of_vectors(list(vectors) + [list(v)]) == r
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
     """Exact inverse of the n x n matrix M; raises ValueError when M is singular.
 
     [M | I] has rank n, and M is invertible iff every pivot of [M | I] lies
@@ -248,4 +256,4 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if any(lead >= n for lead in elim.pivot_rows):
         raise ValueError("matrix is not invertible")
     reduced = elim.reduced_pivot_rows()
-    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[reduced[i].get(n + j, 0) for j in range(n)] for i in range(n)]

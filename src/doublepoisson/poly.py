@@ -53,16 +53,6 @@ def parse_rational(text: str) -> int | Fraction:
         return exact_scalar(text)
 
 
-def format_rational(q: int | Fraction) -> str:
-    """Render an exact scalar as "p/q", or "p" when the denominator is 1.
-
-    An exact scalar is an int when its denominator is 1 and a Fraction
-    otherwise, never a float; both render alike, so a value prints the same
-    whichever of the two holds it.
-    """
-    return str(q)
-
-
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     """Sort key realizing graded lexicographic order (first variable largest)."""
     return (sum(exps), exps)
@@ -345,11 +335,11 @@ class MultiPoly:
             c = self.terms[e]
             mono = self._monomial_str(e)
             if not mono:
-                body = format_rational(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{format_rational(abs(c))}*{mono}"
+                body = f"{abs(c)}*{mono}"
             sign = "-" if c < 0 else "+"
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
@@ -386,13 +376,21 @@ class RelationSet:
     """A confluent-by-construction rewrite system for polynomial normal forms.
 
     Each rule maps a leading monomial (exponent vector) to a replacement
-    polynomial that is strictly smaller in graded-lex; rewriting therefore
-    terminates.  Confluence is the caller's responsibility and holds for the
-    rule shapes used here (disjoint single-variable leading powers).
+    polynomial whose monomials are all strictly smaller in graded-lex, which
+    construction checks; since graded-lex is a well-order compatible with
+    products, rewriting terminates for every RelationSet.  Confluence is the
+    caller's responsibility and holds for the rule shapes used here
+    (disjoint single-variable leading powers).
     """
 
     ring: PolyRing
     rules: tuple[tuple[tuple[int, ...], MultiPoly], ...]
+
+    def __post_init__(self):
+        for lead, repl in self.rules:
+            for e in repl.terms:
+                if grlex_key(e) >= grlex_key(lead):
+                    raise ValueError(f"replacement monomial {e} does not decrease the head {lead}")
 
     @staticmethod
     def of(ring: PolyRing, rules: Iterable[tuple[MultiPoly, MultiPoly]]) -> RelationSet:
@@ -403,13 +401,7 @@ class RelationSet:
                 raise ValueError("relation rule in a different ring")
             if len(lead_poly.terms) != 1 or next(iter(lead_poly.terms.values())) != 1:
                 raise ValueError("rule head must be a single monic monomial")
-            lead = next(iter(lead_poly.terms))
-            for e in repl.terms:
-                if grlex_key(e) >= grlex_key(lead):
-                    raise ValueError(
-                        f"replacement monomial {e} does not decrease the head {lead}"
-                    )
-            packed.append((lead, repl))
+            packed.append((next(iter(lead_poly.terms)), repl))
         return RelationSet(ring, tuple(packed))
 
     @staticmethod
@@ -418,28 +410,30 @@ class RelationSet:
         return RelationSet.of(ring, [(ring.parse(head), ring.parse(replacement))])
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
+        """The normal form of ``p``, in one worklist pass.
+
+        A term that a rule head divides is replaced by the quotient times each
+        replacement term; any other term is kept.  Pending terms with the same
+        monomial are summed, and a pending term that sums to zero is dropped.
+        """
         if p.ring != self.ring:
             raise ValueError(f"ring mismatch: poly in {p.ring}, relations in {self.ring}")
-        guard = 0
-        while True:
-            hit = None
-            for e in p.terms:
-                for lead, repl in self.rules:
-                    if all(a >= b for a, b in zip(e, lead)):
-                        hit = (e, lead, repl)
-                        break
-                if hit:
+        work = dict(p.terms)
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        while work:
+            e, c = work.popitem()
+            if not c:
+                continue
+            for lead, repl in self.rules:
+                if all(a >= b for a, b in zip(e, lead)):
+                    quotient = [a - b for a, b in zip(e, lead)]
+                    for m, r in repl.terms.items():
+                        key = tuple(map(add, quotient, m))
+                        work[key] = work.get(key, 0) + c * r
                     break
-            if hit is None:
-                return p
-            e, lead, repl = hit
-            c = p.terms[e]
-            quotient = tuple(a - b for a, b in zip(e, lead))
-            rest = MultiPoly(self.ring, {m: q for m, q in p.terms.items() if m != e})
-            p = rest + MultiPoly(self.ring, {quotient: c}) * repl
-            guard += 1
-            if guard > 100000:
-                raise RuntimeError("rewriting did not terminate (non-admissible rules?)")
+            else:
+                out[e] = out.get(e, 0) + c
+        return MultiPoly(self.ring, out)
 
 
 # -- parser ------------------------------------------------------------------
@@ -563,9 +557,3 @@ def scalar_is_zero(x: Scalar) -> bool:
     if isinstance(x, MultiPoly):
         return x.is_zero()
     return x == 0
-
-
-def format_scalar(x: Scalar) -> str:
-    if isinstance(x, MultiPoly):
-        return str(x)
-    return format_rational(x)

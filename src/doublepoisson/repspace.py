@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -58,8 +59,15 @@ class CoordRing:
 
     @staticmethod
     def build(algebra: FDAlgebra, n: int, params: tuple[str, ...] = ()) -> CoordRing:
-        """The ring of the bracket ``params`` and the Rep_n coordinates; a name in both raises ChartError."""
+        """The ring of the bracket ``params`` and the Rep_n coordinates.
+
+        Two coordinates with one name, as E11_111 names cells (1, 11) and
+        (11, 1) from n = 11 on, or a name in both, raise ChartError.
+        """
         coords = _coordinate_names(algebra, n)
+        repeated = sorted(name for name, k in Counter(coords).items() if k > 1)
+        if repeated:
+            raise ChartError(f"Rep_{n} coordinate names {repeated} each name more than one cell")
         clashes = sorted(set(params) & set(coords))
         if clashes:
             raise ChartError(f"bracket parameters {clashes} clash with Rep_{n} coordinate names")

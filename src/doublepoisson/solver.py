@@ -28,17 +28,17 @@ The checkers fold a bracket's terms into residuals; this module folds generic
 slots (``_generic_slot``, ``_slot_forms``) into rows and quadratic forms.
 
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
-in t, so the constraints are computed by polarization: integer bilinear
-arithmetic on the basis brackets B_k, with MultiPoly values built only for the
-finished constraints.  For double brackets only the triples of algebra
-generators are scanned (``algebra.generating_set``): the triple bracket of a
-bracket that satisfies skew symmetry and Leibniz is a derivation in each
-argument, so these span the same constraint space as all basis triples;
-modified brackets scan every basis triple.  The constraints are the reduced
-echelon basis of that span over the monomials t_k t_l: their count is the
-rank of the span, each has leading coefficient 1, and they are listed by
-leading monomial t_k t_l in ascending (k, l) order, which is descending
-graded lex.
+in t, so the constraints are computed by polarization: bilinear arithmetic on
+the basis brackets' exact scalars (ints on integral input), with MultiPoly
+values built only for the finished constraints.  For double brackets only the
+triples of algebra generators are scanned (``algebra.generating_set``): the
+triple bracket of a bracket that satisfies skew symmetry and Leibniz is a
+derivation in each argument, so these span the same constraint space as all
+basis triples; modified brackets scan every basis triple.  The constraints
+are the reduced echelon basis of that span over the monomials t_k t_l: their
+count is the rank of the span, each has leading coefficient 1, and they are
+listed by leading monomial t_k t_l in ascending (k, l) order, which is
+descending graded lex.
 
 The parameter order is the elimination order of the nullspace engine (free
 columns ascending), which is deterministic but not canonical; golden tests
@@ -120,11 +120,14 @@ class LinearVariety:
 
 
 def _integer_products(algebra: FDAlgebra):
-    """The product table times the common denominator of its entries; the table itself when all are ints."""
+    """The product table times the common denominator of its entries; the table itself when all are ints.
+
+    The row folds then run on ints, and a uniform factor changes no span.
+    """
     values = [v for row in algebra.products for terms in row for _, v in terms]
     if all(type(v) is int for v in values):
         return algebra.products
-    den = _common_denominator(values)
+    den = lcm(*(v.denominator for v in values))
     return [[[(k, int(v * den)) for k, v in terms] for terms in row] for row in algebra.products]
 
 
@@ -214,7 +217,7 @@ def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
     return LinearVariety(algebra, names, basis, (), modified)
 
 
-def _derivation_basis(algebra: FDAlgebra, generators) -> list[dict[int, Fraction]]:
+def _derivation_basis(algebra: FDAlgebra, generators) -> list[dict[int, int | Fraction]]:
     """Basis of Der(A, A(x)A) as sparse rows over the columns of ``_derivation_rows``."""
     return nullspace_of_rows(_derivation_rows(algebra, generators), algebra.dim**3)
 
@@ -243,27 +246,24 @@ def _solve_over_derivations(algebra: FDAlgebra, generators, rows, modified: bool
     """The brackets whose slots {{e_i, -}} are double derivations and that satisfy `rows`.
 
     `rows` are constraints over the flat C columns, and `generators` generate
-    the algebra (``_derivation_rows``).  Each derivation basis
-    vector is scaled to integers; the span, and so the canonical basis of
-    the answer, does not depend on the scaling.
+    the algebra (``_derivation_rows``).  The derivation basis is used as
+    ``linalg`` returns it, in exact scalars; the canonical basis of the
+    answer depends only on its span.
     """
     n = algebra.dim
     n3 = n**3
-    scaled = []
-    for vec in _derivation_basis(algebra, generators):
-        den = _common_denominator(vec.values())
-        scaled.append({c: int(v * den) for c, v in vec.items()})
-    p = len(scaled)
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n3)]
-    for d, vec in enumerate(scaled):
+    derivations = _derivation_basis(algebra, generators)
+    p = len(derivations)
+    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n3)]
+    for d, vec in enumerate(derivations):
         for c, w in vec.items():
             columns[c].append((d, w))
     brackets = []
     for x in nullspace_of_rows(_substitute(rows, columns, p), n * p):
-        flat: dict[int, Fraction] = {}
+        flat: dict[int, int | Fraction] = {}
         for col, coeff in x.items():
             i, d = divmod(col, p)
-            for c, w in scaled[d].items():
+            for c, w in derivations[d].items():
                 idx = i * n3 + c
                 flat[idx] = flat.get(idx, 0) + coeff * w
         brackets.append(flat)
@@ -301,32 +301,26 @@ def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
 # The general element sum_k t_k B_k has a linear form in t in every coefficient
 # slot, so each Jacobi residual entry is a quadratic form in t, computed from
 # the basis brackets by bilinear arithmetic.  A linear form is a tuple of
-# (k, c) pairs with integer c: every basis bracket is scaled by one common
-# denominator, a uniform factor that does not change the span of the forms.  A
-# quadratic form is a map from monomial key to integer, where t_k t_l (k <= l)
-# has key k * p + l; the smallest key of a form is its graded-lex leading
-# monomial.
-
-
-def _common_denominator(values) -> int:
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    return den
+# (k, c) pairs with c the exact scalar of basis bracket k, an int wherever the
+# basis is integral.  A quadratic form is a map from monomial key to exact
+# scalar, where t_k t_l (k <= l) has key k * p + l; the smallest key of a form
+# is its graded-lex leading monomial.
 
 
 def _slot_forms(variety: LinearVariety):
-    """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of the general element."""
+    """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of the general element.
+
+    Each form carries the basis brackets' coefficients as they are.
+    """
     n = variety.algebra.dim
     terms = [basis.terms for basis in variety.nullspace_basis]
-    den = _common_denominator(v for t in terms for row in t for slot in row for _, _, v in slot)
     slots = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             forms: dict[tuple[int, int], list] = {}
             for k, t in enumerate(terms):
                 for a, b, v in t[i][j]:
-                    forms.setdefault((a, b), []).append((k, int(v * den)))
+                    forms.setdefault((a, b), []).append((k, v))
             slots[i][j] = [(a, b, tuple(forms[a, b])) for a, b in sorted(forms)]
     return slots
 
@@ -336,9 +330,9 @@ def _monomial_keys(p: int) -> list[list[int]]:
     return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
 
 
-def _quadratic_sum(products, keys, index) -> dict[int, dict[int, int]]:
+def _quadratic_sum(products, keys, index) -> dict[int, dict[int, int | Fraction]]:
     """index[position] -> quadratic form, summing f * g over the (position, f, g) products."""
-    out: dict[int, dict[int, int]] = {}
+    out: dict[int, dict[int, int | Fraction]] = {}
     for pos, f, g in products:
         pos = index[pos]
         acc = out.get(pos)
@@ -358,7 +352,7 @@ def _combine(terms):
     Each term is (sign, perm, entries) with ``entries`` a position -> form map
     and ``perm`` a list sending each position to its place in the sum.
     """
-    total: dict[int, dict[int, int]] = {}
+    total: dict[int, dict[int, int | Fraction]] = {}
     for sign, perm, entries in terms:
         for pos, form in entries.items():
             pos = perm[pos]
@@ -376,9 +370,9 @@ def _combine(terms):
 def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """The variety with the reduced echelon basis of span(forms) as its constraints.
 
-    The integer forms are eliminated on the monomial keys, pivots at the
-    smallest key, which is the leading monomial.  The monic reduced pivot
-    rows are listed by ascending key, so each has leading coefficient 1, the
+    The forms are eliminated on the monomial keys, pivots at the smallest
+    key, which is the leading monomial.  The monic reduced pivot rows are
+    listed by ascending key, so each has leading coefficient 1, the
     constraints depend only on the span of the forms, and their count is its
     rank.
     """
@@ -391,7 +385,7 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
             exps[k] += 1
         return tuple(exps)
 
-    # one representative per primitive integer form reaches the elimination
+    # one representative per primitive form (``linalg.primitive_row``) reaches the elimination
     elim = SparseEliminator(p * p)
     for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
         elim.add_row(dict(form))
@@ -494,7 +488,7 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
 
 def _multiplied_forms(mul, slot) -> list:
     """The nonzero (c, form) of m({{e_a, e_b}}) for a slot of linear forms (``axioms.multiplied_terms``)."""
-    coords: dict[int, dict[int, int]] = {}
+    coords: dict[int, dict[int, int | Fraction]] = {}
     for c, m, f in multiplied_terms(mul, slot):
         acc = coords.setdefault(c, {})
         for k, u in f:

@@ -12,16 +12,11 @@ cyclic tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .poly import Scalar, scalar_is_zero
 
 
-# The zero of the dense views (``grid``, ``flat_coeffs``): a Fraction, like the
-# solver's basis brackets that the views are compared against.  Folds start
-# from the int 0 instead, so integral coefficients stay ints.
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 def _zero_grid2(n: int) -> list[list[Scalar]]:

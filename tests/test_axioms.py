@@ -5,12 +5,13 @@ collects, at each position, a row over the flat columns of the unknowns (or
 a quadratic form in the nullspace parameters).  For a seeded random bracket,
 every solver row evaluated at the bracket's ``flat_terms()`` must equal the
 checker residual at its position, times the factor by which the solver
-scales its inputs to integers: the common denominator of the product table,
-and of the bracket for the quadratic forms.
+scales its inputs to integers: the common denominator of the product table.
+The slot forms carry the bracket's coefficients as they are.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -30,7 +31,6 @@ from doublepoisson.brackets import DoubleBracket, _pair_residual, _residual
 from doublepoisson.modified import ModifiedBracket
 from doublepoisson.solver import (
     LinearVariety,
-    _common_denominator,
     _fold_rows,
     _generic_slot,
     _integer_products,
@@ -48,6 +48,10 @@ SPECS = ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2")
 @pytest.fixture(scope="module")
 def algebras(tmp_path_factory):
     return {spec: _two_stage_algebra(spec, tmp_path_factory.mktemp("algebra")) for spec in SPECS}
+
+
+def _common_denominator(values) -> int:
+    return lcm(1, *(Fraction(v).denominator for v in values))
 
 
 _small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3)))
@@ -115,8 +119,7 @@ def test_quadratic_folds_agree(algebras, data):
     n = alg.dim
     bracket = _random_bracket(data, alg)
     terms = bracket.terms
-    # the variety spanned by the bracket alone: its slot forms are den_b * C[i][j][a][b] t0
-    den_b = _common_denominator(v for *_, v in bracket.entries())
+    # the variety spanned by the bracket alone: its slot forms are C[i][j][a][b] t0
     den = _common_denominator(v for row in alg.products for cell in row for _, v in cell)
     slots = _slot_forms(LinearVariety(alg, ("t0",), (bracket,), (), True))
     keys = _monomial_keys(1)
@@ -125,18 +128,13 @@ def test_quadratic_folds_agree(algebras, data):
         _assert_quadratic_contract(
             _quadratic_sum(first_leg_pairs(slots[i], slots[j][k]), keys, index),
             {index[p]: v for p, v in _pair_residual(first_leg_pairs(terms[i], terms[j][k])).items()},
-            den_b**2,
+            1,
         )
     # the jacobiators: the nonzero entries of the scanned triples, in position order
     double = DoubleBracket(alg, terms)
     variety = LinearVariety(alg, ("t0",), (double,), (), False)
     scanned = [t for t in product(range(n), repeat=3) if t == min(t, t[1:] + t[:1], t[2:] + t[:2])]
-    expected = [
-        den_b**2 * v
-        for t in scanned
-        for _, v in sorted(double._jacobiator_terms(*t).items())
-        if v
-    ]
+    expected = [v for t in scanned for _, v in sorted(double._jacobiator_terms(*t).items()) if v]
     assert [form[0] for form in _jacobi_forms(variety, range(n))] == expected
     # the H0 nested products over M(a, b) = m({{e_a, e_b}})
     iprods = _integer_products(alg)
@@ -147,5 +145,5 @@ def test_quadratic_folds_agree(algebras, data):
             _assert_quadratic_contract(
                 _quadratic_sum(nested_pairs(forms, *t, left), keys, range(n)),
                 _pair_residual(nested_pairs(table, *t, left)),
-                (den * den_b) ** 2,
+                den**2,
             )

@@ -361,6 +361,17 @@ def test_induce_rejects_a_parameter_named_like_a_coordinate(tmp_path, capsys):
     assert err.startswith("error: ") and "['E11_11']" in err and "Traceback" not in err
 
 
+def test_induce_rejects_coordinate_names_that_coincide(tmp_path, capsys):
+    # from n = 11 on, cells (1, 11) and (11, 1) of mat1 are both named E11_111
+    bracket = tmp_path / "zero.json"
+    bracket.write_text(json.dumps({"algebra": "mat1", "params": [], "coeffs": []}))
+    assert main(["induce", "--algebra", "mat1", "--bracket", str(bracket), "--n", "10"]) == 0
+    capsys.readouterr()
+    assert main(["induce", "--algebra", "mat1", "--bracket", str(bracket), "--n", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "E11_111" in err and "Traceback" not in err
+
+
 def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
     # a relative file name whose first "+"-part is the preset name a2
     monkeypatch.chdir(tmp_path)

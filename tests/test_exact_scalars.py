@@ -8,6 +8,8 @@ algebra's structure constants and unit and in the bracket's or wedge's
 coefficients.  The checks, the inner bracket, J(r), the weak-Jacobi
 condition and the induced table must give the same verdicts, witness tags
 and witness values on both, and no value either returns may be a float.
+Exact elimination follows the same rule: what ``linalg`` and the solver
+return holds ints on integral input.
 """
 
 from fractions import Fraction
@@ -17,14 +19,21 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
-from doublepoisson.algebra import AlgElement, FDAlgebra, commutator_subspace, make_a2
+from doublepoisson.algebra import AlgElement, FDAlgebra, commutator_subspace, generating_set, make_a2
 from doublepoisson.brackets import AxiomReport, CoefficientBracket, DoubleBracket
 from doublepoisson.families import a2_double_family
 from doublepoisson.inner import WedgeElement, aybe_obstruction, inner_bracket, weak_jacobi_condition
 from doublepoisson.modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, exact_scalar, parse_rational
+from doublepoisson.linalg import canonical_basis, invert_matrix, nullspace_of_rows
 from doublepoisson.repspace import PoissonTable, induce
-from doublepoisson.solver import _integer_products
+from doublepoisson.solver import (
+    _derivation_rows,
+    _integer_products,
+    double_derivation_space,
+    solve,
+    solve_modified,
+)
 from doublepoisson.tensors import Tensor2, Tensor3
 from test_solver import _two_stage_algebra
 
@@ -210,3 +219,41 @@ def test_symbolic_a2_family_agrees_with_the_fraction_path():
     assert _same(db.check_all(rels), oracle.check_all(rels), integral=True)[:3] == (True, True, True)
     _same(db.check_all(), oracle.check_all(), integral=True)
     _same(induce(db, 2), induce(oracle, 2), integral=True)
+
+
+def _follows_the_rule(values, integral: bool) -> bool:
+    """Every value an int on integral input, else an int exactly when its denominator is 1."""
+    return all(type(v) is (int if integral or v.denominator == 1 else Fraction) for v in values)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_elimination_returns_ints_where_integral(algebras, spec):
+    alg, _ = algebras[spec]
+    integral = spec in INTEGRAL_SPECS
+    n = alg.dim
+    for variety in (solve(alg), solve_modified(alg)):
+        assert _follows_the_rule((c for b in variety.nullspace_basis for *_, c in b.entries()), integral)
+        assert _follows_the_rule((c for p in variety.quadratic_constraints for c in p.terms.values()), integral)
+    der_basis, inner_gens = double_derivation_space(alg)
+    images = [img for d in der_basis + inner_gens for img in d.images]
+    assert _follows_the_rule((v for img in images for v in img.terms.values()), integral)
+    assert _follows_the_rule((v for row in commutator_subspace(alg).basis for v in row), integral)
+    kernel = nullspace_of_rows(_derivation_rows(alg, generating_set(alg)), n**3)
+    assert kernel and _follows_the_rule((v for vec in kernel for v in vec.values()), integral)
+    # a spanning set with Fraction entries gives the same canonical basis
+    canonical = canonical_basis([{c: Fraction(v, 3) for c, v in vec.items()} for vec in kernel], n**3)
+    assert canonical == canonical_basis(kernel, n**3)
+    assert _follows_the_rule((v for vec in canonical for v in vec.values()), integral)
+
+
+def test_inverse_of_a_unimodular_matrix_is_integral():
+    m = [[2, 3, 1], [1, 2, 1], [1, 1, 1]]  # determinant 1
+    inverse = invert_matrix(m)
+    assert all(type(x) is int for row in inverse for x in row)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in m] == [
+        [int(i == j) for j in range(3)] for i in range(3)
+    ]
+    halved = invert_matrix([[Fraction(x, 2) for x in row] for row in m])
+    assert halved == [[2 * x for x in row] for row in inverse]
+    assert invert_matrix([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
+    assert _follows_the_rule((x for row in invert_matrix([[2, 0], [0, 1]]) for x in row), False)

@@ -18,6 +18,11 @@ from doublepoisson.linalg import (
 )
 
 
+def _exact_scalar(x) -> bool:
+    """The engine's scalar rule: an int exactly when the denominator is 1, a Fraction otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
 def _sparse(rows):
     return [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
 
@@ -137,7 +142,7 @@ def test_invert_matrix_matches_the_dense_gauss_jordan():
             continue
         inverse = invert_matrix(m)
         assert inverse == expected
-        assert all(type(x) is Fraction for row in inverse for x in row)
+        assert all(_exact_scalar(x) for row in inverse for x in row)
     assert 40 <= singular <= 200
 
 
@@ -315,7 +320,8 @@ def test_backsubstitution_with_large_leads_matches_naive_pass(case):
         elim.add_row(row)
     reduced = elim.reduced_pivot_rows()
     assert reduced == _naive_reduced_pivot_rows(elim.pivot_rows)
-    assert all(type(v) is Fraction for row in reduced.values() for v in row.values())
+    assert all(_exact_scalar(v) for row in reduced.values() for v in row.values())
+    assert not any(row is pivot for row in reduced.values() for pivot in elim.pivot_rows.values())
     assert _dense(elim.nullspace(), ncols) == _naive_nullspace(reduced, ncols)
 
 

@@ -1,12 +1,17 @@
-"""The JSON output of solve, solve --modified and hh1, pinned by its sha256.
+"""The JSON output and exit code of the CLI commands, the JSON pinned by its sha256.
 
 Every classification is a dimension or span statement read off exact
 elimination, so any change to how rows are reduced, scaled or ordered that
-reaches an output shows up here as a changed digest.  The ladder is a2,
-mat2, a2+a2, mat3, the upper-triangular T3 and a rebased mat2, the last two
-written as fixed JSON so that their bytes, and so the input digests in the
-output, never change.  A deliberate change of output format updates the
-digests in the same commit.
+reaches an output shows up here as a changed digest.  solve, solve
+--modified and hh1 run on the ladder a2, mat2, a2+a2, mat3, the
+upper-triangular T3, a rebased mat2 and a2+mat1 with halved structure
+constants, where rational rows meet the elimination.  The inverse of
+``inner --aybe-scan`` on a2, the exact rep3 chart check of an a2 bracket off
+the Jacobi variety (exit 1) and the golden ``report`` (exit 1, one strict
+xfail) are pinned too.  Inputs that are not presets are written as fixed
+JSON, so that their bytes, and so the input digests in the output, never
+change.  A deliberate change of output format updates the digests in the
+same commit.
 """
 
 import hashlib
@@ -44,9 +49,47 @@ MAT2_REBASED = {
     ],
 }
 
-FILES = {"T3": ("T3.json", T3), "mat2~rebased": ("mat2-rebased.json", MAT2_REBASED)}
+# a2+mat1 in the basis e_i / 2: structure constants halved, unit doubled
+A2_MAT1_HALVED = {
+    "name": "a2+mat1",
+    "basis": ["a.e0", "a.e1", "a.e2", "b.E11"],
+    "unit": ["0", "2", "2", "2"],
+    "mul": [[0, 2, 0, "1/2"], [1, 0, 0, "1/2"], [1, 1, 1, "1/2"], [2, 2, 2, "1/2"], [3, 3, 3, "1/2"]],
+}
 
-COMMANDS = {"solve": ["solve"], "solve --modified": ["solve", "--modified"], "hh1": ["hh1"]}
+# the a2 family at alpha = beta = gamma = 1, off the Jacobi variety gamma^2 + alpha beta = 0
+OFF_VARIETY = {
+    "algebra": "a2",
+    "params": [],
+    "coeffs": [
+        [0, 0, 0, 1, "-1"], [0, 0, 0, 2, "-1"], [0, 0, 1, 0, "1"], [0, 0, 2, 0, "1"], [0, 1, 0, 0, "1"],
+        [0, 1, 0, 2, "1"], [0, 1, 1, 0, "-1"], [0, 1, 2, 1, "1"], [0, 2, 0, 0, "-1"], [0, 2, 0, 2, "-1"],
+        [0, 2, 1, 0, "1"], [0, 2, 2, 1, "-1"], [1, 0, 0, 0, "-1"], [1, 0, 0, 1, "1"], [1, 0, 1, 2, "-1"],
+        [1, 0, 2, 0, "-1"], [1, 1, 1, 2, "1"], [1, 1, 2, 1, "-1"], [1, 2, 1, 2, "-1"], [1, 2, 2, 1, "1"],
+        [2, 0, 0, 0, "1"], [2, 0, 0, 1, "-1"], [2, 0, 1, 2, "1"], [2, 0, 2, 0, "1"], [2, 1, 1, 2, "-1"],
+        [2, 1, 2, 1, "1"], [2, 2, 1, 2, "1"], [2, 2, 2, 1, "-1"],
+    ],
+}
+
+FILES = {
+    "T3": ("T3.json", T3),
+    "mat2~rebased": ("mat2-rebased.json", MAT2_REBASED),
+    "a2+mat1/2": ("a2+mat1-halved.json", A2_MAT1_HALVED),
+}
+
+# "{}" stands for the algebra; report takes none, and its spec only names the case
+COMMANDS = {
+    "solve": ["solve", "--algebra", "{}", "--force-large"],
+    "solve --modified": ["solve", "--modified", "--algebra", "{}", "--force-large"],
+    "hh1": ["hh1", "--algebra", "{}", "--force-large"],
+    "inner --aybe-scan": ["inner", "--aybe-scan", "--algebra", "{}"],
+    "induce --n 3 --chart rep3-a2": [
+        "induce", "--algebra", "{}", "--bracket", "off-variety.json", "--n", "3", "--chart", "rep3-a2"
+    ],
+    "report": ["report"],
+}
+
+EXIT_CODES = {("a2", "induce --n 3 --chart rep3-a2"): 1, ("golden", "report"): 1}
 
 DIGESTS = {
     ("a2", "solve"): "81c762c0530e1d5afe5b7a40cbede975d48727e9357d5d20ba9a8b55cf624be1",
@@ -67,6 +110,12 @@ DIGESTS = {
     ("mat2~rebased", "solve"): "250b9e6e5128cf5d3e3a91c4fd9afeafc967603d7f5fd654f8e1327087d68888",
     ("mat2~rebased", "solve --modified"): "2a5012d1b9318f6d31604f9f254e82e02e96a82b7aac36a8c04c35a9ddbb70ea",
     ("mat2~rebased", "hh1"): "3e392800d8f1c285bd2c3ebf9675b862e3490e80d8b472d4de9e0adf2b6fab3e",
+    ("a2+mat1/2", "solve"): "a92f5524ab661486e385781befbb7a67100be1d82e797579abbce717f952f145",
+    ("a2+mat1/2", "solve --modified"): "8d8d940627090eaf944a65090319b461592ca7ae8be2bb63da566206370af54a",
+    ("a2+mat1/2", "hh1"): "f3bdbad324d85471f7188b185c0d2ddd0f8f8c2d1d62d5313479d2ff4b3fd337",
+    ("a2", "inner --aybe-scan"): "49e6dab45484541ae73ef7dffa3fa7274a1ace93b1b9980fd0547c70277d74ee",
+    ("a2", "induce --n 3 --chart rep3-a2"): "51900a2e9d0376cc99621bb992cc263580f4e1f88db684ff0293ea4ac8dc21b8",
+    ("golden", "report"): "3603bf7602bd010e40826a209fa504a4856398563d13999770b8ff21161d353d",
 }
 
 
@@ -78,6 +127,7 @@ def test_json_output_digest(spec, command, tmp_path, monkeypatch):
     if spec in FILES:
         algebra, data = FILES[spec]
         (tmp_path / algebra).write_text(json.dumps(data))
-    argv = COMMANDS[command] + ["--algebra", algebra, "--force-large"]
-    assert main(["--format", "json", "--out", "out.json"] + argv) == 0
+    (tmp_path / "off-variety.json").write_text(json.dumps(OFF_VARIETY))
+    argv = [arg.format(algebra) for arg in COMMANDS[command]]
+    assert main(["--format", "json", "--out", "out.json"] + argv) == EXIT_CODES.get((spec, command), 0)
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == DIGESTS[spec, command]

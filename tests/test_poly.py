@@ -9,10 +9,10 @@ from doublepoisson.poly import (
     MultiPoly,
     PolyRing,
     RelationSet,
-    format_rational,
     grlex_key,
     parse_rational,
 )
+from doublepoisson.repspace import get_chart
 
 
 @pytest.fixture
@@ -28,8 +28,6 @@ def circle(cs_ring):
 def test_rational_round_trip():
     assert parse_rational("5/6") == Fraction(5, 6)
     assert parse_rational("-3") == Fraction(-3)
-    assert format_rational(Fraction(2, 4)) == "1/2"
-    assert format_rational(Fraction(7)) == "7"
 
 
 def test_rational_arith_examples():
@@ -118,6 +116,42 @@ def test_relation_set_rejects_nondecreasing():
     with pytest.raises(ValueError):
         # head c is smaller than the degree-2 replacement
         RelationSet.single(ring, "c", "c^2 + s")
+    with pytest.raises(ValueError, match="does not decrease"):
+        # built directly, without ``of``: every RelationSet checks its rules
+        RelationSet(ring, (((1, 0), ring.parse("c^2 + s")),))
+
+
+def _old_normal_form(rels: RelationSet, p: MultiPoly) -> MultiPoly:
+    """normal_form as it was: rewrite the first divisible term, rebuild the polynomial, repeat."""
+    while True:
+        hit = None
+        for e in p.terms:
+            for lead, repl in rels.rules:
+                if all(a >= b for a, b in zip(e, lead)):
+                    hit = (e, lead, repl)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return p
+        e, lead, repl = hit
+        quotient = tuple(a - b for a, b in zip(e, lead))
+        rest = MultiPoly(rels.ring, {m: q for m, q in p.terms.items() if m != e})
+        p = rest + MultiPoly(rels.ring, {quotient: p.terms[e]}) * repl
+
+
+@pytest.mark.parametrize("chart", ("rep2-a2", "rep3-a2"))
+def test_normal_form_matches_the_rebuilding_loop(chart):
+    rels = get_chart(chart).relations
+    ring = rels.ring
+    rng = random.Random(20261019)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 4) if rng.random() < 0.4 else 0 for _ in ring.names)
+            terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        p = MultiPoly(ring, terms)
+        assert rels.normal_form(p) == _old_normal_form(rels, p)
 
 
 def test_partial_derivative(cs_ring):

@@ -800,11 +800,12 @@ def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
 #
 # The linear axioms used to be solved as one system over the whole coefficient
 # tensor.  The two-stage solver (derivations first) must return exactly the
-# same nullspace basis: the same Fractions, in the same order.
+# same nullspace basis: the same exact scalars, in the same order.  Zeros are the
+# int 0, as in the dense views (``tensors._ZERO``).
 
 
 def _dense_nullspace(rows, ncols):
-    return [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in nullspace_of_rows(rows, ncols)]
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in nullspace_of_rows(rows, ncols)]
 
 
 def _one_shot_solve_linear(algebra):
