@@ -23,9 +23,9 @@ from doublepoisson.algebra import AlgElement, FDAlgebra, commutator_subspace, ge
 from doublepoisson.brackets import AxiomReport, CoefficientBracket, DoubleBracket
 from doublepoisson.families import a2_double_family
 from doublepoisson.inner import WedgeElement, aybe_obstruction, inner_bracket, weak_jacobi_condition
+from doublepoisson.linalg import canonical_basis, invert_matrix, nullspace_of_rows
 from doublepoisson.modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, exact_scalar, parse_rational
-from doublepoisson.linalg import canonical_basis, invert_matrix, nullspace_of_rows
 from doublepoisson.repspace import PoissonTable, induce
 from doublepoisson.solver import (
     _derivation_rows,
@@ -255,5 +255,6 @@ def test_inverse_of_a_unimodular_matrix_is_integral():
     ]
     halved = invert_matrix([[Fraction(x, 2) for x in row] for row in m])
     assert halved == [[2 * x for x in row] for row in inverse]
-    assert invert_matrix([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
-    assert _follows_the_rule((x for row in invert_matrix([[2, 0], [0, 1]]) for x in row), False)
+    rational = invert_matrix([[2, 0], [0, 1]])
+    assert rational == [[Fraction(1, 2), 0], [0, 1]]
+    assert _follows_the_rule((x for row in rational for x in row), False)
