@@ -1,17 +1,19 @@
 """Exact rational linear algebra: rank, RREF, nullspaces and inverses.
 
 The one elimination is a fraction-free sparse one: rows are dicts from
-column index to integer entry, kept primitive (content divided out) after
-every combination step, which bounds coefficient growth the same way Bareiss
-pivoting does on dense data.  Pivots are chosen at the smallest column index,
-so echelon forms, ranks and nullspace bases are deterministic.  The
-Gauss-Jordan pass is fraction-free too: it clears in integers, and each row
-is divided by its lead once, at the end, into the monic reduced row (1 at
-its lead).  That division follows the engine's scalar rule
-(``poly.exact_scalar``), so an entry is an int when it is integral and a
-Fraction otherwise.  This module alone decides how a row is scaled: rational
-rows enter through ``primitive_row``, and nullspaces, canonical bases and
-inverses are read off the monic rows as they are, ints on integral input.
+column index to integer entry, and one step (``_clear_lead``) clears a row's
+lead against a pivot row.  Content is divided out when a row enters or is
+stored as a pivot, and when a step scales it by a pivot lead other than 1;
+that bounds coefficient growth the same way Bareiss pivoting does on dense
+data.  Pivots are chosen at the smallest column index, so echelon forms,
+ranks and nullspace bases are deterministic.  The Gauss-Jordan pass runs the
+same step on copies of the pivot rows and divides each row by its lead once,
+at the end, into the monic reduced row (1 at its lead).  That division
+follows the engine's scalar rule (``poly.exact_scalar``), so an entry is an
+int when it is integral and a Fraction otherwise.  This module alone decides
+how a row is scaled: rational rows enter through ``primitive_row``, and
+nullspaces, canonical bases and inverses are read off the monic rows as they
+are, ints on integral input.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ def primitive_row(row: dict[int, Fraction | int]) -> SparseRow:
     Content is divided out and the entry at the smallest key made positive,
     so two rows are rational multiples of each other iff their primitive
     rows are equal.  A row of ints, as the solver's derivation rows are, has
-    no denominators to clear.
+    no denominators to clear, and a one-entry row is {c: 1} at once.
     """
+    if len(row) == 1:
+        ((c, v),) = row.items()
+        return {c: 1} if v else {}
     entries = {}
     all_int = True
     for c, v in row.items():
@@ -63,23 +68,30 @@ def _primitive(row: SparseRow) -> SparseRow:
     return row
 
 
-def _cleared(row: SparseRow, pivot: SparseRow, lead: int) -> SparseRow:
-    """``row`` with column ``lead`` cleared by ``pivot``, made primitive.
+def _clear_lead(row: SparseRow, pivot: SparseRow, lead: int) -> SparseRow:
+    """``row`` with column ``lead`` cleared by ``pivot``, in place where it can be.
 
     With p = pivot[lead], v = row[lead] and g = gcd(p, v) the combination is
-    (p/g) row - (v/g) pivot, all in integers; p/g == 1 skips the scaling copy.
+    (p/g) row - (v/g) pivot.  A lead-1 pivot, the common case, needs no gcd,
+    no copy and no content division; a one-entry one just drops the lead.
+    Any other lead makes the result primitive.
     """
     p, v = pivot[lead], row[lead]
-    g = gcd(p, v)
-    a, b = p // g, v // g
-    combined = dict(row) if a == 1 else {c: a * w for c, w in row.items()}
+    if p != 1:
+        g = gcd(p, v)
+        a, v = p // g, v // g
+        if a != 1:
+            row = {c: a * w for c, w in row.items()}
+    elif len(pivot) == 1:
+        del row[lead]
+        return row
     for c, w in pivot.items():
-        s = combined.get(c, 0) - b * w
-        if s == 0:
-            combined.pop(c, None)
+        s = row.get(c, 0) - v * w
+        if s:
+            row[c] = s
         else:
-            combined[c] = s
-    return _primitive(combined)
+            del row[c]
+    return row if p == 1 else _primitive(row)
 
 
 class SparseEliminator:
@@ -90,15 +102,20 @@ class SparseEliminator:
         self.pivot_rows: dict[int, SparseRow] = {}
 
     def add_row(self, row: dict[int, Fraction | int]) -> bool:
-        """Reduce ``row`` against the pivot rows; True iff it adds a pivot, so the rank grows."""
+        """Reduce ``row`` against the pivot rows; True iff it adds a pivot, so the rank grows.
+
+        The work row is a new dict, cleared in place and made primitive when
+        it is stored; ``row`` is left as it is.
+        """
         work = primitive_row(row)
         while work:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
-            if pivot is None:  # work is primitive on every path here
-                self.pivot_rows[lead] = work
+            if pivot is None:
+                # a lead of 1 leaves no content to divide out
+                self.pivot_rows[lead] = work if work[lead] == 1 else _primitive(work)
                 return True
-            work = _cleared(work, pivot, lead)
+            work = _clear_lead(work, pivot, lead)
         return False
 
     @property
@@ -113,13 +130,13 @@ class SparseEliminator:
         Pivots are cleared in descending order.  When a pivot row is used, it
         holds its lead and non-pivot columns only, so clearing never adds or
         removes a pivot column elsewhere, and the rows holding each pivot
-        column are indexed once, before the pass.  Clearing is fraction-free
-        (``_cleared``) and keeps each row's lead, so each row is divided by
-        the lead it reaches once, into exact scalars (``poly.exact_scalar``):
-        a row that reaches lead 1 is a copy of its int row.  No returned row
-        is a ``pivot_rows`` dict.
+        column are indexed once, before the pass.  The pass clears copies of
+        the pivot rows with ``_clear_lead``, which keeps each row's lead, so
+        each row is divided by the lead it reaches once, into exact scalars
+        (``poly.exact_scalar``): a row that reaches lead 1 is its int row.
+        ``pivot_rows`` is left as it is, and no returned row is its dict.
         """
-        rows = dict(self.pivot_rows)
+        rows = {lead: dict(row) for lead, row in self.pivot_rows.items()}
         holders: dict[int, list[int]] = {}
         for lead, row in rows.items():
             for c in row:
@@ -128,9 +145,9 @@ class SparseEliminator:
         for lead in sorted(rows, reverse=True):
             row = rows[lead]
             for other_lead in holders.get(lead, ()):
-                rows[other_lead] = _cleared(rows[other_lead], row, lead)
+                rows[other_lead] = _clear_lead(rows[other_lead], row, lead)
         return {
-            lead: dict(row) if row[lead] == 1
+            lead: row if row[lead] == 1
             else {c: exact_scalar(Fraction(v, row[lead])) for c, v in row.items()}
             for lead, row in rows.items()
         }

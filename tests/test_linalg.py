@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from doublepoisson import io as dpio
+from doublepoisson import linalg, solver
+from doublepoisson.algebra import generating_set, resolve_preset
 from doublepoisson.linalg import (
     SparseEliminator,
     canonical_basis,
@@ -14,8 +18,11 @@ from doublepoisson.linalg import (
     nullspace_of_rows,
     primitive_row,
     rank_of_rows,
+    row_spans_equal,
     subspaces_equal,
 )
+from doublepoisson.poly import exact_scalar
+from test_solver import _rebased_json
 
 
 def _exact_scalar(x) -> bool:
@@ -338,3 +345,217 @@ def test_int_and_fraction_rows_give_the_same_elimination(case):
         as_fraction.add_row({c: Fraction(v) for c, v in row.items()})
     assert as_int.pivot_rows == as_fraction.pivot_rows
     assert as_int.reduced_pivot_rows() == as_fraction.reduced_pivot_rows()
+
+
+# -- oracle: the elimination step that divided the content out of every row ------
+
+
+def _content_divided(row):
+    """The integer ``row`` with its content divided out and the entry at its smallest key positive."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v))
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    if row and row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def _content_divided_row(row):
+    """The rational ``row`` as a primitive integer row, by the steps of ``primitive_row`` with no shortcut."""
+    entries = {c: v for c, v in row.items() if v}
+    den = 1
+    for v in entries.values():
+        d = Fraction(v).denominator
+        den = den * d // gcd(den, d)
+    return _content_divided({c: int(v * den) for c, v in entries.items()})
+
+
+def _copy_cleared(row, pivot, lead):
+    """(p/g) row - (v/g) pivot as a new dict, made primitive at every step."""
+    p, v = pivot[lead], row[lead]
+    g = gcd(p, v)
+    a, b = p // g, v // g
+    combined = dict(row) if a == 1 else {c: a * w for c, w in row.items()}
+    for c, w in pivot.items():
+        s = combined.get(c, 0) - b * w
+        if s == 0:
+            combined.pop(c, None)
+        else:
+            combined[c] = s
+    return _content_divided(combined)
+
+
+class _ContentDividingEliminator:
+    """add_row and reduced_pivot_rows with a primitive work row after every step."""
+
+    def __init__(self):
+        self.pivot_rows = {}
+
+    def add_row(self, row):
+        work = _content_divided_row(row)
+        while work:
+            lead = min(work)
+            pivot = self.pivot_rows.get(lead)
+            if pivot is None:
+                self.pivot_rows[lead] = work
+                return True
+            work = _copy_cleared(work, pivot, lead)
+        return False
+
+    def reduced_pivot_rows(self):
+        rows = dict(self.pivot_rows)
+        for lead in sorted(rows, reverse=True):
+            for other_lead, other in rows.items():
+                if other_lead != lead and lead in other:
+                    rows[other_lead] = _copy_cleared(other, rows[lead], lead)
+        return {
+            lead: dict(row) if row[lead] == 1
+            else {c: exact_scalar(Fraction(v, row[lead])) for c, v in row.items()}
+            for lead, row in rows.items()
+        }
+
+
+def _typed(rows):
+    """Each row's entries in key order, with the type of each value."""
+    return {lead: [(c, type(v), v) for c, v in row.items()] for lead, row in rows.items()}
+
+
+def _assert_same_elimination(ncols, rows):
+    elim, oracle = SparseEliminator(ncols), _ContentDividingEliminator()
+    for row in rows:
+        assert elim.add_row(row) is oracle.add_row(row)
+    assert _typed(elim.pivot_rows) == _typed(oracle.pivot_rows)
+    assert _typed(elim.reduced_pivot_rows()) == _typed(oracle.reduced_pivot_rows())
+    return elim
+
+
+@lru_cache(maxsize=None)
+def _derivation_system(spec):
+    algebra = resolve_preset(spec)
+    return algebra.dim**3, tuple(solver._derivation_rows(algebra, generating_set(algebra)))
+
+
+def _rebased_system(tmp_path):
+    algebra = dpio.load_algebra(_rebased_json("a2+a2", tmp_path / "rebased.json", 20261018))
+    return algebra.dim**3, list(solver._derivation_rows(algebra, generating_set(algebra)))
+
+
+@pytest.mark.parametrize("spec", ["mat3", "mat4"])
+def test_derivation_rows_match_the_content_dividing_elimination(spec):
+    ncols, rows = _derivation_system(spec)
+    elim = _assert_same_elimination(ncols, rows)
+    assert {row[lead] for lead, row in elim.pivot_rows.items()} == {1}
+
+
+def test_rebased_rows_match_the_content_dividing_elimination(tmp_path):
+    elim = _assert_same_elimination(*_rebased_system(tmp_path))
+    assert {row[lead] for lead, row in elim.pivot_rows.items()} > {1}
+
+
+def test_random_rows_match_the_content_dividing_elimination():
+    rng = random.Random(20261025)
+    for trial in range(300):
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            cols = sorted(rng.sample(range(ncols), rng.randint(1, min(ncols, 5))))
+            row = {c: rng.randint(-9, 9) for c in cols}
+            row[cols[0]] = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 6))
+            if trial % 3 == 1:
+                row = {c: Fraction(v, rng.randint(1, 4)) for c, v in row.items()}
+            rows.append(row)
+            if trial % 3 == 2:  # one-entry rows, each column several times
+                rows.append({rng.randrange(ncols): rng.choice((-6, -2, -1, 1, 3, Fraction(-2, 3)))})
+        _assert_same_elimination(ncols, rows)
+
+
+# -- the in-place step changes only its own copies ------------------------------
+
+
+def _frozen(rows):
+    return [list(row.items()) for row in rows]
+
+
+def test_add_row_leaves_its_argument_and_keeps_no_alias(tmp_path):
+    ncols, rows = _rebased_system(tmp_path)
+    rows += [{c: 2} for c in range(0, ncols, 7)] + [{0: Fraction(1, 2), 3: -1}, {5: 1, 9: 1}]
+    before = _frozen(rows)
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row(row)
+    assert _frozen(rows) == before
+    ids = {id(row) for row in rows}
+    assert not any(id(pivot) in ids for pivot in elim.pivot_rows.values())
+
+
+def test_reduced_pivot_rows_leaves_the_pivot_rows(tmp_path):
+    ncols, rows = _rebased_system(tmp_path)
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row(row)
+    pivots = dict(elim.pivot_rows)
+    before = _typed(elim.pivot_rows)
+    first, second = elim.reduced_pivot_rows(), elim.reduced_pivot_rows()
+    assert _typed(first) == _typed(second)
+    assert _typed(elim.pivot_rows) == before
+    assert all(elim.pivot_rows[lead] is row for lead, row in pivots.items())
+    assert not any(row is pivot for row in first.values() for pivot in pivots.values())
+
+
+def test_row_spans_equal():
+    a = [{0: 1, 2: 1}, {1: 1, 2: -1}]
+    b = [{0: 2, 1: 2}, {0: Fraction(1, 2), 1: -1, 2: Fraction(3, 2)}, {0: 1, 1: 1}]
+    snapshot = _frozen(a), _frozen(b)
+    # equal spans in two bases, in either order
+    assert row_spans_equal(a, b, 3) and row_spans_equal(b, a, 3)
+    assert (_frozen(a), _frozen(b)) == snapshot
+    # equal rank, different spans
+    assert not row_spans_equal(a, [{0: 1}, {1: 1}], 3)
+    assert not row_spans_equal([{0: 3}], [{1: 3}], 3)
+    # different ranks, in either order
+    assert not row_spans_equal(a, [{0: 1, 2: 1}], 3)
+    assert not row_spans_equal([{0: 1, 2: 1}], a, 3)
+    assert not row_spans_equal([], a, 3) and row_spans_equal([], [{}], 3)
+
+
+# -- the derivation systems stay on the lead-1 branch ----------------------------
+
+
+def _steps_off_the_lead_one_branch(monkeypatch, ncols, rows):
+    """(clearing steps, steps against a lead other than 1 or that called gcd) of one elimination."""
+    gcd_calls = 0
+    steps = []
+    step = linalg._clear_lead
+
+    def counting_gcd(a, b):
+        nonlocal gcd_calls
+        gcd_calls += 1
+        return gcd(a, b)
+
+    def counting_step(row, pivot, lead):
+        before = gcd_calls
+        row = step(row, pivot, lead)
+        steps.append(pivot[lead] != 1 or gcd_calls > before)
+        return row
+
+    monkeypatch.setattr(linalg, "gcd", counting_gcd)
+    monkeypatch.setattr(linalg, "_clear_lead", counting_step)
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row(row)
+    elim.reduced_pivot_rows()
+    monkeypatch.undo()
+    return len(steps), sum(steps)
+
+
+@pytest.mark.parametrize("spec", ["mat3", "mat4"])
+def test_derivation_systems_clear_against_lead_one_pivots_only(spec, monkeypatch):
+    steps, off_branch = _steps_off_the_lead_one_branch(monkeypatch, *_derivation_system(spec))
+    assert steps > 1000 and off_branch == 0
+
+
+def test_the_step_counter_sees_other_leads(monkeypatch, tmp_path):
+    steps, off_branch = _steps_off_the_lead_one_branch(monkeypatch, *_rebased_system(tmp_path))
+    assert steps > off_branch > 0

@@ -174,8 +174,10 @@ def test_substitute_and_eval(cs_ring):
 # -- oracle: the kernel before it skipped its throwaway work ---------------------
 #
 # Each old operation built a Fraction(0) default per term and filtered zeros
-# again in the constructor, and __pow__ squared the base once past its last
-# bit.  The new kernel must give the same term maps in the same key order.
+# again in the constructor.  The power oracle multiplies into ring.one() and
+# squares the base only while a higher bit remains, since a square past the
+# last bit is never used.  The new kernel must give the same term maps in the
+# same key order.
 
 
 def _old_add(p, q):
@@ -216,8 +218,9 @@ def _old_pow(p, n):
     while n:
         if n & 1:
             result = _old_mul(result, base)
-        base = _old_mul(base, base)
         n >>= 1
+        if n:
+            base = _old_mul(base, base)
     return result
 
 
