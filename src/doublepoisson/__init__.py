@@ -57,7 +57,7 @@ from .modified import (
     h0_jacobi_check,
     h0_skew_check,
 )
-from .poly import MultiPoly, PolyRing, RelationSet
+from .poly import MultiPoly, PolyRing, QuadraticForm, RelationSet
 from .repspace import (
     ChartError,
     ChartReport,

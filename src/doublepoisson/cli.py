@@ -11,7 +11,6 @@ timing therefore appears only in text output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -32,6 +31,15 @@ from .repspace import ChartError, chart_consistency, get_chart, induce, jacobi_c
 # solve_linear is not called here; the benchmark's tracer self-test reads it as cli.solve_linear
 from .solver import outer_double_derivation_dim, solve, solve_linear, solve_modified  # noqa: F401
 
+# The interpreter's own SHA-256: hashlib would load OpenSSL for one short digest.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 LARGE_DIM_GUARD = 9  # solve/hh1 refuse algebras of dim >= 9 without --force-large
 
 
@@ -40,7 +48,7 @@ class UsageError(Exception):
 
 
 def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    return sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def _input_digest(spec: str) -> str:
@@ -86,7 +94,14 @@ def _load_guarded(args):
 
 def _emit(report: dict, args, ok: bool, elapsed: float) -> int:
     if args.format == "json":
-        text = dpio.dump_json(report)
+        # streamed to its destination, never held as one string
+        if args.out:
+            with open(args.out, "w") as fp:
+                dpio.dump_json(report, fp)
+                fp.write("\n")
+        else:
+            dpio.dump_json(report, sys.stdout)
+            sys.stdout.write("\n")
     else:
         lines = [f"command: {report['command']}"]
         for key, value in report.items():
@@ -96,10 +111,10 @@ def _emit(report: dict, args, ok: bool, elapsed: float) -> int:
         lines.append(f"elapsed: {elapsed:.3f}s")
         lines.append("result: PASS" if ok else "result: FAIL")
         text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
     return 0 if ok else 1
 
 

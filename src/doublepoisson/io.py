@@ -178,6 +178,9 @@ def table_to_json(table: PoissonTable) -> dict:
     }
 
 
-def dump_json(data: dict) -> str:
-    """Deterministic JSON rendering (sorted keys, no float timestamps)."""
-    return json.dumps(data, indent=2, sort_keys=True)
+def dump_json(data: dict, fp) -> None:
+    """Write ``data`` to the text stream ``fp`` as deterministic JSON (sorted keys, indent 2).
+
+    The text is written as it is encoded, never built as one string.
+    """
+    json.dump(data, fp, indent=2, sort_keys=True)

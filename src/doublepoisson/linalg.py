@@ -19,7 +19,7 @@ are, ints on integral input.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import exact_scalar
@@ -32,26 +32,42 @@ def primitive_row(row: dict[int, Fraction | int]) -> SparseRow:
 
     Content is divided out and the entry at the smallest key made positive,
     so two rows are rational multiples of each other iff their primitive
-    rows are equal.  A row of ints, as the solver's derivation rows are, has
-    no denominators to clear, and a one-entry row is {c: 1} at once.
+    rows are equal.  A one-entry row is {c: 1} at once.  Otherwise one loop
+    copies the nonzero entries and gathers the gcd of their numerators and
+    the lcm of their denominators, which give the content of a rational row
+    (fractions are in lowest terms); the copy is then scaled in place, unless
+    it is a row of ints with content 1 and a positive lead.  So exactly one
+    new dict is made, and ``row`` itself is never returned.
     """
     if len(row) == 1:
         ((c, v),) = row.items()
         return {c: 1} if v else {}
-    entries = {}
-    all_int = True
+    out = {}
+    g = 0
+    den = 1
+    exact_ints = True
     for c, v in row.items():
         if v:
-            entries[c] = v
-            all_int = all_int and type(v) is int
-    if not entries:
-        return {}
-    if not all_int:
-        denom_lcm = 1
-        for v in entries.values():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        entries = {c: v.numerator * (denom_lcm // v.denominator) for c, v in entries.items()}
-    return _primitive(entries)
+            out[c] = v
+            if type(v) is int:
+                if g != 1:
+                    g = gcd(g, v)
+            else:
+                exact_ints = False
+                if g != 1:
+                    g = gcd(g, v.numerator)
+                den = lcm(den, v.denominator)
+    if not out:
+        return out
+    if out[min(out)] < 0:
+        g = -g
+    if not exact_ints:
+        for c, v in out.items():
+            out[c] = v.numerator * (den // v.denominator) // g
+    elif g != 1:
+        for c, v in out.items():
+            out[c] = v // g
+    return out
 
 
 def _primitive(row: SparseRow) -> SparseRow:

@@ -328,27 +328,76 @@ class MultiPoly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        chunks = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = self._monomial_str(e)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        terms = self.terms
+        return _render((terms[e], self._monomial_str(e)) for e in sorted(terms, key=grlex_key, reverse=True))
 
     __repr__ = __str__
+
+
+def _render(terms: Iterable[tuple[int | Fraction, str]]) -> str:
+    """The polynomial text of its (coefficient, monomial text) terms, in the order given; "0" for none."""
+    chunks = []
+    for c, mono in terms:
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        sign = "-" if c < 0 else "+"
+        chunks.append((sign, body))
+    if not chunks:
+        return "0"
+    first_sign, first_body = chunks[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in chunks[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+class QuadraticForm:
+    """A quadratic form sum c * t_k t_l in named parameters, held sparse.
+
+    ``terms`` maps the key k * p + l of the monomial t_k t_l (k <= l, p the
+    number of parameters) to its nonzero exact scalar.  Ascending key is
+    descending graded lex, so the text is ``str`` of the equal MultiPoly
+    with no sort by exponent vector, and no exponent vector is built.
+    ``to_poly`` gives that MultiPoly.
+    """
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names: tuple[str, ...], terms: dict[int, int | Fraction]):
+        self.names = names
+        self.terms = terms
+
+    def _monomial_str(self, key: int) -> str:
+        k, l = divmod(key, len(self.names))
+        return f"{self.names[k]}^2" if k == l else f"{self.names[k]}*{self.names[l]}"
+
+    def __str__(self) -> str:
+        return _render((self.terms[key], self._monomial_str(key)) for key in sorted(self.terms))
+
+    __repr__ = __str__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QuadraticForm):
+            return self.names == other.names and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.names, tuple(sorted(self.terms.items()))))
+
+    def to_poly(self) -> MultiPoly:
+        """The form as a MultiPoly over PolyRing(names)."""
+        p = len(self.names)
+        terms = {}
+        for key, c in self.terms.items():
+            exps = [0] * p
+            for k in divmod(key, p):
+                exps[k] += 1
+            terms[tuple(exps)] = c
+        return MultiPoly._clean(PolyRing(self.names), terms)
 
 
 def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:

@@ -56,8 +56,7 @@ def _a2_family_quadratic_matches(variety) -> bool:
     """The single quadratic constraint is proportional to gamma^2 + alpha*beta."""
     if len(variety.quadratic_constraints) != 1:
         return False
-    ring = variety.ring()
-    constraint = variety.quadratic_constraints[0]
+    constraint = variety.quadratic_constraints[0].to_poly()
     # reparametrize: express (alpha, beta, gamma) as linear forms in t
     general = variety.general_element()
     slots = A2_DOUBLE_PARAM_SLOTS

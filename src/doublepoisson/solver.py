@@ -29,12 +29,13 @@ slots (``_generic_slot``, ``_slot_forms``) into rows and quadratic forms.
 
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
 in t, so the constraints are computed by polarization: bilinear arithmetic on
-the basis brackets' exact scalars (ints on integral input), with MultiPoly
-values built only for the finished constraints.  For double brackets only the
-triples of algebra generators are scanned (``algebra.generating_set``): the
-triple bracket of a bracket that satisfies skew symmetry and Leibniz is a
-derivation in each argument, so these span the same constraint space as all
-basis triples; modified brackets scan every basis triple.  The constraints
+the basis brackets' exact scalars (ints on integral input).  The finished
+constraints stay sparse quadratic forms (``poly.QuadraticForm``), with no
+exponent vectors.  For double brackets only the triples of algebra
+generators are scanned (``algebra.generating_set``): the triple bracket of
+a bracket that satisfies skew symmetry and Leibniz is a derivation in each
+argument, so these span the same constraint space as all basis triples;
+modified brackets scan every basis triple.  The constraints
 are the reduced echelon basis of that span over the monomials t_k t_l: their
 count is the rank of the span, each has leading coefficient 1, and they are
 listed by leading monomial t_k t_l in ascending (k, l) order, which is
@@ -78,7 +79,7 @@ from .linalg import (
     row_spans_equal,
 )
 from .modified import ModifiedBracket
-from .poly import MultiPoly, PolyRing
+from .poly import PolyRing, QuadraticForm
 from .tensors import Tensor2
 
 
@@ -93,7 +94,7 @@ class LinearVariety:
     algebra: FDAlgebra
     parameter_names: tuple[str, ...]
     nullspace_basis: tuple[CoefficientBracket, ...]
-    quadratic_constraints: tuple[MultiPoly, ...]
+    quadratic_constraints: tuple[QuadraticForm, ...]
     modified: bool = False
 
     @property
@@ -374,32 +375,17 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     key, which is the leading monomial.  The monic reduced pivot rows are
     listed by ascending key, so each has leading coefficient 1, the
     constraints depend only on the span of the forms, and their count is its
-    rank.
+    rank.  Each row becomes a ``QuadraticForm`` as it is.
     """
-    ring = variety.ring()
+    names = variety.parameter_names
     p = variety.dim
-
-    def monomial(key: int) -> tuple[int, ...]:
-        exps = [0] * p
-        for k in divmod(key, p):
-            exps[k] += 1
-        return tuple(exps)
-
     # one representative per primitive form (``linalg.primitive_row``) reaches the elimination
     elim = SparseEliminator(p * p)
     for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
         elim.add_row(dict(form))
     rows = elim.reduced_pivot_rows()
-    constraints = [
-        MultiPoly(ring, {monomial(key): v for key, v in rows[lead].items()}) for lead in sorted(rows)
-    ]
-    return LinearVariety(
-        variety.algebra,
-        variety.parameter_names,
-        variety.nullspace_basis,
-        tuple(constraints),
-        variety.modified,
-    )
+    constraints = tuple(QuadraticForm(names, rows[lead]) for lead in sorted(rows))
+    return LinearVariety(variety.algebra, names, variety.nullspace_basis, constraints, variety.modified)
 
 
 def _jacobi_forms(variety: LinearVariety, generators):

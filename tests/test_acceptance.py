@@ -88,7 +88,7 @@ def test_criterion_1_a2_classification():
     # single quadratic constraint, proportional to gamma^2 + alpha*beta
     ok = ok and len(variety.quadratic_constraints) == 1
     conic = forms["gamma"] * forms["gamma"] + forms["alpha"] * forms["beta"]
-    constraint = variety.quadratic_constraints[0]
+    constraint = variety.quadratic_constraints[0].to_poly()
     lead = conic.leading_monomial()
     ratio = constraint.coefficient(lead) / conic.coefficient(lead)
     ok = ok and ratio != 0 and (constraint - conic * ratio).is_zero()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from doublepoisson.families import a2_alpha_bracket, a2_double_family, a2_modifi
 from doublepoisson.inner import WedgeElement
 from doublepoisson import algebra as algebra_module
 from doublepoisson.algebra import FDAlgebra, make_a2, resolve_preset
+from test_output_digests import T3
 
 
 @pytest.fixture
@@ -395,10 +397,10 @@ def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
         assert len(builds) == 1, (argv, builds)
 
 
-def _python_with_package(code: str) -> str:
+def _python_with_package(code: str, text: bool = True) -> str | bytes:
     src = str(Path(doublepoisson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=text, check=True).stdout
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -413,6 +415,39 @@ def test_numeric_chart_check_leaves_numpy_unloaded(alpha_file, tmp_path):
             "--bracket", alpha_file, "--n", "3", "--chart", "rep3-a2", "--numeric", "--samples", "5"]
     code = f"import sys; from doublepoisson.cli import main; print(main({argv!r}), 'numpy' in sys.modules)"
     assert _python_with_package(code).split() == ["0", "False"]
+
+
+def test_input_digests_load_no_hashlib(alpha_file, tmp_path):
+    # the 16-character input digest comes from the interpreter's own SHA-256, not OpenSSL
+    algebra_file = tmp_path / "T3.json"
+    algebra_file.write_text(json.dumps(T3))
+    runs = {
+        "solve.json": ["solve", "--algebra", str(algebra_file)],
+        "check.json": ["check", "--algebra", "a2", "--bracket", alpha_file],
+    }
+    calls = [f"main({['--format', 'json', '--out', str(tmp_path / out)] + argv!r})" for out, argv in runs.items()]
+    code = (
+        "import sys; from doublepoisson.cli import main; "
+        f"print({', '.join(calls)}, '_hashlib' in sys.modules, 'hashlib' in sys.modules)"
+    )
+    assert _python_with_package(code).split() == ["0", "0", "False", "False"]
+
+    def digest(path):
+        return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+    assert json.loads((tmp_path / "solve.json").read_text())["inputs"] == {"algebra": digest(algebra_file)}
+    assert json.loads((tmp_path / "check.json").read_text())["inputs"] == {
+        "algebra": "preset:a2",
+        "bracket": digest(alpha_file),
+    }
+
+
+def test_json_on_stdout_is_the_out_file(tmp_path):
+    argv = ["--format", "json", "solve", "--algebra", "mat2"]
+    out_file = tmp_path / "solve.json"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    code = f"import sys; from doublepoisson.cli import main; sys.exit(main({argv!r}))"
+    assert _python_with_package(code, text=False) == out_file.read_bytes()
 
 
 # -- no float in JSON output ---------------------------------------------------------

@@ -8,7 +8,10 @@ upper-triangular T3, a rebased mat2 and a2+mat1 with halved structure
 constants, where rational rows meet the elimination.  The inverse of
 ``inner --aybe-scan`` on a2, the exact rep3 chart check of an a2 bracket off
 the Jacobi variety (exit 1) and the golden ``report`` (exit 1, one strict
-xfail) are pinned too.  Inputs that are not presets are written as fixed
+xfail) are pinned too, and so are ``check`` on that bracket (exit 1) and on
+a modified a2 bracket, ``inner --wedge`` on mat2 (exit 1, the wedge fails
+the weak Jacobi condition) and ``induce --n 3`` on that wedge's inner
+bracket, which digest their input files.  Inputs that are not presets are written as fixed
 JSON, so that their bytes, and so the input digests in the output, never
 change.  A deliberate change of output format updates the digests in the
 same commit.
@@ -71,6 +74,47 @@ OFF_VARIETY = {
     ],
 }
 
+# a point of the seven-parameter modified family on a2
+A2_MODIFIED = {
+    "algebra": "a2",
+    "params": [],
+    "coeffs": [
+        [0, 0, 0, 0, "1"], [0, 0, 0, 1, "2"], [0, 0, 0, 2, "3"], [0, 0, 1, 0, "-3"], [0, 0, 2, 0, "-2"],
+        [0, 1, 0, 2, "-1"], [0, 1, 1, 0, "1"], [0, 1, 2, 1, "-2"], [0, 2, 0, 2, "1"], [0, 2, 1, 0, "-1"],
+        [0, 2, 2, 1, "2"], [1, 0, 0, 0, "1"], [1, 0, 1, 2, "3"], [1, 1, 0, 0, "2"], [1, 1, 1, 2, "-1"],
+        [1, 2, 0, 0, "-2"], [1, 2, 1, 2, "1"], [2, 0, 0, 0, "-1"], [2, 0, 1, 2, "-3"], [2, 1, 0, 0, "-2"],
+        [2, 1, 1, 2, "1"], [2, 2, 0, 0, "2"], [2, 2, 1, 2, "-1"],
+    ],
+    "modified": True,
+}
+
+# E11^E12 + 3 E11^E22 - 2 E12^E21 on mat2, and its inner bracket as `inner --wedge` prints it
+MAT2_WEDGE = {"algebra": "mat2", "terms": [[0, 1, "1"], [0, 3, "3"], [1, 2, "-2"]]}
+MAT2_INNER = {
+    "algebra": "mat2",
+    "params": [],
+    "coeffs": [
+        [0, 0, 0, 3, "-3"], [0, 0, 3, 0, "3"], [0, 1, 1, 0, "-3"], [0, 1, 1, 1, "1"], [0, 1, 3, 1, "3"],
+        [0, 2, 0, 2, "3"], [0, 2, 2, 3, "-3"], [0, 2, 3, 0, "-1"], [0, 3, 0, 3, "3"], [0, 3, 3, 0, "-3"],
+        [1, 0, 0, 1, "3"], [1, 0, 1, 1, "-1"], [1, 0, 1, 3, "-3"], [1, 2, 0, 0, "-3"], [1, 2, 1, 0, "1"],
+        [1, 2, 1, 2, "3"], [1, 2, 2, 1, "3"], [1, 2, 3, 1, "-1"], [1, 2, 3, 3, "-3"], [1, 3, 0, 1, "-3"],
+        [1, 3, 1, 1, "1"], [1, 3, 1, 3, "3"], [2, 0, 0, 3, "1"], [2, 0, 2, 0, "-3"], [2, 0, 3, 2, "3"],
+        [2, 1, 0, 0, "3"], [2, 1, 0, 1, "-1"], [2, 1, 1, 2, "-3"], [2, 1, 1, 3, "1"], [2, 1, 2, 1, "-3"],
+        [2, 1, 3, 3, "3"], [2, 2, 0, 2, "-1"], [2, 2, 2, 0, "1"], [2, 2, 2, 3, "1"], [2, 2, 3, 2, "-1"],
+        [2, 3, 0, 3, "-1"], [2, 3, 2, 0, "3"], [2, 3, 3, 2, "-3"], [3, 0, 0, 3, "3"], [3, 0, 3, 0, "-3"],
+        [3, 1, 1, 0, "3"], [3, 1, 1, 1, "-1"], [3, 1, 3, 1, "-3"], [3, 2, 0, 2, "-3"], [3, 2, 2, 3, "3"],
+        [3, 2, 3, 0, "1"], [3, 3, 0, 3, "-3"], [3, 3, 3, 0, "3"],
+    ],
+}
+
+# the bracket and wedge files every case can read, by their fixed names
+INPUTS = {
+    "off-variety.json": OFF_VARIETY,
+    "a2-modified.json": A2_MODIFIED,
+    "wedge-mat2.json": MAT2_WEDGE,
+    "inner-mat2.json": MAT2_INNER,
+}
+
 FILES = {
     "T3": ("T3.json", T3),
     "mat2~rebased": ("mat2-rebased.json", MAT2_REBASED),
@@ -86,10 +130,19 @@ COMMANDS = {
     "induce --n 3 --chart rep3-a2": [
         "induce", "--algebra", "{}", "--bracket", "off-variety.json", "--n", "3", "--chart", "rep3-a2"
     ],
+    "check --bracket": ["check", "--algebra", "{}", "--bracket", "off-variety.json"],
+    "check --modified": ["check", "--modified", "--algebra", "{}", "--bracket", "a2-modified.json"],
+    "inner --wedge": ["inner", "--algebra", "{}", "--wedge", "wedge-mat2.json"],
+    "induce --n 3": ["induce", "--algebra", "{}", "--bracket", "inner-mat2.json", "--n", "3"],
     "report": ["report"],
 }
 
-EXIT_CODES = {("a2", "induce --n 3 --chart rep3-a2"): 1, ("golden", "report"): 1}
+EXIT_CODES = {
+    ("a2", "induce --n 3 --chart rep3-a2"): 1,
+    ("a2", "check --bracket"): 1,
+    ("mat2", "inner --wedge"): 1,
+    ("golden", "report"): 1,
+}
 
 DIGESTS = {
     ("a2", "solve"): "81c762c0530e1d5afe5b7a40cbede975d48727e9357d5d20ba9a8b55cf624be1",
@@ -115,6 +168,10 @@ DIGESTS = {
     ("a2+mat1/2", "hh1"): "f3bdbad324d85471f7188b185c0d2ddd0f8f8c2d1d62d5313479d2ff4b3fd337",
     ("a2", "inner --aybe-scan"): "49e6dab45484541ae73ef7dffa3fa7274a1ace93b1b9980fd0547c70277d74ee",
     ("a2", "induce --n 3 --chart rep3-a2"): "51900a2e9d0376cc99621bb992cc263580f4e1f88db684ff0293ea4ac8dc21b8",
+    ("a2", "check --bracket"): "736223ae663d90ac1b0a2cf7329d0ba8e593ddee3a3132b3b695ec72b12647f8",
+    ("a2", "check --modified"): "6b25b982216df1f7c69b26a6097551c7abc67922ef292b35f84f99778b837bee",
+    ("mat2", "inner --wedge"): "2e1611deea232b134af0bec57ba50a539842d7ce65f00a5c5a677c9f1d70a8e5",
+    ("mat2", "induce --n 3"): "5b7fd7f0d2b1831d296d3dd25337e06af24fbbcf1249095baa3e736d2eaba293",
     ("golden", "report"): "3603bf7602bd010e40826a209fa504a4856398563d13999770b8ff21161d353d",
 }
 
@@ -127,7 +184,8 @@ def test_json_output_digest(spec, command, tmp_path, monkeypatch):
     if spec in FILES:
         algebra, data = FILES[spec]
         (tmp_path / algebra).write_text(json.dumps(data))
-    (tmp_path / "off-variety.json").write_text(json.dumps(OFF_VARIETY))
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
     argv = [arg.format(algebra) for arg in COMMANDS[command]]
     assert main(["--format", "json", "--out", "out.json"] + argv) == EXIT_CODES.get((spec, command), 0)
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == DIGESTS[spec, command]

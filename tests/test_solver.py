@@ -28,14 +28,16 @@ from doublepoisson.families import (
     a2_double_family,
 )
 from doublepoisson.linalg import (
+    SparseEliminator,
     in_span,
     invert_matrix,
     nullspace_of_rows,
+    primitive_row,
     rank_of_vectors,
     subspaces_equal,
 )
 from doublepoisson.modified import ModifiedBracket
-from doublepoisson.poly import MultiPoly, grlex_key
+from doublepoisson.poly import MultiPoly, QuadraticForm, grlex_key
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
@@ -103,7 +105,7 @@ def test_a2_reparametrization_is_term_for_term(a2_variety):
 
 def test_a2_quadratic_constraint(a2_variety):
     assert len(a2_variety.quadratic_constraints) == 1
-    constraint = a2_variety.quadratic_constraints[0]
+    constraint = a2_variety.quadratic_constraints[0].to_poly()
     general = a2_variety.general_element()
     forms = {
         nm: general.coeffs[i][j][a][b] for nm, (i, j, a, b) in A2_DOUBLE_PARAM_SLOTS.items()
@@ -121,7 +123,7 @@ def test_a2_point_substitution(a2_variety):
     for values in ((1, 0, 0), (2, -2, 2), (0, 3, 0)):
         db = a2_variety.point(values)
         constraint_vals = [
-            q.eval_rational(dict(zip(a2_variety.parameter_names, map(Fraction, values))))
+            q.to_poly().eval_rational(dict(zip(a2_variety.parameter_names, map(Fraction, values))))
             for q in a2_variety.quadratic_constraints
         ]
         rep = db.check_all()
@@ -261,6 +263,7 @@ def _all_triples_jacobi(variety):
 
 def _assert_echelon_basis_of_span(got, oracle):
     """``got`` is the reduced echelon basis of span(oracle), largest leading monomial first."""
+    got = [q.to_poly() for q in got]
     leads = [q.leading_monomial() for q in got]
     assert all(q.coefficient(lead) == 1 for q, lead in zip(got, leads))
     assert leads == sorted(set(leads), key=grlex_key, reverse=True)
@@ -332,6 +335,50 @@ def test_jacobi_constraints_match_sympy_rref(spec, tmp_path):
                 MultiPoly(ring, {e: Fraction(int(v.p), int(v.q)) for e, v in zip(monomials, row) if v})
             )
     assert [str(q) for q in got] == [str(q) for q in expected]
+
+
+# -- oracle: the constraints as MultiPoly values ------------------------------------
+#
+# The reduced constraint rows used to be built into MultiPoly values over
+# dense exponent vectors of length p.  That build, kept here in place of
+# ``solver._with_constraints``, is the oracle of the sparse quadratic forms:
+# the same strings in the same order, and ``to_poly`` gives its polynomials.
+
+
+def _multipoly_with_constraints(variety, forms):
+    ring = variety.ring()
+    p = variety.dim
+
+    def monomial(key):
+        exps = [0] * p
+        for k in divmod(key, p):
+            exps[k] += 1
+        return tuple(exps)
+
+    elim = SparseEliminator(p * p)
+    for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
+        elim.add_row(dict(form))
+    rows = elim.reduced_pivot_rows()
+    constraints = [MultiPoly(ring, {monomial(key): v for key, v in rows[lead].items()}) for lead in sorted(rows)]
+    return LinearVariety(
+        variety.algebra, variety.parameter_names, variety.nullspace_basis, tuple(constraints), variety.modified
+    )
+
+
+@pytest.mark.parametrize("spec", ("a2", "mat2", "mat3", "T3", "a2+a2", "mat2~rebased", "a2+mat1/2"))
+@pytest.mark.parametrize("modified", (False, True), ids=("jacobi", "h0_jacobi"))
+def test_quadratic_forms_match_the_multipoly_constraints(spec, modified, tmp_path, monkeypatch):
+    algebra = _two_stage_algebra(spec, tmp_path)
+    linear, constraints = (
+        (solve_modified_linear, h0_jacobi_constraints) if modified else (solve_linear, jacobi_constraints)
+    )
+    variety = linear(algebra)
+    got = constraints(variety).quadratic_constraints
+    monkeypatch.setattr(solver, "_with_constraints", _multipoly_with_constraints)
+    want = constraints(variety).quadratic_constraints
+    assert all(type(q) is QuadraticForm for q in got) and all(type(p) is MultiPoly for p in want)
+    assert [str(q) for q in got] == [str(p) for p in want]
+    assert [q.to_poly() for q in got] == list(want)
 
 
 # -- oracle: the Jacobi scan over all basis triples -------------------------------
