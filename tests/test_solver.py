@@ -553,6 +553,24 @@ def test_polarization_matches_oracle_on_random_brackets(variety):
     _assert_echelon_basis_of_span(got, expected)
 
 
+@seed(20261022)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_random_varieties())
+def test_quadratic_forms_match_the_multipoly_constraints_on_random_brackets(variety):
+    # the presets have no H0-Jacobi constraints and these varieties do; their spans are
+    # full, so each constraint is one monomial, and term order is left to the presets
+    if variety.modified:
+        got = h0_jacobi_constraints(variety).quadratic_constraints
+        with mock.patch.object(solver, "_with_constraints", _multipoly_with_constraints):
+            want = h0_jacobi_constraints(variety).quadratic_constraints
+    else:
+        forms = list(_jacobi_forms(variety, range(variety.algebra.dim)))
+        got = _with_constraints(variety, forms).quadratic_constraints
+        want = _multipoly_with_constraints(variety, forms).quadratic_constraints
+    assert [str(q) for q in got] == [str(p) for p in want]
+    assert [q.to_poly() for q in got] == list(want)
+
+
 # -- oracle: the dense row loops over all index tuples ------------------------------
 #
 # The Leibniz rows, the H0-skew rows and the derivation space used to be built
