@@ -310,21 +310,6 @@ class DoubleBracket(CoefficientBracket):
     def _tensor3(self, terms: dict) -> Tensor3:
         return tensor3_from_terms(self.algebra, terms)
 
-    def double_jacobiator(self, i: int, j: int, k: int) -> Tensor3:
-        """{{e_i,{{e_j,e_k}}}}_L + tau123 {{e_j,{{e_k,e_i}}}}_L + tau132 {{e_k,{{e_i,e_j}}}}_L."""
-        return self._tensor3(self._jacobiator_terms(i, j, k))
-
-    def jacobiator_element(self, x: AlgElement, y: AlgElement, z: AlgElement) -> Tensor3:
-        """Trilinear extension of the jacobiator: the first legs of (x, y, z) come from ``eval``."""
-        args = (x, y, z)
-        basis = [self.algebra.basis_element(a) for a in range(self.algebra.dim)]
-
-        def first_leg(u, v, w):
-            row = [list(self.eval(args[u], e).entries()) for e in basis]
-            return _pair_residual(first_leg_pairs(row, self.eval(args[v], args[w]).entries()))
-
-        return self._tensor3(self._jacobiator_terms(0, 1, 2, first_leg))
-
     def check_jacobi(self, rels: RelationSet | None = None, collect: bool = True):
         """Jacobiator witnesses over basis triples, scanned in (i, j, k) order.
 

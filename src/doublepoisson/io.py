@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebra import FDAlgebra, resolve_preset
 from .brackets import CoefficientBracket, DoubleBracket
-from .inner import WedgeElement
 from .modified import ModifiedBracket
 from .poly import PolyRing, parse_rational
-from .repspace import PoissonTable
-from .solver import LinearVariety
+
+if TYPE_CHECKING:  # annotations only: a command that reads an algebra loads none of these
+    from .inner import WedgeElement
+    from .repspace import PoissonTable
+    from .solver import LinearVariety
 
 
 def load_algebra(spec: str) -> FDAlgebra:
@@ -126,6 +129,8 @@ def bracket_to_json(bracket: CoefficientBracket, algebra_spec: str | None = None
 
 
 def wedge_from_json(data: dict, algebra: FDAlgebra | None = None) -> WedgeElement:
+    from .inner import WedgeElement
+
     _expect(data, dict, "wedge")
     if algebra is None:
         algebra = load_algebra(data["algebra"])

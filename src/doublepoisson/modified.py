@@ -109,22 +109,6 @@ class FlatBracketTable:
                         return False
         return True
 
-    def lie_jacobi_residuals(self):
-        """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] over the flat basis triples, by ``axioms.nested_pairs``."""
-        d = len(self.basis_indices)
-        table = [
-            [[(c, v) for c, v in enumerate(vec) if not scalar_is_zero(v)] for vec in row] for row in self.table
-        ]
-        bad = []
-        for i, j, k in product(range(d), repeat=3):
-            r = [0] * d
-            for t in ((i, j, k), (j, k, i), (k, i, j)):
-                for c, f, g in nested_pairs(table, *t):
-                    r[c] = r[c] + f * g
-            if any(not scalar_is_zero(v) for v in r):
-                bad.append(((i, j, k), r))
-        return bad
-
 
 class IllDefinedFlatBracketError(AlgebraError):
     """The multiplied bracket is representative-dependent on A_flat."""

@@ -34,8 +34,9 @@ constraints stay sparse quadratic forms (``poly.QuadraticForm``), with no
 exponent vectors.  For double brackets only the triples of algebra
 generators are scanned (``algebra.generating_set``): the triple bracket of
 a bracket that satisfies skew symmetry and Leibniz is a derivation in each
-argument, so these span the same constraint space as all basis triples;
-modified brackets scan every basis triple.  The constraints
+argument, so these span the same constraint space as all basis triples.
+For modified brackets the H0 Jacobi residual is a derivation in its third
+argument, so that argument runs over the generators.  The constraints
 are the reduced echelon basis of that span over the monomials t_k t_l: their
 count is the rank of the span, each has leading coefficient 1, and they are
 listed by leading monomial t_k t_l in ascending (k, l) order, which is
@@ -434,21 +435,30 @@ def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety
     return _with_constraints(variety, _jacobi_forms(variety, generators))
 
 
-def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
+def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
     """Quadratic constraints from the modified Jacobi identity (H0 bracket).
 
     With M(a, b) = m({{e_a, e_b}}) as linear forms, the residual
     {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k} is
     F(i,j,k) - F(j,i,k) - H(i,j,k) for F(i,j,k) = sum_b M(j,k)_b M(i,b) and
     H(i,j,k) = sum_a M(i,j)_a M(a,k) (``axioms.h0_jacobiator_parts``); each
-    F is computed once.  No derivation property is known for this residual,
-    so every basis triple is scanned.  The constraints are the reduced
-    echelon basis of the span of the nonzero coordinates.
+    F is computed once.
+
+    Precondition: the basis brackets satisfy the Leibniz rule in the second
+    argument, as the ``solve_modified_linear`` basis does.  Then {a, -} =
+    m({{a, -}}) is a derivation of A for every a, so the residual is
+    [D_a, D_b](c) - D_{a,b}(c) with D_x = {x, -}: a derivation in c, which
+    vanishes at c = 1.  So the triples whose third entry runs over algebra
+    generators span the same constraint space as all basis triples, and only
+    those are scanned: ``generators``, by default ``algebra.generating_set``.
+    The constraints are the reduced echelon basis of that span.
     """
     if variety.dim == 0:
         return variety
     alg = variety.algebra
     n = alg.dim
+    if generators is None:
+        generators = generating_set(alg)
     slots = _slot_forms(variety)
     keys = _monomial_keys(variety.dim)
     # the structure constants scaled to integers: again a uniform factor
@@ -464,7 +474,7 @@ def h0_jacobi_constraints(variety: LinearVariety) -> LinearVariety:
         return nested[t, left]
 
     def residual_entries():
-        for i, j, k in product(range(n), repeat=3):
+        for i, j, k in product(range(n), range(n), generators):
             yield from _combine(
                 (sign, same, part(t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k)
             )

@@ -13,6 +13,7 @@ from doublepoisson.families import a2_alpha_bracket, a2_double_family, a2_double
 from doublepoisson.inner import WedgeElement, inner_bracket
 from doublepoisson.poly import PolyRing, RelationSet
 from doublepoisson.tensors import Tensor2
+from jacobi_oracles import double_jacobiator, jacobiator_element
 
 
 @pytest.fixture
@@ -68,15 +69,15 @@ def test_check_leibniz_family_and_failures(a2):
 
 def test_jacobiator(a2):
     alpha = a2_alpha_bracket(Fraction(1))
-    assert alpha.double_jacobiator(0, 1, 1).is_zero()
+    assert double_jacobiator(alpha, 0, 1, 1).is_zero()
     assert not alpha.check_jacobi()
     gamma_only = a2_double_family(Fraction(0), Fraction(0), Fraction(1))
-    assert not gamma_only.double_jacobiator(0, 0, 1).is_zero()
+    assert not double_jacobiator(gamma_only, 0, 0, 1).is_zero()
     assert gamma_only.check_jacobi()
     # any triple against the unit vanishes for Leibniz brackets
     one = a2.unit_element()
     e0 = a2.basis_element(0)
-    assert gamma_only.jacobiator_element(one, e0, e0).is_zero()
+    assert jacobiator_element(gamma_only, one, e0, e0).is_zero()
 
 
 def test_check_all_symbolic_family():

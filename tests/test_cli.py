@@ -397,10 +397,17 @@ def test_each_job_builds_one_algebra(tmp_path, monkeypatch):
         assert len(builds) == 1, (argv, builds)
 
 
-def _python_with_package(code: str, text: bool = True) -> str | bytes:
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package under test; stdout and stderr as bytes."""
     src = str(Path(doublepoisson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=text, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def _python_with_package(code: str, text: bool = True) -> str | bytes:
+    proc = _python("-c", code)
+    proc.check_returncode()
+    return proc.stdout.decode() if text else proc.stdout
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -448,6 +455,53 @@ def test_json_on_stdout_is_the_out_file(tmp_path):
     assert main(argv + ["--out", str(out_file)]) == 0
     code = f"import sys; from doublepoisson.cli import main; sys.exit(main({argv!r}))"
     assert _python_with_package(code, text=False) == out_file.read_bytes()
+
+
+# -- cold start ------------------------------------------------------------------------
+#
+# Importing the CLI loads only the standard library: each command imports the
+# modules it runs, and one parser serves every call in a process.
+
+
+def test_cli_import_loads_no_other_module_of_the_package():
+    code = "import sys, doublepoisson.cli; print(sorted(m for m in sys.modules if m.startswith('doublepoisson')))"
+    assert _python_with_package(code).strip() == "['doublepoisson', 'doublepoisson.cli']"
+    # argparse too waits for the first parser
+    assert _python_with_package("import sys, doublepoisson.cli; print('argparse' in sys.modules)").strip() == "False"
+
+
+def test_module_entry_point_prints_help():
+    proc = _python("-m", "doublepoisson.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: doublepoisson")
+
+
+def test_fresh_process_output_is_the_in_process_output(alpha_file, capsysbinary):
+    runs = [
+        (["solve", "--algebra", "mat2", "--format", "json"], 0),
+        # a ChartError is raised by repspace, which only the command loads
+        (["induce", "--algebra", "a2", "--bracket", alpha_file, "--n", "2", "--chart", "nope"], 2),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code
+        in_process = capsysbinary.readouterr()
+        proc = _python("-m", "doublepoisson.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, in_process.out, in_process.err)
+    assert in_process.err.startswith(b"error: unknown chart 'nope'")
+
+
+def test_one_parser_serves_every_call(capsysbinary):
+    from doublepoisson.cli import build_parser
+
+    argv = ["solve", "--algebra", "a2", "--format", "json"]
+    assert main(argv) == 0
+    first = capsysbinary.readouterr()
+    assert main(["solve", "--format", "json"]) == 2  # no --algebra: argparse exits 2
+    assert b"required: --algebra" in capsysbinary.readouterr().err
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == first
+    assert first.out and not first.err
+    assert build_parser() is build_parser()
 
 
 # -- no float in JSON output ---------------------------------------------------------

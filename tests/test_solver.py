@@ -60,6 +60,7 @@ from doublepoisson.solver import (
     solve_linear,
     solve_modified_linear,
 )
+from jacobi_oracles import double_jacobiator
 from test_algebra import _dense_mul, _generated_dim
 
 
@@ -234,7 +235,7 @@ def _oracle_jacobi(variety):
     polys = [
         v
         for i, j, k in product(range(n), repeat=3)
-        for _, _, _, v in general.double_jacobiator(i, j, k).entries()
+        for _, _, _, v in double_jacobiator(general, i, j, k).entries()
     ]
     return _distinct_pairwise(polys)
 
@@ -259,6 +260,11 @@ def _all_triples_jacobi(variety):
     if variety.dim == 0:
         return variety
     return _with_constraints(variety, _jacobi_forms(variety, range(variety.algebra.dim)))
+
+
+def _all_triples_h0_jacobi(variety):
+    """The H0 Jacobi constraints from every basis triple, not only those ending in a generator."""
+    return h0_jacobi_constraints(variety, generators=range(variety.algebra.dim))
 
 
 def _assert_echelon_basis_of_span(got, oracle):
@@ -411,6 +417,71 @@ def test_generator_triples_give_the_all_triples_basis(spec, tmp_path):
     assert len(got) == CLASSIFY_RUNGS[spec]
 
 
+# h0_jacobi_constraints lets the third entry of a triple run over a generating
+# set only: on brackets that satisfy the second-argument Leibniz rule the H0
+# Jacobi residual is a derivation in that entry.  The presets have no H0
+# Jacobi constraints, so brackets whose slots are double derivations, which
+# satisfy that rule and nothing else, carry the comparison: all of them
+# (``_derivation_variety``) and seeded random points of that family.
+
+
+@pytest.mark.parametrize("spec", list(CLASSIFY_RUNGS))
+def test_h0_generator_triples_give_the_all_triples_basis(spec, tmp_path):
+    linear = solve_modified_linear(_two_stage_algebra(spec, tmp_path))
+    got = h0_jacobi_constraints(linear).quadratic_constraints
+    assert [str(q) for q in got] == [str(q) for q in _all_triples_h0_jacobi(linear).quadratic_constraints]
+
+
+def _derivation_variety(algebra):
+    """Every modified bracket that satisfies the second-argument Leibniz rule: each slot {{e_x, -}} a double derivation.
+
+    Basis bracket (x, d) has the derivation D_d in slot x and zeros elsewhere.
+    """
+    n = algebra.dim
+    derivations = _derivation_basis(algebra, generating_set(algebra))
+    basis = []
+    for x in range(n):
+        for vec in derivations:
+            entries = []
+            for idx, v in vec.items():
+                j, ab = divmod(idx, n * n)
+                entries.append((x, j, *divmod(ab, n), v))
+            basis.append(ModifiedBracket.from_entries(algebra, entries))
+    return LinearVariety(algebra, tuple(f"t{k}" for k in range(len(basis))), tuple(basis), (), True)
+
+
+# spec: the rank of the H0 Jacobi constraint span of _derivation_variety
+DERIVATION_RUNGS = {"a2": 11, "mat2": 41, "a2+mat1": 17, "mat2+mat1": 61}
+
+
+@pytest.mark.parametrize("spec", list(DERIVATION_RUNGS))
+def test_h0_generator_triples_give_the_all_triples_basis_on_derivation_brackets(spec):
+    variety = _derivation_variety(_ladder_algebra(spec))
+    got = [str(q) for q in h0_jacobi_constraints(variety).quadratic_constraints]
+    assert got == [str(q) for q in _all_triples_h0_jacobi(variety).quadratic_constraints]
+    assert len(got) == DERIVATION_RUNGS[spec]
+    # the span is not saturated: one generator too few loses constraints
+    generators = generating_set(variety.algebra)
+    assert len(h0_jacobi_constraints(variety, generators=generators[1:]).quadratic_constraints) < len(got)
+
+
+@seed(20261023)
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.data())
+def test_h0_generator_triples_give_the_all_triples_basis_on_random_brackets(data):
+    general = _derivation_variety(_ladder_algebra(data.draw(st.sampled_from(tuple(DERIVATION_RUNGS)))))
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def coefficient():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) if rng.random() < 0.5 else 0
+
+    basis = tuple(general.point([coefficient() for _ in range(general.dim)]) for _ in range(rng.randint(2, 6)))
+    assert not any(b.check_second_leibniz() for b in basis)
+    variety = LinearVariety(general.algebra, tuple(f"t{k}" for k in range(len(basis))), basis, (), True)
+    got = h0_jacobi_constraints(variety).quadratic_constraints
+    assert [str(q) for q in got] == [str(q) for q in _all_triples_h0_jacobi(variety).quadratic_constraints]
+
+
 @lru_cache(maxsize=None)
 def _ladder_algebra(spec):
     return dpio.algebra_from_json(_t3_data()) if spec == "T3" else resolve_preset(spec)
@@ -545,7 +616,7 @@ def _random_varieties(draw):
 def test_polarization_matches_oracle_on_random_brackets(variety):
     # these brackets break Leibniz, so only the scan over all triples applies
     if variety.modified:
-        got = h0_jacobi_constraints(variety).quadratic_constraints
+        got = _all_triples_h0_jacobi(variety).quadratic_constraints
         expected = _oracle_h0_jacobi(variety)
     else:
         got = _all_triples_jacobi(variety).quadratic_constraints
