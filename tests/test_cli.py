@@ -470,6 +470,18 @@ def test_cli_import_loads_no_other_module_of_the_package():
     assert _python_with_package("import sys, doublepoisson.cli; print('argparse' in sys.modules)").strip() == "False"
 
 
+def test_each_command_loads_the_modules_it_runs(alpha_file, tmp_path):
+    out = str(tmp_path / "out.json")
+    runs = [["check", "--algebra", "a2", "--bracket", alpha_file], ["solve", "--algebra", "a2"]]
+    code = "import json, sys; from doublepoisson.cli import main\n" + "".join(
+        f"main({argv + ['--out', out]!r}); print(json.dumps([m for m in sys.modules if m.startswith('doublepoisson.')]))\n"
+        for argv in runs
+    )
+    after_check, after_solve = (set(json.loads(line)) for line in _python_with_package(code).splitlines())
+    assert not after_check & {"doublepoisson.solver", "doublepoisson.inner", "doublepoisson.repspace"}
+    assert "doublepoisson.solver" in after_solve and "doublepoisson.repspace" not in after_solve
+
+
 def test_module_entry_point_prints_help():
     proc = _python("-m", "doublepoisson.cli", "--help")
     assert proc.returncode == 0
