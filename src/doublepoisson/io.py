@@ -22,6 +22,7 @@ Preset names resolve before file paths, so "a2" never reads a local file a2.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -186,6 +187,77 @@ def table_to_json(table: PoissonTable) -> dict:
 def dump_json(data: dict, fp) -> None:
     """Write ``data`` to the text stream ``fp`` as deterministic JSON (sorted keys, indent 2).
 
-    The text is written as it is encoded, never built as one string.
+    The text is byte for byte that of ``json.dump(data, fp, indent=2,
+    sort_keys=True)``, written as it is encoded, never built as one string.
+    ``json.dump`` runs the pure-Python encoder, one generator step per
+    token; here a list of ints and strings, the coefficient entries of every
+    output, is one join and one write.
     """
-    json.dump(data, fp, indent=2, sort_keys=True)
+    _write_json(data, fp.write, "\n")
+
+
+def _scalar_json(value) -> str | None:
+    """The JSON text of a str, None, bool, int or float, as ``json.dump`` writes it; None for anything else."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    return None
+
+
+def _key_json(key) -> str:
+    """The JSON text of a dict key: a str as it is, a number, bool or None as its JSON text, quoted."""
+    text = key if isinstance(key, str) else _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _quote(text)
+
+
+# the text of an item of a list written in one piece: a bool is not an exact int
+_LEAF_TEXT = {str: _quote, int: int.__repr__}
+
+
+def _write_json(value, write, newline: str) -> None:
+    """Write ``value`` indented as ``json.dump`` does, ``newline`` being a newline and the current indent."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        try:
+            items = [_LEAF_TEXT[type(x)](x) for x in value]
+        except KeyError:  # an item that is not an exact int or str
+            pass
+        else:
+            write("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            write(sep + _key_json(key) + ": ")
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        text = _scalar_json(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        write(text)

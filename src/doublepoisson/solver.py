@@ -155,22 +155,24 @@ def _rows(groups):
     for terms in groups:
         rows = _fold_rows(terms)
         for pos in sorted(rows):
-            row = {col: v for col, v in rows[pos].items() if v}
+            row = rows[pos]
+            if 0 in row.values():  # entries that cancelled
+                row = {col: v for col, v in row.items() if v}
             if row:
                 yield row
 
 
-def _leibniz_rows(prods, unit, images, generators):
-    """The Leibniz rows of the generic ``images`` on generators x basis, then delta(1) = 0.
+def _leibniz_groups(prods, unit, images, generators):
+    """The Leibniz term groups of the generic ``images`` on generators x basis, then delta(1) = 0.
 
-    ``axioms.derivation_terms`` in (k, l, c, d) order for k in ``generators``,
-    then ``axioms.unit_terms`` in (c, d) order.  When the generators generate
-    the algebra these have the nullspace of the rows of every pair (k, l):
-    see the module docstring.
+    ``axioms.derivation_terms`` of (k, l) for k in ``generators``, then
+    ``axioms.unit_terms``; each group's rows come in (c, d) order.  When the
+    generators generate the algebra these have the nullspace of the rows of
+    every pair (k, l): see the module docstring.
     """
     n = len(prods)
     pairs = (derivation_terms(prods, images, k, l) for k in generators for l in range(n))
-    return _rows(chain(pairs, [unit_terms(unit, images)]))
+    return chain(pairs, [unit_terms(unit, images)])
 
 
 def _derivation_rows(algebra: FDAlgebra, generators):
@@ -180,11 +182,11 @@ def _derivation_rows(algebra: FDAlgebra, generators):
     """
     n = algebra.dim
     images = [_generic_slot(n, m * n * n) for m in range(n)]
-    return _leibniz_rows(_integer_products(algebra), algebra.unit, images, generators)
+    return _rows(_leibniz_groups(_integer_products(algebra), algebra.unit, images, generators))
 
 
-def _first_leibniz_rows(algebra: FDAlgebra, generators):
-    """The first-argument Leibniz rows over the flat C columns, slot i = 0, 1, ... in turn.
+def _first_leibniz_groups(algebra: FDAlgebra, generators):
+    """The first-argument Leibniz term groups over the flat C columns, slot i = 0, 1, ... in turn.
 
     x -> {{x, e_i}}° is a double derivation: images flipped({{e_m, e_i}}).
     """
@@ -192,11 +194,11 @@ def _first_leibniz_rows(algebra: FDAlgebra, generators):
     prods = _integer_products(algebra)
     for i in range(n):
         images = [flipped(_generic_slot(n, (m * n + i) * n * n)) for m in range(n)]
-        yield from _leibniz_rows(prods, algebra.unit, images, generators)
+        yield from _leibniz_groups(prods, algebra.unit, images, generators)
 
 
-def _h0_skew_rows(algebra: FDAlgebra):
-    """The A/[A,A] coordinates of ``axioms.h0_skew_terms``, i <= j, as rows in (i, j, coordinate) order."""
+def _h0_skew_groups(algebra: FDAlgebra):
+    """The A/[A,A] coordinates of ``axioms.h0_skew_terms``, one term group per i <= j, rows in coordinate order."""
     n = algebra.dim
     sub = commutator_subspace(algebra)
     flat_basis = [sub.project_flat(algebra.basis_element(c).coords) for c in range(n)]
@@ -208,7 +210,7 @@ def _h0_skew_rows(algebra: FDAlgebra):
                 if w:
                     yield comp, v * w, col
 
-    return _rows(projected(i, j) for i in range(n) for j in range(i, n))
+    return (projected(i, j) for i in range(n) for j in range(i, n))
 
 
 def _rows_to_variety(algebra: FDAlgebra, rows, modified: bool) -> LinearVariety:
@@ -224,44 +226,63 @@ def _derivation_basis(algebra: FDAlgebra, generators) -> list[dict[int, int | Fr
     return nullspace_of_rows(_derivation_rows(algebra, generators), algebra.dim**3)
 
 
-def _substitute(rows, columns, p: int):
-    """Rows over the flat C columns as rows over x[i][d] (column i * p + d).
+def _derivation_columns(derivations, n: int) -> list[list[tuple[int, int | Fraction]]]:
+    """columns[c]: the (d, w) with D_d equal to w at derivation column c = (j * n + a) * n + b."""
+    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n**3)]
+    for d, vec in enumerate(derivations):
+        for c, w in vec.items():
+            columns[c].append((d, w))
+    return columns
 
-    C[i][j][a][b] = sum_d x[i][d] D_d[j][a][b], where columns[c] lists the
-    (d, w) with D_d equal to w at derivation column c = (j * n + a) * n + b.
-    Rows that vanish on every such C are dropped.
+
+def _coordinate_rows(groups, columns, p: int):
+    """The nonzero rows of each group of terms over the x[i][d] columns, in ascending position order per group.
+
+    C[i][j][a][b] = sum_d x[i][d] D_d[j][a][b], x[i][d] being the column
+    i * p + d: each term at the flat C column i * n^3 + c is folded straight
+    into the x[i][d] of the (d, w) in columns[c] (``_derivation_columns``).
+    So these are the rows of ``_rows`` with C substituted, in one pass; rows
+    that vanish on every such C are dropped.
     """
     n3 = len(columns)
-    for row in rows:
-        out: dict[int, Fraction | int] = {}
-        for idx, v in row.items():
-            i, c = divmod(idx, n3)
-            for d, w in columns[c]:
-                col = i * p + d
-                out[col] = out.get(col, 0) + v * w
-        out = {col: v for col, v in out.items() if v}
-        if out:
-            yield out
+    for terms in groups:
+        rows: dict = {}
+        for pos, v, col in terms:
+            i, c = divmod(col, n3)
+            entries = columns[c]
+            if not entries:  # every derivation vanishes at c
+                continue
+            row = rows.get(pos)
+            if row is None:
+                row = rows[pos] = {}
+            base = i * p
+            for d, w in entries:
+                key = base + d
+                row[key] = row.get(key, 0) + v * w
+        for pos in sorted(rows):
+            row = rows[pos]
+            if 0 in row.values():  # entries that cancelled
+                row = {key: v for key, v in row.items() if v}
+            if row:
+                yield row
 
 
-def _solve_over_derivations(algebra: FDAlgebra, generators, rows, modified: bool) -> LinearVariety:
-    """The brackets whose slots {{e_i, -}} are double derivations and that satisfy `rows`.
+def _solve_over_derivations(algebra: FDAlgebra, generators, groups, modified: bool) -> LinearVariety:
+    """The brackets whose slots {{e_i, -}} are double derivations and that satisfy the rows of `groups`.
 
-    `rows` are constraints over the flat C columns, and `generators` generate
-    the algebra (``_derivation_rows``).  The derivation basis is used as
-    ``linalg`` returns it, in exact scalars; the canonical basis of the
-    answer depends only on its span.
+    `groups` are groups of axiom terms over the flat C columns, and
+    `generators` generate the algebra (``_derivation_rows``).  The unknowns
+    are the coordinates x[i][d] (column i * p + d) of C[i] = sum_d x[i][d] D_d
+    over the derivation basis D_1..D_p, used as ``linalg`` returns it, in
+    exact scalars; the canonical basis of the answer depends only on its span.
     """
     n = algebra.dim
     n3 = n**3
     derivations = _derivation_basis(algebra, generators)
     p = len(derivations)
-    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n3)]
-    for d, vec in enumerate(derivations):
-        for c, w in vec.items():
-            columns[c].append((d, w))
     brackets = []
-    for x in nullspace_of_rows(_substitute(rows, columns, p), n * p):
+    rows = _coordinate_rows(groups, _derivation_columns(derivations, n), p)
+    for x in nullspace_of_rows(rows, n * p):
         flat: dict[int, int | Fraction] = {}
         for col, coeff in x.items():
             i, d = divmod(col, p)
@@ -272,30 +293,30 @@ def _solve_over_derivations(algebra: FDAlgebra, generators, rows, modified: bool
     return _rows_to_variety(algebra, canonical_basis(brackets, n**4), modified)
 
 
+def _skew_groups(n: int):
+    """The skew-symmetry term groups over the flat C columns, one per pair i <= j."""
+    for i in range(n):
+        for j in range(i, n):
+            terms = skew_terms(_generic_slot(n, (i * n + j) * n * n), _generic_slot(n, (j * n + i) * n * n))
+            # {{e_i, e_i}} + {{e_i, e_i}}° is symmetric: its rows at (a, b) and (b, a) agree
+            yield terms if i < j else (t for t in terms if t[0][0] <= t[0][1])
+
+
 def solve_linear(algebra: FDAlgebra, generators=None) -> LinearVariety:
     """Nullspace of skew symmetry plus the second-argument Leibniz rule on C[i][j][a][b].
 
     ``generators`` generate the algebra; by default ``algebra.generating_set``.
     """
-    n = algebra.dim
-
-    def groups():
-        for i in range(n):
-            for j in range(i, n):
-                terms = skew_terms(_generic_slot(n, (i * n + j) * n * n), _generic_slot(n, (j * n + i) * n * n))
-                # {{e_i, e_i}} + {{e_i, e_i}}° is symmetric: its rows at (a, b) and (b, a) agree
-                yield terms if i < j else (t for t in terms if t[0][0] <= t[0][1])
-
     if generators is None:
         generators = generating_set(algebra)
-    return _solve_over_derivations(algebra, generators, _rows(groups()), modified=False)
+    return _solve_over_derivations(algebra, generators, _skew_groups(algebra.dim), modified=False)
 
 
 def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
     """Nullspace of both Leibniz rules plus the (linear) H0-skew condition."""
     generators = generating_set(algebra)
-    rows = chain(_first_leibniz_rows(algebra, generators), _h0_skew_rows(algebra))
-    return _solve_over_derivations(algebra, generators, rows, modified=True)
+    groups = chain(_first_leibniz_groups(algebra, generators), _h0_skew_groups(algebra))
+    return _solve_over_derivations(algebra, generators, groups, modified=True)
 
 
 # -- quadratic constraints by polarization -------------------------------------
@@ -332,9 +353,8 @@ def _monomial_keys(p: int) -> list[list[int]]:
     return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
 
 
-def _quadratic_sum(products, keys, index) -> dict[int, dict[int, int | Fraction]]:
-    """index[position] -> quadratic form, summing f * g over the (position, f, g) products."""
-    out: dict[int, dict[int, int | Fraction]] = {}
+def _quadratic_sum(products, keys, index, out: dict[int, dict[int, int | Fraction]]) -> None:
+    """Add f * g to the quadratic form out[index[position]] for each (position, f, g) product."""
     for pos, f, g in products:
         pos = index[pos]
         acc = out.get(pos)
@@ -345,19 +365,16 @@ def _quadratic_sum(products, keys, index) -> dict[int, dict[int, int | Fraction]
             for l, v in g:
                 key = row[l]
                 acc[key] = acc.get(key, 0) + u * v
-    return out
 
 
 def _combine(terms):
-    """The nonzero entries of sum(sign * perm(entries)) over the terms, in position order.
+    """The nonzero entries of sum(sign * entries) over the (sign, entries) terms, in position order.
 
-    Each term is (sign, perm, entries) with ``entries`` a position -> form map
-    and ``perm`` a list sending each position to its place in the sum.
+    ``entries`` maps a position to a quadratic form.
     """
     total: dict[int, dict[int, int | Fraction]] = {}
-    for sign, perm, entries in terms:
+    for sign, entries in terms:
         for pos, form in entries.items():
-            pos = perm[pos]
             acc = total.get(pos)
             if acc is None:
                 acc = total[pos] = {}
@@ -380,10 +397,15 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """
     names = variety.parameter_names
     p = variety.dim
-    # one representative per primitive form (``linalg.primitive_row``) reaches the elimination
+    # the first form of each primitive class (``linalg.primitive_row``) reaches the elimination
     elim = SparseEliminator(p * p)
-    for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
-        elim.add_row(dict(form))
+    seen: set[frozenset] = set()
+    for form in forms:
+        row = primitive_row(form)
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            elim.add_row(row)
     rows = elim.reduced_pivot_rows()
     constraints = tuple(QuadraticForm(names, rows[lead]) for lead in sorted(rows))
     return LinearVariety(variety.algebra, names, variety.nullspace_basis, constraints, variety.modified)
@@ -394,9 +416,12 @@ def _jacobi_forms(variety: LinearVariety, generators):
 
     The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
     products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
-    each computed by polarization from ``axioms.first_leg_pairs``.
-    J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor, so one triple
-    per cyclic class is scanned, the least of its rotations.
+    each computed by polarization from ``axioms.first_leg_pairs``.  Every
+    part is summed straight into the triple's total, through the map from a
+    product's cell to the index of the cell its legs send it to, and the
+    entries come out in index order.  J(j, k, i) = tau132 J(i, j, k) for any
+    coefficient tensor, so one triple per cyclic class is scanned, the least
+    of its rotations.
     """
     n = variety.algebra.dim
     slots = _slot_forms(variety)
@@ -404,15 +429,20 @@ def _jacobi_forms(variety: LinearVariety, generators):
     # entry (c, d, b) sits at index (c * n + d) * n + b
     cells = list(product(range(n), repeat=3))
     index = {p: k for k, p in enumerate(cells)}
-    perms = {legs: [index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells] for legs in JACOBI_LEGS}
+    lands = {legs: {p: index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells} for legs in JACOBI_LEGS}
     for i, j, k in product(generators, repeat=3):
         if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
             continue
-        parts = list(jacobiator_parts(i, j, k))
-        forms = {
-            t: _quadratic_sum(first_leg_pairs(slots[t[0]], slots[t[1]][t[2]]), keys, index) for t, _ in parts
-        }
-        yield from _combine((1, perms[legs], forms[t]) for t, legs in parts)
+        total: dict[int, dict[int, int | Fraction]] = {}
+        for (a, b, c), legs in jacobiator_parts(i, j, k):
+            _quadratic_sum(first_leg_pairs(slots[a], slots[b][c]), keys, lands[legs], total)
+        for pos in sorted(total):
+            form = total[pos]
+            if not any(form.values()):  # most entries cancel between the parts
+                continue
+            if 0 in form.values():
+                form = {key: v for key, v in form.items() if v}
+            yield form
 
 
 def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
@@ -469,15 +499,15 @@ def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVari
     nested: dict = {}
 
     def part(t, left):
-        if (t, left) not in nested:
-            nested[t, left] = _quadratic_sum(nested_pairs(table, *t, left), keys, same)
-        return nested[t, left]
+        entries = nested.get((t, left))
+        if entries is None:
+            entries = nested[t, left] = {}
+            _quadratic_sum(nested_pairs(table, *t, left), keys, same, entries)
+        return entries
 
     def residual_entries():
         for i, j, k in product(range(n), range(n), generators):
-            yield from _combine(
-                (sign, same, part(t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k)
-            )
+            yield from _combine((sign, part(t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k))
 
     return _with_constraints(variety, residual_entries())
 

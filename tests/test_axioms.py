@@ -71,6 +71,13 @@ def _assert_linear_contract(solver_terms, checker_terms, flat, factor):
         assert value == factor * residual.get(pos, 0), pos
 
 
+def _summed(products, keys, index):
+    """The solver fold of quadratic products: index[position] -> quadratic form."""
+    out = {}
+    _quadratic_sum(products, keys, index, out)
+    return out
+
+
 def _assert_quadratic_contract(forms, residual, factor):
     # one parameter t0: every form is a multiple of the monomial t0^2, key 0
     for pos in forms.keys() | residual.keys():
@@ -126,7 +133,7 @@ def test_quadratic_folds_agree(algebras, data):
     index = {p: k for k, p in enumerate(product(range(n), repeat=3))}
     for i, j, k in product(range(n), repeat=3):
         _assert_quadratic_contract(
-            _quadratic_sum(first_leg_pairs(slots[i], slots[j][k]), keys, index),
+            _summed(first_leg_pairs(slots[i], slots[j][k]), keys, index),
             {index[p]: v for p, v in _pair_residual(first_leg_pairs(terms[i], terms[j][k])).items()},
             1,
         )
@@ -143,7 +150,7 @@ def test_quadratic_folds_agree(algebras, data):
     for i, j, k in product(range(n), repeat=3):
         for _, t, left in h0_jacobiator_parts(i, j, k):
             _assert_quadratic_contract(
-                _quadratic_sum(nested_pairs(forms, *t, left), keys, range(n)),
+                _summed(nested_pairs(forms, *t, left), keys, range(n)),
                 _pair_residual(nested_pairs(table, *t, left)),
                 den**2,
             )

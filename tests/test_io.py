@@ -3,12 +3,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from doublepoisson import io as dpio
 from doublepoisson.algebra import make_a2, make_matrix_algebra
 from doublepoisson.cli import main
 from doublepoisson.families import a2_double_family_symbolic, a2_modified_family_symbolic
 from doublepoisson.inner import WedgeElement
+from test_output_digests import COMMANDS, FILES, INPUTS
 
 
 def test_algebra_round_trip():
@@ -135,3 +138,101 @@ def test_json_without_an_algebra_rejects_a_non_string_algebra_field(load):
     # load_algebra(5) used to fail with AttributeError inside the preset parser
     with pytest.raises(ValueError, match="algebra must be a preset name or a file path, not int"):
         load({"algebra": 5})
+
+
+# -- the streamed writer against json.dump(indent=2, sort_keys=True) -------------------
+
+
+def _json_dumped(data) -> str:
+    fp = io.StringIO()
+    json.dump(data, fp, indent=2, sort_keys=True)
+    return fp.getvalue()
+
+
+_floats = st.one_of(st.floats(), st.sampled_from((-0.0, 0.0, 1e300, -1e-300, float("inf"), float("-inf"), float("nan"))))
+_texts = st.one_of(st.text(), st.sampled_from(('"', "\\", "\x00\x1f\n\t", "\u00e9\u2028", "\U0001f600", "a\"b\\c")))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(max_value=-(10**30)), _floats, _texts
+)
+# keys of one dict must sort against each other: strings, or numbers and bools
+_keys = st.one_of(
+    st.just(_texts), st.just(st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()))
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        _keys.flatmap(lambda keys: st.dictionaries(keys, children)),
+        st.lists(st.one_of(st.integers(), _texts)),  # the one-join leaf lists
+    )
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.recursive(_scalars, _containers, max_leaves=40))
+def test_writer_matches_json_dump(data):
+    assert _dumped(data) == _json_dumped(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], (), [[]], [{}], {"a": {"b": []}}, [[[], {}], ({},)], {"x": [{}, [[]]]}],
+    ids=repr,
+)
+def test_writer_matches_json_dump_on_empty_containers(data):
+    assert _dumped(data) == _json_dumped(data)
+
+
+def test_writer_matches_json_dump_on_mixed_lists():
+    data = {"k": [1, True, 0, False, None, -(10**40), "s", [1, "2"], (3, True), {"n": [2.5, -0.0]}, 1.5]}
+    assert _dumped(data) == _json_dumped(data)
+
+
+@pytest.mark.parametrize("data", [{"k": object()}, [1, {1j: 2}], {None: 1, "a": 2}])
+def test_writer_rejects_what_json_dump_rejects(data):
+    with pytest.raises(TypeError):
+        _json_dumped(data)
+    with pytest.raises(TypeError):
+        _dumped(data)
+
+
+# every command, on the inputs of the pinned digests, and induce --numeric
+WRITER_CASES = [
+    ("a2", "solve"),
+    ("mat3", "solve"),
+    ("a2+mat1/2", "solve --modified"),
+    ("mat2~rebased", "hh1"),
+    ("T3", "solve"),
+    ("a2", "inner --aybe-scan"),
+    ("a2", "induce --n 3 --chart rep3-a2"),
+    ("a2", "check --bracket"),
+    ("a2", "check --modified"),
+    ("mat2", "inner --wedge"),
+    ("mat2", "induce --n 3"),
+    ("golden", "report"),
+]
+NUMERIC = ["--numeric", "--samples", "5", "--seed", "3"]
+
+
+@pytest.mark.parametrize("spec, command", WRITER_CASES + [("a2", "induce --n 3 --chart rep3-a2 --numeric")])
+def test_writer_matches_json_dump_on_every_command_report(spec, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    algebra = spec
+    if spec in FILES:
+        algebra, data = FILES[spec]
+        (tmp_path / algebra).write_text(json.dumps(data))
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    numeric = command.endswith(" --numeric")
+    argv = [arg.format(algebra) for arg in COMMANDS[command.removesuffix(" --numeric")]] + (NUMERIC if numeric else [])
+    reports = []
+    monkeypatch.setattr(dpio, "dump_json", lambda data, fp: reports.append(data) or json.dump(data, fp))
+    main(["--format", "json", "--out", "out.json"] + argv)
+    monkeypatch.undo()
+    (report,) = reports
+    assert report["command"] == argv[0]
+    if numeric:
+        assert type(report["chart"]["max_residual"]) is float
+    assert _dumped(report) == _json_dumped(report)

@@ -21,7 +21,7 @@ from doublepoisson.algebra import (
     make_matrix_algebra,
     resolve_preset,
 )
-from doublepoisson.axioms import derivation_terms, flipped, skew_terms
+from doublepoisson.axioms import derivation_terms, first_leg_pairs, flipped, skew_terms
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -41,14 +41,19 @@ from doublepoisson.poly import MultiPoly, QuadraticForm, grlex_key
 from doublepoisson.tensors import Tensor2
 from doublepoisson.solver import (
     LinearVariety,
+    _coordinate_rows,
     _derivation_basis,
+    _derivation_columns,
     _derivation_rows,
-    _first_leibniz_rows,
+    _first_leibniz_groups,
     _generic_slot,
-    _h0_skew_rows,
+    _h0_skew_groups,
     _integer_products,
     _jacobi_forms,
+    _monomial_keys,
     _rows,
+    _skew_groups,
+    _slot_forms,
     _with_constraints,
     double_derivation_space,
     h0_jacobi_constraints,
@@ -812,7 +817,7 @@ def test_leibniz_rows_match_dense_oracle(spec, tmp_path):
 @pytest.mark.parametrize("spec", ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2"))
 def test_h0_skew_rows_match_dense_oracle(spec, tmp_path):
     algebra = _two_stage_algebra(spec, tmp_path)
-    assert list(_h0_skew_rows(algebra)) == list(_dense_h0_skew_rows(algebra))
+    assert list(_rows(_h0_skew_groups(algebra))) == list(_dense_h0_skew_rows(algebra))
 
 
 def _halved_json(spec, path):
@@ -862,7 +867,7 @@ def test_generator_leibniz_rows_give_the_dense_nullspace(spec, tmp_path):
     assert _exact_rows(nullspace_of_rows(_derivation_rows(algebra, generators), n**3)) == _exact_rows(
         nullspace_of_rows(_dense_derivation_rows(algebra), n**3)
     )
-    assert _exact_rows(nullspace_of_rows(_first_leibniz_rows(algebra, generators), n**4)) == _exact_rows(
+    assert _exact_rows(nullspace_of_rows(_rows(_first_leibniz_groups(algebra, generators)), n**4)) == _exact_rows(
         nullspace_of_rows(_dense_first_leibniz_rows(algebra), n**4)
     )
 
@@ -950,7 +955,7 @@ def _one_shot_solve_linear(algebra):
 
 
 def _one_shot_solve_modified_linear(algebra):
-    rows = chain(_slot_derivation_rows(algebra), _slot_first_leibniz_rows(algebra), _h0_skew_rows(algebra))
+    rows = chain(_slot_derivation_rows(algebra), _slot_first_leibniz_rows(algebra), _rows(_h0_skew_groups(algebra)))
     return _dense_nullspace(rows, algebra.dim**4)
 
 
@@ -1029,3 +1034,118 @@ def test_innerness_matches_dense_oracle(spec, equal, tmp_path):
         [db.flat_coeffs() for db in inner_bracket_span(algebra)],
     )
     assert inner_bracket_span_equality(algebra) == dense == equal
+
+
+# -- oracle: fold then substitute; each Jacobi part on its own, then the sum ----------
+#
+# The linear systems used to be folded into rows over the flat C columns
+# (``_rows``) and the derivation basis then substituted into each row, and each
+# jacobiator part used to be polarized into its own map before the parts were
+# summed with their legs permuted.  Those two-pass loops, kept here, are the
+# oracle of the one-pass folds: the same rows and forms in the same order.
+
+
+def _substituted(rows, derivations, n):
+    """Rows over the flat C columns as rows over x[i][d] (column i * p + d), zero rows dropped."""
+    n3, p = n**3, len(derivations)
+    columns = [[] for _ in range(n3)]
+    for d, vec in enumerate(derivations):
+        for c, w in vec.items():
+            columns[c].append((d, w))
+    for row in rows:
+        out = {}
+        for idx, v in row.items():
+            i, c = divmod(idx, n3)
+            for d, w in columns[c]:
+                out[i * p + d] = out.get(i * p + d, 0) + v * w
+        out = {col: v for col, v in out.items() if v}
+        if out:
+            yield out
+
+
+def _coordinate_row_counts(algebra):
+    """Assert the one-pass rows of the skew and modified systems against the oracle; their counts."""
+    n = algebra.dim
+    generators = generating_set(algebra)
+    derivations = _derivation_basis(algebra, generators)
+    columns = _derivation_columns(derivations, n)
+    systems = {
+        "skew": lambda: _skew_groups(n),
+        "modified": lambda: chain(_first_leibniz_groups(algebra, generators), _h0_skew_groups(algebra)),
+    }
+    counts = {}
+    for name, groups in systems.items():
+        # Equal as maps of rationals.  A term of a flat column that cancels is
+        # folded in too, so an entry may come in another order, or as Fraction(3, 1)
+        # where the substitution had 3; ``linalg.primitive_row`` reads both alike.
+        got = list(_coordinate_rows(groups(), columns, len(derivations)))
+        assert got == list(_substituted(_rows(groups()), derivations, n)), name
+        counts[name] = len(got)
+    return counts
+
+
+# the rows each system hands to the eliminator, as counted before the one-pass fold
+COORDINATE_ROWS = {"mat3": {"skew": 2541, "modified": 7308}, "T3": {"skew": 450, "modified": 1404}}
+FOLD_ORACLE_ALGEBRAS = ("a2", "mat2", "mat3", "T3", "a2+a2", "mat2~rebased", "a2+mat1/2")
+
+
+@pytest.mark.parametrize("spec", FOLD_ORACLE_ALGEBRAS)
+def test_coordinate_rows_match_the_substituted_rows(spec, tmp_path):
+    counts = _coordinate_row_counts(_two_stage_algebra(spec, tmp_path))
+    assert counts == COORDINATE_ROWS.get(spec, counts)
+
+
+@seed(20261024)
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from(("a2", "mat2", "a2+mat1", "mat2+mat1", "a2+a2")), st.integers(0, 10**6))
+def test_coordinate_rows_match_the_substituted_rows_on_random_bases(tmp_path_factory, spec, basis_seed):
+    path = tmp_path_factory.mktemp("rebased") / "rebased.json"
+    _coordinate_row_counts(dpio.load_algebra(_rebased_json(spec, path, basis_seed)))
+
+
+# tau123(a(x)b(x)c) = c(x)a(x)b and tau132 = tau123^2, written out rather than read from axioms
+_PART_LEGS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
+def _part_by_part_jacobi_forms(variety, generators):
+    n = variety.algebra.dim
+    slots = _slot_forms(variety)
+    keys = _monomial_keys(variety.dim)
+    cells = list(product(range(n), repeat=3))
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    perms = {legs: [index[c[legs[0]], c[legs[1]], c[legs[2]]] for c in cells] for legs in _PART_LEGS}
+    for i, j, k in product(generators, repeat=3):
+        if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+            continue
+        total = {}
+        for (a, b, c), legs in zip(((i, j, k), (j, k, i), (k, i, j)), _PART_LEGS):
+            part = {}
+            for cell, f, g in first_leg_pairs(slots[a], slots[b][c]):
+                acc = part.setdefault(index[cell], {})
+                for s, u in f:
+                    for t, v in g:
+                        acc[keys[s][t]] = acc.get(keys[s][t], 0) + u * v
+            for pos, form in part.items():
+                acc = total.setdefault(perms[legs][pos], {})
+                for key, v in form.items():
+                    acc[key] = acc.get(key, 0) + v
+        for pos in sorted(total):
+            form = {key: v for key, v in total[pos].items() if v}
+            if form:
+                yield form
+
+
+@pytest.mark.parametrize("spec", FOLD_ORACLE_ALGEBRAS)
+def test_jacobi_forms_match_the_part_by_part_sums(spec, tmp_path):
+    linear = solve_linear(_two_stage_algebra(spec, tmp_path))
+    generators = generating_set(linear.algebra)
+    got = _exact_rows(_jacobi_forms(linear, generators))
+    assert got and got == _exact_rows(_part_by_part_jacobi_forms(linear, generators))
+
+
+@seed(20261025)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_random_varieties())
+def test_jacobi_forms_match_the_part_by_part_sums_on_random_brackets(variety):
+    every = range(variety.algebra.dim)
+    assert _exact_rows(_jacobi_forms(variety, every)) == _exact_rows(_part_by_part_jacobi_forms(variety, every))
