@@ -397,15 +397,10 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """
     names = variety.parameter_names
     p = variety.dim
-    # the first form of each primitive class (``linalg.primitive_row``) reaches the elimination
+    # one representative per primitive form (``linalg.primitive_row``) reaches the elimination
     elim = SparseEliminator(p * p)
-    seen: set[frozenset] = set()
-    for form in forms:
-        row = primitive_row(form)
-        key = frozenset(row.items())
-        if key not in seen:
-            seen.add(key)
-            elim.add_row(row)
+    for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
+        elim.add_row(dict(form))
     rows = elim.reduced_pivot_rows()
     constraints = tuple(QuadraticForm(names, rows[lead]) for lead in sorted(rows))
     return LinearVariety(variety.algebra, names, variety.nullspace_basis, constraints, variety.modified)
