@@ -226,23 +226,15 @@ def _derivation_basis(algebra: FDAlgebra, generators) -> list[dict[int, int | Fr
     return nullspace_of_rows(_derivation_rows(algebra, generators), algebra.dim**3)
 
 
-def _derivation_columns(derivations, n: int) -> list[list[tuple[int, int | Fraction]]]:
-    """columns[c]: the (d, w) with D_d equal to w at derivation column c = (j * n + a) * n + b."""
-    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n**3)]
-    for d, vec in enumerate(derivations):
-        for c, w in vec.items():
-            columns[c].append((d, w))
-    return columns
-
-
 def _coordinate_rows(groups, columns, p: int):
     """The nonzero rows of each group of terms over the x[i][d] columns, in ascending position order per group.
 
     C[i][j][a][b] = sum_d x[i][d] D_d[j][a][b], x[i][d] being the column
-    i * p + d: each term at the flat C column i * n^3 + c is folded straight
-    into the x[i][d] of the (d, w) in columns[c] (``_derivation_columns``).
-    So these are the rows of ``_rows`` with C substituted, in one pass; rows
-    that vanish on every such C are dropped.
+    i * p + d, and columns[c] lists the (d, w) with D_d equal to w at
+    derivation column c = (j * n + a) * n + b.  Each term at the flat C
+    column i * n^3 + c is folded straight into those x[i][d], so these are
+    the rows of ``_rows`` with C substituted, in one pass; rows that vanish
+    on every such C are dropped.
     """
     n3 = len(columns)
     for terms in groups:
@@ -280,9 +272,12 @@ def _solve_over_derivations(algebra: FDAlgebra, generators, groups, modified: bo
     n3 = n**3
     derivations = _derivation_basis(algebra, generators)
     p = len(derivations)
+    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n3)]
+    for d, vec in enumerate(derivations):
+        for c, w in vec.items():
+            columns[c].append((d, w))
     brackets = []
-    rows = _coordinate_rows(groups, _derivation_columns(derivations, n), p)
-    for x in nullspace_of_rows(rows, n * p):
+    for x in nullspace_of_rows(_coordinate_rows(groups, columns, p), n * p):
         flat: dict[int, int | Fraction] = {}
         for col, coeff in x.items():
             i, d = divmod(col, p)

@@ -43,7 +43,6 @@ from doublepoisson.solver import (
     LinearVariety,
     _coordinate_rows,
     _derivation_basis,
-    _derivation_columns,
     _derivation_rows,
     _first_leibniz_groups,
     _generic_slot,
@@ -1045,13 +1044,19 @@ def test_innerness_matches_dense_oracle(spec, equal, tmp_path):
 # oracle of the one-pass folds: the same rows and forms in the same order.
 
 
-def _substituted(rows, derivations, n):
-    """Rows over the flat C columns as rows over x[i][d] (column i * p + d), zero rows dropped."""
-    n3, p = n**3, len(derivations)
-    columns = [[] for _ in range(n3)]
+def _derivation_columns(derivations, n):
+    """columns[c]: the (d, w) with D_d equal to w at derivation column c."""
+    columns = [[] for _ in range(n**3)]
     for d, vec in enumerate(derivations):
         for c, w in vec.items():
             columns[c].append((d, w))
+    return columns
+
+
+def _substituted(rows, derivations, n):
+    """Rows over the flat C columns as rows over x[i][d] (column i * p + d), zero rows dropped."""
+    n3, p = n**3, len(derivations)
+    columns = _derivation_columns(derivations, n)
     for row in rows:
         out = {}
         for idx, v in row.items():
@@ -1084,7 +1089,7 @@ def _coordinate_row_counts(algebra):
     return counts
 
 
-# the rows each system hands to the eliminator, as counted before the one-pass fold
+# the rows each system hands to the eliminator, pinned: a fold that drops or adds rows changes them
 COORDINATE_ROWS = {"mat3": {"skew": 2541, "modified": 7308}, "T3": {"skew": 450, "modified": 1404}}
 FOLD_ORACLE_ALGEBRAS = ("a2", "mat2", "mat3", "T3", "a2+a2", "mat2~rebased", "a2+mat1/2")
 
