@@ -12,8 +12,8 @@ at the end, into the monic reduced row (1 at its lead).  That division
 follows the engine's scalar rule (``poly.exact_scalar``), so an entry is an
 int when it is integral and a Fraction otherwise.  This module alone decides
 how a row is scaled: rational rows enter through ``primitive_row``, and
-nullspaces, canonical bases and inverses are read off the monic rows as they
-are, ints on integral input.
+nullspaces and inverses are read off the monic rows as they are, ints on
+integral input.
 """
 
 from __future__ import annotations
@@ -207,31 +207,6 @@ def rank_of_rows(rows: Iterable[dict[int, Fraction | int]], ncols: int) -> int:
     for row in rows:
         elim.add_row(row)
     return elim.rank
-
-
-def canonical_basis(
-    rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[dict[int, int | Fraction]]:
-    """The basis of span(rows) that ``nullspace`` gives for a system with that kernel.
-
-    A nullspace vector is 1 at its free column, 0 at the other free columns,
-    and nonzero elsewhere only at pivot columns smaller than its free column.
-    So the nullspace basis of a system is the reduced echelon basis of its
-    kernel for pivots taken at the largest column, scaled to 1 at each pivot,
-    in ascending pivot order; any spanning set of the kernel gives it back.
-    The elimination runs on reversed columns, so its smallest-column pivots
-    are the largest columns, and its monic reduced rows are the basis.  The
-    vectors come back as sparse rows {column: nonzero value}, columns
-    ascending.
-    """
-    last = ncols - 1
-    elim = SparseEliminator(ncols)
-    for row in rows:
-        elim.add_row({last - c: v for c, v in row.items()})
-    return [
-        {last - c: row[c] for c in sorted(row, reverse=True)}
-        for _, row in sorted(elim.reduced_pivot_rows().items(), reverse=True)
-    ]
 
 
 def _sparse_rows(vectors: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:

@@ -18,6 +18,7 @@ construction (single-variable powers such as c^2 -> 1 - s^2) belong here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -40,17 +41,23 @@ def exact_scalar(c) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def parse_rational(text: str) -> int | Fraction:
-    """Parse "p/q" or "p" into an exact scalar (``exact_scalar``).
+#: An optional sign, ASCII digits, then at most one "/digits" or ".digits".
+_RATIONAL = re.compile(r"[+-]?[0-9]+([/.][0-9]+)?")
 
-    An integer literal is read by ``int``, which skips the regular
-    expression that ``Fraction`` parses with.
+
+def parse_rational(text: str) -> int | Fraction:
+    """Parse "p", "p/q" or "p.q" into an exact scalar (``exact_scalar``).
+
+    Anything else raises ValueError, before any arithmetic: exponent
+    notation, whose expansion takes time and memory without bound
+    ("1e4000000"), digit separators and non-ASCII digits.  An integer
+    literal is read by ``int``.
     """
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        return exact_scalar(text)
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    return int(text) if match.group(1) is None else exact_scalar(text)
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:

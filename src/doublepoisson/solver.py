@@ -6,11 +6,19 @@ slot {{e_i, -}} a double derivation, an element of Der(A, A(x)A).  So the
 derivation system on n^3 unknowns is solved once, for a basis D_1..D_p, and
 the remaining axioms are imposed on the n * p coordinates x[i][d] of
 C[i] = sum_d x[i][d] D_d: skew symmetry for double brackets, or the
-first-argument Leibniz rule plus H0-skew for modified ones.  The solutions
-are then written in the basis that the exact nullspace of the one-shot
-system on all n^4 unknowns has (``linalg.canonical_basis``), so the basis
-does not depend on how the system was solved.  The residual quadratic
-Jacobi constraints are extracted in the nullspace parameters t0, t1, ...
+first-argument Leibniz rule plus H0-skew for modified ones.  The nullspace
+of that system, expanded through C[i] = sum_d x[i][d] D_d, is already the
+basis that the exact nullspace of the one-shot system on all n^4 unknowns
+has, so the basis does not depend on how the system was solved.  A
+nullspace vector is 1 at its free column, 0 at the other free columns, and
+nonzero elsewhere only at smaller pivot columns; that is the reduced
+echelon basis of the kernel for pivots at the largest column, scaled to 1
+at each pivot.  Each D_d is 1 at its free column f_d and nonzero elsewhere
+only at smaller columns, and f_d ascends with d, so the largest nonzero
+flat column of an expanded x is the image i * n^3 + f_d of its largest
+nonzero column i * p + d, where it takes x's value.  The expanded x-space
+basis is therefore that reduced basis too.  The residual quadratic Jacobi
+constraints are extracted in the nullspace parameters t0, t1, ...
 
 Every Leibniz system (the derivation stage, ``hh1``, and the first-argument
 rule of modified brackets) is imposed on the pairs (k, l) with e_k in a
@@ -71,16 +79,9 @@ from .axioms import (
 )
 from .brackets import CoefficientBracket, DoubleBracket, DoubleDerivation
 from .inner import inner_bracket, wedge_basis
-from .linalg import (
-    SparseEliminator,
-    canonical_basis,
-    nullspace_of_rows,
-    primitive_row,
-    rank_of_rows,
-    row_spans_equal,
-)
+from .linalg import SparseEliminator, nullspace_of_rows, rank_of_rows, row_spans_equal
 from .modified import ModifiedBracket
-from .poly import PolyRing, QuadraticForm
+from .poly import PolyRing, QuadraticForm, exact_scalar
 from .tensors import Tensor2
 
 
@@ -266,7 +267,8 @@ def _solve_over_derivations(algebra: FDAlgebra, generators, groups, modified: bo
     `generators` generate the algebra (``_derivation_rows``).  The unknowns
     are the coordinates x[i][d] (column i * p + d) of C[i] = sum_d x[i][d] D_d
     over the derivation basis D_1..D_p, used as ``linalg`` returns it, in
-    exact scalars; the canonical basis of the answer depends only on its span.
+    exact scalars.  Their nullspace, expanded, is the basis of the one-shot
+    system (see the module docstring), with its sums read as exact scalars.
     """
     n = algebra.dim
     n3 = n**3
@@ -284,8 +286,8 @@ def _solve_over_derivations(algebra: FDAlgebra, generators, groups, modified: bo
             for c, w in derivations[d].items():
                 idx = i * n3 + c
                 flat[idx] = flat.get(idx, 0) + coeff * w
-        brackets.append(flat)
-    return _rows_to_variety(algebra, canonical_basis(brackets, n**4), modified)
+        brackets.append({idx: exact_scalar(v) for idx, v in flat.items() if v})
+    return _rows_to_variety(algebra, brackets, modified)
 
 
 def _skew_groups(n: int):
@@ -307,9 +309,13 @@ def solve_linear(algebra: FDAlgebra, generators=None) -> LinearVariety:
     return _solve_over_derivations(algebra, generators, _skew_groups(algebra.dim), modified=False)
 
 
-def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
-    """Nullspace of both Leibniz rules plus the (linear) H0-skew condition."""
-    generators = generating_set(algebra)
+def solve_modified_linear(algebra: FDAlgebra, generators=None) -> LinearVariety:
+    """Nullspace of both Leibniz rules plus the (linear) H0-skew condition.
+
+    ``generators`` generate the algebra; by default ``algebra.generating_set``.
+    """
+    if generators is None:
+        generators = generating_set(algebra)
     groups = chain(_first_leibniz_groups(algebra, generators), _h0_skew_groups(algebra))
     return _solve_over_derivations(algebra, generators, groups, modified=True)
 
@@ -322,7 +328,8 @@ def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
 # (k, c) pairs with c the exact scalar of basis bracket k, an int wherever the
 # basis is integral.  A quadratic form is a map from monomial key to exact
 # scalar, where t_k t_l (k <= l) has key k * p + l; the smallest key of a form
-# is its graded-lex leading monomial.
+# is its graded-lex leading monomial.  Both Jacobi stages sum the products of
+# their parts with ``_forms``.
 
 
 def _slot_forms(variety: LinearVariety):
@@ -348,37 +355,40 @@ def _monomial_keys(p: int) -> list[list[int]]:
     return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
 
 
-def _quadratic_sum(products, keys, index, out: dict[int, dict[int, int | Fraction]]) -> None:
-    """Add f * g to the quadratic form out[index[position]] for each (position, f, g) product."""
-    for pos, f, g in products:
-        pos = index[pos]
-        acc = out.get(pos)
-        if acc is None:
-            acc = out[pos] = {}
-        for k, u in f:
-            row = keys[k]
-            for l, v in g:
-                key = row[l]
-                acc[key] = acc.get(key, 0) + u * v
+def _forms(parts, keys):
+    """The nonzero quadratic forms of sum(sign * f * g), in landed position order, keys ascending.
 
-
-def _combine(terms):
-    """The nonzero entries of sum(sign * entries) over the (sign, entries) terms, in position order.
-
-    ``entries`` maps a position to a quadratic form.
+    ``parts`` are (sign, land, products) with (position, f, g) products of
+    linear forms: sign * f * g adds to the form at land[position].  Every
+    product goes into one map, keyed land[position] * p^2 + monomial key, so
+    one sort of its keys lists the forms by position and each form by key.
     """
-    total: dict[int, dict[int, int | Fraction]] = {}
-    for sign, entries in terms:
-        for pos, form in entries.items():
-            acc = total.get(pos)
-            if acc is None:
-                acc = total[pos] = {}
-            for key, v in form.items():
-                acc[key] = acc.get(key, 0) + sign * v
-    for pos in sorted(total):
-        form = {key: v for key, v in total[pos].items() if v}
-        if form:
-            yield form
+    p2 = len(keys) ** 2
+    total: dict[int, int | Fraction] = {}
+    get = total.get
+    for sign, land, products in parts:
+        for pos, f, g in products:
+            base = land[pos] * p2
+            for k, u in f:
+                row = keys[k]
+                if sign < 0:
+                    u = -u
+                for l, v in g:
+                    key = base + row[l]
+                    total[key] = get(key, 0) + u * v
+    form: dict[int, int | Fraction] = {}
+    last = -1
+    for key in sorted(total):
+        v = total[key]
+        if v:
+            pos, key = divmod(key, p2)
+            if pos != last:
+                if form:
+                    yield form
+                form, last = {}, pos
+            form[key] = v
+    if form:
+        yield form
 
 
 def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
@@ -392,10 +402,18 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """
     names = variety.parameter_names
     p = variety.dim
-    # one representative per primitive form (``linalg.primitive_row``) reaches the elimination
+    # a form's keys ascend (``_forms``), so its keys then its values, negated when
+    # the first is negative, name it up to sign; other multiples reduce to zero
     elim = SparseEliminator(p * p)
-    for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
-        elim.add_row(dict(form))
+    seen = set()
+    for form in forms:
+        values = form.values()
+        if next(iter(values)) < 0:
+            values = [-v for v in values]
+        name = (*form, *values)
+        if name not in seen:
+            seen.add(name)
+            elim.add_row(form)
     rows = elim.reduced_pivot_rows()
     constraints = tuple(QuadraticForm(names, rows[lead]) for lead in sorted(rows))
     return LinearVariety(variety.algebra, names, variety.nullspace_basis, constraints, variety.modified)
@@ -407,9 +425,9 @@ def _jacobi_forms(variety: LinearVariety, generators):
     The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
     products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
     each computed by polarization from ``axioms.first_leg_pairs``.  Every
-    part is summed straight into the triple's total, through the map from a
-    product's cell to the index of the cell its legs send it to, and the
-    entries come out in index order.  J(j, k, i) = tau132 J(i, j, k) for any
+    product lands, through the map from its cell to the index of the cell
+    its legs send it to, in the triple's total (``_forms``), and the entries
+    come out in index order.  J(j, k, i) = tau132 J(i, j, k) for any
     coefficient tensor, so one triple per cyclic class is scanned, the least
     of its rotations.
     """
@@ -423,16 +441,8 @@ def _jacobi_forms(variety: LinearVariety, generators):
     for i, j, k in product(generators, repeat=3):
         if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
             continue
-        total: dict[int, dict[int, int | Fraction]] = {}
-        for (a, b, c), legs in jacobiator_parts(i, j, k):
-            _quadratic_sum(first_leg_pairs(slots[a], slots[b][c]), keys, lands[legs], total)
-        for pos in sorted(total):
-            form = total[pos]
-            if not any(form.values()):  # most entries cancel between the parts
-                continue
-            if 0 in form.values():
-                form = {key: v for key, v in form.items() if v}
-            yield form
+        parts = jacobiator_parts(i, j, k)
+        yield from _forms(((1, lands[legs], first_leg_pairs(slots[a], slots[b][c])) for (a, b, c), legs in parts), keys)
 
 
 def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
@@ -455,14 +465,32 @@ def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety
     return _with_constraints(variety, _jacobi_forms(variety, generators))
 
 
+def _h0_jacobi_forms(variety: LinearVariety, generators):
+    """The nonzero coordinates of the H0 Jacobi residuals of the general element on (i, j, k), k in generators.
+
+    Each residual sums the signed products of ``axioms.nested_pairs`` at
+    their coordinates (``_forms``), and its coordinates come out in order.
+    """
+    n = variety.algebra.dim
+    slots = _slot_forms(variety)
+    keys = _monomial_keys(variety.dim)
+    # the structure constants scaled to integers: again a uniform factor
+    mul = _integer_products(variety.algebra)
+    # table[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
+    table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
+    same = range(n)
+    for i, j, k in product(range(n), range(n), generators):
+        parts = ((sign, same, nested_pairs(table, *t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k))
+        yield from _forms(parts, keys)
+
+
 def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
     """Quadratic constraints from the modified Jacobi identity (H0 bracket).
 
     With M(a, b) = m({{e_a, e_b}}) as linear forms, the residual
     {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k} is
     F(i,j,k) - F(j,i,k) - H(i,j,k) for F(i,j,k) = sum_b M(j,k)_b M(i,b) and
-    H(i,j,k) = sum_a M(i,j)_a M(a,k) (``axioms.h0_jacobiator_parts``); each
-    F is computed once.
+    H(i,j,k) = sum_a M(i,j)_a M(a,k) (``axioms.h0_jacobiator_parts``).
 
     Precondition: the basis brackets satisfy the Leibniz rule in the second
     argument, as the ``solve_modified_linear`` basis does.  Then {a, -} =
@@ -475,31 +503,9 @@ def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVari
     """
     if variety.dim == 0:
         return variety
-    alg = variety.algebra
-    n = alg.dim
     if generators is None:
-        generators = generating_set(alg)
-    slots = _slot_forms(variety)
-    keys = _monomial_keys(variety.dim)
-    # the structure constants scaled to integers: again a uniform factor
-    mul = _integer_products(alg)
-    # table[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
-    table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
-    same = list(range(n))
-    nested: dict = {}
-
-    def part(t, left):
-        entries = nested.get((t, left))
-        if entries is None:
-            entries = nested[t, left] = {}
-            _quadratic_sum(nested_pairs(table, *t, left), keys, same, entries)
-        return entries
-
-    def residual_entries():
-        for i, j, k in product(range(n), range(n), generators):
-            yield from _combine((sign, part(t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k))
-
-    return _with_constraints(variety, residual_entries())
+        generators = generating_set(variety.algebra)
+    return _with_constraints(variety, _h0_jacobi_forms(variety, generators))
 
 
 def _multiplied_forms(mul, slot) -> list:
@@ -514,8 +520,12 @@ def _multiplied_forms(mul, slot) -> list:
 
 
 def solve_modified(algebra: FDAlgebra) -> LinearVariety:
-    """Full modified-bracket classification: linear part + quadratic constraints."""
-    return h0_jacobi_constraints(solve_modified_linear(algebra))
+    """Full modified-bracket classification: linear part + quadratic constraints.
+
+    One generating set serves both stages.
+    """
+    generators = generating_set(algebra)
+    return h0_jacobi_constraints(solve_modified_linear(algebra, generators=generators), generators=generators)
 
 
 def solve(algebra: FDAlgebra) -> LinearVariety:

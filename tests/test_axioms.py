@@ -28,19 +28,19 @@ from doublepoisson.axioms import (
     skew_terms,
 )
 from doublepoisson.brackets import DoubleBracket, _pair_residual, _residual
-from doublepoisson.modified import ModifiedBracket
+from doublepoisson.modified import ModifiedBracket, h0_jacobi_check
 from doublepoisson.solver import (
     LinearVariety,
     _fold_rows,
     _generic_slot,
+    _h0_jacobi_forms,
     _integer_products,
     _jacobi_forms,
     _monomial_keys,
     _multiplied_forms,
-    _quadratic_sum,
     _slot_forms,
 )
-from test_solver import ORACLE_ALGEBRAS, _two_stage_algebra
+from test_solver import ORACLE_ALGEBRAS, _summed, _two_stage_algebra
 
 SPECS = ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2")
 
@@ -69,13 +69,6 @@ def _assert_linear_contract(solver_terms, checker_terms, flat, factor):
     for pos in rows.keys() | residual.keys():
         value = sum(v * flat.get(col, 0) for col, v in rows.get(pos, {}).items())
         assert value == factor * residual.get(pos, 0), pos
-
-
-def _summed(products, keys, index):
-    """The solver fold of quadratic products: index[position] -> quadratic form."""
-    out = {}
-    _quadratic_sum(products, keys, index, out)
-    return out
 
 
 def _assert_quadratic_contract(forms, residual, factor):
@@ -128,7 +121,8 @@ def test_quadratic_folds_agree(algebras, data):
     terms = bracket.terms
     # the variety spanned by the bracket alone: its slot forms are C[i][j][a][b] t0
     den = _common_denominator(v for row in alg.products for cell in row for _, v in cell)
-    slots = _slot_forms(LinearVariety(alg, ("t0",), (bracket,), (), True))
+    modified = LinearVariety(alg, ("t0",), (bracket,), (), True)
+    slots = _slot_forms(modified)
     keys = _monomial_keys(1)
     index = {p: k for k, p in enumerate(product(range(n), repeat=3))}
     for i, j, k in product(range(n), repeat=3):
@@ -154,3 +148,6 @@ def test_quadratic_folds_agree(algebras, data):
                 _pair_residual(nested_pairs(table, *t, left)),
                 den**2,
             )
+    # the H0 residuals: the nonzero coordinates of every triple, in coordinate order
+    expected = [den**2 * v for _, r in h0_jacobi_check(bracket) for v in r.coords if v]
+    assert [form[0] for form in _h0_jacobi_forms(modified, range(n))] == expected

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,6 +280,18 @@ def test_check_rejects_malformed_bracket_coefficient(tmp_path, capsys, params, c
     assert main(["check", "--algebra", "a2", "--bracket", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"bracket entry [0, 1, 0, 0, {coeff!r}]" in err
+
+
+@pytest.mark.parametrize("coeff", ["1e4000000", "1_000", "\u0663"], ids=["exponent", "separator", "non-ascii-digit"])
+def test_check_rejects_non_rational_coefficient_at_once(tmp_path, capsys, coeff):
+    # "1e4000000" used to be expanded into a 4,000,001-digit integer, seconds before any check
+    bad = tmp_path / "coeff.json"
+    bad.write_text(json.dumps({"algebra": "a2", "params": [], "coeffs": [[0, 1, 0, 0, coeff]]}))
+    start = time.perf_counter()
+    assert main(["check", "--algebra", "a2", "--bracket", str(bad)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a rational number" in err
 
 
 @pytest.mark.parametrize("coeff", ["1/0", 1], ids=["zero-denominator", "number"])

@@ -23,7 +23,7 @@ from doublepoisson.algebra import AlgElement, FDAlgebra, commutator_subspace, ge
 from doublepoisson.brackets import AxiomReport, CoefficientBracket, DoubleBracket
 from doublepoisson.families import a2_double_family
 from doublepoisson.inner import WedgeElement, aybe_obstruction, inner_bracket, weak_jacobi_condition
-from doublepoisson.linalg import canonical_basis, invert_matrix, nullspace_of_rows
+from doublepoisson.linalg import invert_matrix, nullspace_of_rows
 from doublepoisson.modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
 from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, exact_scalar, parse_rational
 from doublepoisson.repspace import PoissonTable, induce
@@ -35,7 +35,7 @@ from doublepoisson.solver import (
     solve_modified,
 )
 from doublepoisson.tensors import Tensor2, Tensor3
-from test_solver import _two_stage_algebra
+from test_solver import _two_stage_algebra, canonical_basis
 
 SPECS = ("a2", "mat2", "T3", "a2+mat1/2")
 INTEGRAL_SPECS = ("a2", "mat2", "T3")

@@ -12,7 +12,6 @@ from doublepoisson import linalg, solver
 from doublepoisson.algebra import generating_set, resolve_preset
 from doublepoisson.linalg import (
     SparseEliminator,
-    canonical_basis,
     in_span,
     invert_matrix,
     nullspace_of_rows,
@@ -22,7 +21,7 @@ from doublepoisson.linalg import (
     subspaces_equal,
 )
 from doublepoisson.poly import exact_scalar
-from test_solver import _rebased_json
+from test_solver import _rebased_json, canonical_basis
 
 
 def _exact_scalar(x) -> bool:

@@ -5,7 +5,8 @@ elimination, so any change to how rows are reduced, scaled or ordered that
 reaches an output shows up here as a changed digest.  solve, solve
 --modified and hh1 run on the ladder a2, mat2, a2+a2, mat3, the
 upper-triangular T3, a rebased mat2 and a2+mat1 with halved structure
-constants, where rational rows meet the elimination.  The inverse of
+constants, where rational rows meet the elimination; solve runs on mat4 too,
+the one pinned output with more than a few hundred constraints (1,045).  The inverse of
 ``inner --aybe-scan`` on a2, the exact rep3 chart check of an a2 bracket off
 the Jacobi variety (exit 1) and the golden ``report`` (exit 1, one strict
 xfail) are pinned too, and so are ``check`` on that bracket (exit 1) and on
@@ -157,6 +158,7 @@ DIGESTS = {
     ("mat3", "solve"): "7a19e803e097fe4e2996dcf48997a5c94c1a819539a26a287df49a007a4d997b",
     ("mat3", "solve --modified"): "61ffc1135fd112554eafeb841b7189ad1f3add3c2f14eb23b237b044a4c1227f",
     ("mat3", "hh1"): "7397ee445f27f424763d9cef4a3041d9ed284402d94dd01cc58795a547797384",
+    ("mat4", "solve"): "71d15bbbff77587d91c1aec10dd9e245605852657a644ae9bae56477aee477cc",
     ("T3", "solve"): "4ba34e9a01ba30a81f8782bafb773f440929e0d88cfb173178d356ff312f72f4",
     ("T3", "solve --modified"): "0d2eb11729092e07a47833d97d549baf30a939bcc26b65b1777644dfc6c9b6ec",
     ("T3", "hh1"): "4997bfd26329304d9dd5e70158f15d9b8688338f1c19603a0e7f76e6af51f986",

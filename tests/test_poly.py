@@ -30,6 +30,13 @@ def test_rational_round_trip():
     assert parse_rational("-3") == Fraction(-3)
 
 
+def test_parse_rational_reads_a_sign_ascii_digits_and_one_separator():
+    assert [parse_rational(t) for t in ("+7", "-3/6", "2.50", " 0 ")] == [7, Fraction(-1, 2), Fraction(5, 2), 0]
+    for text in ("1e4000000", "1E3", "1_000", "\u0663", "\u00b2", "0x10", ".5", "1.", "1/", "1/2/3", "1.5/2", "inf", "nan", ""):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
 def test_rational_arith_examples():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(2, 4) * 1 == Fraction(1, 2)

@@ -21,7 +21,7 @@ from doublepoisson.algebra import (
     make_matrix_algebra,
     resolve_preset,
 )
-from doublepoisson.axioms import derivation_terms, first_leg_pairs, flipped, skew_terms
+from doublepoisson.axioms import derivation_terms, first_leg_pairs, flipped, nested_pairs, skew_terms
 from doublepoisson.brackets import DoubleBracket, DoubleDerivation
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
@@ -46,10 +46,12 @@ from doublepoisson.solver import (
     _derivation_rows,
     _first_leibniz_groups,
     _generic_slot,
+    _h0_jacobi_forms,
     _h0_skew_groups,
     _integer_products,
     _jacobi_forms,
     _monomial_keys,
+    _multiplied_forms,
     _rows,
     _skew_groups,
     _slot_forms,
@@ -62,6 +64,7 @@ from doublepoisson.solver import (
     outer_double_derivation_dim,
     solve,
     solve_linear,
+    solve_modified,
     solve_modified_linear,
 )
 from jacobi_oracles import double_jacobiator
@@ -936,6 +939,17 @@ def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
+def test_solve_modified_finds_the_generators_once(monkeypatch, tmp_path):
+    """solve_modified and the CLI solve --modified command share one generating set between the two stages."""
+    calls = []
+    monkeypatch.setattr(solver, "generating_set", lambda algebra: calls.append(algebra) or generating_set(algebra))
+    solve_modified(make_a2())
+    assert len(calls) == 1
+    argv = ["solve", "--modified", "--algebra", "a2", "--format", "json", "--out", str(tmp_path / "a2.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
+
+
 # -- oracle: the one-shot linear systems on n^4 unknowns ------------------------------
 #
 # The linear axioms used to be solved as one system over the whole coefficient
@@ -946,6 +960,29 @@ def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
 
 def _dense_nullspace(rows, ncols):
     return [[vec.get(c, 0) for c in range(ncols)] for vec in nullspace_of_rows(rows, ncols)]
+
+
+def canonical_basis(rows, ncols):
+    """The basis of span(rows) that ``SparseEliminator.nullspace`` gives for a system with that kernel.
+
+    A nullspace vector is 1 at its free column, 0 at the other free columns,
+    and nonzero elsewhere only at pivot columns smaller than its free column.
+    So the nullspace basis of a system is the reduced echelon basis of its
+    kernel for pivots taken at the largest column, scaled to 1 at each pivot,
+    in ascending pivot order; any spanning set of the kernel gives it back.
+    The elimination runs on reversed columns, so its smallest-column pivots
+    are the largest columns, and its monic reduced rows are the basis.  The
+    vectors come back as sparse rows {column: nonzero value}, columns
+    ascending.
+    """
+    last = ncols - 1
+    elim = SparseEliminator(ncols)
+    for row in rows:
+        elim.add_row({last - c: v for c, v in row.items()})
+    return [
+        {last - c: row[c] for c in sorted(row, reverse=True)}
+        for _, row in sorted(elim.reduced_pivot_rows().items(), reverse=True)
+    ]
 
 
 def _one_shot_solve_linear(algebra):
@@ -960,7 +997,7 @@ def _one_shot_solve_modified_linear(algebra):
 
 def _rebased_json(spec, path, seed):
     """The algebra in the basis f = P e for a seeded unimodular integer P."""
-    algebra = resolve_preset(spec)
+    algebra = _ladder_algebra(spec)
     n = algebra.dim
     rng = random.Random(seed)
     P = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -1017,6 +1054,22 @@ def test_solve_modified_linear_matches_one_shot_oracle(spec, tmp_path):
     algebra = _two_stage_algebra(spec, tmp_path)
     got = [b.flat_coeffs() for b in solve_modified_linear(algebra).nullspace_basis]
     assert _exact(got) == _exact(_one_shot_solve_modified_linear(algebra))
+
+
+# The two-stage nullspace, expanded through the derivation basis, is returned as
+# it is: it must already be the canonical basis of its span, scalar for scalar,
+# ints where integral, on bases where the derivations carry fractions.
+
+
+@seed(20261026)
+@settings(max_examples=10, deadline=None, database=None)
+@given(st.sampled_from(("mat2", "a2+a2", "T3", "a2+mat1", "mat2+mat1")), st.integers(0, 10**6))
+def test_expanded_nullspace_is_the_canonical_basis_on_random_bases(tmp_path_factory, spec, basis_seed):
+    path = tmp_path_factory.mktemp("rebased") / "rebased.json"
+    algebra = dpio.load_algebra(_rebased_json(spec, path, basis_seed))
+    for linear in (solve_linear, solve_modified_linear):
+        basis = [b.flat_terms() for b in linear(algebra).nullspace_basis]
+        assert basis and _exact_rows(basis) == _exact_rows(canonical_basis(basis, algebra.dim**4)), linear.__name__
 
 
 # -- oracle: innerness ranked on dense flat_coeffs() lists -------------------------
@@ -1108,7 +1161,46 @@ def test_coordinate_rows_match_the_substituted_rows_on_random_bases(tmp_path_fac
     _coordinate_row_counts(dpio.load_algebra(_rebased_json(spec, path, basis_seed)))
 
 
-# tau123(a(x)b(x)c) = c(x)a(x)b and tau132 = tau123^2, written out rather than read from axioms
+# -- oracle: each Jacobi part summed on its own, then the signed parts combined -------
+#
+# Both Jacobi stages used to sum each part's products into a map from position
+# to quadratic form (``_quadratic_sum``) and then add up the signed maps of a
+# residual (``_combine``); the H0 stage kept each part in a memo, since every
+# F(i, j, k) serves two residuals.  Those loops, kept here with the part signs
+# and legs written out rather than read from ``axioms``, are the oracle of
+# ``solver._forms`` on both stages: the same forms, in the same order.
+
+
+def _quadratic_sum(products, keys, index, out):
+    """Add f * g to the quadratic form out[index[position]] for each (position, f, g) product."""
+    for pos, f, g in products:
+        acc = out.setdefault(index[pos], {})
+        for k, u in f:
+            for l, v in g:
+                acc[keys[k][l]] = acc.get(keys[k][l], 0) + u * v
+
+
+def _summed(products, keys, index):
+    out = {}
+    _quadratic_sum(products, keys, index, out)
+    return out
+
+
+def _combine(terms):
+    """The nonzero entries of sum(sign * entries) over the (sign, entries) terms, in position order."""
+    total = {}
+    for sign, entries in terms:
+        for pos, form in entries.items():
+            acc = total.setdefault(pos, {})
+            for key, v in form.items():
+                acc[key] = acc.get(key, 0) + sign * v
+    for pos in sorted(total):
+        form = {key: v for key, v in total[pos].items() if v}
+        if form:
+            yield form
+
+
+# tau123(a(x)b(x)c) = c(x)a(x)b and tau132 = tau123^2
 _PART_LEGS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
@@ -1118,34 +1210,61 @@ def _part_by_part_jacobi_forms(variety, generators):
     keys = _monomial_keys(variety.dim)
     cells = list(product(range(n), repeat=3))
     index = {cell: pos for pos, cell in enumerate(cells)}
-    perms = {legs: [index[c[legs[0]], c[legs[1]], c[legs[2]]] for c in cells] for legs in _PART_LEGS}
+    lands = {legs: {c: index[c[legs[0]], c[legs[1]], c[legs[2]]] for c in cells} for legs in _PART_LEGS}
     for i, j, k in product(generators, repeat=3):
         if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
             continue
-        total = {}
-        for (a, b, c), legs in zip(((i, j, k), (j, k, i), (k, i, j)), _PART_LEGS):
-            part = {}
-            for cell, f, g in first_leg_pairs(slots[a], slots[b][c]):
-                acc = part.setdefault(index[cell], {})
-                for s, u in f:
-                    for t, v in g:
-                        acc[keys[s][t]] = acc.get(keys[s][t], 0) + u * v
-            for pos, form in part.items():
-                acc = total.setdefault(perms[legs][pos], {})
-                for key, v in form.items():
-                    acc[key] = acc.get(key, 0) + v
-        for pos in sorted(total):
-            form = {key: v for key, v in total[pos].items() if v}
-            if form:
-                yield form
+        parts = zip(((i, j, k), (j, k, i), (k, i, j)), _PART_LEGS)
+        yield from _combine((1, _summed(first_leg_pairs(slots[a], slots[b][c]), keys, lands[legs])) for (a, b, c), legs in parts)
+
+
+def _part_by_part_h0_jacobi_forms(variety, generators):
+    n = variety.algebra.dim
+    slots = _slot_forms(variety)
+    keys = _monomial_keys(variety.dim)
+    mul = _integer_products(variety.algebra)
+    table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
+    memo = {}
+
+    def part(t, left):
+        if (t, left) not in memo:
+            memo[t, left] = _summed(nested_pairs(table, *t, left), keys, range(n))
+        return memo[t, left]
+
+    for i, j, k in product(range(n), range(n), generators):
+        # {e_i,{e_j,e_k}} - {e_j,{e_i,e_k}} - {{e_i,e_j},e_k}
+        parts = ((1, (i, j, k), False), (-1, (j, i, k), False), (-1, (i, j, k), True))
+        yield from _combine((sign, part(t, left)) for sign, t, left in parts)
+
+
+def _exact_forms(forms):
+    """The forms with their keys sorted and their exact scalars by repr."""
+    return [sorted((key, repr(v)) for key, v in form.items()) for form in forms]
+
+
+def _assert_forms_match(got, oracle):
+    got = list(got)
+    assert all(list(form) == sorted(form) for form in got)  # keys ascend, as _with_constraints needs
+    assert _exact_forms(got) == _exact_forms(oracle)
 
 
 @pytest.mark.parametrize("spec", FOLD_ORACLE_ALGEBRAS)
 def test_jacobi_forms_match_the_part_by_part_sums(spec, tmp_path):
     linear = solve_linear(_two_stage_algebra(spec, tmp_path))
     generators = generating_set(linear.algebra)
-    got = _exact_rows(_jacobi_forms(linear, generators))
-    assert got and got == _exact_rows(_part_by_part_jacobi_forms(linear, generators))
+    oracle = list(_part_by_part_jacobi_forms(linear, generators))
+    assert oracle
+    _assert_forms_match(_jacobi_forms(linear, generators), oracle)
+
+
+@pytest.mark.parametrize("spec", list(DERIVATION_RUNGS) + ["T3"])
+def test_h0_jacobi_forms_match_the_part_by_part_sums(spec):
+    # the presets have no H0 Jacobi constraints; the brackets of derivation slots have
+    variety = _derivation_variety(_ladder_algebra(spec))
+    generators = generating_set(variety.algebra)
+    oracle = list(_part_by_part_h0_jacobi_forms(variety, generators))
+    assert oracle
+    _assert_forms_match(_h0_jacobi_forms(variety, generators), oracle)
 
 
 @seed(20261025)
@@ -1153,4 +1272,7 @@ def test_jacobi_forms_match_the_part_by_part_sums(spec, tmp_path):
 @given(_random_varieties())
 def test_jacobi_forms_match_the_part_by_part_sums_on_random_brackets(variety):
     every = range(variety.algebra.dim)
-    assert _exact_rows(_jacobi_forms(variety, every)) == _exact_rows(_part_by_part_jacobi_forms(variety, every))
+    if variety.modified:
+        _assert_forms_match(_h0_jacobi_forms(variety, every), _part_by_part_h0_jacobi_forms(variety, every))
+    else:
+        _assert_forms_match(_jacobi_forms(variety, every), _part_by_part_jacobi_forms(variety, every))
