@@ -579,8 +579,8 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ValueError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
+            if not (exp_tok.isascii() and exp_tok.isdigit()):
+                raise ValueError(f"exponent must be a nonnegative integer in ASCII digits, got {exp_tok!r}")
             base = base ** int(exp_tok)
         return base
 

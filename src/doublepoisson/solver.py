@@ -309,13 +309,9 @@ def solve_linear(algebra: FDAlgebra, generators=None) -> LinearVariety:
     return _solve_over_derivations(algebra, generators, _skew_groups(algebra.dim), modified=False)
 
 
-def solve_modified_linear(algebra: FDAlgebra, generators=None) -> LinearVariety:
-    """Nullspace of both Leibniz rules plus the (linear) H0-skew condition.
-
-    ``generators`` generate the algebra; by default ``algebra.generating_set``.
-    """
-    if generators is None:
-        generators = generating_set(algebra)
+def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
+    """Nullspace of both Leibniz rules plus the (linear) H0-skew condition."""
+    generators = generating_set(algebra)
     groups = chain(_first_leibniz_groups(algebra, generators), _h0_skew_groups(algebra))
     return _solve_over_derivations(algebra, generators, groups, modified=True)
 
@@ -520,12 +516,8 @@ def _multiplied_forms(mul, slot) -> list:
 
 
 def solve_modified(algebra: FDAlgebra) -> LinearVariety:
-    """Full modified-bracket classification: linear part + quadratic constraints.
-
-    One generating set serves both stages.
-    """
-    generators = generating_set(algebra)
-    return h0_jacobi_constraints(solve_modified_linear(algebra, generators=generators), generators=generators)
+    """Full modified-bracket classification: linear part + quadratic constraints."""
+    return h0_jacobi_constraints(solve_modified_linear(algebra))
 
 
 def solve(algebra: FDAlgebra) -> LinearVariety:

@@ -75,6 +75,9 @@ def test_parse_rejects_garbage(cs_ring):
         cs_ring.parse("q + 1")  # unknown variable
     with pytest.raises(ValueError):
         cs_ring.parse("c ** 2")
+    for text in ("c^\u0663", "c^\u00b2", "\u0663*c"):  # non-ASCII digits, as in parse_rational
+        with pytest.raises(ValueError):
+            cs_ring.parse(text)
 
 
 def test_ring_mismatch_errors(cs_ring):

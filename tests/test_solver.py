@@ -939,17 +939,6 @@ def test_solve_finds_the_generators_once(monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
-def test_solve_modified_finds_the_generators_once(monkeypatch, tmp_path):
-    """solve_modified and the CLI solve --modified command share one generating set between the two stages."""
-    calls = []
-    monkeypatch.setattr(solver, "generating_set", lambda algebra: calls.append(algebra) or generating_set(algebra))
-    solve_modified(make_a2())
-    assert len(calls) == 1
-    argv = ["solve", "--modified", "--algebra", "a2", "--format", "json", "--out", str(tmp_path / "a2.json")]
-    assert cli.main(argv) == 0
-    assert len(calls) == 2
-
-
 # -- oracle: the one-shot linear systems on n^4 unknowns ------------------------------
 #
 # The linear axioms used to be solved as one system over the whole coefficient
@@ -1271,8 +1260,7 @@ def test_h0_jacobi_forms_match_the_part_by_part_sums(spec):
 @settings(max_examples=40, deadline=None, database=None)
 @given(_random_varieties())
 def test_jacobi_forms_match_the_part_by_part_sums_on_random_brackets(variety):
+    # both kernels read only the slot forms, and the bilinear sums hold on any bracket
     every = range(variety.algebra.dim)
-    if variety.modified:
-        _assert_forms_match(_h0_jacobi_forms(variety, every), _part_by_part_h0_jacobi_forms(variety, every))
-    else:
-        _assert_forms_match(_jacobi_forms(variety, every), _part_by_part_jacobi_forms(variety, every))
+    _assert_forms_match(_jacobi_forms(variety, every), _part_by_part_jacobi_forms(variety, every))
+    _assert_forms_match(_h0_jacobi_forms(variety, every), _part_by_part_h0_jacobi_forms(variety, every))
