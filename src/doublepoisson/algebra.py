@@ -28,7 +28,6 @@ built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Sequence
@@ -43,15 +42,32 @@ class AlgebraError(ValueError):
     """Raised for malformed algebras and mixed-algebra operations."""
 
 
-@dataclass(frozen=True)
 class FDAlgebra:
-    name: str
-    basis_names: tuple[str, ...]
-    unit: tuple[int | Fraction, ...]
-    #: products[i][j]: the nonzero (k, c) pairs of e_i e_j = sum c e_k, k ascending
-    products: tuple
+    # products[i][j]: the nonzero (k, c) pairs of e_i e_j = sum c e_k, k ascending
+    __slots__ = ("name", "basis_names", "unit", "products")
+
+    def __init__(self, name: str, basis_names: tuple[str, ...], unit: tuple, products: tuple):
+        self.name = name
+        self.basis_names = basis_names
+        self.unit = unit
+        self.products = products
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return (self.name, self.basis_names, self.unit, self.products)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __post_init__(self):
+        # the load-time checks; perfbench/tracer.py times and counts builds through this name
         n = self.dim
         if len(self.unit) != n or len(self.products) != n or any(len(row) != n for row in self.products):
             raise AlgebraError(f"{self.name}: inconsistent dimensions")
@@ -159,14 +175,14 @@ def _basis_coords(n: int, i: int) -> tuple[int, ...]:
     return tuple(int(k == i) for k in range(n))
 
 
-@dataclass(frozen=True)
 class AlgElement:
-    algebra: FDAlgebra
-    coords: tuple
+    __slots__ = ("algebra", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
+    def __init__(self, algebra: FDAlgebra, coords: tuple):
+        if len(coords) != algebra.dim:
             raise AlgebraError("coordinate length does not match algebra dimension")
+        self.algebra = algebra
+        self.coords = coords
 
     def _same(self, other: AlgElement) -> None:
         if self.algebra != other.algebra:
@@ -435,7 +451,6 @@ def generating_set(algebra: FDAlgebra) -> tuple[int, ...]:
 # -- commutator subspace ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CommutatorSubspace:
     """[A,A] as a subspace of A, plus the complementary trace-space data.
 
@@ -444,10 +459,13 @@ class CommutatorSubspace:
     non-pivot basis positions ``complement_indices``.
     """
 
-    algebra: FDAlgebra
-    basis: tuple[tuple[int | Fraction, ...], ...]
-    pivot_columns: tuple[int, ...]
-    complement_indices: tuple[int, ...]
+    __slots__ = ("algebra", "basis", "pivot_columns", "complement_indices")
+
+    def __init__(self, algebra: FDAlgebra, basis: tuple, pivot_columns: tuple, complement_indices: tuple):
+        self.algebra = algebra
+        self.basis = basis
+        self.pivot_columns = pivot_columns
+        self.complement_indices = complement_indices
 
     @property
     def dim(self) -> int:

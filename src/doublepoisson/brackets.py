@@ -24,7 +24,6 @@ coefficient has a denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -82,12 +81,14 @@ def _witnesses(axiom: str, indices, residual, to_tensor, rels, collect: bool = T
     return out
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    skew_ok: bool
-    leibniz_ok: bool
-    jacobi_ok: bool
-    residuals: tuple = ()
+    __slots__ = ("skew_ok", "leibniz_ok", "jacobi_ok", "residuals")
+
+    def __init__(self, skew_ok: bool, leibniz_ok: bool, jacobi_ok: bool, residuals: tuple = ()):
+        self.skew_ok = skew_ok
+        self.leibniz_ok = leibniz_ok
+        self.jacobi_ok = jacobi_ok
+        self.residuals = residuals
 
     @property
     def all_ok(self) -> bool:
@@ -350,16 +351,21 @@ class DoubleBracket(CoefficientBracket):
 # -- double derivations (double vector fields) ---------------------------------
 
 
-@dataclass(frozen=True)
 class DoubleDerivation:
     """A linear map A -> A(x)A, candidate member of Der(A, A(x)A) (outer structure)."""
 
-    algebra: FDAlgebra
-    images: tuple[Tensor2, ...]
+    __slots__ = ("algebra", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.algebra.dim:
+    def __init__(self, algebra: FDAlgebra, images: tuple[Tensor2, ...]):
+        if len(images) != algebra.dim:
             raise AlgebraError("need one image per basis element")
+        self.algebra = algebra
+        self.images = images
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DoubleDerivation):
+            return NotImplemented
+        return self.algebra == other.algebra and self.images == other.images
 
     @staticmethod
     def inner(m: Tensor2) -> DoubleDerivation:

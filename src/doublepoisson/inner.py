@@ -20,7 +20,6 @@ a < b terms, like a bracket; its dense antisymmetric grid is a view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
@@ -30,18 +29,26 @@ from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_
 from .tensors import Tensor3, _nonzero_terms, _zero_grid2, tensor3_from_terms
 
 
-@dataclass(frozen=True)
 class WedgeElement:
     """r in Lambda^2 A: r = sum c (e_a(x)e_b - e_b(x)e_a) over its ``terms``.
 
     ``terms`` is the tuple of nonzero (a, b, c) with a < b, in (a, b) order;
     the constructor takes it as given, and ``from_terms`` builds it from
     unordered or summed data.  ``of`` is the one dense entry point, and
-    ``grid`` the dense antisymmetric view.
+    ``grid`` the dense antisymmetric view.  Two wedges are equal when their
+    algebras and terms are.
     """
 
-    algebra: FDAlgebra
-    terms: tuple
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: FDAlgebra, terms: tuple):
+        self.algebra = algebra
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WedgeElement):
+            return NotImplemented
+        return self.algebra == other.algebra and self.terms == other.terms
 
     @staticmethod
     def zero(algebra: FDAlgebra) -> WedgeElement:
@@ -211,15 +218,24 @@ def _reexpress_tensor3_legs(t: Tensor3, leg_basis) -> dict:
     return {k: v for k, v in out.items() if not scalar_is_zero(v)}
 
 
-@dataclass(frozen=True)
 class AybeSystem:
     """Polynomial system J(r) = 0 over a parametrized wedge subspace."""
 
-    algebra: FDAlgebra
-    parameter_names: tuple[str, ...]
-    generators: tuple[WedgeElement, ...]
-    equations: tuple[MultiPoly, ...]
-    weak_equations: tuple[MultiPoly, ...] | None = None
+    __slots__ = ("algebra", "parameter_names", "generators", "equations", "weak_equations")
+
+    def __init__(
+        self,
+        algebra: FDAlgebra,
+        parameter_names: tuple[str, ...],
+        generators: tuple[WedgeElement, ...],
+        equations: tuple[MultiPoly, ...],
+        weak_equations: tuple[MultiPoly, ...] | None = None,
+    ):
+        self.algebra = algebra
+        self.parameter_names = parameter_names
+        self.generators = generators
+        self.equations = equations
+        self.weak_equations = weak_equations
 
     def substitute_point(self, values) -> list[Fraction]:
         """Evaluate every equation at a rational parameter point."""

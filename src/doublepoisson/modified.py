@@ -20,7 +20,6 @@ folds.  The checks here fold the generators over a bracket's terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
@@ -87,13 +86,15 @@ def h0_jacobi_check(mb: ModifiedBracket):
     return bad
 
 
-@dataclass(frozen=True)
 class FlatBracketTable:
     """The induced bracket on A_flat in the complementary coordinate basis."""
 
-    algebra: FDAlgebra
-    basis_indices: tuple[int, ...]
-    table: tuple[tuple[tuple, ...], ...]
+    __slots__ = ("algebra", "basis_indices", "table")
+
+    def __init__(self, algebra: FDAlgebra, basis_indices: tuple[int, ...], table: tuple):
+        self.algebra = algebra
+        self.basis_indices = basis_indices
+        self.table = table
 
     def is_zero(self) -> bool:
         return all(

@@ -19,8 +19,8 @@ construction (single-variable powers such as c^2 -> 1 - s^2) belong here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
@@ -427,7 +427,6 @@ def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     return kept
 
 
-@dataclass(frozen=True)
 class RelationSet:
     """A confluent-by-construction rewrite system for polynomial normal forms.
 
@@ -439,14 +438,15 @@ class RelationSet:
     (disjoint single-variable leading powers).
     """
 
-    ring: PolyRing
-    rules: tuple[tuple[tuple[int, ...], MultiPoly], ...]
+    __slots__ = ("ring", "rules")
 
-    def __post_init__(self):
-        for lead, repl in self.rules:
+    def __init__(self, ring: PolyRing, rules: tuple[tuple[tuple[int, ...], MultiPoly], ...]):
+        for lead, repl in rules:
             for e in repl.terms:
                 if grlex_key(e) >= grlex_key(lead):
                     raise ValueError(f"replacement monomial {e} does not decrease the head {lead}")
+        self.ring = ring
+        self.rules = rules
 
     @staticmethod
     def of(ring: PolyRing, rules: Iterable[tuple[MultiPoly, MultiPoly]]) -> RelationSet:
@@ -498,6 +498,34 @@ class RelationSet:
 #           term   := factor ('*' factor)*
 #           factor := atom ('^' INT)?
 #           atom   := RATIONAL | NAME | '(' expr ')'
+#
+# A power or a product is bounded before it is built: its result may have at
+# most _MAX_TERMS terms and a weight (``_weight``) of at most _MAX_BITS, so no
+# coefficient's numerator or denominator exceeds 2**_MAX_BITS.  Past either
+# limit the parser raises ValueError at once.
+
+_MAX_TERMS = 500
+_MAX_BITS = 10_000
+
+
+def _weight(p: MultiPoly) -> int:
+    """ceil(log2 |P|) + ceil(log2 D), where p = P/D, D the least common denominator of p's coefficients.
+
+    |P| is the sum of the absolute values of P's integer coefficients, so each
+    numerator and denominator of p is at most 2**weight.  Since |PQ| <= |P||Q|,
+    weight(f * g) <= weight(f) + weight(g) and weight(f ** e) <= e * weight(f);
+    a constant c to the power e has at most e times c's bit length in bits.
+    """
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return max(norm - 1, 0).bit_length() + (den - 1).bit_length()
+
+
+def _check_size(what: str, terms: int, bits: int) -> None:
+    if terms > _MAX_TERMS:
+        raise ValueError(f"{what} could expand to more than {_MAX_TERMS} terms")
+    if bits > _MAX_BITS:
+        raise ValueError(f"{what} could expand to coefficients of {bits} bits, more than {_MAX_BITS}")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -571,7 +599,10 @@ class _Parser:
         result = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            result = result * self.parse_factor()
+            factor = self.parse_factor()
+            # a product f*g has at most |f|*|g| terms
+            _check_size("a product", len(result.terms) * len(factor.terms), _weight(result) + _weight(factor))
+            result = result * factor
         return result
 
     def parse_factor(self) -> MultiPoly:
@@ -581,7 +612,13 @@ class _Parser:
             exp_tok = self.take()
             if not (exp_tok.isascii() and exp_tok.isdigit()):
                 raise ValueError(f"exponent must be a nonnegative integer in ASCII digits, got {exp_tok!r}")
-            base = base ** int(exp_tok)
+            e = int(exp_tok)
+            # a k-term base to the power e has at most C(e+k-1, k-1) terms, which is over
+            # the limit once e >= _MAX_TERMS and k >= 2
+            k = len(base.terms)
+            terms = 1 if k < 2 else e + 1 if e >= _MAX_TERMS else comb(e + k - 1, k - 1)
+            _check_size(f"the power ^{exp_tok}", terms, e * _weight(base))
+            base = base ** e
         return base
 
     def parse_atom(self) -> MultiPoly:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,14 +47,16 @@ def _coordinate_names(algebra: FDAlgebra, n: int) -> list[str]:
     return [coord_var_name(g, i, j) for g in algebra.basis_names for i in range(n) for j in range(n)]
 
 
-@dataclass(frozen=True)
 class CoordRing:
     """Generators and defining relations of O(Rep_n(A)), plus bracket parameters."""
 
-    algebra: FDAlgebra
-    n: int
-    params: tuple[str, ...]
-    ring: PolyRing
+    __slots__ = ("algebra", "n", "params", "ring")
+
+    def __init__(self, algebra: FDAlgebra, n: int, params: tuple[str, ...], ring: PolyRing):
+        self.algebra = algebra
+        self.n = n
+        self.params = params
+        self.ring = ring
 
     @staticmethod
     def build(algebra: FDAlgebra, n: int, params: tuple[str, ...] = ()) -> CoordRing:
@@ -111,12 +112,14 @@ class CoordRing:
         return out
 
 
-@dataclass(frozen=True)
 class PoissonTable:
     """Pairwise generator brackets on a coordinate ring (antisymmetric)."""
 
-    ring: CoordRing
-    table: dict
+    __slots__ = ("ring", "table")
+
+    def __init__(self, ring: CoordRing, table: dict):
+        self.ring = ring
+        self.table = table
 
     def entry(self, u: str, v: str) -> MultiPoly:
         return self.table[(u, v)]
@@ -208,7 +211,6 @@ def induce(db: CoefficientBracket, n: int) -> PoissonTable:
 # -- charts ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChartCoord:
     """One chart coordinate and how to differentiate along it.
 
@@ -217,10 +219,13 @@ class ChartCoord:
     d/d(coord) is the derivation cos -> -sin, sin -> cos.
     """
 
-    name: str
-    kind: str
-    cos_var: str | None = None
-    sin_var: str | None = None
+    __slots__ = ("name", "kind", "cos_var", "sin_var")
+
+    def __init__(self, name: str, kind: str, cos_var: str | None = None, sin_var: str | None = None):
+        self.name = name
+        self.kind = kind
+        self.cos_var = cos_var
+        self.sin_var = sin_var
 
     def derive(self, p: MultiPoly) -> MultiPoly:
         if self.kind == "plain":
@@ -231,20 +236,36 @@ class ChartCoord:
         return dc * (-ring.var(self.sin_var)) + ds * ring.var(self.cos_var)
 
 
-@dataclass(frozen=True)
 class ParamChart:
     """A parametrization of (a branch of) Rep_n(A) plus a candidate bivector."""
 
-    name: str
-    algebra: FDAlgebra
-    n: int
-    ring: PolyRing
-    relations: RelationSet | None
-    coords: tuple[ChartCoord, ...]
-    substitution: dict
-    bivector: tuple
-    params: tuple[str, ...]
-    frame: str = ""
+    __slots__ = (
+        "name", "algebra", "n", "ring", "relations", "coords", "substitution", "bivector", "params", "frame"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        algebra: FDAlgebra,
+        n: int,
+        ring: PolyRing,
+        relations: RelationSet | None,
+        coords: tuple[ChartCoord, ...],
+        substitution: dict,
+        bivector: tuple,
+        params: tuple[str, ...],
+        frame: str = "",
+    ):
+        self.name = name
+        self.algebra = algebra
+        self.n = n
+        self.ring = ring
+        self.relations = relations
+        self.coords = coords
+        self.substitution = substitution
+        self.bivector = bivector
+        self.params = params
+        self.frame = frame
 
     def nf(self, p: MultiPoly) -> MultiPoly:
         return self.relations.normal_form(p) if self.relations else p
@@ -288,14 +309,24 @@ class ParamChart:
         return points
 
 
-@dataclass(frozen=True)
 class ChartReport:
-    chart: str
-    mode: str
-    ok: bool
-    max_residual: float
-    failures: tuple
-    frame: str = ""
+    __slots__ = ("chart", "mode", "ok", "max_residual", "failures", "frame")
+
+    def __init__(self, chart: str, mode: str, ok: bool, max_residual: float, failures: tuple, frame: str = ""):
+        self.chart = chart
+        self.mode = mode
+        self.ok = ok
+        self.max_residual = max_residual
+        self.failures = failures
+        self.frame = frame
+
+    def _fields(self) -> tuple:
+        return (self.chart, self.mode, self.ok, self.max_residual, self.failures, self.frame)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChartReport):
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
 def _chart_images(chart: ParamChart, ring: PolyRing, bindings: dict | None):

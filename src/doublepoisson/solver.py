@@ -57,7 +57,6 @@ reparametrize to the classical parameters via documented coefficient slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
@@ -85,7 +84,6 @@ from .poly import PolyRing, QuadraticForm, exact_scalar
 from .tensors import Tensor2
 
 
-@dataclass(frozen=True)
 class LinearVariety:
     """General solution of the linear axioms plus residual quadratic constraints.
 
@@ -93,11 +91,29 @@ class LinearVariety:
     satisfying the full axiom set iff it also kills every quadratic constraint.
     """
 
-    algebra: FDAlgebra
-    parameter_names: tuple[str, ...]
-    nullspace_basis: tuple[CoefficientBracket, ...]
-    quadratic_constraints: tuple[QuadraticForm, ...]
-    modified: bool = False
+    __slots__ = ("algebra", "parameter_names", "nullspace_basis", "quadratic_constraints", "modified")
+
+    def __init__(
+        self,
+        algebra: FDAlgebra,
+        parameter_names: tuple[str, ...],
+        nullspace_basis: tuple[CoefficientBracket, ...],
+        quadratic_constraints: tuple[QuadraticForm, ...],
+        modified: bool = False,
+    ):
+        self.algebra = algebra
+        self.parameter_names = parameter_names
+        self.nullspace_basis = nullspace_basis
+        self.quadratic_constraints = quadratic_constraints
+        self.modified = modified
+
+    def _fields(self) -> tuple:
+        return (self.algebra, self.parameter_names, self.nullspace_basis, self.quadratic_constraints, self.modified)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearVariety):
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from doublepoisson import algebra as algebra_module
 from doublepoisson.algebra import (
     AlgebraError,
+    AlgElement,
     FDAlgebra,
     commutator,
     commutator_subspace,
@@ -82,6 +83,46 @@ def test_associativity_enforced():
     bad = [(0, 0, 0, one), (0, 1, 0, one), (1, 0, 1, one), (1, 1, 1, one), (1, 0, 0, one)]
     with pytest.raises(AlgebraError):
         FDAlgebra.from_entries("bad", ("x", "y"), (Fraction(1), Fraction(0)), bad)
+
+
+def test_records_run_their_construction_checks(a2):
+    # the checks each record's constructor runs, whichever way it is called
+    from doublepoisson.brackets import DoubleDerivation
+    from doublepoisson.poly import PolyRing, RelationSet
+    from doublepoisson.tensors import Tensor2
+
+    with pytest.raises(AlgebraError, match="inconsistent dimensions"):
+        FDAlgebra("short", a2.basis_names, a2.unit[:2], a2.products)
+    with pytest.raises(AlgebraError, match="coordinate length"):
+        AlgElement(a2, (1, 0))
+    with pytest.raises(AlgebraError, match="one image per basis element"):
+        DoubleDerivation(a2, (Tensor2.zero(a2),) * 2)
+    ring = PolyRing(("c", "s"))
+    with pytest.raises(ValueError, match="does not decrease"):
+        RelationSet(ring, (((1, 0), ring.parse("c^2 + s")),))
+
+
+@pytest.mark.parametrize("name", ["a2", "mat1", "mat2", "mat1+mat1", "a2+mat1"])
+def test_algebras_from_one_preset_are_equal_and_hash_equal(name):
+    first, second = resolve_preset(name), resolve_preset(name)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    rebuilt = FDAlgebra(first.name, first.basis_names, first.unit, first.products)
+    assert rebuilt == first and hash(rebuilt) == hash(first)
+
+
+def test_algebras_from_different_presets_differ():
+    names = ["a2", "mat1", "mat2", "mat1+mat1", "a2+mat1", "mat1+a2"]
+    algebras = [resolve_preset(name) for name in names]
+    for (i, x), (j, y) in product(enumerate(algebras), repeat=2):
+        assert (x == y) == (i == j), (names[i], names[j])
+    assert len(set(algebras)) == len(names)
+    # the name is one of the four fields compared
+    mat2 = algebras[2]
+    assert FDAlgebra("renamed", mat2.basis_names, mat2.unit, mat2.products) != mat2
+    assert mat2 != "mat2"
 
 
 def test_direct_sum_examples():

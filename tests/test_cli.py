@@ -294,6 +294,18 @@ def test_check_rejects_non_rational_coefficient_at_once(tmp_path, capsys, coeff)
     assert err.startswith("error: ") and "not a rational number" in err
 
 
+@pytest.mark.parametrize("coeff", ["(a+b+1)^200", "3^10000000*a", "(a+1)^50*(b+1)^50"], ids=["power", "constant", "product"])
+def test_check_rejects_an_oversized_parametrized_coefficient_at_once(tmp_path, capsys, coeff):
+    # "(a+b+1)^200" used to be expanded into 20,301 terms, about half a minute before any check
+    bad = tmp_path / "coeff.json"
+    bad.write_text(json.dumps({"algebra": "a2", "params": ["a", "b"], "coeffs": [[0, 1, 0, 0, coeff]]}))
+    start = time.perf_counter()
+    assert main(["check", "--algebra", "a2", "--bracket", str(bad)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "could expand to" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("coeff", ["1/0", 1], ids=["zero-denominator", "number"])
 def test_inner_rejects_malformed_wedge_coefficient(tmp_path, capsys, coeff):
     bad = tmp_path / "wedge.json"
@@ -460,6 +472,37 @@ def test_input_digests_load_no_hashlib(alpha_file, tmp_path):
         "algebra": "preset:a2",
         "bracket": digest(alpha_file),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--algebra", "a2", "--bracket", "{alpha}"],
+        ["check", "--algebra", "a2", "--bracket", "{modified}", "--modified"],
+        ["solve", "--algebra", "a2"],
+        ["solve", "--algebra", "a2", "--modified"],
+        ["hh1", "--algebra", "a2"],
+        ["inner", "--algebra", "a2", "--wedge", "{wedge}"],
+        ["induce", "--algebra", "a2", "--bracket", "{alpha}", "--n", "2", "--chart", "rep2-a2"],
+        ["report"],
+    ],
+    ids=["check", "check-modified", "solve", "solve-modified", "hh1", "inner-wedge", "induce", "report"],
+)
+def test_commands_load_no_dataclasses_inspect_or_ast(alpha_file, wedge_file, tmp_path, argv):
+    # the records are plain __slots__ classes: `dataclasses` would pull in `inspect`, `ast` and `dis`
+    from doublepoisson.families import a2_modified_family
+
+    modified = tmp_path / "modified.json"
+    modified.write_text(json.dumps(dpio.bracket_to_json(a2_modified_family(*range(1, 8)), "a2")))
+    files = {"alpha": alpha_file, "modified": str(modified), "wedge": wedge_file}
+    argv = ["--format", "json", "--out", str(tmp_path / "out.json")] + [a.format(**files) for a in argv]
+    code = (
+        "import sys; from doublepoisson.cli import main; "
+        f"print(main({argv!r}), *(m in sys.modules for m in ('dataclasses', 'inspect', 'ast')))"
+    )
+    rc, *loaded = _python_with_package(code).split()
+    assert rc == ("1" if argv[-1] == "report" else "0")
+    assert loaded == ["False", "False", "False"]
 
 
 def test_json_on_stdout_is_the_out_file(tmp_path):

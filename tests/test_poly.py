@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +11,7 @@ from doublepoisson.poly import (
     MultiPoly,
     PolyRing,
     RelationSet,
+    _weight,
     grlex_key,
     parse_rational,
 )
@@ -78,6 +81,60 @@ def test_parse_rejects_garbage(cs_ring):
     for text in ("c^\u0663", "c^\u00b2", "\u0663*c"):  # non-ASCII digits, as in parse_rational
         with pytest.raises(ValueError):
             cs_ring.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(a+b+1)^80", "(a+b+1)^200", "(a+1)^2000", "3^10000000", "(2*a+1)^9000", "(a+b+1)^30*(a+b+1)^30",
+     "3^5000*3^5000*3", "(1/3+a)^9999"],
+)
+def test_parse_refuses_an_oversized_power_or_product_at_once(text):
+    # each was expanded in full before: "(a+b+1)^80" took 0.74 s, "3^10000000" 4.1 s
+    ring = PolyRing(("a", "b"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="could expand to"):
+        ring.parse(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_builds_powers_and_products_up_to_the_limit():
+    ring = PolyRing(("a", "b"))
+    assert len(ring.parse("(a+1)^499").terms) == 500
+    assert len(ring.parse("(a+b+1)^30").terms) == 496
+    assert ring.parse("(a+b+1)^4*(a+b+1)^4") == ring.parse("(a+b+1)^8")
+    assert ring.parse("3^5000") == ring.const(3**5000)
+    assert ring.parse("a^1000000") == ring.monomial({"a": 1000000})
+    assert ring.parse("(-1)^1000001") == ring.const(-1)
+
+
+def test_weight_is_the_log_height_of_numerators_over_the_common_denominator():
+    ring = PolyRing(("a", "b"))
+    # "1/2*a + 1/3" is (3a + 2)/6: ceil(log2 5) + ceil(log2 6) = 3 + 3
+    cases = {"0": 0, "a": 0, "-a*b": 0, "3": 2, "1/3": 2, "a + 1": 1, "1/2*a + 1/3": 6, "4*a - 4": 3}
+    assert {text: _weight(ring.parse(text)) for text in cases} == cases
+
+
+@seed(2601)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.fractions(max_denominator=12)), max_size=4),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.fractions(max_denominator=12)), max_size=4),
+    st.integers(0, 6),
+)
+def test_parse_bounds_hold_on_random_polynomials(f_terms, g_terms, e):
+    # the bounds the parser checks are upper bounds of what it then builds
+    ring = PolyRing(("a", "b"))
+    f, g = (ring.zero() + sum((ring.monomial({"a": i, "b": j}, c) for i, j, c in ts), ring.zero())
+            for ts in (f_terms, g_terms))
+    k = len(f.terms)
+    power = f**e
+    assert len(power.terms) <= (comb(e + k - 1, k - 1) if k > 1 else 1)
+    assert _weight(power) <= e * _weight(f)
+    assert len((f * g).terms) <= len(f.terms) * len(g.terms)
+    assert _weight(f * g) <= _weight(f) + _weight(g)
+    for p in (f, power):
+        bound = 2 ** _weight(p)
+        assert all(abs(c.numerator) <= bound and c.denominator <= bound for c in p.terms.values())
 
 
 def test_ring_mismatch_errors(cs_ring):

@@ -19,6 +19,7 @@ from doublepoisson.repspace import (
     ChartError,
     ChartReport,
     CoordRing,
+    ParamChart,
     PoissonTable,
     coord_var_name,
     a2_rep2_rational_point,
@@ -37,6 +38,14 @@ from doublepoisson.repspace import (
 )
 from test_poly import _old_substitute
 from test_solver import _t3_json
+
+
+def _with_bivector(chart, bivector):
+    """``chart`` with its bivector replaced, built through the ParamChart constructor."""
+    return ParamChart(
+        chart.name, chart.algebra, chart.n, chart.ring, chart.relations, chart.coords,
+        chart.substitution, bivector, chart.params, chart.frame,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +236,6 @@ def test_rep2_pi_matrix(rep2_chart):
 @pytest.fixture(scope="module")
 def corrupted_rep2_chart(rep2_chart):
     # A*lam^2 -> A*lam
-    from dataclasses import replace
-
     R = rep2_chart.ring
     z = R.zero()
     bad_pi = (
@@ -236,7 +243,7 @@ def corrupted_rep2_chart(rep2_chart):
         (z, z, R.parse("A*lam")),
         (z, R.parse("0 - A*lam"), z),
     )
-    return replace(rep2_chart, bivector=bad_pi)
+    return _with_bivector(rep2_chart, bad_pi)
 
 
 def test_rep2_chart_corrupted_pi_fails(corrupted_rep2_chart, alpha_table):
@@ -246,13 +253,11 @@ def test_rep2_chart_corrupted_pi_fails(corrupted_rep2_chart, alpha_table):
 
 
 def test_chart_consistency_rejects_a_bivector_that_is_not_antisymmetric(rep2_chart, alpha_table):
-    from dataclasses import replace
-
     R = rep2_chart.ring
     z = R.zero()
     one_sided = ((z, z, z), (z, z, R.parse("A*lam^2")), (z, z, z))
     with pytest.raises(ChartError, match="not antisymmetric"):
-        chart_consistency(replace(rep2_chart, bivector=one_sided), alpha_table)
+        chart_consistency(_with_bivector(rep2_chart, one_sided), alpha_table)
 
 
 def test_rep2_chart_corrupted_pi_fails_numerically(corrupted_rep2_chart, alpha_table):
@@ -283,8 +288,6 @@ def test_chart_checks_reject_an_unknown_mode(rep2_chart, alpha_table):
 
 
 def test_constant_bivector_jacobi(a2):
-    from dataclasses import replace
-
     chart = register_chart_rep2_a2()
     R = chart.ring
     const_pi = (
@@ -292,7 +295,7 @@ def test_constant_bivector_jacobi(a2):
         (R.parse("0-1"), R.zero(), R.one()),
         (R.zero(), R.parse("0-1"), R.zero()),
     )
-    assert jacobi_check_bivector(replace(chart, bivector=const_pi), mode="exact")
+    assert jacobi_check_bivector(_with_bivector(chart, const_pi), mode="exact")
 
 
 def test_rep3_chart_relations_numeric(rep3_chart):
