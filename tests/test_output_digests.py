@@ -8,7 +8,9 @@ upper-triangular T3, a rebased mat2 and a2+mat1 with halved structure
 constants, where rational rows meet the elimination; solve runs on mat4 too,
 the one pinned output with more than a few hundred constraints (1,045).  The inverse of
 ``inner --aybe-scan`` on a2, the exact rep3 chart check of an a2 bracket off
-the Jacobi variety (exit 1) and the golden ``report`` (exit 1, one strict
+the Jacobi variety (exit 1), its numeric rep3 check at 100 seeded samples
+(exit 1; the max_residual it prints is a float summed in term order), the
+exact rep2 chart check of the symbolic alpha bracket and the golden ``report`` (exit 1, one strict
 xfail) are pinned too, and so are ``check`` on that bracket (exit 1) and on
 a modified a2 bracket, ``inner --wedge`` on mat2 (exit 1, the wedge fails
 the weak Jacobi condition) and ``induce --n 3`` on that wedge's inner
@@ -108,9 +110,17 @@ MAT2_INNER = {
     ],
 }
 
+# the symbolic alpha bracket {{e0,e1}} = A e0(x)e0, with A a bracket parameter
+A2_ALPHA = {
+    "algebra": "a2",
+    "params": ["A"],
+    "coeffs": [[0, 1, 0, 0, "A"], [0, 2, 0, 0, "-A"], [1, 0, 0, 0, "-A"], [2, 0, 0, 0, "A"]],
+}
+
 # the bracket and wedge files every case can read, by their fixed names
 INPUTS = {
     "off-variety.json": OFF_VARIETY,
+    "alpha-a2.json": A2_ALPHA,
     "a2-modified.json": A2_MODIFIED,
     "wedge-mat2.json": MAT2_WEDGE,
     "inner-mat2.json": MAT2_INNER,
@@ -131,6 +141,13 @@ COMMANDS = {
     "induce --n 3 --chart rep3-a2": [
         "induce", "--algebra", "{}", "--bracket", "off-variety.json", "--n", "3", "--chart", "rep3-a2"
     ],
+    "induce --n 3 --chart rep3-a2 --numeric": [
+        "induce", "--algebra", "{}", "--bracket", "off-variety.json", "--n", "3", "--chart", "rep3-a2",
+        "--numeric", "--samples", "100", "--seed", "7",
+    ],
+    "induce --n 2 --chart rep2-a2": [
+        "induce", "--algebra", "{}", "--bracket", "alpha-a2.json", "--n", "2", "--chart", "rep2-a2"
+    ],
     "check --bracket": ["check", "--algebra", "{}", "--bracket", "off-variety.json"],
     "check --modified": ["check", "--modified", "--algebra", "{}", "--bracket", "a2-modified.json"],
     "inner --wedge": ["inner", "--algebra", "{}", "--wedge", "wedge-mat2.json"],
@@ -140,6 +157,7 @@ COMMANDS = {
 
 EXIT_CODES = {
     ("a2", "induce --n 3 --chart rep3-a2"): 1,
+    ("a2", "induce --n 3 --chart rep3-a2 --numeric"): 1,
     ("a2", "check --bracket"): 1,
     ("mat2", "inner --wedge"): 1,
     ("golden", "report"): 1,
@@ -170,6 +188,8 @@ DIGESTS = {
     ("a2+mat1/2", "hh1"): "f3bdbad324d85471f7188b185c0d2ddd0f8f8c2d1d62d5313479d2ff4b3fd337",
     ("a2", "inner --aybe-scan"): "49e6dab45484541ae73ef7dffa3fa7274a1ace93b1b9980fd0547c70277d74ee",
     ("a2", "induce --n 3 --chart rep3-a2"): "51900a2e9d0376cc99621bb992cc263580f4e1f88db684ff0293ea4ac8dc21b8",
+    ("a2", "induce --n 3 --chart rep3-a2 --numeric"): "f0fd54419dd35ef65707d6586a2dea0f14bb738b5690a0e53a1af7742f6d5df3",
+    ("a2", "induce --n 2 --chart rep2-a2"): "f01d12042324cf1db895a674d5f9f8a1e37a4de090f05dc9efac93cae147ec05",
     ("a2", "check --bracket"): "736223ae663d90ac1b0a2cf7329d0ba8e593ddee3a3132b3b695ec72b12647f8",
     ("a2", "check --modified"): "6b25b982216df1f7c69b26a6097551c7abc67922ef292b35f84f99778b837bee",
     ("mat2", "inner --wedge"): "2e1611deea232b134af0bec57ba50a539842d7ce65f00a5c5a677c9f1d70a8e5",
