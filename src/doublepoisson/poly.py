@@ -1,7 +1,9 @@
 """Exact multivariate polynomials over Q with graded-lex rewriting.
 
-A polynomial is a sparse map from exponent vectors to nonzero exact rational
-coefficients.  Every exact scalar of the engine follows one rule
+A polynomial is a sparse map from monomials to nonzero exact rational
+coefficients.  A monomial is its word, the ascending tuple of its variable
+indices with repeats (x0^2*x3 is (0, 0, 3), a constant is ()), so a degree-d
+monomial costs O(d) however many variables the ring has.  Every exact scalar of the engine follows one rule
 (``exact_scalar``): it is an int when its denominator is 1, a
 :class:`fractions.Fraction` otherwise, and never a float.  The ring's
 constructors (``const``, ``var``, ``monomial``, ``parse``) apply it, and
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
-from operator import add
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction, "MultiPoly"]
@@ -60,9 +61,22 @@ def parse_rational(text: str) -> int | Fraction:
     return int(text) if match.group(1) is None else exact_scalar(text)
 
 
-def grlex_key(exps: tuple[int, ...]) -> tuple:
+def lex_key(word: tuple[int, ...]) -> tuple:
+    """Sort key of a word that realizes lexicographic order of exponent vectors (first variable largest)."""
+    return tuple(-i for i in word)
+
+
+def grlex_key(word: tuple[int, ...]) -> tuple:
     """Sort key realizing graded lexicographic order (first variable largest)."""
-    return (sum(exps), exps)
+    return (len(word), lex_key(word))
+
+
+def _runs(word: tuple[int, ...]):
+    """(variable index, exponent) of each variable in the word, ascending."""
+    runs: dict[int, int] = {}
+    for i in word:
+        runs[i] = runs.get(i, 0) + 1
+    return runs.items()
 
 
 class PolyRing:
@@ -104,21 +118,17 @@ class PolyRing:
         c = exact_scalar(c)
         if c == 0:
             return self.zero()
-        return MultiPoly(self, {(0,) * self.nvars: c})
+        return MultiPoly(self, {(): c})
 
     def var(self, name: str) -> MultiPoly:
-        exps = [0] * self.nvars
-        exps[self.index(name)] = 1
-        return MultiPoly(self, {tuple(exps): 1})
+        return MultiPoly(self, {(self.index(name),): 1})
 
     def monomial(self, exps: Mapping[str, int], coeff=1) -> MultiPoly:
-        vec = [0] * self.nvars
-        for name, e in exps.items():
-            vec[self.index(name)] = e
+        word = tuple(sorted(i for name, e in exps.items() for i in (self.index(name),) * e))
         c = exact_scalar(coeff)
         if c == 0:
             return self.zero()
-        return MultiPoly(self, {tuple(vec): c})
+        return MultiPoly(self, {word: c})
 
     def parse(self, text: str) -> MultiPoly:
         return _parse_poly(self, text)
@@ -130,8 +140,8 @@ class PolyRing:
         ``target`` or to a Fraction/int constant).  The returned function maps
         one polynomial of this ring; each power of a variable's image is built
         once, on first use, and kept for as long as the function lives.  The
-        image of p is folded term by term, in sorted term order, as c times
-        the powers that the exponent vector e names.
+        image of p is folded term by term, in lexicographic order of the
+        exponent vectors (``lex_key``), as c times the power of each variable.
         """
         images: list[MultiPoly] = []
         for name in self.names:
@@ -149,14 +159,12 @@ class PolyRing:
             if p.ring is not self and p.ring != self:
                 raise ValueError(f"ring mismatch: {p.ring} is not the source ring {self}")
             out = target.zero()
-            for e, c in sorted(p.terms.items()):
+            for word, c in sorted(p.terms.items(), key=lambda t: lex_key(t[0])):
                 term = target.const(c)
-                for i, k in enumerate(e):
-                    if k:
-                        power = powers.get((i, k))
-                        if power is None:
-                            power = powers[(i, k)] = images[i] ** k
-                        term = term * power
+                for i, k in _runs(word):
+                    if (i, k) not in powers:
+                        powers[i, k] = images[i] ** k
+                    term = term * powers[i, k]
                 out = out + term
             return out
 
@@ -176,12 +184,12 @@ class MultiPoly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], int | Fraction]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
     @classmethod
-    def _clean(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> MultiPoly:
+    def _clean(cls, ring: PolyRing, terms: dict[tuple[int, ...], int | Fraction]) -> MultiPoly:
         """Wrap a term map that holds no zero coefficient, without filtering it again."""
         p = cls.__new__(cls)
         p.ring = ring
@@ -237,11 +245,11 @@ class MultiPoly:
 
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         right = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
+                e = tuple(sorted(e1 + e2))
                 if e in acc:
                     s = acc[e] + c1 * c2
                     if s:
@@ -276,63 +284,55 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, name: str) -> MultiPoly:
         """Formal partial derivative with respect to one ring variable."""
         i = self.ring.index(name)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            acc[tuple(de)] = c * e[i]
+        acc: dict[tuple[int, ...], int | Fraction] = {}
+        for word, c in self.terms.items():
+            k = word.count(i)
+            if k:
+                j = word.index(i)
+                acc[word[:j] + word[j + 1 :]] = c * k
         return MultiPoly._clean(self.ring, acc)
 
     def substitute(self, mapping: Mapping[str, Scalar], target: PolyRing) -> MultiPoly:
-        """Ring morphism: replace every variable by its image in ``target``.
-
-        Every variable of this ring must be mapped (to a MultiPoly over
-        ``target`` or to a Fraction/int constant); see ``PolyRing.morphism``.
-        """
+        """Ring morphism: replace every variable by its image in ``target`` (see ``PolyRing.morphism``)."""
         return self.ring.morphism(mapping, target)(self)
 
     def eval_rational(self, values: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation at a rational point (all variables required)."""
-        total = Fraction(0)
         point = [Fraction(values[name]) for name in self.ring.names]
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(point, e):
-                if k:
-                    term *= v**k
-            total += term
-        return total
+        return sum((c * prod(point[i] ** k for i, k in _runs(w)) for w, c in self.terms.items()), Fraction(0))
 
     def eval_float(self, values: Mapping[str, float]) -> float:
-        point = [float(values[name]) for name in self.ring.names]
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for v, k in zip(point, e):
-                if k:
-                    term *= v**k
-            total += term
-        return total
+        return self.eval_floats([[float(values[name]) for name in self.ring.names]])[0]
+
+    def eval_floats(self, points: list[list[float]]) -> list[float]:
+        """The float value at each point, a list of floats in ring variable order.
+
+        The coefficients are converted once for all points; at each point the
+        floating-point operations are those of ``eval_float``, in its order.
+        """
+        terms = [(float(c), _runs(word)) for word, c in self.terms.items()]
+        values = []
+        for point in points:
+            total = 0.0
+            for term, runs in terms:
+                for i, k in runs:
+                    term *= point[i] ** k
+                total += term
+            values.append(total)
+        return values
 
     # -- rendering -----------------------------------------------------------
 
-    def _monomial_str(self, exps: tuple[int, ...]) -> str:
-        parts = []
-        for name, k in zip(self.ring.names, exps):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        return "*".join(parts)
+    def _monomial_str(self, word: tuple[int, ...]) -> str:
+        names = self.ring.names
+        return "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in _runs(word))
 
     def __str__(self) -> str:
         terms = self.terms
@@ -343,33 +343,24 @@ class MultiPoly:
 
 def _render(terms: Iterable[tuple[int | Fraction, str]]) -> str:
     """The polynomial text of its (coefficient, monomial text) terms, in the order given; "0" for none."""
-    chunks = []
+    out = ""
     for c, mono in terms:
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
         else:
-            body = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        chunks.append((sign, body))
-    if not chunks:
-        return "0"
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 class QuadraticForm:
     """A quadratic form sum c * t_k t_l in named parameters, held sparse.
 
     ``terms`` maps the key k * p + l of the monomial t_k t_l (k <= l, p the
-    number of parameters) to its nonzero exact scalar.  Ascending key is
-    descending graded lex, so the text is ``str`` of the equal MultiPoly
-    with no sort by exponent vector, and no exponent vector is built.
-    ``to_poly`` gives that MultiPoly.
+    number of parameters) to its nonzero exact scalar; divmod(key, p) is the
+    word (k, l).  Ascending key is descending graded lex, so the text is
+    ``str`` of the equal MultiPoly with no sort.  ``to_poly`` gives that
+    MultiPoly.
     """
 
     __slots__ = ("names", "terms")
@@ -398,13 +389,7 @@ class QuadraticForm:
     def to_poly(self) -> MultiPoly:
         """The form as a MultiPoly over PolyRing(names)."""
         p = len(self.names)
-        terms = {}
-        for key, c in self.terms.items():
-            exps = [0] * p
-            for k in divmod(key, p):
-                exps[k] += 1
-            terms[tuple(exps)] = c
-        return MultiPoly._clean(PolyRing(self.names), terms)
+        return MultiPoly._clean(PolyRing(self.names), {divmod(key, p): c for key, c in self.terms.items()})
 
 
 def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
@@ -430,7 +415,7 @@ def distinct_up_to_scalar(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
 class RelationSet:
     """A confluent-by-construction rewrite system for polynomial normal forms.
 
-    Each rule maps a leading monomial (exponent vector) to a replacement
+    Each rule maps a leading monomial (a word) to a replacement
     polynomial whose monomials are all strictly smaller in graded-lex, which
     construction checks; since graded-lex is a well-order compatible with
     products, rewriting terminates for every RelationSet.  Confluence is the
@@ -468,8 +453,8 @@ class RelationSet:
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         """The normal form of ``p``, in one worklist pass.
 
-        A term that a rule head divides is replaced by the quotient times each
-        replacement term; any other term is kept.  Pending terms with the same
+        A term whose word holds a rule head's word (as a multiset) is replaced
+        by the quotient times each replacement term; any other term is kept.  Pending terms with the same
         monomial are summed, and a pending term that sums to zero is dropped.
         """
         if p.ring != self.ring:
@@ -481,15 +466,25 @@ class RelationSet:
             if not c:
                 continue
             for lead, repl in self.rules:
-                if all(a >= b for a, b in zip(e, lead)):
-                    quotient = [a - b for a, b in zip(e, lead)]
+                quotient = _divide(e, lead)
+                if quotient is not None:
                     for m, r in repl.terms.items():
-                        key = tuple(map(add, quotient, m))
+                        key = tuple(sorted(quotient + m))
                         work[key] = work.get(key, 0) + c * r
                     break
             else:
                 out[e] = out.get(e, 0) + c
         return MultiPoly(self.ring, out)
+
+
+def _divide(word: tuple[int, ...], head: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The word with one letter removed per letter of ``head``; None unless head divides word."""
+    rest = list(word)
+    for i in head:
+        if i not in rest:
+            return None
+        rest.remove(i)
+    return tuple(rest)
 
 
 # -- parser ------------------------------------------------------------------
@@ -501,11 +496,14 @@ class RelationSet:
 #
 # A power or a product is bounded before it is built: its result may have at
 # most _MAX_TERMS terms and a weight (``_weight``) of at most _MAX_BITS, so no
-# coefficient's numerator or denominator exceeds 2**_MAX_BITS.  Past either
-# limit the parser raises ValueError at once.
+# coefficient's numerator or denominator exceeds 2**_MAX_BITS, and its terms
+# times (degree + weight) may be at most _MAX_SIZE, since each term costs its
+# degree in word letters and its weight in coefficient bits.  Past any limit
+# the parser raises ValueError at once.
 
 _MAX_TERMS = 500
 _MAX_BITS = 10_000
+_MAX_SIZE = 2**15
 
 
 def _weight(p: MultiPoly) -> int:
@@ -521,11 +519,17 @@ def _weight(p: MultiPoly) -> int:
     return max(norm - 1, 0).bit_length() + (den - 1).bit_length()
 
 
-def _check_size(what: str, terms: int, bits: int) -> None:
+def _degree(p: MultiPoly) -> int:
+    return max(map(len, p.terms), default=0)
+
+
+def _check_size(what: str, terms: int, degree: int, bits: int) -> None:
     if terms > _MAX_TERMS:
         raise ValueError(f"{what} could expand to more than {_MAX_TERMS} terms")
     if bits > _MAX_BITS:
         raise ValueError(f"{what} could expand to coefficients of {bits} bits, more than {_MAX_BITS}")
+    if terms * (degree + bits) > _MAX_SIZE:
+        raise ValueError(f"{what} could expand to {terms} terms times (degree {degree} + {bits} bits), over {_MAX_SIZE}")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -548,11 +552,9 @@ def _tokenize(text: str) -> list[str]:
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"bad rational at {text[i:]!r}")
-                tokens.append(text[i:k])
-                i = k
-            else:
-                tokens.append(text[i:j])
-                i = j
+                j = k
+            tokens.append(text[i:j])
+            i = j
         elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -581,18 +583,14 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> MultiPoly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        result = self.parse_term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            sign = 1 if op == "+" else -1
+        result = None
+        while result is None or self.peek() in ("+", "-"):
+            sign = 1
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            result = result + self.parse_term() * sign
+            term = self.parse_term() * sign
+            result = term if result is None else result + term
         return result
 
     def parse_term(self) -> MultiPoly:
@@ -601,7 +599,8 @@ class _Parser:
             self.take()
             factor = self.parse_factor()
             # a product f*g has at most |f|*|g| terms
-            _check_size("a product", len(result.terms) * len(factor.terms), _weight(result) + _weight(factor))
+            terms = len(result.terms) * len(factor.terms)
+            _check_size("a product", terms, _degree(result) + _degree(factor), _weight(result) + _weight(factor))
             result = result * factor
         return result
 
@@ -617,7 +616,7 @@ class _Parser:
             # the limit once e >= _MAX_TERMS and k >= 2
             k = len(base.terms)
             terms = 1 if k < 2 else e + 1 if e >= _MAX_TERMS else comb(e + k - 1, k - 1)
-            _check_size(f"the power ^{exp_tok}", terms, e * _weight(base))
+            _check_size(f"the power ^{exp_tok}", terms, e * _degree(base), e * _weight(base))
             base = base ** e
         return base
 

@@ -18,7 +18,7 @@ the length of one call: one ``PolyRing.morphism`` into the chart ring (each
 power of a variable's image raised once), each derivative of a generator
 image or of a bivector entry, and the bivector contracted once with each
 generator's derivatives.  Exact mode reduces a residual modulo the chart
-relations; numeric mode samples it with ``MultiPoly.eval_float`` at seeded
+relations; numeric mode samples it with ``MultiPoly.eval_floats`` at seeded
 on-variety points.  No numpy.
 """
 
@@ -168,22 +168,17 @@ def induce(db: CoefficientBracket, n: int) -> PoissonTable:
     names = [[[coord_var_name(g, i, j) for j in range(n)] for i in range(n)] for g in alg.basis_names]
 
     def embedded(c) -> list:
-        """c as [(exponent vector over R, coefficient)]; its variables must be bracket parameters."""
+        """c as [(word over R, coefficient)]; its variables must be bracket parameters."""
         if not isinstance(c, MultiPoly):
-            return [((0,) * R.nvars, c)]
+            return [((), c)]
         for name in c.ring.names:
             if name not in db.params:
                 raise ValueError(f"coefficient variable {name!r} is not a bracket parameter")
         positions = [R.index(name) for name in c.ring.names]
-        out = []
-        for e, coeff in c.terms.items():
-            exps = [0] * R.nvars
-            for k, power in zip(positions, e):
-                exps[k] = power
-            out.append((exps, coeff))
-        return out
+        return [(tuple(sorted(positions[i] for i in word)), coeff) for word, coeff in c.terms.items()]
 
     table: dict = {}
+    words: dict = {}  # one tuple per distinct monomial, shared by the entries that hold it
     for ga in range(alg.dim):
         for gb in range(alg.dim):
             terms = [(u, v, embedded(c)) for u, v, c in db.terms[ga][gb]]
@@ -195,11 +190,10 @@ def induce(db: CoefficientBracket, n: int) -> PoissonTable:
                             for u, v, monomials in terms:
                                 left = offset + (u * n + p) * n + j  # x_{u,pj}
                                 right = offset + (v * n + i) * n + q  # x_{v,iq}
-                                for e, coeff in monomials:
-                                    exps = list(e)
-                                    exps[left] += 1
-                                    exps[right] += 1
-                                    key = tuple(exps)
+                                pair = (left, right) if left <= right else (right, left)
+                                for word, coeff in monomials:
+                                    key = word + pair  # parameter letters precede coordinate letters
+                                    key = words.setdefault(key, key)
                                     acc[key] = acc.get(key, 0) + coeff
                             table[(names[ga][i][j], names[gb][p][q])] = MultiPoly(R, acc)
     result = PoissonTable(ring, table)
@@ -354,22 +348,23 @@ def _vanishing(
     """(failures, max_residual) of tagged chart-ring residuals that should vanish on the chart.
 
     Exact mode keeps each residual whose normal form modulo the chart
-    relations is nonzero, as (tag, normal form).  Numeric mode evaluates each
-    residual that is not identically zero with ``eval_float`` at seeded
-    on-variety samples, and keeps (tag, worst |value|) above ``tol``.
+    relations is nonzero, as (tag, normal form).  Numeric mode converts the
+    seeded on-variety samples to floats once, evaluates each residual that
+    is not identically zero at all of them with ``eval_floats``, and keeps
+    (tag, worst |value|) above ``tol``.
     """
     if mode == "exact":
         reduced = ((tag, chart.nf(p)) for tag, p in residuals)
         return [(tag, r) for tag, r in reduced if not r.is_zero()], 0.0
     if mode != "numeric":
         raise ChartError(f"unknown mode {mode!r}")
-    points = chart.sample_points(samples, seed, bindings)
+    points = [[float(pt[name]) for name in chart.ring.names] for pt in chart.sample_points(samples, seed, bindings)]
     failures = []
     max_residual = 0.0
     for tag, p in residuals:
         if p.is_zero():
             continue
-        worst = max(abs(p.eval_float(pt)) for pt in points)
+        worst = max(map(abs, p.eval_floats(points)))
         max_residual = max(max_residual, worst)
         if worst > tol:
             failures.append((tag, worst))
@@ -389,7 +384,7 @@ def chart_consistency(
 
     One residual per generator pair (u, v), see ``_consistency_residuals``.
     Exact mode reduces it modulo the chart relations; numeric mode samples it
-    with ``eval_float`` at seeded on-variety points within ``tol``; no numpy.
+    with ``eval_floats`` at seeded on-variety points within ``tol``; no numpy.
     Only the pairs u < v are built, reduced or sampled: residual(v, u) =
     -residual(u, v) has the negated normal form and the same sampled size,
     and residual(u, u) = 0.  The failures are listed in (u, v) order.

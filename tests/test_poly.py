@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,11 +12,15 @@ from doublepoisson.poly import (
     MultiPoly,
     PolyRing,
     RelationSet,
+    _degree,
     _weight,
     grlex_key,
+    lex_key,
     parse_rational,
 )
 from doublepoisson.repspace import get_chart
+
+from dense_poly import DensePoly, dense_grlex_key, dense_morphism, dense_normal_form, to_vector, to_word
 
 
 @pytest.fixture
@@ -86,10 +91,11 @@ def test_parse_rejects_garbage(cs_ring):
 @pytest.mark.parametrize(
     "text",
     ["(a+b+1)^80", "(a+b+1)^200", "(a+1)^2000", "3^10000000", "(2*a+1)^9000", "(a+b+1)^30*(a+b+1)^30",
-     "3^5000*3^5000*3", "(1/3+a)^9999"],
+     "3^5000*3^5000*3", "(1/3+a)^9999", "(524288*a+1)^499", "(a+b)^128", "(a+1)^499", "a^32769"],
 )
 def test_parse_refuses_an_oversized_power_or_product_at_once(text):
-    # each was expanded in full before: "(a+b+1)^80" took 0.74 s, "3^10000000" 4.1 s
+    # each was expanded in full before: "(a+b+1)^80" took 0.74 s, "3^10000000" 4.1 s; the last four
+    # pass the bound on terms times (degree + bits), and "(524288*a+1)^499" took 0.47 s
     ring = PolyRing(("a", "b"))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="could expand to"):
@@ -98,13 +104,25 @@ def test_parse_refuses_an_oversized_power_or_product_at_once(text):
 
 
 def test_parse_builds_powers_and_products_up_to_the_limit():
+    # each is at its bound: one more in the exponent is refused
     ring = PolyRing(("a", "b"))
-    assert len(ring.parse("(a+1)^499").terms) == 500
-    assert len(ring.parse("(a+b+1)^30").terms) == 496
+    assert len(ring.parse("(a+1)^127").terms) == 128
+    assert len(ring.parse("(a+b+1)^26").terms) == 378
     assert ring.parse("(a+b+1)^4*(a+b+1)^4") == ring.parse("(a+b+1)^8")
     assert ring.parse("3^5000") == ring.const(3**5000)
-    assert ring.parse("a^1000000") == ring.monomial({"a": 1000000})
+    assert ring.parse("a^32768") == ring.monomial({"a": 32768})
     assert ring.parse("(-1)^1000001") == ring.const(-1)
+    for text in ("(a+1)^128", "(a+b+1)^27", "3^5001", "a^32769"):
+        with pytest.raises(ValueError, match="could expand to"):
+            ring.parse(text)
+
+
+def test_the_slowest_accepted_power_parses_at_once():
+    # the slowest of the powers at their bound, over 17 bases in 1-4 variables with int and rational coefficients
+    ring = PolyRing(("a", "b"))
+    start = time.perf_counter()
+    assert len(ring.parse("(a+b)^127").terms) == 128
+    assert time.perf_counter() - start < 0.1
 
 
 def test_weight_is_the_log_height_of_numerators_over_the_common_denominator():
@@ -132,6 +150,7 @@ def test_parse_bounds_hold_on_random_polynomials(f_terms, g_terms, e):
     assert _weight(power) <= e * _weight(f)
     assert len((f * g).terms) <= len(f.terms) * len(g.terms)
     assert _weight(f * g) <= _weight(f) + _weight(g)
+    assert _degree(power) <= e * _degree(f) and _degree(f * g) <= _degree(f) + _degree(g)
     for p in (f, power):
         bound = 2 ** _weight(p)
         assert all(abs(c.numerator) <= bound and c.denominator <= bound for c in p.terms.values())
@@ -144,10 +163,18 @@ def test_ring_mismatch_errors(cs_ring):
 
 
 def test_grlex_order():
-    # degree first, then lexicographic with the earlier variable larger
-    assert grlex_key((2, 0)) > grlex_key((1, 1))
-    assert grlex_key((1, 1)) > grlex_key((0, 2))
-    assert grlex_key((0, 3)) > grlex_key((2, 0))
+    # degree first, then lexicographic with the earlier variable larger: x0^2 > x0*x1 > x1^2, x1^3 > x0^2
+    assert grlex_key((0, 0)) > grlex_key((0, 1))
+    assert grlex_key((0, 1)) > grlex_key((1, 1))
+    assert grlex_key((1, 1, 1)) > grlex_key((0, 0))
+
+
+def test_word_keys_give_the_orders_of_exponent_vectors():
+    # every monomial in 4 variables up to degree 4
+    vectors = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
+    words = [to_word(e) for e in vectors]
+    assert sorted(words, key=lex_key) == [to_word(e) for e in sorted(vectors)]
+    assert sorted(words, key=grlex_key) == [to_word(e) for e in sorted(vectors, key=dense_grlex_key)]
 
 
 def test_normal_form_examples(cs_ring, circle):
@@ -185,15 +212,16 @@ def test_relation_set_rejects_nondecreasing():
         RelationSet.single(ring, "c", "c^2 + s")
     with pytest.raises(ValueError, match="does not decrease"):
         # built directly, without ``of``: every RelationSet checks its rules
-        RelationSet(ring, (((1, 0), ring.parse("c^2 + s")),))
+        RelationSet(ring, (((0,), ring.parse("c^2 + s")),))
 
 
-def _old_normal_form(rels: RelationSet, p: MultiPoly) -> MultiPoly:
-    """normal_form as it was: rewrite the first divisible term, rebuild the polynomial, repeat."""
+def _old_normal_form(rels: RelationSet, p: DensePoly) -> DensePoly:
+    """normal_form as it was, on exponent vectors: rewrite the first divisible term, rebuild, repeat."""
+    rules = [(to_vector(lead, rels.ring.nvars), DensePoly.of(repl)) for lead, repl in rels.rules]
     while True:
         hit = None
         for e in p.terms:
-            for lead, repl in rels.rules:
+            for lead, repl in rules:
                 if all(a >= b for a, b in zip(e, lead)):
                     hit = (e, lead, repl)
                     break
@@ -203,8 +231,8 @@ def _old_normal_form(rels: RelationSet, p: MultiPoly) -> MultiPoly:
             return p
         e, lead, repl = hit
         quotient = tuple(a - b for a, b in zip(e, lead))
-        rest = MultiPoly(rels.ring, {m: q for m, q in p.terms.items() if m != e})
-        p = rest + MultiPoly(rels.ring, {quotient: p.terms[e]}) * repl
+        rest = DensePoly(rels.ring, {m: q for m, q in p.terms.items() if m != e})
+        p = rest + DensePoly(rels.ring, {quotient: p.terms[e]}) * repl
 
 
 @pytest.mark.parametrize("chart", ("rep2-a2", "rep3-a2"))
@@ -217,8 +245,8 @@ def test_normal_form_matches_the_rebuilding_loop(chart):
         for _ in range(rng.randint(0, 8)):
             exps = tuple(rng.randint(0, 4) if rng.random() < 0.4 else 0 for _ in ring.names)
             terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        p = MultiPoly(ring, terms)
-        assert rels.normal_form(p) == _old_normal_form(rels, p)
+        p = DensePoly(ring, terms)
+        assert rels.normal_form(p.to_poly()) == _old_normal_form(rels, p).to_poly()
 
 
 def test_partial_derivative(cs_ring):
@@ -241,10 +269,10 @@ def test_substitute_and_eval(cs_ring):
 # -- oracle: the kernel before it skipped its throwaway work ---------------------
 #
 # Each old operation built a Fraction(0) default per term and filtered zeros
-# again in the constructor.  The power oracle multiplies into ring.one() and
-# squares the base only while a higher bit remains, since a square past the
-# last bit is never used.  The new kernel must give the same term maps in the
-# same key order.
+# again in the constructor, on exponent vectors (``dense_poly.DensePoly``).
+# The power oracle multiplies into the constant 1 and squares the base only
+# while a higher bit remains, since a square past the last bit is never used.
+# The new kernel must give the same term maps in the same key order.
 
 
 def _old_add(p, q):
@@ -255,11 +283,11 @@ def _old_add(p, q):
             terms.pop(e, None)
         else:
             terms[e] = s
-    return MultiPoly(p.ring, terms)
+    return DensePoly(p.ring, terms)
 
 
 def _old_neg(p):
-    return MultiPoly(p.ring, {e: -c for e, c in p.terms.items()})
+    return DensePoly(p.ring, {e: -c for e, c in p.terms.items()})
 
 
 def _old_sub(p, q):
@@ -276,11 +304,11 @@ def _old_mul(p, q):
                 acc.pop(e, None)
             else:
                 acc[e] = s
-    return MultiPoly(p.ring, acc)
+    return DensePoly(p.ring, acc)
 
 
 def _old_pow(p, n):
-    result = p.ring.one()
+    result = DensePoly.const(p.ring, 1)
     base = p
     while n:
         if n & 1:
@@ -292,13 +320,13 @@ def _old_pow(p, n):
 
 
 def _old_substitute(p, mapping, target):
-    """The ring morphism folded term by term, each power raised afresh per call."""
+    """The ring morphism of a MultiPoly, folded term by term on exponent vectors, each power raised afresh."""
     images = [mapping[name] for name in p.ring.names]
-    images = [img if isinstance(img, MultiPoly) else target.const(img) for img in images]
+    images = [DensePoly.of(img) if isinstance(img, MultiPoly) else DensePoly.const(target, img) for img in images]
     powers = [dict() for _ in images]
-    result = target.zero()
-    for e, c in sorted(p.terms.items()):
-        term = target.const(c)
+    result = DensePoly(target, {})
+    for e, c in sorted(DensePoly.of(p).terms.items()):
+        term = DensePoly.const(target, c)
         for i, k in enumerate(e):
             if k:
                 if k not in powers[i]:
@@ -316,14 +344,14 @@ _coefficients = st.one_of(
     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
 )
 _kernel_polys = st.lists(st.tuples(_exponents, _coefficients), max_size=6).map(
-    lambda terms: MultiPoly(_KERNEL_RING, dict(terms))
+    lambda terms: DensePoly(_KERNEL_RING, dict(terms)).to_poly()
 )
 
 
 def _same(got, want):
-    """Equal term maps in the same key order, and no stored zero."""
+    """Equal term maps (MultiPoly ``got``, DensePoly ``want``) in the same key order, and no stored zero."""
     assert got.ring == want.ring
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert list(DensePoly.of(got).terms.items()) == list(want.terms.items())
     assert all(c != 0 for c in got.terms.values())
 
 
@@ -331,28 +359,99 @@ def _same(got, want):
 @settings(max_examples=100, deadline=None, database=None)
 @given(p=_kernel_polys, q=_kernel_polys, c=_coefficients)
 def test_kernel_matches_the_old_arithmetic(p, q, c):
+    P, Q = DensePoly.of(p), DensePoly.of(q)
     # q - p against p cancels p's terms in p + (q - p); p - p and p + (-p) vanish
-    for a, b in ((p, q), (p, _old_neg(p)), (p, p), (p, _old_sub(q, p)), (q, p)):
-        _same(a + b, _old_add(a, b))
-        _same(a - b, _old_sub(a, b))
-        _same(a * b, _old_mul(a, b))
-    _same(-p, _old_neg(p))
-    scalar = _KERNEL_RING.const(c)
-    _same(p + c, _old_add(p, scalar))
-    _same(p - c, _old_sub(p, scalar))
-    _same(p * c, _old_mul(p, scalar))
-    assert (p + _old_neg(p)).is_zero() and (p - p).is_zero()
+    for A, B in ((P, Q), (P, _old_neg(P)), (P, P), (P, _old_sub(Q, P)), (Q, P)):
+        a, b = A.to_poly(), B.to_poly()
+        _same(a + b, _old_add(A, B))
+        _same(a - b, _old_sub(A, B))
+        _same(a * b, _old_mul(A, B))
+    _same(-p, _old_neg(P))
+    scalar = DensePoly.const(_KERNEL_RING, c)
+    _same(p + c, _old_add(P, scalar))
+    _same(p - c, _old_sub(P, scalar))
+    _same(p * c, _old_mul(P, scalar))
+    assert (p + _old_neg(P).to_poly()).is_zero() and (p - p).is_zero()
     product = _KERNEL_RING.one()
     for k in range(6):
-        _same(p**k, _old_pow(p, k))
+        _same(p**k, _old_pow(P, k))
         assert (p**k).terms == product.terms
         product = product * p
     # one morphism maps several polynomials through the same power and monomial caches
     mapping = {"x": q, "y": c, "z": p + q}
     image = _KERNEL_RING.morphism(mapping, _KERNEL_RING)
     for r in (p, q, p * q, p):
-        _same(image(r), _old_substitute(r, mapping, _KERNEL_RING))
-        _same(r.substitute(mapping, _KERNEL_RING), _old_substitute(r, mapping, _KERNEL_RING))
+        want = _old_substitute(r, mapping, _KERNEL_RING)
+        _same(image(r), want)
+        _same(r.substitute(mapping, _KERNEL_RING), want)
+
+
+# -- oracle: the exponent vectors that words replaced -----------------------------
+#
+# ``dense_poly.DensePoly`` is the arithmetic on exponent vectors that MultiPoly
+# ran before each monomial became its word.  On random polynomials over 1-80
+# variables every operation must give the same term map in the same key order,
+# the same text and the same values, floats bit for bit.
+
+
+def _random_dense(rng: random.Random, ring: PolyRing, terms: int, degree: int) -> DensePoly:
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        out[tuple(exps)] = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    return DensePoly(ring, out)
+
+
+def _same_floats(got: list[float], want: list[float]) -> None:
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@seed(20261027)
+@settings(max_examples=60, deadline=None, database=None)
+@given(nvars=st.integers(1, 80), state=st.integers(0, 2**32 - 1))
+def test_words_match_dense_exponent_vectors(nvars, state):
+    rng = random.Random(state)
+    ring = PolyRing(f"x{i}" for i in range(nvars))
+    P, Q = _random_dense(rng, ring, 6, 4), _random_dense(rng, ring, 6, 4)
+    p, q = P.to_poly(), Q.to_poly()
+    assert DensePoly.of(p).terms == P.terms and list(DensePoly.of(p).terms) == list(P.terms)
+    for got, want in ((p + q, P + Q), (p - q, P - Q), (-p, -P), (p * q, P * Q), (q * p, Q * P)):
+        _same(got, want)
+    for k in range(4):
+        _same(p**k, P**k)
+    for name in rng.sample(ring.names, min(nvars, 5)):
+        _same(p.partial(name), P.partial(name))
+    assert str(p) == str(P) and str(p * q) == str(P * Q)
+    exact = {name: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for name in ring.names}
+    assert p.eval_rational(exact) == P.eval_rational(exact)
+    points = [{name: rng.uniform(-2.0, 2.0) for name in ring.names} for _ in range(3)]
+    for r, R in ((p, P), (p * q, P * Q)):
+        _same_floats([r.eval_float(pt) for pt in points], [R.eval_float(pt) for pt in points])
+        _same_floats(r.eval_floats([[pt[name] for name in ring.names] for pt in points]), [R.eval_float(pt) for pt in points])
+    # rules x_i^k -> a replacement of lower degree, on distinct variables
+    rules = []
+    for i in rng.sample(range(nvars), min(nvars, 2)):
+        k = rng.randint(2, 3)
+        repl = _random_dense(rng, ring, 3, k - 1)
+        rules.append((tuple(k if j == i else 0 for j in range(nvars)), repl))
+    rels = RelationSet(ring, tuple((to_word(lead), repl.to_poly()) for lead, repl in rules))
+    for r, R in ((p, P), (p * q, P * Q)):
+        _same(rels.normal_form(r), dense_normal_form(rules, R))
+    # a morphism into a small ring, some variables sent to constants
+    target = PolyRing(f"y{i}" for i in range(rng.randint(1, 4)))
+    images, mapping = [], {}
+    for name in ring.names:
+        if rng.random() < 0.3:
+            images.append(_random_dense(rng, target, 3, 2))
+            mapping[name] = images[-1].to_poly()
+        else:
+            mapping[name] = rng.randint(-2, 2)
+            images.append(DensePoly.const(target, mapping[name]))
+    image, dense_image = ring.morphism(mapping, target), dense_morphism(ring, images, target)
+    for r, R in ((p, P), (q, Q), (p * q, P * Q)):
+        _same(image(r), dense_image(R))
 
 
 def test_morphism_rejects_missing_foreign_and_misplaced_images(cs_ring):

@@ -409,7 +409,7 @@ def _substitute_poly(chart, p, bindings=None):
             mapping[v] = chart.ring.var(v)
         else:
             raise ChartError(f"no chart image for variable {v!r}")
-    return _old_substitute(p, mapping, chart.ring)
+    return _old_substitute(p, mapping, chart.ring).to_poly()
 
 
 def _substituted_residuals(chart, table, bindings=None):

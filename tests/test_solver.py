@@ -67,6 +67,7 @@ from doublepoisson.solver import (
     solve_modified,
     solve_modified_linear,
 )
+from dense_poly import DensePoly
 from jacobi_oracles import double_jacobiator
 from test_algebra import _dense_mul, _generated_dim
 
@@ -100,7 +101,7 @@ def test_a2_reparametrization_is_term_for_term(a2_variety):
     }
     # the t -> (alpha, beta, gamma) map must be invertible
     mat = [
-        [forms[nm].coefficient(tuple(1 if k == col else 0 for k in range(3))) for col in range(3)]
+        [forms[nm].coefficient((col,)) for col in range(3)]
         for nm in ("alpha", "beta", "gamma")
     ]
     inv = invert_matrix(mat)  # raises if singular
@@ -353,9 +354,10 @@ def test_jacobi_constraints_match_sympy_rref(spec, tmp_path):
 # -- oracle: the constraints as MultiPoly values ------------------------------------
 #
 # The reduced constraint rows used to be built into MultiPoly values over
-# dense exponent vectors of length p.  That build, kept here in place of
-# ``solver._with_constraints``, is the oracle of the sparse quadratic forms:
-# the same strings in the same order, and ``to_poly`` gives its polynomials.
+# dense exponent vectors of length p.  That build (on ``DensePoly``, then
+# read as words), kept here in place of ``solver._with_constraints``, is the
+# oracle of the sparse quadratic forms: the same strings in the same order,
+# and ``to_poly`` gives its polynomials.
 
 
 def _multipoly_with_constraints(variety, forms):
@@ -372,7 +374,7 @@ def _multipoly_with_constraints(variety, forms):
     for form in dict.fromkeys(frozenset(primitive_row(form).items()) for form in forms):
         elim.add_row(dict(form))
     rows = elim.reduced_pivot_rows()
-    constraints = [MultiPoly(ring, {monomial(key): v for key, v in rows[lead].items()}) for lead in sorted(rows)]
+    constraints = [DensePoly(ring, {monomial(key): v for key, v in rows[lead].items()}).to_poly() for lead in sorted(rows)]
     return LinearVariety(
         variety.algebra, variety.parameter_names, variety.nullspace_basis, tuple(constraints), variety.modified
     )
