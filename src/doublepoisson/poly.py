@@ -3,14 +3,14 @@
 A polynomial is a sparse map from monomials to nonzero exact rational
 coefficients.  A monomial is its word, the ascending tuple of its variable
 indices with repeats (x0^2*x3 is (0, 0, 3), a constant is ()), so a degree-d
-monomial costs O(d) however many variables the ring has.  Every exact scalar of the engine follows one rule
-(``exact_scalar``): it is an int when its denominator is 1, a
-:class:`fractions.Fraction` otherwise, and never a float.  The ring's
-constructors (``const``, ``var``, ``monomial``, ``parse``) apply it, and
-arithmetic keeps what its operands hold, so int coefficients stay ints under
-+ and *.  Rings are just an ordered tuple of variable names, fixed at
-construction so that the graded lexicographic order (and hence every normal
-form) is deterministic.
+monomial costs O(d) however many variables the ring has.  Every exact scalar
+of the engine follows one rule (``exact_scalar``): it is an int when its
+denominator is 1, a :class:`fractions.Fraction` otherwise, and never a float.
+The ring's constructors (``const``, ``var``, ``monomial``, ``parse``) apply
+it, and arithmetic keeps what its operands hold, so int coefficients stay
+ints under + and *.  Rings are just an ordered tuple of variable names,
+fixed at construction so that the graded lexicographic order (and hence
+every normal form) is deterministic.
 
 Rewrite systems (:class:`RelationSet`) are deliberately restricted to rules
 whose replacement is strictly smaller than the leading monomial in graded-lex;
@@ -312,10 +312,9 @@ class MultiPoly:
         return self.eval_floats([[float(values[name]) for name in self.ring.names]])[0]
 
     def eval_floats(self, points: list[list[float]]) -> list[float]:
-        """The float value at each point, a list of floats in ring variable order.
+        """The float value at each point (its floats in ring variable order).
 
-        The coefficients are converted once for all points; at each point the
-        floating-point operations are those of ``eval_float``, in its order.
+        The coefficients are converted once; per point, the operations are those of ``eval_float``.
         """
         terms = [(float(c), _runs(word)) for word, c in self.terms.items()]
         values = []
@@ -335,8 +334,9 @@ class MultiPoly:
         return "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in _runs(word))
 
     def __str__(self) -> str:
+        # descending graded lex: within one degree, ascending words are descending exponent vectors
         terms = self.terms
-        return _render((terms[e], self._monomial_str(e)) for e in sorted(terms, key=grlex_key, reverse=True))
+        return _render((terms[w], self._monomial_str(w)) for w in sorted(terms, key=lambda w: (-len(w), w)))
 
     __repr__ = __str__
 
@@ -454,8 +454,9 @@ class RelationSet:
         """The normal form of ``p``, in one worklist pass.
 
         A term whose word holds a rule head's word (as a multiset) is replaced
-        by the quotient times each replacement term; any other term is kept.  Pending terms with the same
-        monomial are summed, and a pending term that sums to zero is dropped.
+        by the quotient times each replacement term; any other term is kept.
+        Pending terms with the same monomial are summed, and a pending term
+        that sums to zero is dropped.
         """
         if p.ring != self.ring:
             raise ValueError(f"ring mismatch: poly in {p.ring}, relations in {self.ring}")
