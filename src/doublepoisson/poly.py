@@ -1,16 +1,15 @@
 """Exact multivariate polynomials over Q with graded-lex rewriting.
 
 A polynomial is a sparse map from monomials to nonzero exact rational
-coefficients.  A monomial is its word, the ascending tuple of its variable
-indices with repeats (x0^2*x3 is (0, 0, 3), a constant is ()), so a degree-d
-monomial costs O(d) however many variables the ring has.  Every exact scalar
-of the engine follows one rule (``exact_scalar``): it is an int when its
-denominator is 1, a :class:`fractions.Fraction` otherwise, and never a float.
-The ring's constructors (``const``, ``var``, ``monomial``, ``parse``) apply
-it, and arithmetic keeps what its operands hold, so int coefficients stay
-ints under + and *.  Rings are just an ordered tuple of variable names,
-fixed at construction so that the graded lexicographic order (and hence
-every normal form) is deterministic.
+coefficients; a monomial is its word, the ascending tuple of its variable
+indices with repeats (x0^2*x3 is (0, 0, 3)).  Every exact scalar of the
+engine follows one rule (``exact_scalar``): it is an int when its denominator
+is 1, a :class:`fractions.Fraction` otherwise, and never a float.  The ring's
+constructors (``const``, ``var``, ``monomial``, ``parse``) apply it, and
+arithmetic keeps what its operands hold, so int coefficients stay ints under
++ and *.  Rings are just an ordered tuple of variable names, fixed at
+construction so that the graded lexicographic order (and hence every normal
+form) is deterministic.
 
 Rewrite systems (:class:`RelationSet`) are deliberately restricted to rules
 whose replacement is strictly smaller than the leading monomial in graded-lex;
@@ -62,7 +61,7 @@ def parse_rational(text: str) -> int | Fraction:
 
 
 def lex_key(word: tuple[int, ...]) -> tuple:
-    """Sort key of a word that realizes lexicographic order of exponent vectors (first variable largest)."""
+    """Sort key of a word realizing lexicographic order of exponent vectors."""
     return tuple(-i for i in word)
 
 
@@ -312,10 +311,7 @@ class MultiPoly:
         return self.eval_floats([[float(values[name]) for name in self.ring.names]])[0]
 
     def eval_floats(self, points: list[list[float]]) -> list[float]:
-        """The float value at each point (its floats in ring variable order).
-
-        The coefficients are converted once; per point, the operations are those of ``eval_float``.
-        """
+        """``eval_float`` at each point, a float list in ring variable order; coefficients converted once."""
         terms = [(float(c), _runs(word)) for word, c in self.terms.items()]
         values = []
         for point in points:
@@ -334,7 +330,7 @@ class MultiPoly:
         return "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in _runs(word))
 
     def __str__(self) -> str:
-        # descending graded lex: within one degree, ascending words are descending exponent vectors
+        # descending grlex: in one degree, ascending words are descending exponent vectors
         terms = self.terms
         return _render((terms[w], self._monomial_str(w)) for w in sorted(terms, key=lambda w: (-len(w), w)))
 
@@ -479,7 +475,7 @@ class RelationSet:
 
 
 def _divide(word: tuple[int, ...], head: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The word with one letter removed per letter of ``head``; None unless head divides word."""
+    """word / head as a word, or None if head does not divide word."""
     rest = list(word)
     for i in head:
         if i not in rest:
@@ -497,10 +493,9 @@ def _divide(word: tuple[int, ...], head: tuple[int, ...]) -> tuple[int, ...] | N
 #
 # A power or a product is bounded before it is built: its result may have at
 # most _MAX_TERMS terms and a weight (``_weight``) of at most _MAX_BITS, so no
-# coefficient's numerator or denominator exceeds 2**_MAX_BITS, and its terms
-# times (degree + weight) may be at most _MAX_SIZE, since each term costs its
-# degree in word letters and its weight in coefficient bits.  Past any limit
-# the parser raises ValueError at once.
+# coefficient's numerator or denominator exceeds 2**_MAX_BITS, and at most
+# _MAX_SIZE in terms times (degree + weight), word letters plus coefficient
+# bits.  Past any limit the parser raises ValueError at once.
 
 _MAX_TERMS = 500
 _MAX_BITS = 10_000
@@ -530,7 +525,7 @@ def _check_size(what: str, terms: int, degree: int, bits: int) -> None:
     if bits > _MAX_BITS:
         raise ValueError(f"{what} could expand to coefficients of {bits} bits, more than {_MAX_BITS}")
     if terms * (degree + bits) > _MAX_SIZE:
-        raise ValueError(f"{what} could expand to {terms} terms times (degree {degree} + {bits} bits), over {_MAX_SIZE}")
+        raise ValueError(f"{what} could expand to more than {_MAX_SIZE} in terms times (degree + bits)")
 
 
 def _tokenize(text: str) -> list[str]:

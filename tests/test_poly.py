@@ -95,7 +95,7 @@ def test_parse_rejects_garbage(cs_ring):
 )
 def test_parse_refuses_an_oversized_power_or_product_at_once(text):
     # each was expanded in full before: "(a+b+1)^80" took 0.74 s, "3^10000000" 4.1 s; the last four
-    # pass the bound on terms times (degree + bits), and "(524288*a+1)^499" took 0.47 s
+    # exceed only the bound on terms times (degree + bits), and "(524288*a+1)^499" took 0.47 s
     ring = PolyRing(("a", "b"))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="could expand to"):
