@@ -140,8 +140,8 @@ class DensePoly:
         return _render((terms[e], self._monomial_str(e)) for e in sorted(terms, key=dense_grlex_key, reverse=True))
 
 
-def dense_morphism(source: PolyRing, images: list[DensePoly], target: PolyRing):
-    """The ring morphism sending variable i of ``source`` to ``images[i]``, powers cached per call site."""
+def dense_morphism(images: list[DensePoly], target: PolyRing):
+    """The ring morphism sending variable i to ``images[i]``, each power raised once per morphism."""
     powers: dict = {}
 
     def image(p: DensePoly) -> DensePoly:

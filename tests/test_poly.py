@@ -449,7 +449,7 @@ def test_words_match_dense_exponent_vectors(nvars, state):
         else:
             mapping[name] = rng.randint(-2, 2)
             images.append(DensePoly.const(target, mapping[name]))
-    image, dense_image = ring.morphism(mapping, target), dense_morphism(ring, images, target)
+    image, dense_image = ring.morphism(mapping, target), dense_morphism(images, target)
     for r, R in ((p, P), (q, Q), (p * q, P * Q)):
         _same(image(r), dense_image(R))
 
