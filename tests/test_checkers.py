@@ -34,8 +34,9 @@ from test_solver import _t3_json, _two_stage_algebra
 from test_tensors import leg_commutator
 
 SPECS = ("a2", "mat1+mat1", "mat2", "a2+a2", "T3")
-#: J(r) and the inner bracket use the unit law and the product table's own
-#: coefficients: a unit that is not a basis sum, and fractional constants.
+#: J(r), the inner bracket and the Jacobi checkers use the unit law and the
+#: product table's own coefficients: a unit that is not a basis sum, and
+#: fractional constants.
 UNIT_LAW_SPECS = ("mat2~rebased", "a2+mat1/2")
 
 
@@ -424,7 +425,7 @@ def _assert_bracket_checks_match(db, rels=None):
 @settings(max_examples=20, deadline=None, database=None)
 @given(data=st.data())
 def test_bracket_checkers_match_dense_oracle(algebras, data):
-    db = data.draw(_brackets(algebras[data.draw(st.sampled_from(SPECS))]))
+    db = data.draw(_brackets(algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]))
     _assert_bracket_checks_match(db)
 
 
@@ -448,7 +449,7 @@ def test_aybe_and_leg_operations_match_dense_oracle(algebras, data):
 @settings(max_examples=20, deadline=None, database=None)
 @given(data=st.data())
 def test_h0_checks_match_dense_oracle(algebras, data):
-    alg = algebras[data.draw(st.sampled_from(SPECS))]
+    alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
     n = alg.dim
     slot = st.tuples(*[st.integers(0, n - 1)] * 4)
     entries = data.draw(st.lists(st.tuples(slot, _small_rational), max_size=8))
