@@ -33,7 +33,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from .linalg import SparseEliminator
-from .poly import Scalar, exact_scalar, scalar_is_zero
+from .poly import Scalar, exact_scalar
 
 Coords = tuple
 
@@ -143,11 +143,11 @@ class FDAlgebra:
         """Coordinates of the product of two coordinate vectors (bilinear)."""
         out: list[Scalar] = [0] * self.dim
         for i, xi in enumerate(x):
-            if scalar_is_zero(xi):
+            if not xi:
                 continue
             row = self.products[i]
             for j, yj in enumerate(y):
-                if scalar_is_zero(yj):
+                if not yj:
                     continue
                 coeff = xi * yj
                 for k, c in row[j]:
@@ -207,7 +207,7 @@ class AlgElement:
         return AlgElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):
@@ -216,7 +216,7 @@ class AlgElement:
 
     def __str__(self) -> str:
         names = self.algebra.basis_names
-        parts = [f"({c})*{n}" for c, n in zip(self.coords, names) if not scalar_is_zero(c)]
+        parts = [f"({c})*{n}" for c, n in zip(self.coords, names) if c]
         return " + ".join(parts) if parts else "0"
 
 
@@ -476,7 +476,7 @@ class CommutatorSubspace:
         return len(self.complement_indices)
 
     def contains(self, coords: Sequence[Scalar]) -> bool:
-        return all(scalar_is_zero(c) for c in self.project_flat(coords))
+        return not any(self.project_flat(coords))
 
     def project_flat(self, coords: Sequence[Scalar]) -> tuple:
         """Coordinates of the class of ``coords`` in A_flat.
@@ -488,13 +488,13 @@ class CommutatorSubspace:
         vec = list(coords)
         for row, piv in zip(self.basis, self.pivot_columns):
             factor = vec[piv]
-            if scalar_is_zero(factor):
+            if not factor:
                 continue
             for c, v in enumerate(row):
                 if v != 0:
                     vec[c] = vec[c] - factor * v
         leftover = [
-            (i, v) for i, v in enumerate(vec) if i not in self.complement_indices and not scalar_is_zero(v)
+            (i, v) for i, v in enumerate(vec) if i not in self.complement_indices and v
         ]
         if leftover:
             raise AlgebraError("projection failed: reduction left non-complement coordinates")

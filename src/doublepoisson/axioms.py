@@ -1,15 +1,17 @@
 """The axioms of double and modified double Poisson brackets, each written once.
 
-One generator per axiom, two folds.  A slot {{e_i, e_j}} is a sequence of
+One generator per axiom.  A slot {{e_i, e_j}} is a sequence of
 (a, b, payload) with {{e_i, e_j}} = sum payload e_a (x) e_b, and
 ``prods[x][y]`` lists the (z, v) with e_x e_y = sum v e_z.  A linear rule
 yields (position, coefficient, payload) terms, its residual being the sum of
 coefficient * payload at each position; a quadratic rule yields (position,
-payload, payload) pairs whose products are summed.  The checkers pass a
-bracket's ``terms`` (payload: the coefficient) and ``algebra.products`` and
-sum the residual; the solver passes generic slots (payload: the column of an
-unknown, or a linear form in the nullspace parameters) and collects
-row[column] += coefficient at each position.
+payload, payload) pairs whose products are summed.  A linear rule has two
+folds: the checkers pass a bracket's ``terms`` (payload: the coefficient)
+and ``algebra.products`` and sum the residual; the solver passes generic
+slots (payload: the column of an unknown) and collects row[column] +=
+coefficient at each position.  The Jacobi rules have one fold, the scan in
+``brackets``: its payloads are linear forms in the parameters of a span of
+brackets, and a checker scans the span of its own bracket.
 
 The generators only multiply what they are given by the structure
 constants, by 1 and by -1, so they keep the scalar rule of the engine

@@ -10,10 +10,13 @@ The stored form is sparse: ``terms[i][j]`` holds the nonzero (a, b,
 C[i][j][a][b]) in (a, b) order.  Every constructor builds it directly, and
 ``coeffs`` and ``flat_coeffs()`` are dense views derived on demand.
 
-Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
-The checkers fold it over the bracket's ``terms`` and the product table
+Each axiom is written once, in ``axioms``: one generator per axiom.  The
+linear checkers fold it over the bracket's ``terms`` and the product table
 ``products``, so a residual, a sparse tensor {position: coefficient}, sums
-nonzero coefficients only; a witness wraps it in a Tensor2 or Tensor3.
+nonzero coefficients only; a witness wraps it in a Tensor2 or Tensor3.  The
+Jacobi axioms have one fold, the quadratic scan here (``_jacobi_scan`` and
+``_h0_jacobi_scan``), which the solver runs on the span of its nullspace
+basis and the checkers on their own bracket.
 
 A rational coefficient follows the scalar rule of ``poly.exact_scalar``: an
 int when its denominator is 1, a Fraction otherwise, never a float.  Parsed
@@ -24,21 +27,23 @@ coefficient has a denominator.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import itemgetter
+from itertools import groupby, product
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .axioms import (
+    JACOBI_LEGS,
     derivation_terms,
     first_leg_pairs,
     flipped,
+    h0_jacobiator_parts,
     inner_derivation_terms,
     jacobiator_parts,
     multiplied_terms,
+    nested_pairs,
     skew_terms,
 )
-from .poly import MultiPoly, RelationSet, Scalar, scalar_is_zero
-from .tensors import _ZERO, Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
+from .poly import MultiPoly, RelationSet, Scalar
+from .tensors import _ZERO, Tensor2, Tensor3, tensor_from_terms
 
 
 def _residual(terms) -> dict:
@@ -62,7 +67,7 @@ def _pair_residual(pairs) -> dict:
 def _residual_zero(value, rels: RelationSet | None) -> bool:
     if isinstance(value, MultiPoly) and rels is not None:
         return rels.normal_form(value).is_zero()
-    return scalar_is_zero(value)
+    return not value
 
 
 def _terms_zero_mod(terms: dict, rels: RelationSet | None) -> bool:
@@ -79,6 +84,133 @@ def _witnesses(axiom: str, indices, residual, to_tensor, rels, collect: bool = T
             if not collect:
                 break
     return out
+
+
+# -- the Jacobi scan --------------------------------------------------------------
+#
+# The quadratic fold of both Jacobi axioms, shared by the checkers and the
+# solver.  Over brackets B_0..B_{p-1} with term tables ``tables``, the element
+# sum_k t_k B_k has a linear form in t in every coefficient slot, so each
+# Jacobi residual entry is a quadratic form in t, computed from the brackets
+# by bilinear arithmetic.  A linear form is a tuple of (k, c) pairs with c
+# the coefficient of B_k as it is, an int wherever B_k is integral.  A
+# quadratic form is a map from monomial key to exact scalar, where t_k t_l
+# (k <= l) has key k * p + l; the smallest key of a form is its graded-lex
+# leading monomial.  A checker scans its own bracket alone: p = 1, every
+# linear form is ((0, C),) and every quadratic form is {0: residual entry}.
+
+
+def _slot_forms(tables) -> list:
+    """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of sum_k t_k B_k, B_k with terms tables[k]."""
+    n = len(tables[0])
+    slots = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            forms: dict[tuple[int, int], list] = {}
+            for k, t in enumerate(tables):
+                for a, b, v in t[i][j]:
+                    forms.setdefault((a, b), []).append((k, v))
+            slots[i][j] = [(a, b, tuple(forms[a, b])) for a, b in sorted(forms)]
+    return slots
+
+
+def _monomial_keys(p: int) -> list[list[int]]:
+    """keys[k][l]: the key of the monomial t_k t_l."""
+    return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
+
+
+def _forms(parts, keys):
+    """The nonzero (position, quadratic form) of sum(sign * f * g), positions ascending, keys ascending.
+
+    ``parts`` are (sign, land, products) with (position, f, g) products of
+    linear forms: sign * f * g adds to the form at land[position].  Every
+    product goes into one map, keyed land[position] * p^2 + monomial key, so
+    one sort of its keys lists the forms by position and each form by key.
+    """
+    p2 = len(keys) ** 2
+    total: dict = {}
+    get = total.get
+    for sign, land, products in parts:
+        for pos, f, g in products:
+            base = land[pos] * p2
+            for k, u in f:
+                row = keys[k]
+                if sign < 0:
+                    u = -u
+                for l, v in g:
+                    key = base + row[l]
+                    total[key] = get(key, 0) + u * v
+    form: dict = {}
+    last = -1
+    for key in sorted(total):
+        v = total[key]
+        if v:
+            pos, key = divmod(key, p2)
+            if pos != last:
+                if form:
+                    yield last, form
+                form, last = {}, pos
+            form[key] = v
+    if form:
+        yield last, form
+
+
+def _multiplied_forms(prods, slot) -> list:
+    """The nonzero (c, form) of m({{e_a, e_b}}) for a slot of linear forms (``axioms.multiplied_terms``)."""
+    coords: dict[int, dict] = {}
+    for c, m, f in multiplied_terms(prods, slot):
+        acc = coords.setdefault(c, {})
+        for k, u in f:
+            acc[k] = acc.get(k, 0) + m * u
+    forms = ((c, tuple((k, u) for k, u in coords[c].items() if u)) for c in sorted(coords))
+    return [(c, form) for c, form in forms if form]
+
+
+def _jacobi_scan(tables, generators):
+    """(triple, index, form) over the nonzero entries of the jacobiators on generators^3, one triple per cyclic class.
+
+    The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
+    products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
+    each computed by polarization from ``axioms.first_leg_pairs``.  Every
+    product lands, through the map from its cell to the index of the cell
+    its legs send it to, in the triple's total (``_forms``); entry (c, d, b)
+    has index (c * n + d) * n + b, and the entries come out in index order.
+    J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor, so one triple
+    per cyclic class is scanned, the least of its rotations, in product order.
+    """
+    slots = _slot_forms(tables)
+    keys = _monomial_keys(len(tables))
+    n = len(slots)
+    cells = list(product(range(n), repeat=3))
+    index = {p: k for k, p in enumerate(cells)}
+    lands = {legs: {p: index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells} for legs in JACOBI_LEGS}
+    for t in product(generators, repeat=3):
+        i, j, k = t
+        if t > (j, k, i) or t > (k, i, j):
+            continue
+        parts = jacobiator_parts(i, j, k)
+        parts = ((1, lands[legs], first_leg_pairs(slots[a], slots[b][c])) for (a, b, c), legs in parts)
+        for pos, form in _forms(parts, keys):
+            yield t, pos, form
+
+
+def _h0_jacobi_scan(tables, prods, generators):
+    """(triple, coordinate, form) over the nonzero coordinates of the H0 Jacobi residuals on (i, j, k), k in generators.
+
+    With M(a, b) = m({{e_a, e_b}}) over the product table ``prods``, each
+    residual sums the signed products of ``axioms.nested_pairs`` at their
+    coordinates (``_forms``), and its coordinates come out in order.
+    """
+    slots = _slot_forms(tables)
+    keys = _monomial_keys(len(tables))
+    n = len(slots)
+    # table[a][b] = [(c, form)]: coordinate c of M(a, b)
+    table = [[_multiplied_forms(prods, slots[a][b]) for b in range(n)] for a in range(n)]
+    same = range(n)
+    for t in product(range(n), range(n), generators):
+        parts = ((sign, same, nested_pairs(table, *u, left)) for sign, u, left in h0_jacobiator_parts(*t))
+        for c, form in _forms(parts, keys):
+            yield t, c, form
 
 
 class AxiomReport:
@@ -124,7 +256,7 @@ class CoefficientBracket:
         """The bracket with C[i][j][a][b] = slots[i][j][(a, b)]; zero values are dropped."""
         terms = [
             [
-                [(a, b, v) for (a, b), v in sorted(slot.items()) if not scalar_is_zero(v)]
+                [(a, b, v) for (a, b), v in sorted(slot.items()) if v]
                 for slot in row
             ]
             for row in slots
@@ -193,10 +325,10 @@ class CoefficientBracket:
             raise AlgebraError("elements from a different algebra")
         out: dict = {}
         for i, xi in enumerate(x.coords):
-            if scalar_is_zero(xi):
+            if not xi:
                 continue
             for j, yj in enumerate(y.coords):
-                if scalar_is_zero(yj):
+                if not yj:
                     continue
                 c = xi * yj
                 for a, b, v in self.terms[i][j]:
@@ -292,49 +424,30 @@ class DoubleBracket(CoefficientBracket):
 
     # -- double Jacobi ------------------------------------------------------------
 
-    def _first_leg(self, i: int, j: int, k: int) -> dict:
-        """{{e_i,{{e_j,e_k}}}}_L as a sparse tensor {(c, d, b): coefficient}."""
-        return _pair_residual(first_leg_pairs(self.terms[i], self.terms[j][k]))
-
-    def _jacobiator_terms(self, i: int, j: int, k: int, first_leg=None) -> dict:
-        """The jacobiator J(i, j, k) (``axioms.jacobiator_parts``) as a sparse tensor."""
-        first_leg = first_leg or self._first_leg
-        out: dict = {}
-        for t, legs in jacobiator_parts(i, j, k):
-            permuted = itemgetter(*legs)
-            for p, v in first_leg(*t).items():
-                key = permuted(p)
-                prev = out.get(key)
-                out[key] = v if prev is None else prev + v
-        return out
-
-    def _tensor3(self, terms: dict) -> Tensor3:
-        return tensor3_from_terms(self.algebra, terms)
-
     def check_jacobi(self, rels: RelationSet | None = None, collect: bool = True):
-        """Jacobiator witnesses over basis triples, scanned in (i, j, k) order.
+        """Jacobiator witnesses over basis triples, in (i, j, k) order.
 
-        Each first-leg product F(i,j,k) is computed once: the jacobiators of
-        the three cyclic rotations of (i, j, k) read the same three products,
-        which are dropped once the last rotation in scan order is done.
+        The bracket's own scan (``_jacobi_scan``) gives the jacobiator J of
+        the least rotation (i, j, k) of each cyclic class.  J(j, k, i) =
+        tau132 J(i, j, k) and J(k, i, j) = tau123 J(i, j, k) for any
+        coefficient tensor, so those are the witnesses of the other two
+        rotations.  The least rotation of the first nonzero class is the
+        first witness of all, the one ``collect=False`` returns.
         """
-        cache: dict = {}
-
-        def first_leg(*t):
-            if t not in cache:
-                cache[t] = self._first_leg(*t)
-            return cache[t]
-
-        def residual(i, j, k):
-            terms = self._jacobiator_terms(i, j, k, first_leg)
-            orbit = ((i, j, k), (j, k, i), (k, i, j))
-            if (i, j, k) == max(orbit):
-                for t in orbit:
-                    cache.pop(t, None)
-            return terms
-
-        triples = product(range(self.algebra.dim), repeat=3)
-        return _witnesses("jacobi", triples, residual, self._tensor3, rels, collect)
+        n = self.algebra.dim
+        cells = list(product(range(n), repeat=3))
+        out = []
+        for (i, j, k), entries in groupby(_jacobi_scan([self.terms], range(n)), lambda e: e[0]):
+            terms = {cells[pos]: form[0] for _, pos, form in entries}
+            if _terms_zero_mod(terms, rels):
+                continue
+            jac = Tensor3(self.algebra, terms)
+            out.append((("jacobi", i, j, k), jac))
+            if not collect:
+                return out
+            if not i == j == k:
+                out += [(("jacobi", j, k, i), jac.tau132()), (("jacobi", k, i, j), jac.tau123())]
+        return sorted(out, key=lambda w: w[0])
 
     def check_all(self, rels: RelationSet | None = None) -> AxiomReport:
         skew = self.check_skew(rels)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebra import AlgebraError, AlgElement, FDAlgebra
 from .axioms import aybe_pairs, flipped, inner_derivation_terms, leg_commutator_terms
 from .brackets import CoefficientBracket, DoubleBracket, _pair_residual, _residual
-from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar, scalar_is_zero
+from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar
 from .tensors import Tensor3, _nonzero_terms, _zero_grid2, tensor3_from_terms
 
 
@@ -62,7 +62,7 @@ class WedgeElement:
             raise AlgebraError("wedge grid has wrong shape")
         for a in range(n):
             for b in range(a, n):
-                if not scalar_is_zero(grid[a][b] + grid[b][a]):
+                if grid[a][b] + grid[b][a]:
                     raise AlgebraError("wedge grid is not antisymmetric")
         terms = [(a, b, grid[a][b]) for a in range(n) for b in range(a + 1, n)]
         return WedgeElement.from_terms(algebra, terms)
@@ -89,7 +89,7 @@ class WedgeElement:
                 a, b, c = b, a, -c
             if a != b:  # e_a ^ e_a = 0
                 acc[(a, b)] = acc.get((a, b), 0) + c
-        nonzero = tuple((a, b, c) for (a, b), c in sorted(acc.items()) if not scalar_is_zero(c))
+        nonzero = tuple((a, b, c) for (a, b), c in sorted(acc.items()) if c)
         return WedgeElement(algebra, nonzero)
 
     def __add__(self, other: WedgeElement) -> WedgeElement:
@@ -215,7 +215,7 @@ def _reexpress_tensor3_legs(t: Tensor3, leg_basis) -> dict:
                     prev = out.get(key)
                     term = v * (ci * cj * ck)
                     out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if not scalar_is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 class AybeSystem:
@@ -304,4 +304,4 @@ def trace_casimir_check(db: CoefficientBracket) -> bool:
     m(flip(D_i(flip r))) = Pe_iQ - Pe_iQ = 0 for each summand P(x)Q of r.
     """
     n = db.algebra.dim
-    return all(scalar_is_zero(c) for i in range(n) for j in range(n) for c in db.multiplied_basis(i, j))
+    return not any(c for i in range(n) for j in range(n) for c in db.multiplied_basis(i, j))

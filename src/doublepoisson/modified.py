@@ -14,18 +14,19 @@ skew modulo commutators, and requires the Jacobi identity
 The induced bracket on the universal trace space A_flat = A/[A,A] is computed
 by flat_bracket, with an explicit well-definedness certificate.
 
-Each axiom is written once, in ``axioms``: one generator per axiom, two
-folds.  The checks here fold the generators over a bracket's terms.
+Each axiom is written once, in ``axioms``: one generator per axiom.  The
+checks here fold the linear ones over a bracket's terms; the H0 Jacobi
+check is the solver's scan (``brackets._h0_jacobi_scan``) on the bracket.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby
 
 from .algebra import AlgebraError, AlgElement, CommutatorSubspace, FDAlgebra, commutator_subspace
-from .axioms import h0_jacobiator_parts, h0_skew_terms, multiplied_terms, nested_pairs
-from .brackets import CoefficientBracket, _residual
-from .poly import RelationSet, Scalar, scalar_is_zero
+from .axioms import h0_skew_terms, multiplied_terms
+from .brackets import CoefficientBracket, _h0_jacobi_scan, _residual
+from .poly import RelationSet
 
 
 class ModifiedBracket(CoefficientBracket):
@@ -58,7 +59,7 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
         for j in range(i, n):
             r = _residual(h0_skew_terms(mb.algebra.products, terms[i][j], terms[j][i]))
             flat = sub.project_flat([r.get(c, 0) for c in range(n)])
-            if any(not scalar_is_zero(c) for c in flat):
+            if any(flat):
                 bad.append(((i, j), flat))
     return bad
 
@@ -66,23 +67,17 @@ def h0_skew_check(mb: ModifiedBracket, subspace: CommutatorSubspace | None = Non
 def h0_jacobi_check(mb: ModifiedBracket):
     """Residuals of {a,{b,c}} - {b,{a,c}} - {{a,b},c} over all basis triples.
 
-    The table M[a][b] = m({{e_a, e_b}}) holds nonzero coordinates only, and
-    each residual is the checker fold of ``axioms.h0_jacobiator_parts``.
+    The bracket's own scan (``brackets._h0_jacobi_scan``) over the algebra's
+    product table gives the nonzero coordinates of each residual.
     """
     alg = mb.algebra
     n = alg.dim
-    table = [
-        [[(c, v) for c, v in enumerate(mb.multiplied_basis(a, b)) if not scalar_is_zero(v)] for b in range(n)]
-        for a in range(n)
-    ]
     bad = []
-    for i, j, k in product(range(n), repeat=3):
-        r: list[Scalar] = [0] * n
-        for sign, t, left in h0_jacobiator_parts(i, j, k):
-            for c, f, g in nested_pairs(table, *t, left):
-                r[c] = r[c] + f * g if sign > 0 else r[c] - f * g
-        if any(not scalar_is_zero(c) for c in r):
-            bad.append(((i, j, k), alg.element(r)))
+    for t, coords in groupby(_h0_jacobi_scan([mb.terms], alg.products, range(n)), lambda e: e[0]):
+        r = [0] * n
+        for _, c, form in coords:
+            r[c] = form[0]
+        bad.append((t, alg.element(r)))
     return bad
 
 
@@ -97,16 +92,14 @@ class FlatBracketTable:
         self.table = table
 
     def is_zero(self) -> bool:
-        return all(
-            scalar_is_zero(c) for row in self.table for entry in row for c in entry
-        )
+        return not any(c for row in self.table for entry in row for c in entry)
 
     def antisymmetric(self) -> bool:
         d = len(self.basis_indices)
         for i in range(d):
             for j in range(d):
                 for a, b in zip(self.table[i][j], self.table[j][i]):
-                    if not scalar_is_zero(a + b):
+                    if a + b:
                         return False
         return True
 
@@ -134,7 +127,7 @@ def flat_bracket(mb: ModifiedBracket, subspace: CommutatorSubspace | None = None
         for y in reps + shifts:
             for left, right in ((h, y), (y, h)):
                 flat = sub.project_flat(mb.multiplied(left, right).coords)
-                if any(not scalar_is_zero(c) for c in flat):
+                if any(flat):
                     raise IllDefinedFlatBracketError(
                         (tuple(left.coords), tuple(right.coords), flat)
                     )

@@ -200,6 +200,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def leading_monomial(self) -> tuple[int, ...]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
@@ -637,11 +640,3 @@ def _parse_poly(ring: PolyRing, text: str) -> MultiPoly:
         raise ValueError(f"trailing input {parser.tokens[parser.pos:]!r}")
     return result
 
-
-# -- generic scalar helpers (Fraction | MultiPoly) ----------------------------
-
-
-def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return x == 0

@@ -31,9 +31,10 @@ generate, which is A.  So these rows have the same nullspace as the rows
 of all n^2 pairs, and so give the same nullspace basis (mat4: 9,536 rows
 for its 4 generators instead of 36,352).
 
-Each axiom is written once, in ``axioms``: one generator per axiom, two folds.
-The checkers fold a bracket's terms into residuals; this module folds generic
-slots (``_generic_slot``, ``_slot_forms``) into rows and quadratic forms.
+Each axiom is written once, in ``axioms``: one generator per axiom.  The
+checkers fold a bracket's terms into residuals; this module folds generic
+slots (``_generic_slot``) into rows.  The Jacobi stages run the checkers'
+own quadratic scan (``brackets._jacobi_scan``, ``brackets._h0_jacobi_scan``).
 
 The Jacobi residual of the general element sum_k t_k B_k is a quadratic form
 in t, so the constraints are computed by polarization: bilinear arithmetic on
@@ -58,25 +59,12 @@ reparametrize to the classical parameters via documented coefficient slots.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import lcm
 
 from .algebra import FDAlgebra, commutator_subspace, generating_set
-from .axioms import (
-    JACOBI_LEGS,
-    derivation_terms,
-    first_leg_pairs,
-    flipped,
-    h0_jacobiator_parts,
-    h0_skew_terms,
-    inner_derivation_terms,
-    jacobiator_parts,
-    multiplied_terms,
-    nested_pairs,
-    skew_terms,
-    unit_terms,
-)
-from .brackets import CoefficientBracket, DoubleBracket, DoubleDerivation
+from .axioms import derivation_terms, flipped, h0_skew_terms, inner_derivation_terms, skew_terms, unit_terms
+from .brackets import CoefficientBracket, DoubleBracket, DoubleDerivation, _h0_jacobi_scan, _jacobi_scan
 from .inner import inner_bracket, wedge_basis
 from .linalg import SparseEliminator, nullspace_of_rows, rank_of_rows, row_spans_equal
 from .modified import ModifiedBracket
@@ -333,74 +321,6 @@ def solve_modified_linear(algebra: FDAlgebra) -> LinearVariety:
 
 
 # -- quadratic constraints by polarization -------------------------------------
-#
-# The general element sum_k t_k B_k has a linear form in t in every coefficient
-# slot, so each Jacobi residual entry is a quadratic form in t, computed from
-# the basis brackets by bilinear arithmetic.  A linear form is a tuple of
-# (k, c) pairs with c the exact scalar of basis bracket k, an int wherever the
-# basis is integral.  A quadratic form is a map from monomial key to exact
-# scalar, where t_k t_l (k <= l) has key k * p + l; the smallest key of a form
-# is its graded-lex leading monomial.  Both Jacobi stages sum the products of
-# their parts with ``_forms``.
-
-
-def _slot_forms(variety: LinearVariety):
-    """slots[i][j] = [(a, b, form)] over the nonzero C[i][j][a][b] of the general element.
-
-    Each form carries the basis brackets' coefficients as they are.
-    """
-    n = variety.algebra.dim
-    terms = [basis.terms for basis in variety.nullspace_basis]
-    slots = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            forms: dict[tuple[int, int], list] = {}
-            for k, t in enumerate(terms):
-                for a, b, v in t[i][j]:
-                    forms.setdefault((a, b), []).append((k, v))
-            slots[i][j] = [(a, b, tuple(forms[a, b])) for a, b in sorted(forms)]
-    return slots
-
-
-def _monomial_keys(p: int) -> list[list[int]]:
-    """keys[k][l]: the key of the monomial t_k t_l."""
-    return [[min(k, l) * p + max(k, l) for l in range(p)] for k in range(p)]
-
-
-def _forms(parts, keys):
-    """The nonzero quadratic forms of sum(sign * f * g), in landed position order, keys ascending.
-
-    ``parts`` are (sign, land, products) with (position, f, g) products of
-    linear forms: sign * f * g adds to the form at land[position].  Every
-    product goes into one map, keyed land[position] * p^2 + monomial key, so
-    one sort of its keys lists the forms by position and each form by key.
-    """
-    p2 = len(keys) ** 2
-    total: dict[int, int | Fraction] = {}
-    get = total.get
-    for sign, land, products in parts:
-        for pos, f, g in products:
-            base = land[pos] * p2
-            for k, u in f:
-                row = keys[k]
-                if sign < 0:
-                    u = -u
-                for l, v in g:
-                    key = base + row[l]
-                    total[key] = get(key, 0) + u * v
-    form: dict[int, int | Fraction] = {}
-    last = -1
-    for key in sorted(total):
-        v = total[key]
-        if v:
-            pos, key = divmod(key, p2)
-            if pos != last:
-                if form:
-                    yield form
-                form, last = {}, pos
-            form[key] = v
-    if form:
-        yield form
 
 
 def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
@@ -414,7 +334,7 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     """
     names = variety.parameter_names
     p = variety.dim
-    # a form's keys ascend (``_forms``), so its keys then its values, negated when
+    # a form's keys ascend (``brackets._forms``), so its keys then its values, negated when
     # the first is negative, name it up to sign; other multiples reduce to zero
     elim = SparseEliminator(p * p)
     seen = set()
@@ -429,32 +349,6 @@ def _with_constraints(variety: LinearVariety, forms) -> LinearVariety:
     rows = elim.reduced_pivot_rows()
     constraints = tuple(QuadraticForm(names, rows[lead]) for lead in sorted(rows))
     return LinearVariety(variety.algebra, names, variety.nullspace_basis, constraints, variety.modified)
-
-
-def _jacobi_forms(variety: LinearVariety, generators):
-    """The nonzero entries of the jacobiators of the general element on generators^3.
-
-    The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
-    products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
-    each computed by polarization from ``axioms.first_leg_pairs``.  Every
-    product lands, through the map from its cell to the index of the cell
-    its legs send it to, in the triple's total (``_forms``), and the entries
-    come out in index order.  J(j, k, i) = tau132 J(i, j, k) for any
-    coefficient tensor, so one triple per cyclic class is scanned, the least
-    of its rotations.
-    """
-    n = variety.algebra.dim
-    slots = _slot_forms(variety)
-    keys = _monomial_keys(variety.dim)
-    # entry (c, d, b) sits at index (c * n + d) * n + b
-    cells = list(product(range(n), repeat=3))
-    index = {p: k for k, p in enumerate(cells)}
-    lands = {legs: {p: index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells} for legs in JACOBI_LEGS}
-    for i, j, k in product(generators, repeat=3):
-        if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
-            continue
-        parts = jacobiator_parts(i, j, k)
-        yield from _forms(((1, lands[legs], first_leg_pairs(slots[a], slots[b][c])) for (a, b, c), legs in parts), keys)
 
 
 def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
@@ -474,26 +368,8 @@ def jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety
         return variety
     if generators is None:
         generators = generating_set(variety.algebra)
-    return _with_constraints(variety, _jacobi_forms(variety, generators))
-
-
-def _h0_jacobi_forms(variety: LinearVariety, generators):
-    """The nonzero coordinates of the H0 Jacobi residuals of the general element on (i, j, k), k in generators.
-
-    Each residual sums the signed products of ``axioms.nested_pairs`` at
-    their coordinates (``_forms``), and its coordinates come out in order.
-    """
-    n = variety.algebra.dim
-    slots = _slot_forms(variety)
-    keys = _monomial_keys(variety.dim)
-    # the structure constants scaled to integers: again a uniform factor
-    mul = _integer_products(variety.algebra)
-    # table[a][b] = [(c, form)]: coordinate c of m({{e_a, e_b}})
-    table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
-    same = range(n)
-    for i, j, k in product(range(n), range(n), generators):
-        parts = ((sign, same, nested_pairs(table, *t, left)) for sign, t, left in h0_jacobiator_parts(i, j, k))
-        yield from _forms(parts, keys)
+    tables = [basis.terms for basis in variety.nullspace_basis]
+    return _with_constraints(variety, (form for *_, form in _jacobi_scan(tables, generators)))
 
 
 def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVariety:
@@ -517,18 +393,10 @@ def h0_jacobi_constraints(variety: LinearVariety, generators=None) -> LinearVari
         return variety
     if generators is None:
         generators = generating_set(variety.algebra)
-    return _with_constraints(variety, _h0_jacobi_forms(variety, generators))
-
-
-def _multiplied_forms(mul, slot) -> list:
-    """The nonzero (c, form) of m({{e_a, e_b}}) for a slot of linear forms (``axioms.multiplied_terms``)."""
-    coords: dict[int, dict[int, int | Fraction]] = {}
-    for c, m, f in multiplied_terms(mul, slot):
-        acc = coords.setdefault(c, {})
-        for k, u in f:
-            acc[k] = acc.get(k, 0) + m * u
-    forms = ((c, tuple((k, u) for k, u in coords[c].items() if u)) for c in sorted(coords))
-    return [(c, form) for c, form in forms if form]
+    tables = [basis.terms for basis in variety.nullspace_basis]
+    # the structure constants scaled to integers: a uniform factor changes no span
+    scan = _h0_jacobi_scan(tables, _integer_products(variety.algebra), generators)
+    return _with_constraints(variety, (form for *_, form in scan))
 
 
 def solve_modified(algebra: FDAlgebra) -> LinearVariety:

@@ -13,7 +13,7 @@ cyclic tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
 from __future__ import annotations
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
-from .poly import Scalar, scalar_is_zero
+from .poly import Scalar
 
 
 _ZERO = 0
@@ -24,7 +24,7 @@ def _zero_grid2(n: int) -> list[list[Scalar]]:
 
 
 def _nonzero_terms(terms: dict) -> dict:
-    return {key: v for key, v in terms.items() if not scalar_is_zero(v)}
+    return {key: v for key, v in terms.items() if v}
 
 
 class _SparseTensor:

@@ -6,7 +6,9 @@ a quadratic form in the nullspace parameters).  For a seeded random bracket,
 every solver row evaluated at the bracket's ``flat_terms()`` must equal the
 checker residual at its position, times the factor by which the solver
 scales its inputs to integers: the common denominator of the product table.
-The slot forms carry the bracket's coefficients as they are.
+The slot forms carry the bracket's coefficients as they are.  The Jacobi
+scan, which the checkers and the solver share, must give the sums of those
+parts: the jacobiators of ``jacobi_oracles`` and the signed H0 parts.
 """
 
 from fractions import Fraction
@@ -27,19 +29,18 @@ from doublepoisson.axioms import (
     nested_pairs,
     skew_terms,
 )
-from doublepoisson.brackets import DoubleBracket, _pair_residual, _residual
-from doublepoisson.modified import ModifiedBracket, h0_jacobi_check
-from doublepoisson.solver import (
-    LinearVariety,
-    _fold_rows,
-    _generic_slot,
-    _h0_jacobi_forms,
-    _integer_products,
-    _jacobi_forms,
+from doublepoisson.brackets import (
+    _h0_jacobi_scan,
+    _jacobi_scan,
     _monomial_keys,
     _multiplied_forms,
+    _pair_residual,
+    _residual,
     _slot_forms,
 )
+from doublepoisson.modified import ModifiedBracket
+from doublepoisson.solver import _fold_rows, _generic_slot, _integer_products
+from jacobi_oracles import double_jacobiator
 from test_solver import ORACLE_ALGEBRAS, _summed, _two_stage_algebra
 
 SPECS = ORACLE_ALGEBRAS + ("mat2~rebased", "a2+mat1/2")
@@ -119,12 +120,12 @@ def test_quadratic_folds_agree(algebras, data):
     n = alg.dim
     bracket = _random_bracket(data, alg)
     terms = bracket.terms
-    # the variety spanned by the bracket alone: its slot forms are C[i][j][a][b] t0
+    # the span of the bracket alone: its slot forms are C[i][j][a][b] t0
     den = _common_denominator(v for row in alg.products for cell in row for _, v in cell)
-    modified = LinearVariety(alg, ("t0",), (bracket,), (), True)
-    slots = _slot_forms(modified)
+    slots = _slot_forms([terms])
     keys = _monomial_keys(1)
-    index = {p: k for k, p in enumerate(product(range(n), repeat=3))}
+    cells = list(product(range(n), repeat=3))
+    index = {p: k for k, p in enumerate(cells)}
     for i, j, k in product(range(n), repeat=3):
         _assert_quadratic_contract(
             _summed(first_leg_pairs(slots[i], slots[j][k]), keys, index),
@@ -132,22 +133,24 @@ def test_quadratic_folds_agree(algebras, data):
             1,
         )
     # the jacobiators: the nonzero entries of the scanned triples, in position order
-    double = DoubleBracket(alg, terms)
-    variety = LinearVariety(alg, ("t0",), (double,), (), False)
-    scanned = [t for t in product(range(n), repeat=3) if t == min(t, t[1:] + t[:1], t[2:] + t[:2])]
-    expected = [v for t in scanned for _, v in sorted(double._jacobiator_terms(*t).items()) if v]
-    assert [form[0] for form in _jacobi_forms(variety, range(n))] == expected
+    scanned = [t for t in cells if t == min(t, t[1:] + t[:1], t[2:] + t[:2])]
+    expected = [(t, p, v) for t in scanned for p, v in sorted(double_jacobiator(bracket, *t).terms.items())]
+    assert [(t, cells[pos], form[0]) for t, pos, form in _jacobi_scan([terms], range(n))] == expected
     # the H0 nested products over M(a, b) = m({{e_a, e_b}})
     iprods = _integer_products(alg)
     forms = [[_multiplied_forms(iprods, slots[a][b]) for b in range(n)] for a in range(n)]
     table = [[[(c, v) for c, v in enumerate(bracket.multiplied_basis(a, b)) if v] for b in range(n)] for a in range(n)]
+    residuals = []
     for i, j, k in product(range(n), repeat=3):
-        for _, t, left in h0_jacobiator_parts(i, j, k):
-            _assert_quadratic_contract(
-                _summed(nested_pairs(forms, *t, left), keys, range(n)),
-                _pair_residual(nested_pairs(table, *t, left)),
-                den**2,
-            )
+        r = {}
+        for sign, t, left in h0_jacobiator_parts(i, j, k):
+            part = _pair_residual(nested_pairs(table, *t, left))
+            _assert_quadratic_contract(_summed(nested_pairs(forms, *t, left), keys, range(n)), part, den**2)
+            for c, v in part.items():
+                r[c] = r.get(c, 0) + sign * v
+        residuals += [((i, j, k), c, r[c]) for c in sorted(r) if r[c]]
     # the H0 residuals: the nonzero coordinates of every triple, in coordinate order
-    expected = [den**2 * v for _, r in h0_jacobi_check(bracket) for v in r.coords if v]
-    assert [form[0] for form in _h0_jacobi_forms(modified, range(n))] == expected
+    scan = _h0_jacobi_scan([terms], iprods, range(n))
+    assert [(t, c, form[0]) for t, c, form in scan] == [(t, c, den**2 * v) for t, c, v in residuals]
+    scan = _h0_jacobi_scan([terms], alg.products, range(n))
+    assert [(t, c, form[0]) for t, c, form in scan] == residuals

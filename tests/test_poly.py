@@ -162,6 +162,14 @@ def test_ring_mismatch_errors(cs_ring):
         cs_ring.var("c") + other.var("x")
 
 
+def test_a_polynomial_is_true_iff_it_has_a_term(cs_ring):
+    c, s = cs_ring.var("c"), cs_ring.var("s")
+    for p in (c - c, cs_ring.const(0), (c + s) * (c - s) - c * c + s * s):
+        assert not p and p.is_zero() and p == 0
+    for p in (c, cs_ring.const(Fraction(-1, 2)), c * s - s * c + 1):
+        assert p and not p.is_zero() and p != 0
+
+
 def test_grlex_order():
     # degree first, then lexicographic with the earlier variable larger: x0^2 > x0*x1 > x1^2, x1^3 > x0^2
     assert grlex_key((0, 0)) > grlex_key((0, 1))

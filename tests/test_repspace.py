@@ -13,7 +13,7 @@ from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_alpha_bracket, a2_alpha_bracket_symbolic, a2_double_family
 from doublepoisson.inner import inner_bracket, wedge_basis
 from doublepoisson.linalg import rank_of_vectors
-from doublepoisson.poly import MultiPoly, PolyRing, scalar_is_zero
+from doublepoisson.poly import MultiPoly, PolyRing
 from doublepoisson.repspace import (
     ChartCoord,
     ChartError,
@@ -101,7 +101,7 @@ def _multipoly_induce(db, n):
                 (u, v, block[u][v])
                 for u in range(alg.dim)
                 for v in range(alg.dim)
-                if not scalar_is_zero(block[u][v])
+                if block[u][v]
             ]
             for i, j, p, q in product(range(n), repeat=4):
                 val = R.zero()

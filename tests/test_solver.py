@@ -22,7 +22,15 @@ from doublepoisson.algebra import (
     resolve_preset,
 )
 from doublepoisson.axioms import derivation_terms, first_leg_pairs, flipped, nested_pairs, skew_terms
-from doublepoisson.brackets import DoubleBracket, DoubleDerivation
+from doublepoisson.brackets import (
+    DoubleBracket,
+    DoubleDerivation,
+    _h0_jacobi_scan,
+    _jacobi_scan,
+    _monomial_keys,
+    _multiplied_forms,
+    _slot_forms,
+)
 from doublepoisson.families import (
     A2_DOUBLE_PARAM_SLOTS,
     a2_double_family,
@@ -46,15 +54,10 @@ from doublepoisson.solver import (
     _derivation_rows,
     _first_leibniz_groups,
     _generic_slot,
-    _h0_jacobi_forms,
     _h0_skew_groups,
     _integer_products,
-    _jacobi_forms,
-    _monomial_keys,
-    _multiplied_forms,
     _rows,
     _skew_groups,
-    _slot_forms,
     _with_constraints,
     double_derivation_space,
     h0_jacobi_constraints,
@@ -261,6 +264,20 @@ def _oracle_h0_jacobi(variety):
         r = m(x, m(y, z)) - m(y, m(x, z)) - m(m(x, y), z)
         polys.extend(c for c in r.coords if isinstance(c, MultiPoly))
     return _distinct_pairwise(polys)
+
+
+def _tables(variety):
+    return [basis.terms for basis in variety.nullspace_basis]
+
+
+def _jacobi_forms(variety, generators):
+    """The forms that ``jacobi_constraints`` eliminates: the scan of the general element."""
+    return (form for *_, form in _jacobi_scan(_tables(variety), generators))
+
+
+def _h0_jacobi_forms(variety, generators):
+    """The forms that ``h0_jacobi_constraints`` eliminates, on the integer-scaled product table."""
+    return (form for *_, form in _h0_jacobi_scan(_tables(variety), _integer_products(variety.algebra), generators))
 
 
 def _all_triples_jacobi(variety):
@@ -1159,7 +1176,7 @@ def test_coordinate_rows_match_the_substituted_rows_on_random_bases(tmp_path_fac
 # residual (``_combine``); the H0 stage kept each part in a memo, since every
 # F(i, j, k) serves two residuals.  Those loops, kept here with the part signs
 # and legs written out rather than read from ``axioms``, are the oracle of
-# ``solver._forms`` on both stages: the same forms, in the same order.
+# ``brackets._forms`` on both stages: the same forms, in the same order.
 
 
 def _quadratic_sum(products, keys, index, out):
@@ -1197,7 +1214,7 @@ _PART_LEGS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 def _part_by_part_jacobi_forms(variety, generators):
     n = variety.algebra.dim
-    slots = _slot_forms(variety)
+    slots = _slot_forms(_tables(variety))
     keys = _monomial_keys(variety.dim)
     cells = list(product(range(n), repeat=3))
     index = {cell: pos for pos, cell in enumerate(cells)}
@@ -1211,7 +1228,7 @@ def _part_by_part_jacobi_forms(variety, generators):
 
 def _part_by_part_h0_jacobi_forms(variety, generators):
     n = variety.algebra.dim
-    slots = _slot_forms(variety)
+    slots = _slot_forms(_tables(variety))
     keys = _monomial_keys(variety.dim)
     mul = _integer_products(variety.algebra)
     table = [[_multiplied_forms(mul, slots[a][b]) for b in range(n)] for a in range(n)]
