@@ -74,15 +74,13 @@ def _terms_zero_mod(terms: dict, rels: RelationSet | None) -> bool:
     return all(_residual_zero(v, rels) for v in terms.values())
 
 
-def _witnesses(axiom: str, indices, residual, to_tensor, rels, collect: bool = True) -> list:
+def _witnesses(axiom: str, indices, residual, to_tensor, rels) -> list:
     """[((axiom, *idx), tensor)] for each idx whose sparse residual is not zero."""
     out = []
     for idx in indices:
         terms = residual(*idx)
         if not _terms_zero_mod(terms, rels):
             out.append(((axiom, *idx), to_tensor(terms)))
-            if not collect:
-                break
     return out
 
 
