@@ -528,13 +528,26 @@ def test_cli_import_loads_no_other_module_of_the_package():
 
 def test_each_command_loads_the_modules_it_runs(alpha_file, tmp_path):
     out = str(tmp_path / "out.json")
-    runs = [["check", "--algebra", "a2", "--bracket", alpha_file], ["solve", "--algebra", "a2"]]
+    wedge = tmp_path / "wedge.json"
+    wedge.write_text(json.dumps({"algebra": "a2", "terms": [[0, 1, "1"]]}))
+    runs = [
+        ["check", "--algebra", "a2", "--bracket", alpha_file],
+        ["inner", "--algebra", "a2", "--wedge", str(wedge)],
+        ["inner", "--aybe-scan", "--algebra", "mat2"],
+        ["solve", "--algebra", "a2"],
+    ]
     code = "import json, sys; from doublepoisson.cli import main\n" + "".join(
         f"main({argv + ['--out', out]!r}); print(json.dumps([m for m in sys.modules if m.startswith('doublepoisson.')]))\n"
         for argv in runs
     )
-    after_check, after_solve = (set(json.loads(line)) for line in _python_with_package(code).splitlines())
+    after_check, after_wedge, after_scan, after_solve = (
+        set(json.loads(line)) for line in _python_with_package(code).splitlines()
+    )
     assert not after_check & {"doublepoisson.solver", "doublepoisson.inner", "doublepoisson.repspace"}
+    # the weak Jacobi check runs the inner bracket's own scan, not the solver
+    for loaded in (after_wedge, after_scan):
+        assert "doublepoisson.inner" in loaded
+        assert not loaded & {"doublepoisson.solver", "doublepoisson.repspace"}
     assert "doublepoisson.solver" in after_solve and "doublepoisson.repspace" not in after_solve
 
 

@@ -11,7 +11,7 @@ from doublepoisson.algebra import make_a2, make_matrix_algebra
 from doublepoisson.cli import main
 from doublepoisson.families import a2_double_family_symbolic, a2_modified_family_symbolic
 from doublepoisson.inner import WedgeElement
-from test_output_digests import COMMANDS, FILES, INPUTS
+from test_output_digests import COMMANDS, write_inputs
 
 
 def test_algebra_round_trip():
@@ -219,12 +219,7 @@ NUMERIC = ["--numeric", "--samples", "5", "--seed", "3"]
 @pytest.mark.parametrize("spec, command", WRITER_CASES + [("a2", "induce --n 3 --chart rep3-a2 --numeric")])
 def test_writer_matches_json_dump_on_every_command_report(spec, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    algebra = spec
-    if spec in FILES:
-        algebra, data = FILES[spec]
-        (tmp_path / algebra).write_text(json.dumps(data))
-    for name, data in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(data))
+    algebra = write_inputs(tmp_path, spec)
     numeric = command.endswith(" --numeric")
     argv = [arg.format(algebra) for arg in COMMANDS[command.removesuffix(" --numeric")]] + (NUMERIC if numeric else [])
     reports = []

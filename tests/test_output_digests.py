@@ -7,13 +7,14 @@ reaches an output shows up here as a changed digest.  solve, solve
 upper-triangular T3, a rebased mat2 and a2+mat1 with halved structure
 constants, where rational rows meet the elimination; solve runs on mat4 too,
 the one pinned output with more than a few hundred constraints (1,045).  The inverse of
-``inner --aybe-scan`` on a2, the exact rep3 chart check of an a2 bracket off
+``inner --aybe-scan`` on a2, its generic w{a}{b} system on mat2, the exact rep3 chart check of an a2 bracket off
 the Jacobi variety (exit 1), its numeric rep3 check at 100 seeded samples
 (exit 1; the max_residual it prints is a float summed in term order), the
 exact rep2 chart check of the symbolic alpha bracket and the golden ``report`` (exit 1, one strict
 xfail) are pinned too, and so are ``check`` on that bracket (exit 1) and on
-a modified a2 bracket, ``inner --wedge`` on mat2 (exit 1, the wedge fails
-the weak Jacobi condition) and ``induce --n 3`` on that wedge's inner
+a modified a2 bracket, ``inner --wedge`` on mat2 and on the halved a2+mat1
+(exit 1, each wedge fails the weak Jacobi condition) and on a2 with r = 1^e0
+(J(r) is not zero, yet the weak condition holds), and ``induce --n 3`` on the mat2 wedge's inner
 bracket, which digest their input files.  Inputs that are not presets are written as fixed
 JSON, so that their bytes, and so the input digests in the output, never
 change.  A deliberate change of output format updates the digests in the
@@ -117,14 +118,22 @@ A2_ALPHA = {
     "coeffs": [[0, 1, 0, 0, "A"], [0, 2, 0, 0, "-A"], [1, 0, 0, 0, "-A"], [2, 0, 0, 0, "A"]],
 }
 
-# the bracket and wedge files every case can read, by their fixed names
+# r = 1^e0 = -e0^e1 - e0^e2 on a2: J(r) is not zero, yet the weak condition holds
+A2_WEDGE = {"algebra": "a2", "terms": [[0, 1, "-1"], [0, 2, "-1"]]}
+
+# a wedge with a fractional coefficient on the halved a2+mat1; it fails the weak condition
+A2_MAT1_WEDGE = {"algebra": "a2+mat1", "terms": [[0, 1, "1/2"], [1, 3, "2"], [2, 3, "-1"]]}
+
+# the bracket files every case can read, by their fixed names
 INPUTS = {
     "off-variety.json": OFF_VARIETY,
     "alpha-a2.json": A2_ALPHA,
     "a2-modified.json": A2_MODIFIED,
-    "wedge-mat2.json": MAT2_WEDGE,
     "inner-mat2.json": MAT2_INNER,
 }
+
+# the wedge of each ``inner --wedge`` case, written as wedge.json
+WEDGES = {"a2": A2_WEDGE, "mat2": MAT2_WEDGE, "a2+mat1/2": A2_MAT1_WEDGE}
 
 FILES = {
     "T3": ("T3.json", T3),
@@ -150,7 +159,7 @@ COMMANDS = {
     ],
     "check --bracket": ["check", "--algebra", "{}", "--bracket", "off-variety.json"],
     "check --modified": ["check", "--modified", "--algebra", "{}", "--bracket", "a2-modified.json"],
-    "inner --wedge": ["inner", "--algebra", "{}", "--wedge", "wedge-mat2.json"],
+    "inner --wedge": ["inner", "--algebra", "{}", "--wedge", "wedge.json"],
     "induce --n 3": ["induce", "--algebra", "{}", "--bracket", "inner-mat2.json", "--n", "3"],
     "report": ["report"],
 }
@@ -160,6 +169,7 @@ EXIT_CODES = {
     ("a2", "induce --n 3 --chart rep3-a2 --numeric"): 1,
     ("a2", "check --bracket"): 1,
     ("mat2", "inner --wedge"): 1,
+    ("a2+mat1/2", "inner --wedge"): 1,
     ("golden", "report"): 1,
 }
 
@@ -187,27 +197,40 @@ DIGESTS = {
     ("a2+mat1/2", "solve --modified"): "8d8d940627090eaf944a65090319b461592ca7ae8be2bb63da566206370af54a",
     ("a2+mat1/2", "hh1"): "f3bdbad324d85471f7188b185c0d2ddd0f8f8c2d1d62d5313479d2ff4b3fd337",
     ("a2", "inner --aybe-scan"): "49e6dab45484541ae73ef7dffa3fa7274a1ace93b1b9980fd0547c70277d74ee",
+    ("mat2", "inner --aybe-scan"): "f54d345dd4d8e33bd005ac1bd7a09079055cea335e20b0e468ec22c5ab7f2963",
     ("a2", "induce --n 3 --chart rep3-a2"): "51900a2e9d0376cc99621bb992cc263580f4e1f88db684ff0293ea4ac8dc21b8",
     ("a2", "induce --n 3 --chart rep3-a2 --numeric"): "f0fd54419dd35ef65707d6586a2dea0f14bb738b5690a0e53a1af7742f6d5df3",
     ("a2", "induce --n 2 --chart rep2-a2"): "f01d12042324cf1db895a674d5f9f8a1e37a4de090f05dc9efac93cae147ec05",
     ("a2", "check --bracket"): "736223ae663d90ac1b0a2cf7329d0ba8e593ddee3a3132b3b695ec72b12647f8",
     ("a2", "check --modified"): "6b25b982216df1f7c69b26a6097551c7abc67922ef292b35f84f99778b837bee",
     ("mat2", "inner --wedge"): "2e1611deea232b134af0bec57ba50a539842d7ce65f00a5c5a677c9f1d70a8e5",
+    ("a2", "inner --wedge"): "9643491702d9f2983ca07e7bec8f7ca62f2466bff7b501f07ba942467bc89a87",
+    ("a2+mat1/2", "inner --wedge"): "68e759400e16e3ae7f0d8fc160176735cf2b63b8e6e5ccce4a154a5275b16019",
     ("mat2", "induce --n 3"): "5b7fd7f0d2b1831d296d3dd25337e06af24fbbcf1249095baa3e736d2eaba293",
     ("golden", "report"): "3603bf7602bd010e40826a209fa504a4856398563d13999770b8ff21161d353d",
 }
 
 
-@pytest.mark.parametrize("spec, command", list(DIGESTS))
-def test_json_output_digest(spec, command, tmp_path, monkeypatch):
-    # hh1 echoes the --algebra argument, so a file is passed by a fixed relative name
-    monkeypatch.chdir(tmp_path)
+def write_inputs(path, spec: str) -> str:
+    """Write the input files of a case into ``path``; return its --algebra argument.
+
+    hh1 echoes the --algebra argument, so a file is passed by a fixed relative name.
+    """
     algebra = spec
     if spec in FILES:
         algebra, data = FILES[spec]
-        (tmp_path / algebra).write_text(json.dumps(data))
+        (path / algebra).write_text(json.dumps(data))
     for name, data in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(data))
+        (path / name).write_text(json.dumps(data))
+    if spec in WEDGES:
+        (path / "wedge.json").write_text(json.dumps(WEDGES[spec]))
+    return algebra
+
+
+@pytest.mark.parametrize("spec, command", list(DIGESTS))
+def test_json_output_digest(spec, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    algebra = write_inputs(tmp_path, spec)
     argv = [arg.format(algebra) for arg in COMMANDS[command]]
     assert main(["--format", "json", "--out", "out.json"] + argv) == EXIT_CODES.get((spec, command), 0)
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == DIGESTS[spec, command]
