@@ -24,10 +24,9 @@ the inner brackets built from a wedge r.  The actions on A(x)A are the outer
 ones: x.(a(x)b) = xa(x)b, (a(x)b).x = a(x)bx; the inner action is the outer
 one conjugated by the flip.  The inner bracket is the composite
 {{e_i, e_j}}_r = D_j(flip(D_i(flip r))) of inner derivations
-D_i(m) = e_i.m - m.e_i; the AYBE obstruction J(r) is summed over pairs of
-r's entries; the leg commutators of A(x)A(x)A are
-[a(x)b(x)c, x]_1 = a(x)xb(x)c - ax(x)b(x)c, [-, x]_2 = a(x)b(x)xc - a(x)bx(x)c
-and [-, x]_3 = xa(x)b(x)c - a(x)b(x)cx.
+D_i(m) = e_i.m - m.e_i, and the AYBE obstruction J(r) is summed over pairs
+of r's entries.  The weak Jacobi condition on r needs no rule of its own:
+its triple leg commutator of J(r) is the jacobiator of the inner bracket.
 """
 
 from __future__ import annotations
@@ -103,20 +102,6 @@ def aybe_pairs(prods, entries):
                 yield (c, a, m), x, v * y
             for m, v in pb[c]:
                 yield (a, m, d), x, -v * y
-
-
-def leg_commutator_terms(prods, terms, x: int, leg: int):
-    """[t, e_x]_leg at each position, for t = sum payload e_a(x)e_b(x)e_c over the ((a, b, c), payload) ``terms``.
-
-    e_x multiplies the leg after ``leg`` (cyclically) from the left and the
-    leg ``leg`` itself from the right, with a minus sign.
-    """
-    plus, minus = leg % 3, leg - 1
-    for pos, p in terms:
-        for m, v in prods[x][pos[plus]]:
-            yield pos[:plus] + (m,) + pos[plus + 1 :], v, p
-        for m, v in prods[pos[minus]][x]:
-            yield pos[:minus] + (m,) + pos[minus + 1 :], -v, p
 
 
 def multiplied_terms(prods, slot):

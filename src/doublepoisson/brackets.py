@@ -181,7 +181,10 @@ def _jacobi_scan(tables, generators):
     n = len(slots)
     cells = list(product(range(n), repeat=3))
     index = {p: k for k, p in enumerate(cells)}
-    lands = {legs: {p: index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells} for legs in JACOBI_LEGS}
+    lands = {
+        legs: index if legs == (0, 1, 2) else {p: index[p[legs[0]], p[legs[1]], p[legs[2]]] for p in cells}
+        for legs in JACOBI_LEGS
+    }
     for t in product(generators, repeat=3):
         i, j, k = t
         if t > (j, k, i) or t > (k, i, j):
@@ -429,23 +432,31 @@ class DoubleBracket(CoefficientBracket):
         the least rotation (i, j, k) of each cyclic class.  J(j, k, i) =
         tau132 J(i, j, k) and J(k, i, j) = tau123 J(i, j, k) for any
         coefficient tensor, so those are the witnesses of the other two
-        rotations.  The least rotation of the first nonzero class is the
-        first witness of all, the one ``collect=False`` returns.
+        rotations; their positions are looked up in ``cells``, so all the
+        witnesses share one tuple per position.  The least rotation of the
+        first nonzero class is the first witness of all, the one
+        ``collect=False`` returns.
         """
         n = self.algebra.dim
         cells = list(product(range(n), repeat=3))
+
+        def moved(terms: dict, legs) -> Tensor3:
+            """The tensor whose entry p of ``terms`` is at (p[legs[0]], p[legs[1]], p[legs[2]])."""
+            return Tensor3(self.algebra, {cells[(p[legs[0]] * n + p[legs[1]]) * n + p[legs[2]]]: v for p, v in terms.items()})
+
         out = []
         for (i, j, k), entries in groupby(_jacobi_scan([self.terms], range(n)), lambda e: e[0]):
             terms = {cells[pos]: form[0] for _, pos, form in entries}
             if _terms_zero_mod(terms, rels):
                 continue
-            jac = Tensor3(self.algebra, terms)
-            out.append((("jacobi", i, j, k), jac))
+            out.append((("jacobi", i, j, k), Tensor3(self.algebra, terms)))
             if not collect:
                 return out
             if not i == j == k:
-                out += [(("jacobi", j, k, i), jac.tau132()), (("jacobi", k, i, j), jac.tau123())]
-        return sorted(out, key=lambda w: w[0])
+                # tau132 moves p to (p[1], p[2], p[0]), tau123 to (p[2], p[0], p[1])
+                out += [(("jacobi", j, k, i), moved(terms, (1, 2, 0))), (("jacobi", k, i, j), moved(terms, (2, 0, 1)))]
+        out.sort(key=lambda w: w[0])
+        return out
 
     def check_all(self, rels: RelationSet | None = None) -> AxiomReport:
         skew = self.check_skew(rels)

@@ -6,16 +6,18 @@ this is Ae_i(x)Be_j - e_jAe_i(x)B - A(x)e_iBe_j + e_jA(x)e_iB, the
 orientation that reproduces {{e0,e1}}_{e0^e1} = e0(x)e0 and
 {{e0,e1}}_{1^e0} = -2 e0(x)e0 on the upper-triangular algebra.  The Jacobi
 obstruction is J(r) = r13 x r12 + r23 x r13 - r12 x r23 (legwise products,
-unit on the missing leg); J(r) = 0 is the associative Yang-Baxter equation,
-and the weaker sufficient-and-necessary condition for the double Jacobi
-identity of {{-,-}}_r is [[[J(r),x]_1,y]_2,z]_3 = 0 for all x, y, z.
+unit on the missing leg); J(r) = 0 is the associative Yang-Baxter equation.
+The jacobiator of {{-,-}}_r at (e_x, e_y, e_z) is the triple leg commutator
+[[[J(r),e_x]_1,e_y]_2,e_z]_3, entry for entry, so the weaker condition that
+it vanish, sufficient and necessary for the double Jacobi identity of
+{{-,-}}_r, is checked as the inner bracket's own Jacobi identity, on the
+shared scan of ``brackets``.
 
-The signs and leg conventions of all three live in ``axioms``: the inner
-bracket is two folds of ``inner_derivation_terms``, J(r) the fold of
-``aybe_pairs`` over pairs of r's entries, and each commutator the fold of
-``leg_commutator_terms``.  This module reads the product table ``products``
-only to pass it to those generators.  A wedge is stored as its nonzero
-a < b terms, like a bracket; its dense antisymmetric grid is a view.
+The signs and leg conventions live in ``axioms``: the inner bracket is two
+folds of ``inner_derivation_terms``, and J(r) the fold of ``aybe_pairs``
+over pairs of r's entries.  This module reads the product table
+``products`` only to pass it to those generators.  A wedge is stored as its
+nonzero a < b terms, like a bracket; its dense antisymmetric grid is a view.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgElement, FDAlgebra
-from .axioms import aybe_pairs, flipped, inner_derivation_terms, leg_commutator_terms
+from .axioms import aybe_pairs, flipped, inner_derivation_terms
 from .brackets import CoefficientBracket, DoubleBracket, _pair_residual, _residual
-from .poly import MultiPoly, PolyRing, Scalar, distinct_up_to_scalar
-from .tensors import Tensor3, _nonzero_terms, _zero_grid2, tensor3_from_terms
+from .poly import MultiPoly, PolyRing, QuadraticForm, Scalar, distinct_up_to_scalar
+from .tensors import Tensor3, _zero_grid2, tensor3_from_terms
 
 
 class WedgeElement:
@@ -150,36 +152,15 @@ def aybe_obstruction(r: WedgeElement) -> Tensor3:
 
 
 def weak_jacobi_condition(r: WedgeElement):
-    """(flag, residuals) for [[[J(r),x]_1,y]_2,z]_3 = 0 over all basis triples.
+    """(flag, residuals) for [[[J(r),x]_1,y]_2,z]_3 = 0 over all basis triples, in (x, y, z) order.
 
-    Vanishing is automatic when any argument is the unit, but every basis
-    vector is scanned regardless.  Each commutator is the checker fold of
-    ``axioms.leg_commutator_terms``, and a Tensor3 is built only for a
-    witness triple.
+    That triple commutator is the jacobiator of {{-,-}}_r at (e_x, e_y, e_z),
+    entry for entry (Van den Bergh, Double Poisson algebras, 2008; Schedler,
+    Poisson algebras and Yang-Baxter equations, 2009), so the condition is
+    the inner bracket's own Jacobi check and its witnesses are those of
+    ``check_jacobi`` without the axiom tag.
     """
-    alg = r.algebra
-    n = alg.dim
-    prods = alg.products
-
-    def commutator(terms: dict, x: int, leg: int) -> dict:
-        return _nonzero_terms(_residual(leg_commutator_terms(prods, terms.items(), x, leg)))
-
-    j = aybe_obstruction(r).terms
-    residuals = []
-    if not j:
-        return True, residuals
-    for x in range(n):
-        jx = commutator(j, x, 1)
-        if not jx:
-            continue
-        for y in range(n):
-            jxy = commutator(jx, y, 2)
-            if not jxy:
-                continue
-            for z in range(n):
-                jxyz = commutator(jxy, z, 3)
-                if jxyz:
-                    residuals.append(((x, y, z), Tensor3(alg, jxyz)))
+    residuals = [(tag[1:], t) for tag, t in inner_bracket(r).check_jacobi()]
     return not residuals, residuals
 
 
@@ -219,7 +200,14 @@ def _reexpress_tensor3_legs(t: Tensor3, leg_basis) -> dict:
 
 
 class AybeSystem:
-    """Polynomial system J(r) = 0 over a parametrized wedge subspace."""
+    """Polynomial system J(r) = 0 over a parametrized wedge subspace.
+
+    ``equations`` are the coefficients of J(r), distinct up to scalars.
+    ``weak_equations``, when asked for, are the reduced echelon basis of the
+    span of the weak condition's coefficients, as ``QuadraticForm``s in the
+    parameters: the Jacobi constraints of the span of the generators' inner
+    brackets, in the key space and presentation of ``solve``'s.
+    """
 
     __slots__ = ("algebra", "parameter_names", "generators", "equations", "weak_equations")
 
@@ -229,7 +217,7 @@ class AybeSystem:
         parameter_names: tuple[str, ...],
         generators: tuple[WedgeElement, ...],
         equations: tuple[MultiPoly, ...],
-        weak_equations: tuple[MultiPoly, ...] | None = None,
+        weak_equations: tuple[QuadraticForm, ...] | None = None,
     ):
         self.algebra = algebra
         self.parameter_names = parameter_names
@@ -257,8 +245,9 @@ def aybe_solve(
 
     ``generators`` defaults to the full wedge basis e_a ^ e_b (a < b) with
     coordinates named w{a}{b}.  No solving is attempted beyond emitting the
-    coefficient equations (plus, on request, the weaker triple-commutator
-    system); callers test candidate points with ``substitute_point``.
+    coefficient equations (plus, on request, the weak system, the Jacobi
+    constraints of the span of the generators' inner brackets); callers test
+    candidate points with ``substitute_point``.
 
     ``leg_basis`` optionally re-expands the tensor legs of J(r) over an
     alternative basis of A before collecting coefficients -- e.g. the
@@ -287,9 +276,12 @@ def aybe_solve(
     equations = distinct_up_to_scalar(coeffs)
     weak = None
     if include_weak:
-        _, residuals = weak_jacobi_condition(r)
-        weak_polys = [v for _, t3 in residuals for _, _, _, v in t3.entries()]
-        weak = tuple(distinct_up_to_scalar(weak_polys))
+        # inner brackets are skew and Leibniz, the precondition of ``jacobi_constraints``;
+        # ``solver`` imports this module, and is loaded only here
+        from .solver import LinearVariety, jacobi_constraints
+
+        span = LinearVariety(algebra, names, tuple(inner_bracket(g) for g in generators), ())
+        weak = jacobi_constraints(span).quadratic_constraints
     return AybeSystem(algebra, names, tuple(generators), tuple(equations), weak)
 
 

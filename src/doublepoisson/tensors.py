@@ -4,8 +4,8 @@ A tensor is stored sparse: ``terms`` maps a position (a, b) or (a, b, c) to
 its nonzero coefficient, so every operation costs the number of nonzero
 terms rather than dim^2 or dim^3.  ``grid`` is a dense view, built on each
 call, for tests and small reports.  The types never read the product
-table: the bimodule actions, the leg commutators and J(r) are term
-generators in ``axioms``, which fixes every sign and leg convention once.
+table: the bimodule actions and J(r) are term generators in ``axioms``,
+which fixes every sign and leg convention once.
 Only the index permutations live here: the flip (a(x)b)° = b(x)a and the
 cyclic tau123(a(x)b(x)c) = c(x)a(x)b, tau132 = tau123^2.
 """

@@ -6,14 +6,18 @@ first legs then come from ``eval``).  Each sums the three first-leg
 products of ``axioms.jacobiator_parts`` on their own, with their legs
 permuted, which is the checker fold that ``brackets._jacobi_scan`` replaced.
 ``lie_jacobi_residuals`` scans the Lie Jacobi identity of an induced bracket
-on A_flat.
+on A_flat.  ``weak_jacobi_residuals`` is the weak Jacobi condition of a
+wedge r as the triple leg commutator [[[J(r),x]_1,y]_2,z]_3, folded from
+``leg_commutator_terms``: the path that the inner bracket's own Jacobi check
+replaced, kept as the oracle of the identity between the two.
 """
 
 from itertools import product
 
 from doublepoisson.axioms import first_leg_pairs, jacobiator_parts, nested_pairs
-from doublepoisson.brackets import _pair_residual
-from doublepoisson.tensors import tensor3_from_terms
+from doublepoisson.brackets import _pair_residual, _residual
+from doublepoisson.inner import aybe_obstruction
+from doublepoisson.tensors import Tensor3, _nonzero_terms, tensor3_from_terms
 
 
 def _jacobiator(algebra, first_leg, i, j, k):
@@ -62,3 +66,45 @@ def lie_jacobi_residuals(table):
         if any(r):
             bad.append(((i, j, k), r))
     return bad
+
+
+def leg_commutator_terms(prods, terms, x, leg):
+    """[t, e_x]_leg at each position, for t = sum payload e_a(x)e_b(x)e_c over the ((a, b, c), payload) ``terms``.
+
+    [a(x)b(x)c, x]_1 = a(x)xb(x)c - ax(x)b(x)c, [-, x]_2 = a(x)b(x)xc - a(x)bx(x)c
+    and [-, x]_3 = xa(x)b(x)c - a(x)b(x)cx: e_x multiplies the leg after
+    ``leg`` (cyclically) from the left and the leg ``leg`` itself from the
+    right, with a minus sign.
+    """
+    plus, minus = leg % 3, leg - 1
+    for pos, p in terms:
+        for m, v in prods[x][pos[plus]]:
+            yield pos[:plus] + (m,) + pos[plus + 1 :], v, p
+        for m, v in prods[pos[minus]][x]:
+            yield pos[:minus] + (m,) + pos[minus + 1 :], -v, p
+
+
+def weak_jacobi_residuals(r):
+    """(flag, residuals) for [[[J(r),x]_1,y]_2,z]_3 = 0 over all basis triples, in (x, y, z) order."""
+    alg = r.algebra
+    n = alg.dim
+    prods = alg.products
+
+    def commutator(terms, x, leg):
+        return _nonzero_terms(_residual(leg_commutator_terms(prods, terms.items(), x, leg)))
+
+    j = aybe_obstruction(r).terms
+    residuals = []
+    for x in range(n):
+        jx = commutator(j, x, 1)
+        if not jx:
+            continue
+        for y in range(n):
+            jxy = commutator(jx, y, 2)
+            if not jxy:
+                continue
+            for z in range(n):
+                jxyz = commutator(jxy, z, 3)
+                if jxyz:
+                    residuals.append(((x, y, z), Tensor3(alg, jxyz)))
+    return not residuals, residuals

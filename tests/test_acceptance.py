@@ -53,6 +53,7 @@ from doublepoisson.solver import (
     solve_modified,
 )
 from doublepoisson.tensors import tensor3_from_terms
+from jacobi_oracles import weak_jacobi_residuals
 
 
 def _report(criterion: str, ok: bool, elapsed: float, budget: float, note: str = ""):
@@ -294,10 +295,12 @@ def test_criterion_9_property_suites():
                     grid[i][j] = c
                     grid[j][i] = -c
             r = WedgeElement.of(alg, grid)
-            weak_ok, _ = weak_jacobi_condition(r)
+            # the weak condition by its triple leg commutators, an oracle apart from the Jacobi scan
+            weak_ok, weak = weak_jacobi_residuals(r)
             if aybe_obstruction(r).is_zero():
                 assert weak_ok
             assert weak_ok == (not inner_bracket(r).check_jacobi(collect=False))
+            assert weak_jacobi_condition(r) == (weak_ok, weak)
             cases += 1
     assert cases >= 200
 

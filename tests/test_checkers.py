@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from doublepoisson.inner import (
     weak_jacobi_condition,
 )
 from doublepoisson.modified import ModifiedBracket, h0_jacobi_check, h0_skew_check
-from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, distinct_up_to_scalar
+from doublepoisson.poly import MultiPoly, PolyRing, RelationSet, distinct_up_to_scalar, grlex_key
 from doublepoisson.tensors import Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
 from jacobi_oracles import double_jacobiator
 from test_algebra import _dense_mul
@@ -385,10 +386,10 @@ _small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1,
 
 
 @st.composite
-def _wedges(draw, alg):
+def _wedges(draw, alg, min_size=0, max_size=4):
     n = alg.dim
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    terms = draw(st.lists(st.tuples(pair, _small_rational), max_size=4))
+    terms = draw(st.lists(st.tuples(pair, _small_rational), min_size=min_size, max_size=max_size))
     return WedgeElement.from_terms(alg, [(a, b, c) for (a, b), c in terms])
 
 
@@ -429,33 +430,53 @@ def test_bracket_checkers_match_dense_oracle(algebras, data):
     _assert_bracket_checks_match(db)
 
 
-@seed(20261019)
-@settings(max_examples=20, deadline=None, database=None)
-@given(data=st.data())
-def test_aybe_and_leg_operations_match_dense_oracle(algebras, data):
-    alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
-    r = data.draw(_wedges(alg))
-    assert aybe_obstruction(r) == _dense_aybe(r)
-    assert weak_jacobi_condition(r) == _dense_weak_jacobi(r)
-    n = alg.dim
-    cells = st.lists(st.tuples(st.tuples(*[st.integers(0, n - 1)] * 3), _small_rational), max_size=5)
-    t = _summed_tensor3(alg, data.draw(cells))
-    x = alg.element([data.draw(_small_rational) for _ in range(n)])
-    for leg in (1, 2, 3):
-        assert leg_commutator(t, x, leg) == _dense_leg_commutator(t, x, leg)
+def test_aybe_and_leg_operations_match_dense_oracle(algebras):
+    failing = []
+
+    @seed(20261019)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def draw(data):
+        alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
+        r = data.draw(_wedges(alg, min_size=3, max_size=5))
+        assert aybe_obstruction(r) == _dense_aybe(r)
+        weak = _dense_weak_jacobi(r)
+        assert weak_jacobi_condition(r) == weak
+        failing.append(not weak[0])
+        n = alg.dim
+        cells = st.lists(st.tuples(st.tuples(*[st.integers(0, n - 1)] * 3), _small_rational), max_size=5)
+        t = _summed_tensor3(alg, data.draw(cells))
+        x = alg.element([data.draw(_small_rational) for _ in range(n)])
+        for leg in (1, 2, 3):
+            assert leg_commutator(t, x, leg) == _dense_leg_commutator(t, x, leg)
+
+    draw()
+    # witnesses are compared, not only empty lists
+    assert 2 * sum(failing) >= len(failing)
 
 
-@seed(20261020)
-@settings(max_examples=20, deadline=None, database=None)
-@given(data=st.data())
-def test_h0_checks_match_dense_oracle(algebras, data):
-    alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
-    n = alg.dim
-    slot = st.tuples(*[st.integers(0, n - 1)] * 4)
-    entries = data.draw(st.lists(st.tuples(slot, _small_rational), max_size=8))
-    mb = ModifiedBracket.from_entries(alg, [(*s, c) for s, c in entries])
-    assert h0_jacobi_check(mb) == _dense_h0_jacobi(mb)
-    assert h0_skew_check(mb) == _dense_h0_skew(mb)
+def test_h0_checks_match_dense_oracle(algebras):
+    failing = []
+
+    @seed(20261020)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def draw(data):
+        alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
+        n = alg.dim
+        # the H0 checks read a slot only through m({{e_i, e_j}}), so an entry at (a, b)
+        # with e_a e_b = 0 would only dilute the draw: the products then meet
+        meeting = [(a, b) for a in range(n) for b in range(n) if alg.products[a][b]]
+        slot = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(meeting))
+        entries = data.draw(st.lists(st.tuples(slot, _small_rational), min_size=4, max_size=12))
+        mb = ModifiedBracket.from_entries(alg, [(i, j, a, b, c) for (i, j, (a, b)), c in entries])
+        jacobi = _dense_h0_jacobi(mb)
+        assert h0_jacobi_check(mb) == jacobi
+        assert h0_skew_check(mb) == _dense_h0_skew(mb)
+        failing.append(bool(jacobi))
+
+    draw()
+    assert 4 * sum(failing) >= 3 * len(failing)
 
 
 @pytest.mark.parametrize("spec", UNIT_LAW_SPECS)
@@ -523,9 +544,23 @@ def test_symbolic_family_matches_dense_oracle():
     _assert_bracket_checks_match(db2, rels)
 
 
+def _reduced_echelon_basis(polys, ring):
+    """The reduced echelon basis of span(polys) by sympy's rref, largest leading monomial first."""
+    polys = list(polys)
+    monomials = sorted({e for p in polys for e in p.terms}, key=grlex_key, reverse=True)
+    if not monomials:
+        return []
+    matrix = sympy.Matrix([[sympy.Rational(str(p.coefficient(e))) for e in monomials] for p in polys])
+    reduced, pivots = matrix.rref()
+    return [
+        MultiPoly(ring, {e: Fraction(int(v.p), int(v.q)) for e, v in zip(monomials, reduced.row(r)) if v})
+        for r in range(len(pivots))
+    ]
+
+
 def test_aybe_solve_matches_dense_oracle(algebras):
     # aybe_solve's general wedge: one parameter w{a}{b} per e_a ^ e_b
-    for spec in ("a2", "mat1+mat1"):
+    for spec in ("a2", "mat1+mat1", "T3") + UNIT_LAW_SPECS:
         alg = algebras[spec]
         n = alg.dim
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -537,9 +572,11 @@ def test_aybe_solve_matches_dense_oracle(algebras):
         assert weak_jacobi_condition(r) == (not weak, weak)
         system = aybe_solve(alg, include_weak=True)
         assert list(system.equations) == distinct_up_to_scalar(v for *_, v in j.entries())
-        assert list(system.weak_equations) == distinct_up_to_scalar(
-            v for _, t in weak for *_, v in t.entries()
-        )
+        # a reduced echelon basis is unique for its span, so the lists are equal
+        expected = _reduced_echelon_basis((v for _, t in weak for *_, v in t.entries()), ring)
+        assert [str(q) for q in system.weak_equations] == [str(p) for p in expected]
+        # mat1+mat1 is commutative, so its inner brackets vanish
+        assert bool(system.weak_equations) == (spec != "mat1+mat1")
 
 
 def test_first_leibniz_is_exact_on_a_skew_violating_bracket(algebras):

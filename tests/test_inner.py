@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from doublepoisson.algebra import AlgebraError, make_a2, make_matrix_algebra
+from doublepoisson.algebra import AlgebraError, make_a2, make_matrix_algebra, resolve_preset
 from doublepoisson.brackets import DoubleBracket
 from doublepoisson.families import a2_alpha_bracket
 from doublepoisson.inner import (
@@ -16,7 +16,9 @@ from doublepoisson.inner import (
     wedge_basis,
 )
 from doublepoisson.poly import PolyRing
+from doublepoisson.solver import solve
 from doublepoisson.tensors import tensor3_from_terms
+from jacobi_oracles import weak_jacobi_residuals
 
 
 @pytest.fixture
@@ -131,31 +133,49 @@ def test_aybe_scan_defaults():
     assert len(system.equations) >= 1
 
 
+@pytest.mark.parametrize(
+    "spec, weak_rank, jacobi_rank",
+    [("mat2", 1, 1), ("mat1+mat1+mat1", 1, 1), ("mat2+mat1", 13, 13), ("mat3", 156, 156), ("a2+mat1", 8, 10)],
+)
+def test_weak_system_is_the_pull_back_of_the_jacobi_system(spec, weak_rank, jacobi_rank):
+    # On a semisimple algebra every double bracket satisfying the linear axioms is
+    # inner, so r -> {{-,-}}_r maps Lambda^2 A onto the linear space of ``solve``,
+    # and the weak span, the pull-back of the Jacobi span, has its rank.  a2+mat1
+    # has outer brackets, and the ranks differ.
+    alg = resolve_preset(spec)
+    system = aybe_solve(alg, include_weak=True)
+    assert all(q.names == system.parameter_names for q in system.weak_equations)
+    assert (len(system.weak_equations), len(solve(alg).quadratic_constraints)) == (weak_rank, jacobi_rank)
+
+
 def test_implication_chain_random():
-    """AYBE => weak condition <=> double Jacobi for inner brackets."""
+    """AYBE => weak condition <=> double Jacobi for inner brackets.
+
+    The weak condition is read off its triple leg commutators
+    (``jacobi_oracles.weak_jacobi_residuals``), and its witnesses are the
+    jacobiators of the inner bracket, tensor for tensor, in the same order.
+    """
     rng = random.Random(12)
     cases = 0
     a2 = make_a2()
     m2 = make_matrix_algebra(2)
     pools = [(a2, 170), (m2, 40)]
-    for alg, count in pools:
-        for _ in range(count):
-            r = rand_wedge(alg, rng, -3, 3)
-            j_zero = aybe_obstruction(r).is_zero()
-            weak_ok, _ = weak_jacobi_condition(r)
-            if j_zero:
-                assert weak_ok
-            jac_ok = not inner_bracket(r).check_jacobi(collect=False)
-            assert weak_ok == jac_ok
-            cases += 1
-    # include the known interesting cases so the implication is not vacuous
     e0, e1 = a2.basis_element(0), a2.basis_element(1)
     one = a2.unit_element()
-    for r in (WedgeElement.wedge(one, e0), WedgeElement.wedge(e0, e1), WedgeElement.wedge(one, e1)):
-        weak_ok, _ = weak_jacobi_condition(r)
+    # include the known interesting cases so the implication is not vacuous
+    known = [WedgeElement.wedge(x, y) for x, y in ((one, e0), (e0, e1), (one, e1))]
+    wedges = [rand_wedge(alg, rng, -3, 3) for alg, count in pools for _ in range(count)] + known
+    failing = 0
+    for r in wedges:
+        weak_ok, weak = weak_jacobi_residuals(r)
+        if aybe_obstruction(r).is_zero():
+            assert weak_ok
         assert weak_ok == (not inner_bracket(r).check_jacobi(collect=False))
+        assert weak_jacobi_condition(r) == (weak_ok, weak)
+        failing += not weak_ok
         cases += 1
     assert cases >= 200
+    assert 0 < failing < cases
 
 
 def test_trace_casimir_words(a2):

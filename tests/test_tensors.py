@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from doublepoisson.algebra import make_a2, make_matrix_algebra
-from doublepoisson.axioms import leg_commutator_terms
 from doublepoisson.brackets import _residual
 from doublepoisson.tensors import Tensor2, Tensor3, tensor3_from_terms, tensor_from_terms
+from jacobi_oracles import leg_commutator_terms
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def rand_element(alg, rng):
 
 
 def leg_commutator(t, x, leg):
-    """[t, x]_leg: the folds of axioms.leg_commutator_terms summed over the coordinates of x."""
+    """[t, x]_leg: the folds of jacobi_oracles.leg_commutator_terms summed over the coordinates of x."""
     prods = t.algebra.products
     terms = (
         (pos, xk * c, p)
