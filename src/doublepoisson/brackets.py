@@ -165,13 +165,13 @@ def _multiplied_forms(prods, slot) -> list:
 
 
 def _jacobi_scan(tables, generators):
-    """(triple, index, form) over the nonzero entries of the jacobiators on generators^3, one triple per cyclic class.
+    """(triple, cell, form) over the nonzero entries of the jacobiators on generators^3, one triple per cyclic class.
 
     The jacobiator (``axioms.jacobiator_parts``) sums three first-leg
     products F(i,j,k) = {{e_i, {{e_j, e_k}}}}_L with their legs permuted,
     each computed by polarization from ``axioms.first_leg_pairs``.  Every
     product lands, through the map from its cell to the index of the cell
-    its legs send it to, in the triple's total (``_forms``); entry (c, d, b)
+    its legs send it to, in the triple's total (``_forms``); cell (c, d, b)
     has index (c * n + d) * n + b, and the entries come out in index order.
     J(j, k, i) = tau132 J(i, j, k) for any coefficient tensor, so one triple
     per cyclic class is scanned, the least of its rotations, in product order.
@@ -192,7 +192,7 @@ def _jacobi_scan(tables, generators):
         parts = jacobiator_parts(i, j, k)
         parts = ((1, lands[legs], first_leg_pairs(slots[a], slots[b][c])) for (a, b, c), legs in parts)
         for pos, form in _forms(parts, keys):
-            yield t, pos, form
+            yield t, cells[pos], form
 
 
 def _h0_jacobi_scan(tables, prods, generators):
@@ -432,29 +432,21 @@ class DoubleBracket(CoefficientBracket):
         the least rotation (i, j, k) of each cyclic class.  J(j, k, i) =
         tau132 J(i, j, k) and J(k, i, j) = tau123 J(i, j, k) for any
         coefficient tensor, so those are the witnesses of the other two
-        rotations; their positions are looked up in ``cells``, so all the
-        witnesses share one tuple per position.  The least rotation of the
-        first nonzero class is the first witness of all, the one
-        ``collect=False`` returns.
+        rotations.  The least rotation of the first nonzero class is the
+        first witness of all, the one ``collect=False`` returns.
         """
         n = self.algebra.dim
-        cells = list(product(range(n), repeat=3))
-
-        def moved(terms: dict, legs) -> Tensor3:
-            """The tensor whose entry p of ``terms`` is at (p[legs[0]], p[legs[1]], p[legs[2]])."""
-            return Tensor3(self.algebra, {cells[(p[legs[0]] * n + p[legs[1]]) * n + p[legs[2]]]: v for p, v in terms.items()})
-
         out = []
         for (i, j, k), entries in groupby(_jacobi_scan([self.terms], range(n)), lambda e: e[0]):
-            terms = {cells[pos]: form[0] for _, pos, form in entries}
+            terms = {cell: form[0] for _, cell, form in entries}
             if _terms_zero_mod(terms, rels):
                 continue
-            out.append((("jacobi", i, j, k), Tensor3(self.algebra, terms)))
+            jac = Tensor3(self.algebra, terms)
+            out.append((("jacobi", i, j, k), jac))
             if not collect:
                 return out
             if not i == j == k:
-                # tau132 moves p to (p[1], p[2], p[0]), tau123 to (p[2], p[0], p[1])
-                out += [(("jacobi", j, k, i), moved(terms, (1, 2, 0))), (("jacobi", k, i, j), moved(terms, (2, 0, 1)))]
+                out += [(("jacobi", j, k, i), jac.tau132()), (("jacobi", k, i, j), jac.tau123())]
         out.sort(key=lambda w: w[0])
         return out
 

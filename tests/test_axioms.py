@@ -135,7 +135,7 @@ def test_quadratic_folds_agree(algebras, data):
     # the jacobiators: the nonzero entries of the scanned triples, in position order
     scanned = [t for t in cells if t == min(t, t[1:] + t[:1], t[2:] + t[:2])]
     expected = [(t, p, v) for t in scanned for p, v in sorted(double_jacobiator(bracket, *t).terms.items())]
-    assert [(t, cells[pos], form[0]) for t, pos, form in _jacobi_scan([terms], range(n))] == expected
+    assert [(t, cell, form[0]) for t, cell, form in _jacobi_scan([terms], range(n))] == expected
     # the H0 nested products over M(a, b) = m({{e_a, e_b}})
     iprods = _integer_products(alg)
     forms = [[_multiplied_forms(iprods, slots[a][b]) for b in range(n)] for a in range(n)]
