@@ -464,8 +464,8 @@ def test_h0_checks_match_dense_oracle(algebras):
     def draw(data):
         alg = algebras[data.draw(st.sampled_from(SPECS + UNIT_LAW_SPECS))]
         n = alg.dim
-        # the H0 checks read a slot only through m({{e_i, e_j}}), so an entry at (a, b)
-        # with e_a e_b = 0 would only dilute the draw: the products then meet
+        # the H0 checks read a slot only through m({{e_i, e_j}}), so every entry sits at
+        # a pair (a, b) with e_a e_b != 0; an entry elsewhere would change no residual
         meeting = [(a, b) for a in range(n) for b in range(n) if alg.products[a][b]]
         slot = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(meeting))
         entries = data.draw(st.lists(st.tuples(slot, _small_rational), min_size=4, max_size=12))
