@@ -284,12 +284,14 @@ def _dense_weak_jacobi(r):
     if j.is_zero():
         return True, residuals
     basis = [alg.basis_element(i) for i in range(alg.dim)]
-    for x, y, z in product(range(alg.dim), repeat=3):
-        t = _dense_leg_commutator(j, basis[x], 1)
-        t = _dense_leg_commutator(t, basis[y], 2)
-        t = _dense_leg_commutator(t, basis[z], 3)
-        if not t.is_zero():
-            residuals.append(((x, y, z), t))
+    for x in range(alg.dim):
+        jx = _dense_leg_commutator(j, basis[x], 1)
+        for y in range(alg.dim):
+            jxy = _dense_leg_commutator(jx, basis[y], 2)
+            for z in range(alg.dim):
+                t = _dense_leg_commutator(jxy, basis[z], 3)
+                if not t.is_zero():
+                    residuals.append(((x, y, z), t))
     return not residuals, residuals
 
 
